@@ -311,12 +311,15 @@ echo "sanitizer: every registered prefetcher ran clean under ASan+UBSan"
 # --- race-detector smoke -----------------------------------------------------
 # ThreadSanitizer build of the multi-worker surfaces: the campaign
 # engine's run/resume at -j 8 (ordered store flush + perf-sidecar
-# appends under contention), the run_parallel suite path, and the
-# work-stealing scheduler's own regression tests. TSan exits non-zero
-# on any report, so `set -e` is the gate.
+# appends under contention), the run_parallel suite path, the
+# work-stealing scheduler's own regression tests, and the process-wide
+# single-flight caches (synthetic workloads, sampling plans) that every
+# worker touches from Cpu::Cpu. TSan exits non-zero on any report, so
+# `set -e` is the gate.
 cmake --preset tsan > /dev/null
 cmake --build --preset tsan -j \
-  --target prestage_cli campaign_test fault_test memsys_stress_test
+  --target prestage_cli campaign_test fault_test memsys_stress_test \
+  common_test cpu_test workload_test sample_test
 rm -f build-tsan/ci-smoke.jsonl build-tsan/ci-smoke.jsonl.perf
 ./build-tsan/src/cli/prestage campaign run --name smoke --instrs 1200 \
   --store build-tsan/ci-smoke.jsonl -j 8 > /dev/null
@@ -331,7 +334,12 @@ cmp build-tsan/ci-smoke.jsonl build-tsan/ci-smoke-full.jsonl
   --gtest_filter='ParallelFor.*:CampaignEngine.*' > /dev/null
 ./build-tsan/tests/fault_test > /dev/null
 ./build-tsan/tests/memsys_stress_test > /dev/null
-echo "tsan: -j 8 run/resume, suite, scheduler and fault-layer tests" \
-  "ran race-free"
+./build-tsan/tests/common_test --gtest_filter='SingleFlight.*' > /dev/null
+./build-tsan/tests/cpu_test --gtest_filter='SharedWorkload.*' > /dev/null
+./build-tsan/tests/workload_test \
+  --gtest_filter='SyntheticWorkload.*' > /dev/null
+./build-tsan/tests/sample_test --gtest_filter='PlanCache.*' > /dev/null
+echo "tsan: -j 8 run/resume, suite, scheduler, fault-layer and cache" \
+  "tests ran race-free"
 
 echo "ci: OK"

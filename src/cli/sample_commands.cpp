@@ -69,10 +69,9 @@ std::shared_ptr<const workload::WorkloadSpec> resolve_sample_workload(
               << "' (see `prestage list`)\n";
     return nullptr;
   }
-  // The same (benchmark, seed) spec the sampled runner's cache builds,
-  // so `sample run` and campaign sampling see identical workloads.
-  return std::make_shared<const workload::SyntheticWorkloadSpec>(
-      benchmark, cpu::MachineConfig{}.seed);
+  // The shared spec the sampled runner and the Cpu use too, so `sample
+  // run` and campaign sampling see identical workloads.
+  return workload::synthetic_workload(benchmark, cpu::MachineConfig{}.seed);
 }
 
 /// CLI sampling knobs as the user-facing params block (zeros = default).

@@ -6,9 +6,7 @@
 #include "common/cancel.hpp"
 #include "common/prestage_assert.hpp"
 #include "prefetch/registry.hpp"
-#include "workload/generator.hpp"
-#include "workload/profiles.hpp"
-#include "workload/spec.hpp"
+#include "workload/synthetic_spec.hpp"
 
 namespace prestage::cpu {
 
@@ -53,17 +51,12 @@ StatSnapshot take_snapshot(const frontend::FetchEngine& fe,
 Cpu::Cpu(const MachineConfig& config)
     : cfg_(config),
       timings_(DerivedTimings::from(config)),
-      program_(config.workload
-                   ? config.workload->program()
-                   : workload::generate_program(
-                         workload::profile_for(config.benchmark),
-                         config.seed)),
+      workload_(config.workload ? config.workload
+                                : workload::synthetic_workload(
+                                      config.benchmark, config.seed)),
+      program_(workload_->program()),
       predictor_({.l1_entries = 1024, .l2_entries = 6144, .l2_assoc = 4}) {
-  oracle_ = std::make_unique<Oracle>(
-      cfg_.workload
-          ? cfg_.workload->make_source(cfg_.seed + 17)
-          : std::make_unique<workload::TraceGenerator>(program_,
-                                                       cfg_.seed + 17));
+  oracle_ = std::make_unique<Oracle>(workload_->make_source(cfg_.seed + 17));
 
   mem::MemSystemConfig mem_cfg;
   mem_cfg.l2_latency = timings_.l2_latency;

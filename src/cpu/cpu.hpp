@@ -124,7 +124,6 @@ class Cpu {
 
  private:
   void do_recovery(Cycle now);
-  void snapshot_warmup_baseline();
 
   /// Event-horizon fast-forward: when every unit's next state change lies
   /// strictly past `cycle_`, advances the clock to the earliest such
@@ -137,7 +136,11 @@ class Cpu {
 
   MachineConfig cfg_;
   DerivedTimings timings_;
-  workload::Program program_;
+  /// cfg.workload, or the process-wide synthetic spec for (benchmark,
+  /// seed). Shared read-only with every other Cpu on the same workload;
+  /// holding it keeps program_ and the oracle's trace source valid.
+  std::shared_ptr<const workload::WorkloadSpec> workload_;
+  const workload::Program& program_;
 
   std::unique_ptr<Oracle> oracle_;
   bpred::StreamPredictor predictor_;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <tuple>
 
 #include "common/prestage_assert.hpp"
+#include "common/single_flight.hpp"
 #include "sample/kmeans.hpp"
 
 namespace prestage::sample {
@@ -112,21 +111,11 @@ using PlanKey = std::tuple<std::string, std::uint64_t, std::uint64_t,
 std::shared_ptr<const SamplePlan> get_or_build_plan(
     const workload::WorkloadSpec& base, std::uint64_t seed,
     std::uint64_t budget, const ResolvedSamplingParams& params) {
-  static std::mutex mutex;
-  static std::map<PlanKey, std::shared_ptr<const SamplePlan>> cache;
-  const PlanKey key = plan_key(base, seed, budget, params);
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-  }
-  // Build outside the lock: plans are pure functions of the key, so two
-  // workers racing on the same key compute identical plans and either
-  // insert wins.
-  auto plan = std::make_shared<const SamplePlan>(
-      build_plan(base, seed, budget, params));
-  const std::lock_guard<std::mutex> lock(mutex);
-  return cache.emplace(key, std::move(plan)).first->second;
+  static SingleFlight<PlanKey, SamplePlan> cache;
+  return cache.get(plan_key(base, seed, budget, params), [&] {
+    return std::make_shared<const SamplePlan>(
+        build_plan(base, seed, budget, params));
+  });
 }
 
 }  // namespace prestage::sample

@@ -59,7 +59,9 @@ struct SamplePlan {
 
 /// Process-wide plan cache keyed by (workload name, seed, budget,
 /// params): campaign workers simulating different machine shapes of the
-/// same workload share one profiling pass. Thread-safe.
+/// same workload share one profiling pass. Thread-safe and single-flight:
+/// workers that ask for a plan while it is being built wait for that
+/// build. A failed build throws and is not cached.
 [[nodiscard]] std::shared_ptr<const SamplePlan> get_or_build_plan(
     const workload::WorkloadSpec& base, std::uint64_t seed,
     std::uint64_t budget, const ResolvedSamplingParams& params);

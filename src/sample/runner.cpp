@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "common/prestage_assert.hpp"
@@ -38,22 +35,7 @@ namespace {
 std::shared_ptr<const workload::WorkloadSpec> base_workload(
     const cpu::MachineConfig& cfg) {
   if (cfg.workload) return cfg.workload;
-  // Synthetic specs are pure functions of (benchmark, seed); cache them
-  // so a campaign grid synthesizes each program once.
-  static std::mutex mutex;
-  static std::map<std::pair<std::string, std::uint64_t>,
-                  std::shared_ptr<const workload::WorkloadSpec>>
-      cache;
-  const std::pair<std::string, std::uint64_t> key{cfg.benchmark, cfg.seed};
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-  }
-  auto spec = std::make_shared<const workload::SyntheticWorkloadSpec>(
-      cfg.benchmark, cfg.seed);
-  const std::lock_guard<std::mutex> lock(mutex);
-  return cache.emplace(key, std::move(spec)).first->second;
+  return workload::synthetic_workload(cfg.benchmark, cfg.seed);
 }
 
 cpu::RunResult run_sampled_point_with_plan(

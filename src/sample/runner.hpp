@@ -43,9 +43,9 @@ inline constexpr double kMinRelativeIpcErrorPct = 5.0;
     const std::shared_ptr<const workload::WorkloadSpec>& base,
     const SamplePlan& plan);
 
-/// The workload a config samples over: cfg.workload when set, else the
-/// synthetic benchmark spec the Cpu would build (cached process-wide —
-/// program synthesis is not free).
+/// The workload a config samples over, and the one its Cpu runs:
+/// cfg.workload when set, else the process-wide synthetic spec for
+/// (cfg.benchmark, cfg.seed) (workload::synthetic_workload).
 [[nodiscard]] std::shared_ptr<const workload::WorkloadSpec> base_workload(
     const cpu::MachineConfig& cfg);
 

@@ -1,11 +1,11 @@
 // A complete workload: the static program image plus a factory for the
 // dynamic instruction source that executes over it.
 //
-// MachineConfig carries an optional WorkloadSpec; when present, the CPU
-// builds its basic-block dictionary and oracle trace from the spec
-// instead of synthesizing a benchmark from (benchmark name, seed). This
-// is how recorded trace files and imported external traces (ChampSim)
-// drive the full simulation pipeline, including run_suite sweeps.
+// The CPU always runs a WorkloadSpec: MachineConfig's optional one when
+// present, else the shared synthetic spec for (benchmark name, seed)
+// (synthetic_spec.hpp). The override is how recorded trace files and
+// imported external traces (ChampSim) drive the full simulation
+// pipeline, including run_suite sweeps.
 #pragma once
 
 #include <cstdint>

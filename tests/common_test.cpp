@@ -1,10 +1,13 @@
 // Unit tests for src/common: types, RNG, ring buffers, the inline
-// callable, the open-addressing address map, stats, tables.
+// callable, the open-addressing address map, stats, tables, the
+// single-flight memo.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <deque>
 #include <memory>
 #include <set>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "common/prestage_assert.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
+#include "common/single_flight.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
@@ -385,6 +389,60 @@ TEST(Assert, ThrowsWithMessage) {
     EXPECT_NE(std::string(e.what()).find("context message"),
               std::string::npos);
   }
+}
+
+/// Runs @p body(i) on @p n threads at once and joins them.
+template <typename Body>
+void on_threads(std::size_t n, Body body) {
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) threads.emplace_back(body, i);
+  for (std::thread& t : threads) t.join();
+}
+
+TEST(SingleFlight, ConcurrentCallersShareOneBuild) {
+  constexpr std::size_t kThreads = 8;
+  SingleFlight<int, int> memo;
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<int> builds{0};
+  std::vector<std::shared_ptr<const int>> got(kThreads);
+  on_threads(kThreads, [&](std::size_t i) {
+    arrived.fetch_add(1);
+    got[i] = memo.get(7, [&] {
+      builds.fetch_add(1);
+      // Hold the build open until every thread has arrived, so the
+      // others find it in flight rather than finished.
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      return std::make_shared<const int>(49);
+    });
+  });
+  EXPECT_EQ(builds.load(), 1);
+  for (const auto& p : got) EXPECT_EQ(p.get(), got[0].get());
+  EXPECT_EQ(*got[0], 49);
+  EXPECT_EQ(memo.get(7, [] { return std::make_shared<const int>(0); }),
+            got[0]);
+}
+
+TEST(SingleFlight, FailedBuildReachesEveryWaiterAndIsNotCached) {
+  constexpr std::size_t kThreads = 8;
+  SingleFlight<int, int> memo;
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<std::size_t> failures{0};
+  on_threads(kThreads, [&](std::size_t) {
+    arrived.fetch_add(1);
+    try {
+      (void)memo.get(3, [&]() -> std::shared_ptr<const int> {
+        while (arrived.load() < kThreads) std::this_thread::yield();
+        throw SimError("build failed");
+      });
+    } catch (const SimError&) {
+      failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), kThreads);
+  // The failure was erased, so the next caller builds afresh.
+  const auto p = memo.get(3, [] { return std::make_shared<const int>(9); });
+  EXPECT_EQ(*p, 9);
 }
 
 }  // namespace

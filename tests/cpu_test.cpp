@@ -1,8 +1,11 @@
 // Integration tests: the whole machine, end to end.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "cpu/cpu.hpp"
 #include "sim/presets.hpp"
+#include "workload/synthetic_spec.hpp"
 
 namespace prestage::cpu {
 namespace {
@@ -163,6 +166,31 @@ TEST(Machine, TickAdvancesCycleByCycle) {
   cpu.tick();
   cpu.tick();
   EXPECT_EQ(cpu.cycle(), 2u);
+}
+
+TEST(SharedWorkload, CpusOfOneBenchmarkAndSeedShareOneProgram) {
+  const Cpu a(tiny("vortex", "clgp"));
+  const Cpu b(tiny("vortex", "base"));
+  EXPECT_EQ(&a.program(), &b.program())
+      << "every machine shape over one (benchmark, seed) reads one program";
+  MachineConfig reseeded = tiny("vortex", "clgp");
+  reseeded.seed = 2;
+  EXPECT_NE(&Cpu(reseeded).program(), &a.program())
+      << "the seed is part of the workload's identity";
+}
+
+TEST(SharedWorkload, CpuRunsTheConfiguredSpecsProgram) {
+  // A private spec, not the shared one: the Cpu must read the program
+  // it was handed, not a copy of it.
+  const auto spec =
+      std::make_shared<const workload::SyntheticWorkloadSpec>("gcc", 1);
+  MachineConfig cfg = tiny("gcc", "clgp", 3000);
+  cfg.workload = spec;
+  Cpu from_spec(cfg);
+  EXPECT_EQ(&from_spec.program(), &spec->program());
+  // Same (benchmark, seed) through the shared cache: same timing.
+  EXPECT_EQ(from_spec.run().cycles,
+            Cpu(tiny("gcc", "clgp", 3000)).run().cycles);
 }
 
 }  // namespace

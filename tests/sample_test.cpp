@@ -1,15 +1,17 @@
 // Sampled-simulation subsystem coverage: parameter resolution and
 // descriptor suffixes, plan determinism (including across worker
-// counts), PSCK checkpoint round-trips and corruption rejection,
-// prefetcher save/restore semantics, reconstruction fidelity against
-// the full run, error-bar-aware compare gating, and the golden-pinned
-// full-run store line proving the sampling block is strictly additive.
+// counts), the single-flight plan cache, PSCK checkpoint round-trips
+// and corruption rejection, prefetcher save/restore semantics,
+// reconstruction fidelity against the full run, error-bar-aware compare
+// gating, and the golden-pinned full-run store line proving the
+// sampling block is strictly additive.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/compare.hpp"
@@ -146,6 +148,43 @@ TEST(SamplePlan, IsDeterministicAndCachedAcrossCalls) {
   const auto p3 =
       sample::get_or_build_plan(*base, cfg.seed, 120000, deeper);
   EXPECT_NE(p1.get(), p3.get()) << "warm-up depth is part of the plan key";
+}
+
+TEST(PlanCache, ConcurrentFirstTouchSharesOnePlan) {
+  // A budget no other test plans at, so all eight threads race the
+  // first build of this key.
+  constexpr std::uint64_t kBudget = 90000;
+  const auto cfg = full_point(kBudget).machine_config();
+  const auto base = sample::base_workload(cfg);
+  std::vector<std::shared_ptr<const sample::SamplePlan>> got(8);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = sample::get_or_build_plan(*base, cfg.seed, kBudget,
+                                         smoke_params(kBudget));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& plan : got) EXPECT_EQ(plan.get(), got[0].get());
+  EXPECT_FALSE(got[0]->slices.empty());
+}
+
+TEST(PlanCache, FailedBuildIsNotCached) {
+  constexpr std::uint64_t kBudget = 80000;
+  const auto cfg = full_point(kBudget).machine_config();
+  const auto base = sample::base_workload(cfg);
+  // build_plan refuses disabled params, and the plan key ignores
+  // `enabled`: the retry below asks for the very key that failed.
+  auto params = smoke_params(kBudget);
+  params.enabled = false;
+  EXPECT_THROW(
+      (void)sample::get_or_build_plan(*base, cfg.seed, kBudget, params),
+      SimError);
+  params.enabled = true;
+  const auto plan =
+      sample::get_or_build_plan(*base, cfg.seed, kBudget, params);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_FALSE(plan->slices.empty());
 }
 
 TEST(SampleCheckpoint, RoundTripsEveryFieldAndFileBytes) {

@@ -1,13 +1,17 @@
 // Calibration and invariant tests for the synthetic workload substrate.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "bpred/bimodal.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 #include "workload/program.hpp"
+#include "workload/synthetic_spec.hpp"
 #include "workload/trace.hpp"
 
 namespace prestage::workload {
@@ -293,6 +297,25 @@ TEST(WrongPath, DataAddressesDeterministicAndInHeap) {
   EXPECT_GE(a1, kHeapBase);
   EXPECT_LT(a1, kHeapBase + prog.data_ws_bytes);
   EXPECT_NE(wrong_path_data_addr(prog, 0x1234, 8), a1);
+}
+
+TEST(SyntheticWorkload, ConcurrentFirstTouchGetsOneSpec) {
+  // A seed no other test uses, so all eight threads race the first build.
+  constexpr std::uint64_t kSeed = 8101;
+  std::vector<std::shared_ptr<const SyntheticWorkloadSpec>> got(8);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back(
+        [&got, i] { got[i] = synthetic_workload("gcc", kSeed); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& spec : got) EXPECT_EQ(spec.get(), got[0].get());
+  EXPECT_EQ(synthetic_workload("gcc", kSeed).get(), got[0].get());
+  EXPECT_NE(synthetic_workload("gcc", kSeed + 1).get(), got[0].get());
+  // The cached program is the one generate_program builds for the key.
+  const Program fresh = generate_program(profile_for("gcc"), kSeed);
+  EXPECT_EQ(got[0]->program().blocks.size(), fresh.blocks.size());
+  EXPECT_EQ(got[0]->program().footprint_bytes(), fresh.footprint_bytes());
 }
 
 }  // namespace
