@@ -2,8 +2,12 @@
 // streams every dynamic instruction of a workload once, so accumulator
 // add/finish throughput and the whole-profile pass bound how cheap a
 // sampling plan is relative to the detailed simulation it replaces.
+// The slice-start pair prices what a plan's trace snapshots save: every
+// slice of every run point copies one instead of walking the trace.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -76,6 +80,45 @@ void BM_ClusterIntervals(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterIntervals);
+
+/// Walks @p source to the first stream boundary at or past @p start in
+/// fill() batches (the plan's snapshot walk); returns where it landed.
+std::uint64_t walk_to(workload::TraceSource& source, std::uint64_t start) {
+  std::vector<workload::DynInst> batch(4096);
+  workload::DynInst last;
+  last.ends_stream = true;  // instruction 0 opens a stream
+  while (source.instructions() < start) {
+    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        batch.size(), start - source.instructions()));
+    (void)source.fill(batch.data(), n);
+    last = batch[n - 1];
+  }
+  while (!last.ends_stream) (void)source.fill(&last, 1);
+  return source.instructions();
+}
+
+/// A slice's trace start from the plan's snapshot: one clone.
+void BM_SliceStartFromSnapshot(benchmark::State& state) {
+  const workload::SyntheticWorkloadSpec spec("eon", 1);
+  const auto snapshot = spec.make_source(18);
+  (void)walk_to(*snapshot, static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snapshot->clone());
+  }
+}
+BENCHMARK(BM_SliceStartFromSnapshot)->Arg(100000)->Arg(1000000);
+
+/// The same start by walking a fresh source there in fill() batches —
+/// the cheapest walk; slices used to pay one per point.
+void BM_SliceStartByWalk(benchmark::State& state) {
+  const workload::SyntheticWorkloadSpec spec("eon", 1);
+  const auto start = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    const auto source = spec.make_source(18);
+    benchmark::DoNotOptimize(walk_to(*source, start));
+  }
+}
+BENCHMARK(BM_SliceStartByWalk)->Arg(100000)->Arg(1000000);
 
 }  // namespace
 

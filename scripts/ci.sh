@@ -312,10 +312,11 @@ echo "sanitizer: every registered prefetcher ran clean under ASan+UBSan"
 # ThreadSanitizer build of the multi-worker surfaces: the campaign
 # engine's run/resume at -j 8 (ordered store flush + perf-sidecar
 # appends under contention), the run_parallel suite path, the
-# work-stealing scheduler's own regression tests, and the process-wide
+# work-stealing scheduler's own regression tests, the process-wide
 # single-flight caches (synthetic workloads, sampling plans) that every
-# worker touches from Cpu::Cpu. TSan exits non-zero on any report, so
-# `set -e` is the gate.
+# worker touches from Cpu::Cpu, and a 4-worker sampled campaign (the
+# plan-first phase, then every worker cloning shared trace snapshots).
+# TSan exits non-zero on any report, so `set -e` is the gate.
 cmake --preset tsan > /dev/null
 cmake --build --preset tsan -j \
   --target prestage_cli campaign_test fault_test memsys_stress_test \
@@ -338,8 +339,9 @@ cmp build-tsan/ci-smoke.jsonl build-tsan/ci-smoke-full.jsonl
 ./build-tsan/tests/cpu_test --gtest_filter='SharedWorkload.*' > /dev/null
 ./build-tsan/tests/workload_test \
   --gtest_filter='SyntheticWorkload.*' > /dev/null
-./build-tsan/tests/sample_test --gtest_filter='PlanCache.*' > /dev/null
-echo "tsan: -j 8 run/resume, suite, scheduler, fault-layer and cache" \
-  "tests ran race-free"
+./build-tsan/tests/sample_test \
+  --gtest_filter='PlanCache.*:SampledCampaign.*' > /dev/null
+echo "tsan: -j 8 run/resume, suite, scheduler, fault-layer, cache and" \
+  "sampled-campaign tests ran race-free"
 
 echo "ci: OK"

@@ -85,14 +85,45 @@ struct PointOutcome {
   unsigned attempts = 1;
 };
 
-/// Runs @p points across the pool via @p execute, handing each outcome
-/// to @p sink in strict index order (under one lock, so sinks need no
-/// locking of their own).
+/// Plan-first phase: builds every distinct sampling plan @p points
+/// need, one plan per task across the pool, before any point runs. Run
+/// points find their plans cached, so no worker profiles a trace while
+/// another waits on the same plan, and plan time never lands in a
+/// point's host_seconds. A build error is dropped here: the point
+/// rebuilds the plan (failures are not cached) and reports the error
+/// through the usual retry/quarantine/strict path.
+void build_plans_first(const std::vector<const RunPoint*>& points,
+                       unsigned jobs) {
+  std::set<std::string> seen;
+  std::vector<const RunPoint*> owners;  // first point of each plan
+  for (const RunPoint* p : points) {
+    if (!p->sampling.enabled) continue;
+    // Everything sample::plan_for keys on.
+    const std::string plan_id = p->benchmark + '|' +
+                                std::to_string(p->seed) + '|' +
+                                std::to_string(p->instructions) +
+                                p->sampling.descriptor_suffix();
+    if (seen.insert(plan_id).second) owners.push_back(p);
+  }
+  parallel_for_indexed(owners.size(), jobs, [&](std::size_t i) {
+    try {
+      (void)sample::plan_for(owners[i]->machine_config(),
+                             owners[i]->sampling);
+    } catch (const std::exception&) {
+      // reported by the point itself (see above)
+    }
+  });
+}
+
+/// Runs @p points across the pool via @p execute, after their plans
+/// (build_plans_first), handing each outcome to @p sink in strict index
+/// order (under one lock, so sinks need no locking of their own).
 void run_ordered(
     const std::vector<const RunPoint*>& points, unsigned jobs,
     const std::function<PointOutcome(const RunPoint&)>& execute,
     const std::function<void(PointOutcome)>& sink,
     const Progress& progress) {
+  build_plans_first(points, jobs);
   std::vector<std::optional<PointOutcome>> slots(points.size());
   std::mutex mutex;
   std::size_t next_flush = 0;

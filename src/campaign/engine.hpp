@@ -1,7 +1,9 @@
 // Campaign execution: expands a spec, drops every point whose key is
 // already in the store, and simulates the rest across a work-stealing
 // worker pool (common/parallel.hpp — jobs of 0 means one worker per
-// hardware thread).
+// hardware thread). Sampled points run plan-first: every distinct
+// sampling plan they need is built once, spread across the pool, before
+// any point starts.
 //
 // Results are appended to the store strictly in grid-expansion order —
 // a completed point is held until every earlier point has been written —

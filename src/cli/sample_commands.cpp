@@ -324,6 +324,9 @@ int cmd_sample_run(const Options& opt) {
                     opt.plan_path.c_str(), sample::kCheckpointVersion,
                     ckpt.plan.slices.size());
       }
+      // PSCK stores no trace state: the slice snapshots come from the
+      // same one walk build_plan makes.
+      sample::attach_snapshots(ckpt.plan, *spec);
       r = sample::run_sampled_point_with_plan(cfg, spec, ckpt.plan);
     }
   }

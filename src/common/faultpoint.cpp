@@ -76,7 +76,11 @@ std::vector<std::string_view> split_spec(std::string_view text) {
 /// Parses one "site:action[@trigger]" clause into @p fault; returns an
 /// error message or empty.
 std::string parse_clause(std::string_view clause, ArmedFault& fault) {
-  const std::string quoted = "'" + std::string(clause) + "'";
+  // Appended in steps: `"'" + std::string(clause) + "'"` trips a GCC 12
+  // -Wrestrict false positive under -O3 -pg.
+  std::string quoted = "'";
+  quoted += clause;
+  quoted += '\'';
   const std::size_t colon = clause.find(':');
   if (colon == std::string_view::npos || colon == 0) {
     return "fault clause " + quoted + " is not site:action[@trigger]";

@@ -16,22 +16,26 @@ namespace {
 /// one checkpoint replays into any L0/L1/L2 geometry.
 constexpr Addr kWarmLineBytes = 64;
 
-/// ±1 projection sign for dimension @p d of block @p block_pc, derived
-/// from a stateless hash — no RNG state, bit-identical everywhere.
-[[nodiscard]] double projection_sign(Addr block_pc, std::uint32_t d) {
-  const std::uint64_t word =
-      hash_mix(block_pc ^ (0x9e3779b97f4a7c15ULL * ((d / 64U) + 1U)));
-  return ((word >> (d % 64U)) & 1U) != 0 ? 1.0 : -1.0;
+/// Projection signs of block @p block_pc for dimensions [64g, 64g+64):
+/// bit d % 64 set means +1. A stateless hash — no RNG state,
+/// bit-identical everywhere.
+[[nodiscard]] std::uint64_t projection_word(Addr block_pc, std::uint32_t g) {
+  return hash_mix(block_pc ^ (0x9e3779b97f4a7c15ULL * (g + 1U)));
 }
+
+/// Records pulled per TraceSource::fill() call by the profiling pass.
+constexpr std::size_t kProfileBatch = 4096;
 
 }  // namespace
 
 void SignatureAccumulator::add(Addr block_pc, std::uint64_t weight) {
   const auto w = static_cast<double>(weight);
+  std::uint64_t signs = 0;
   for (std::uint32_t d = 0; d < acc_.size(); ++d) {
+    if (d % 64U == 0) signs = projection_word(block_pc, d / 64U);
     // Accumulation order is block-arrival order, identical for identical
     // traces, so the sums are bit-reproducible.
-    acc_[d] += projection_sign(block_pc, d) * w;
+    acc_[d] += ((signs >> (d % 64U)) & 1U) != 0 ? w : -w;
   }
 }
 
@@ -95,17 +99,17 @@ TraceProfile profile_source(workload::TraceSource& source,
     return out;
   };
 
-  std::uint64_t consumed = 0;
+  std::uint64_t consumed = 0;  // instructions in closed streams
   std::uint64_t interval_start = 0;
   std::vector<Addr> pending_warm;  // ring state at the open interval's start
+  std::vector<workload::DynInst> batch(kProfileBatch);
+  Addr block_pc = kNoAddr;       // start PC of the open stream
+  std::uint64_t block_len = 0;   // its instructions so far
   while (consumed < total_instructions) {
-    const workload::StreamChunk chunk = source.next_stream();
-    PRESTAGE_ASSERT(!chunk.insts.empty());
-    acc.add(chunk.insts.front().pc, chunk.insts.size());
-    if (!seen_blocks.contains(chunk.insts.front().pc)) {
-      seen_blocks.insert(chunk.insts.front().pc, 0);
-    }
-    for (const workload::DynInst& inst : chunk.insts) {
+    const std::size_t got = source.fill(batch.data(), batch.size());
+    for (std::size_t i = 0; i < got && consumed < total_instructions; ++i) {
+      const workload::DynInst& inst = batch[i];
+      if (block_len++ == 0) block_pc = inst.pc;
       const Addr line = line_align(inst.pc, kWarmLineBytes);
       if (line != last_line) {
         ring[head] = line;
@@ -113,19 +117,23 @@ TraceProfile profile_source(workload::TraceSource& source,
         filled = std::min<std::size_t>(filled + 1, warm_lines);
         last_line = line;
       }
-    }
-    consumed += chunk.insts.size();
-    // Intervals close at the first stream boundary at or past the nominal
-    // length, so every interval start is stream-aligned.
-    if (consumed - interval_start >= interval_instructions) {
-      IntervalProfile iv;
-      iv.start = interval_start;
-      iv.instructions = consumed - interval_start;
-      iv.signature = acc.finish();
-      iv.warm_lines = std::move(pending_warm);
-      profile.intervals.push_back(std::move(iv));
-      interval_start = consumed;
-      pending_warm = snapshot_ring();
+      if (!inst.ends_stream) continue;
+      acc.add(block_pc, block_len);
+      if (!seen_blocks.contains(block_pc)) seen_blocks.insert(block_pc, 0);
+      consumed += block_len;
+      block_len = 0;
+      // Intervals close at the first stream boundary at or past the
+      // nominal length, so every interval start is stream-aligned.
+      if (consumed - interval_start >= interval_instructions) {
+        IntervalProfile iv;
+        iv.start = interval_start;
+        iv.instructions = consumed - interval_start;
+        iv.signature = acc.finish();
+        iv.warm_lines = std::move(pending_warm);
+        profile.intervals.push_back(std::move(iv));
+        interval_start = consumed;
+        pending_warm = snapshot_ring();
+      }
     }
   }
   if (consumed > interval_start) {

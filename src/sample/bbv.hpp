@@ -71,9 +71,10 @@ struct TraceProfile {
 
 /// Streams @p source for at least @p total_instructions, closing each
 /// interval at the first stream boundary at or past the nominal length —
-/// so every interval start is stream-aligned and a sliced replay of the
-/// same source lands exactly on it. Deterministic: same source state,
-/// same profile.
+/// so every interval start is stream-aligned and a snapshot of the same
+/// trace taken there starts a whole stream. Reads in fill() batches, so
+/// @p source may end up to one batch past the last interval.
+/// Deterministic: same source state, same profile.
 [[nodiscard]] TraceProfile profile_source(workload::TraceSource& source,
                                           std::uint64_t total_instructions,
                                           std::uint64_t interval_instructions,

@@ -90,7 +90,38 @@ SamplePlan build_plan(const workload::WorkloadSpec& base, std::uint64_t seed,
   // carried prefetcher state always moves forward in trace time.
   std::sort(plan.slices.begin(), plan.slices.end(),
             [](const Slice& a, const Slice& b) { return a.start < b.start; });
+  attach_snapshots(plan, base);
   return plan;
+}
+
+void attach_snapshots(SamplePlan& plan, const workload::WorkloadSpec& base) {
+  const std::unique_ptr<workload::TraceSource> source =
+      base.make_source(plan.seed + 17);  // the Cpu's oracle trace seed
+  std::vector<workload::DynInst> batch(4096);
+  bool at_stream_start = true;  // instruction 0 opens a stream
+  std::shared_ptr<const workload::TraceSource> snapshot;
+  // Slices are in ascending start order, so their warm-up starts never
+  // decrease and one forward walk reaches them all.
+  for (Slice& slice : plan.slices) {
+    if (snapshot && source->instructions() == slice.warm_start) {
+      slice.snapshot = snapshot;  // a warm-up start shared with the last
+      continue;
+    }
+    while (source->instructions() < slice.warm_start) {
+      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+          batch.size(), slice.warm_start - source->instructions()));
+      (void)source->fill(batch.data(), n);
+      at_stream_start = batch[n - 1].ends_stream;
+    }
+    if (source->instructions() != slice.warm_start || !at_stream_start) {
+      throw SimError("slice warm-up start " +
+                     std::to_string(slice.warm_start) +
+                     " is not an ascending stream boundary of workload '" +
+                     base.name() + "'");
+    }
+    snapshot = source->clone();
+    slice.snapshot = snapshot;
+  }
 }
 
 namespace {

@@ -7,6 +7,11 @@
 // run point of a preset x L1 x node grid shares one plan — the "one
 // warm-up fans out across the grid" half of the subsystem — and the
 // campaign store stays byte-identical at any worker count.
+//
+// A plan also holds, per slice, a snapshot of the workload's trace at
+// the slice's warm-up start, taken in one walk when the plan is built
+// (or read back from a checkpoint). Every slice of every run point
+// starts from a copy of it instead of walking the trace from 0.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +40,9 @@ struct Slice {
   /// measured region opens. Equals `start` for the first interval.
   std::uint64_t warm_start = 0;
   std::vector<Addr> warm_lines;  ///< functional i-warm for `warm_start`
+  /// The workload trace positioned at `warm_start` (attach_snapshots);
+  /// slices with one warm_start share it. Not stored in PSCK.
+  std::shared_ptr<const workload::TraceSource> snapshot;
 };
 
 /// The full sampling recipe for one (workload, seed, budget, params).
@@ -51,17 +59,28 @@ struct SamplePlan {
 };
 
 /// Profiles @p base once (trace seed `seed + 17`, matching the Cpu's
-/// oracle) and clusters the intervals. @p budget is the full-run
-/// instruction target the plan reconstructs.
+/// oracle), clusters the intervals and attaches the slice snapshots.
+/// @p budget is the full-run instruction target the plan reconstructs.
+/// A synthetic workload's snapshots borrow @p base's program, so @p base
+/// must outlive the plan (synthetic_workload specs live for the process).
 [[nodiscard]] SamplePlan build_plan(const workload::WorkloadSpec& base,
                                     std::uint64_t seed, std::uint64_t budget,
                                     const ResolvedSamplingParams& params);
+
+/// Walks @p base's trace (seed `plan.seed + 17`) once, in fill()
+/// batches, and snapshots it at each slice's warm_start. build_plan
+/// ends with this; a plan read back from a checkpoint needs it before
+/// it can run. Throws SimError when a warm_start is not a stream
+/// boundary of this trace (a checkpoint of another workload) or falls
+/// before the previous slice's.
+void attach_snapshots(SamplePlan& plan, const workload::WorkloadSpec& base);
 
 /// Process-wide plan cache keyed by (workload name, seed, budget,
 /// params): campaign workers simulating different machine shapes of the
 /// same workload share one profiling pass. Thread-safe and single-flight:
 /// workers that ask for a plan while it is being built wait for that
-/// build. A failed build throws and is not cached.
+/// build. A failed build throws and is not cached. Cached plans live for
+/// the process, so @p base must too (see build_plan).
 [[nodiscard]] std::shared_ptr<const SamplePlan> get_or_build_plan(
     const workload::WorkloadSpec& base, std::uint64_t seed,
     std::uint64_t budget, const ResolvedSamplingParams& params);

@@ -43,6 +43,10 @@ cpu::RunResult run_sampled_point_with_plan(
     const std::shared_ptr<const workload::WorkloadSpec>& base,
     const SamplePlan& plan) {
   PRESTAGE_ASSERT(!plan.slices.empty(), "sampling plan with no slices");
+  PRESTAGE_ASSERT(plan.seed == cfg.seed,
+                  "sampling plan was built for seed " +
+                      std::to_string(plan.seed) + ", not " +
+                      std::to_string(cfg.seed));
   const auto host_start = std::chrono::steady_clock::now();
   const std::uint64_t budget = cfg.max_instructions;
 
@@ -64,8 +68,12 @@ cpu::RunResult run_sampled_point_with_plan(
     // region so caches, branch predictor and prefetcher tables are
     // architecturally warm when statistics open at `slice.start`. The
     // functional i-warm checkpoint covers the warm-up's own cold front.
+    // The trace starts from a copy of the plan's snapshot there.
+    PRESTAGE_ASSERT(slice.snapshot != nullptr,
+                    "sampling plan slice has no trace snapshot "
+                    "(attach_snapshots)");
     slice_cfg.workload =
-        std::make_shared<const SlicedWorkloadSpec>(base, slice.warm_start);
+        std::make_shared<const SlicedWorkloadSpec>(base, slice.snapshot);
     slice_cfg.max_instructions = slice.instructions;
     slice_cfg.warmup_instructions = slice.start - slice.warm_start;
 
@@ -185,17 +193,22 @@ cpu::RunResult run_sampled_point_with_plan(
   return out;
 }
 
+std::shared_ptr<const SamplePlan> plan_for(
+    const cpu::MachineConfig& cfg, const ResolvedSamplingParams& params) {
+  return get_or_build_plan(*base_workload(cfg), cfg.seed,
+                           cfg.max_instructions, params);
+}
+
 cpu::RunResult run_sampled_point(const cpu::MachineConfig& cfg,
                                  const ResolvedSamplingParams& params) {
   PRESTAGE_ASSERT(params.enabled, "run_sampled_point: sampling disabled");
   const auto host_start = std::chrono::steady_clock::now();
-  const std::shared_ptr<const workload::WorkloadSpec> base =
-      base_workload(cfg);
-  const std::shared_ptr<const SamplePlan> plan =
-      get_or_build_plan(*base, cfg.seed, cfg.max_instructions, params);
-  cpu::RunResult out = run_sampled_point_with_plan(cfg, base, *plan);
-  // Charge this point for its plan share too (the cache makes that the
-  // profiling cost for the first point and ~0 for grid neighbors).
+  const std::shared_ptr<const SamplePlan> plan = plan_for(cfg, params);
+  cpu::RunResult out =
+      run_sampled_point_with_plan(cfg, base_workload(cfg), *plan);
+  // Charge this point for its plan build too, when it had to build it
+  // (a cache hit costs ~0; campaign points find their plans built by
+  // the engine's plan-first phase).
   const std::chrono::duration<double> host_elapsed =
       std::chrono::steady_clock::now() - host_start;
   out.host_seconds = host_elapsed.count();

@@ -2,8 +2,9 @@
 //
 // run_sampled_point() replaces Cpu::run() for a run point with sampling
 // enabled: it fetches (or builds) the workload's SamplePlan, simulates
-// each representative slice on the requested machine shape — functional
-// i-cache warm-up from the slice checkpoint, learned prefetcher state
+// each representative slice on the requested machine shape — trace
+// copied from the plan's snapshot at the slice, functional i-cache
+// warm-up from the slice checkpoint, learned prefetcher state
 // carried forward through IPrefetcher::save/restore with a conservative
 // cold restart when a scheme declines — and reconstructs whole-run
 // statistics as the weighted combination of per-slice rates, with a
@@ -37,11 +38,20 @@ inline constexpr double kMinRelativeIpcErrorPct = 5.0;
 
 /// Same, but against an explicit plan (CLI `sample run --plan`,
 /// checkpoint round-trip tests). @p base must be the workload the plan
-/// was built from.
+/// was built from, at cfg.seed, and every slice needs its snapshot
+/// (build_plan attaches them; a checkpoint's plan needs
+/// attach_snapshots).
 [[nodiscard]] cpu::RunResult run_sampled_point_with_plan(
     const cpu::MachineConfig& cfg,
     const std::shared_ptr<const workload::WorkloadSpec>& base,
     const SamplePlan& plan);
+
+/// The process-wide cached plan run_sampled_point uses for @p cfg
+/// (base_workload(cfg) at cfg's seed and budget), built on first use.
+/// The campaign engine calls it for every distinct plan before any
+/// point runs.
+[[nodiscard]] std::shared_ptr<const SamplePlan> plan_for(
+    const cpu::MachineConfig& cfg, const ResolvedSamplingParams& params);
 
 /// The workload a config samples over, and the one its Cpu runs:
 /// cfg.workload when set, else the process-wide synthetic spec for

@@ -1,21 +1,6 @@
 #include "sample/sliced_source.hpp"
 
-#include "common/prestage_assert.hpp"
-
 namespace prestage::sample {
-
-SlicedTraceSource::SlicedTraceSource(
-    std::unique_ptr<workload::TraceSource> inner, std::uint64_t start)
-    : inner_(std::move(inner)) {
-  while (inner_->instructions() < start) {
-    (void)inner_->next_stream();
-  }
-  skipped_ = inner_->instructions();
-  PRESTAGE_ASSERT(skipped_ == start,
-                  "slice start is not stream-aligned: wanted " +
-                      std::to_string(start) + ", landed on " +
-                      std::to_string(skipped_));
-}
 
 workload::StreamChunk SlicedTraceSource::next_stream() {
   workload::StreamChunk chunk = inner_->next_stream();
@@ -23,6 +8,12 @@ workload::StreamChunk SlicedTraceSource::next_stream() {
     inst.seq = emitted_++;  // the Oracle's window starts at seq 0
   }
   return chunk;
+}
+
+std::size_t SlicedTraceSource::fill(workload::DynInst* out, std::size_t n) {
+  const std::size_t got = inner_->fill(out, n);
+  for (std::size_t i = 0; i < got; ++i) out[i].seq = emitted_++;
+  return got;
 }
 
 }  // namespace prestage::sample

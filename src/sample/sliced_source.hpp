@@ -1,12 +1,16 @@
-// Slice replay: fast-forward a TraceSource to a plan slice's start.
+// Slice replay: the trace a sampled slice's Cpu runs.
 //
-// SlicedTraceSource discards whole streams from an inner source until
-// its cursor reaches the slice start (profile intervals are
-// stream-aligned by construction, so the skip always lands exactly),
-// then re-exposes the remainder with sequence numbers renumbered from 0
-// — the Oracle's commit window requires the first delivered seq to be 0.
-// Skipping runs at trace-generation speed (tens of Minstr/s), not
-// timing-simulation speed, which is what makes sampling profitable.
+// A sampling plan walks its workload's trace once, from instruction 0,
+// and keeps a snapshot (TraceSource::clone) at each slice's
+// stream-aligned warm-up start (attach_snapshots, plan.hpp). A slice's
+// Cpu starts from its own copy of that snapshot, so neither a slice nor
+// a run point ever re-walks the trace prefix: the walk is paid once per
+// plan, however many machine shapes the plan serves.
+//
+// SlicedTraceSource re-exposes such a copy with sequence numbers
+// renumbered from 0 (the Oracle's commit window requires the first
+// delivered seq to be 0), forwarding fill() to the inner source's
+// native batch path.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +23,13 @@ namespace prestage::sample {
 
 class SlicedTraceSource final : public workload::TraceSource {
  public:
-  /// Fast-forwards @p inner to @p start (asserts exact stream alignment).
-  SlicedTraceSource(std::unique_ptr<workload::TraceSource> inner,
-                    std::uint64_t start);
+  /// @p inner must sit at a stream boundary (a slice start).
+  explicit SlicedTraceSource(std::unique_ptr<workload::TraceSource> inner)
+      : inner_(std::move(inner)) {}
 
   [[nodiscard]] workload::StreamChunk next_stream() override;
+  [[nodiscard]] std::size_t fill(workload::DynInst* out,
+                                 std::size_t n) override;
   [[nodiscard]] std::uint64_t instructions() const override {
     return emitted_;
   }
@@ -32,36 +38,33 @@ class SlicedTraceSource final : public workload::TraceSource {
     return inner_->call_stack_pcs(max_depth);
   }
 
-  /// Instructions discarded during fast-forward (== the slice start).
-  [[nodiscard]] std::uint64_t skipped() const { return skipped_; }
-
  private:
   std::unique_ptr<workload::TraceSource> inner_;
-  std::uint64_t skipped_ = 0;
   std::uint64_t emitted_ = 0;
 };
 
-/// WorkloadSpec wrapper handing a Cpu the sliced view of a base
-/// workload: same program image, trace fast-forwarded to `start`.
+/// WorkloadSpec wrapper handing a Cpu one slice of a base workload: the
+/// base's program image, and a fresh copy of the slice's trace snapshot
+/// per make_source() call. The snapshot already carries the plan's
+/// trace seed, so make_source ignores its argument.
 class SlicedWorkloadSpec final : public workload::WorkloadSpec {
  public:
   SlicedWorkloadSpec(std::shared_ptr<const workload::WorkloadSpec> base,
-                     std::uint64_t start)
-      : base_(std::move(base)), start_(start) {}
+                     std::shared_ptr<const workload::TraceSource> snapshot)
+      : base_(std::move(base)), snapshot_(std::move(snapshot)) {}
 
   [[nodiscard]] const workload::Program& program() const override {
     return base_->program();
   }
   [[nodiscard]] std::string name() const override { return base_->name(); }
   [[nodiscard]] std::unique_ptr<workload::TraceSource> make_source(
-      std::uint64_t seed) const override {
-    return std::make_unique<SlicedTraceSource>(base_->make_source(seed),
-                                               start_);
+      std::uint64_t /*seed*/) const override {
+    return std::make_unique<SlicedTraceSource>(snapshot_->clone());
   }
 
  private:
   std::shared_ptr<const workload::WorkloadSpec> base_;
-  std::uint64_t start_;
+  std::shared_ptr<const workload::TraceSource> snapshot_;
 };
 
 }  // namespace prestage::sample

@@ -27,12 +27,20 @@ std::size_t TraceSource::fill(DynInst* out, std::size_t n) {
   return filled;
 }
 
+std::unique_ptr<TraceSource> TraceSource::clone() const {
+  throw SimError("this trace source cannot be snapshotted");
+}
+
 TraceGenerator::TraceGenerator(const Program& program, std::uint64_t seed)
     : prog_(program),
       rng_(hash_mix(seed ^ 0xabcdef1234567890ULL)),
       cur_block_(program.dispatcher_head),
       site_cursors_(program.data_sites.size(), 0) {
   PRESTAGE_ASSERT(!program.blocks.empty());
+}
+
+std::unique_ptr<TraceSource> TraceGenerator::clone() const {
+  return std::make_unique<TraceGenerator>(*this);
 }
 
 bool TraceGenerator::eval_branch(BlockId id, const BasicBlock& b) {

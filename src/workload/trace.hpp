@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "bpred/stream.hpp"
@@ -73,6 +74,14 @@ class TraceSource {
   [[nodiscard]] virtual std::vector<Addr> call_stack_pcs(
       std::size_t max_depth) const = 0;
 
+  /// Snapshot: an independent source in this one's exact state, whose
+  /// records and call stacks from here on are identical to this one's.
+  /// Reads only, so concurrent clones of one shared const source are
+  /// safe. A synthetic walker's clone borrows the walker's Program, like
+  /// the walker itself. Sources that cannot be copied (the recording
+  /// tee, whose capture buffer is a side effect) throw SimError.
+  [[nodiscard]] virtual std::unique_ptr<TraceSource> clone() const;
+
  private:
   // Default-fill carry: the tail of the last next_stream() chunk not yet
   // handed out.
@@ -98,6 +107,8 @@ class TraceGenerator final : public TraceSource {
   [[nodiscard]] std::uint64_t instructions() const noexcept override {
     return seq_;
   }
+
+  [[nodiscard]] std::unique_ptr<TraceSource> clone() const override;
 
   /// Live call stack as return-continuation PCs, innermost first. Used to
   /// repair the speculative RAS at misprediction recovery.

@@ -368,6 +368,10 @@ std::vector<Addr> ReplayTraceSource::call_stack_pcs(
   return pcs;
 }
 
+std::unique_ptr<TraceSource> ReplayTraceSource::clone() const {
+  return std::make_unique<ReplayTraceSource>(*this);
+}
+
 // --- RecordingWorkloadSpec --------------------------------------------------
 
 RecordingWorkloadSpec::RecordingWorkloadSpec(const std::string& benchmark,

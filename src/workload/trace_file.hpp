@@ -103,6 +103,9 @@ class ReplayTraceSource final : public TraceSource {
   [[nodiscard]] std::vector<Addr> call_stack_pcs(
       std::size_t max_depth) const override;
 
+  /// Shares the record vector; copies the cursor and replayed stack.
+  [[nodiscard]] std::unique_ptr<TraceSource> clone() const override;
+
   /// Times the cursor wrapped back to record 0 (0 for a faithful replay).
   [[nodiscard]] std::uint64_t wraps() const noexcept { return wraps_; }
 
@@ -115,7 +118,8 @@ class ReplayTraceSource final : public TraceSource {
 };
 
 /// Tees every stream produced by a synthetic walker into a record buffer
-/// (the `prestage trace record` capture path).
+/// (the `prestage trace record` capture path). Not clonable: two copies
+/// would append interleaved streams to one capture.
 class RecordingTraceSource final : public TraceSource {
  public:
   RecordingTraceSource(const Program& program, std::uint64_t seed,

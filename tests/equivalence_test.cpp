@@ -10,8 +10,12 @@
 //  - Batched decode: TraceSource::fill() must hand out the exact record
 //    stream next_stream() produces, for every source family (the
 //    generator's native walk, the replay source's native copy incl.
-//    wrap-around, and the sliced source's default carry-buffer path),
-//    across adversarial batch sizes that straddle stream boundaries.
+//    wrap-around, and the sliced source's forwarding path), across
+//    adversarial batch sizes that straddle stream boundaries.
+//  - Trace snapshots: a source cloned at a stream-aligned position must
+//    continue exactly like a fresh source walked there (records and
+//    call stack), for the generator and across the replay wrap seam —
+//    the identity that lets sampled slices start from plan snapshots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/prestage_assert.hpp"
 #include "sample/sliced_source.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
@@ -180,22 +185,96 @@ TEST(BatchedDecode, ReplayFillMatchesNextStreamAcrossWrap) {
   EXPECT_EQ(batched.wraps(), 3u);
 }
 
-TEST(BatchedDecode, SlicedSourceDefaultFillMatchesNextStream) {
+/// Walks @p src through fill() to the first stream boundary at or past
+/// @p at instructions; returns the position (a valid slice start).
+std::uint64_t walk_to_stream_start(TraceSource& src, std::uint64_t at) {
+  DynInst d;
+  do {
+    (void)src.fill(&d, 1);
+  } while (src.instructions() < at || !d.ends_stream);
+  return src.instructions();
+}
+
+TEST(BatchedDecode, SlicedSourceFillMatchesNextStream) {
   const workload::Program prog =
       workload::generate_program(workload::profile_for("eon"), 5);
-  // A slice start must be stream-aligned; derive one from the walk.
-  std::uint64_t start = 0;
-  {
-    workload::TraceGenerator probe(prog, 42);
-    for (int i = 0; i < 25; ++i) start += probe.next_stream().insts.size();
+  workload::TraceGenerator walker(prog, 42);
+  (void)walk_to_stream_start(walker, 300);
+  sample::SlicedTraceSource scalar(walker.clone());
+  sample::SlicedTraceSource batched(walker.clone());
+  const std::vector<DynInst> a = scalar_records(scalar, 5000);
+  expect_same_records(a, batched_records(batched, 5000), "sliced");
+  EXPECT_EQ(a.front().seq, 0u) << "a slice renumbers from seq 0";
+  EXPECT_EQ(batched.instructions(), 5000u);
+}
+
+/// Snapshot identity: @p clone and @p fresh stand at the same stream
+/// boundary; both must report the same live call stack there and
+/// continue with the same records (each drained its own way).
+void expect_same_continuation(TraceSource& clone, TraceSource& fresh,
+                              const std::string& what) {
+  EXPECT_EQ(clone.call_stack_pcs(64), fresh.call_stack_pcs(64)) << what;
+  expect_same_records(batched_records(clone, 20000),
+                      scalar_records(fresh, 20000), what);
+}
+
+TEST(TraceSnapshot, GeneratorCloneContinuesLikeAFreshWalk) {
+  for (const char* bench : {"eon", "gcc", "mcf"}) {
+    const workload::Program prog =
+        workload::generate_program(workload::profile_for(bench), 3);
+    workload::TraceGenerator walker(prog, 42);
+    const std::uint64_t start = walk_to_stream_start(walker, 30000);
+    const std::unique_ptr<TraceSource> clone = walker.clone();
+
+    // The old slice start: a fresh source walked stream by stream.
+    workload::TraceGenerator fresh(prog, 42);
+    while (fresh.instructions() < start) (void)fresh.next_stream();
+    ASSERT_EQ(fresh.instructions(), start) << bench;
+    ASSERT_EQ(clone->instructions(), start) << bench;
+    expect_same_continuation(*clone, fresh, bench);
+
+    // The clone is independent: draining it left the original in place.
+    ASSERT_EQ(walker.instructions(), start) << bench;
+    workload::TraceGenerator again(prog, 42);
+    while (again.instructions() < start) (void)again.next_stream();
+    expect_same_continuation(walker, again, std::string(bench) + " orig");
   }
-  sample::SlicedTraceSource scalar(
-      std::make_unique<workload::TraceGenerator>(prog, 42), start);
-  sample::SlicedTraceSource batched(
-      std::make_unique<workload::TraceGenerator>(prog, 42), start);
-  EXPECT_EQ(scalar.skipped(), start);
-  expect_same_records(scalar_records(scalar, 5000),
-                      batched_records(batched, 5000), "sliced");
+}
+
+TEST(TraceSnapshot, ReplayCloneContinuesLikeAFreshWalkAcrossWrap) {
+  const workload::Program prog =
+      workload::generate_program(workload::profile_for("gcc"), 11);
+  std::vector<DynInst> recorded;
+  {
+    workload::RecordingTraceSource recorder(prog, 42, &recorded);
+    for (int i = 0; i < 60; ++i) (void)recorder.next_stream();
+  }
+  const auto image =
+      std::make_shared<const std::vector<DynInst>>(recorded);
+  // One snapshot just before the seam, one a lap later (taken after a
+  // wrap); either continuation then crosses the seam dozens of times.
+  for (const std::uint64_t at : {static_cast<std::uint64_t>(
+                                     recorded.size() - 20),
+                                 static_cast<std::uint64_t>(
+                                     recorded.size() + 40)}) {
+    workload::ReplayTraceSource walker(image);
+    const std::uint64_t start = walk_to_stream_start(walker, at);
+    const std::unique_ptr<TraceSource> clone = walker.clone();
+    workload::ReplayTraceSource fresh(image);
+    while (fresh.instructions() < start) (void)fresh.next_stream();
+    const std::string what = "replay @" + std::to_string(start);
+    ASSERT_EQ(fresh.instructions(), start) << what;
+    ASSERT_EQ(clone->instructions(), start) << what;
+    expect_same_continuation(*clone, fresh, what);
+  }
+}
+
+TEST(TraceSnapshot, RecordingTeeRejectsClone) {
+  const workload::Program prog =
+      workload::generate_program(workload::profile_for("eon"), 5);
+  std::vector<DynInst> recorded;
+  workload::RecordingTraceSource recorder(prog, 42, &recorded);
+  EXPECT_THROW((void)recorder.clone(), SimError);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Sampled-simulation subsystem coverage: parameter resolution and
 // descriptor suffixes, plan determinism (including across worker
-// counts), the single-flight plan cache, PSCK checkpoint round-trips
+// counts), slice trace snapshots, the single-flight plan cache, PSCK
+// checkpoint round-trips (a round-tripped plan runs byte-identically)
 // and corruption rejection, prefetcher save/restore semantics,
-// reconstruction fidelity against the full run, error-bar-aware compare
-// gating, and the golden-pinned full-run store line proving the
-// sampling block is strictly additive.
+// reconstruction fidelity against the full run, the plan-first campaign
+// phase's error path, error-bar-aware compare gating, and two golden
+// store lines: a full run (the sampling block is strictly additive) and
+// a sampled run (slice starts and reconstruction are byte-stable).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -82,6 +85,28 @@ sample::SamplePlan eon_plan(std::uint64_t budget = 120000) {
   return sample::build_plan(*base, cfg.seed, budget, smoke_params(budget));
 }
 
+/// The sampled twin of full_point: eon clgp-l0 under the smoke knobs.
+RunPoint sampled_point(std::uint64_t instrs = 120000) {
+  RunPoint p = full_point(instrs);
+  p.sampling = smoke_params(instrs);
+  return p;
+}
+
+/// @p point's store line with @p result in place of a simulated one.
+std::string line_of(const RunPoint& point, const cpu::RunResult& result) {
+  PointResult r;
+  r.key = point.key();
+  r.preset = point.preset;
+  r.config = point.config;
+  r.node = cacti::to_string(point.node);
+  r.benchmark = point.benchmark;
+  r.l1i_size = point.l1i_size;
+  r.instructions = point.instructions;
+  r.seed = point.seed;
+  r.result = result;
+  return campaign::encode_line(r);
+}
+
 TEST(SampleParams, ResolveFillsDefaultsAndZerosOnlyPinKnobs) {
   sample::SamplingParams p;
   p.enabled = true;
@@ -148,6 +173,32 @@ TEST(SamplePlan, IsDeterministicAndCachedAcrossCalls) {
   const auto p3 =
       sample::get_or_build_plan(*base, cfg.seed, 120000, deeper);
   EXPECT_NE(p1.get(), p3.get()) << "warm-up depth is part of the plan key";
+}
+
+TEST(SamplePlan, SnapshotsSitAtEachWarmStart) {
+  const sample::SamplePlan plan = eon_plan();
+  for (std::size_t i = 0; i < plan.slices.size(); ++i) {
+    const sample::Slice& s = plan.slices[i];
+    ASSERT_NE(s.snapshot, nullptr) << "slice " << i;
+    EXPECT_EQ(s.snapshot->instructions(), s.warm_start) << "slice " << i;
+    if (i > 0 && plan.slices[i - 1].warm_start == s.warm_start) {
+      EXPECT_EQ(plan.slices[i - 1].snapshot, s.snapshot)
+          << "slices sharing a warm-up start share one snapshot";
+    }
+  }
+
+  // A start that is not a stream boundary of this trace (a checkpoint
+  // of another workload), or that steps back, is refused rather than
+  // silently misaligned.
+  const auto base = sample::base_workload(full_point().machine_config());
+  sample::SamplePlan bad = plan;
+  bad.slices.back().warm_start += 1;
+  EXPECT_THROW(sample::attach_snapshots(bad, *base), SimError);
+  sample::SamplePlan reversed = plan;
+  std::reverse(reversed.slices.begin(), reversed.slices.end());
+  ASSERT_GT(reversed.slices.front().warm_start,
+            reversed.slices.back().warm_start);
+  EXPECT_THROW(sample::attach_snapshots(reversed, *base), SimError);
 }
 
 TEST(PlanCache, ConcurrentFirstTouchSharesOnePlan) {
@@ -234,6 +285,27 @@ TEST(SampleCheckpoint, RoundTripsEveryFieldAndFileBytes) {
   sample::write_checkpoint_file(path, cp);
   const sample::Checkpoint from_file = sample::read_checkpoint_file(path);
   EXPECT_EQ(sample::serialize_checkpoint(from_file), bytes);
+}
+
+TEST(SampleCheckpoint, RoundTrippedPlanRunsByteIdentically) {
+  const RunPoint point = sampled_point();
+  const cpu::MachineConfig cfg = point.machine_config();
+  const auto base = sample::base_workload(cfg);
+  const sample::SamplePlan fresh = eon_plan();
+  const std::vector<std::uint8_t> bytes =
+      sample::serialize_checkpoint({fresh, {}});
+  sample::Checkpoint back =
+      sample::deserialize_checkpoint(bytes.data(), bytes.size());
+
+  // PSCK carries no trace state: a read-back plan cannot run until its
+  // snapshots are attached, and then it runs exactly like the fresh one.
+  EXPECT_THROW(
+      (void)sample::run_sampled_point_with_plan(cfg, base, back.plan),
+      SimError);
+  sample::attach_snapshots(back.plan, *base);
+  EXPECT_EQ(
+      line_of(point, sample::run_sampled_point_with_plan(cfg, base, back.plan)),
+      line_of(point, sample::run_sampled_point_with_plan(cfg, base, fresh)));
 }
 
 TEST(SampleCheckpoint, RejectsCorruptBytes) {
@@ -355,6 +427,36 @@ TEST(SampledCampaign, StoreBytesIdenticalForAnyWorkerCount) {
   }
 }
 
+TEST(SampledCampaign, PlanBuildErrorQuarantinesItsPoint) {
+  // "nope" is no benchmark: the plan-first phase cannot build its plan,
+  // drops the error, and the point reports it through retry/quarantine
+  // while the rest of the grid completes.
+  CampaignSpec spec;
+  spec.name = "sampled-broken";
+  spec.presets = {"base"};
+  spec.nodes = {cacti::TechNode::um045};
+  spec.l1_sizes = {4096};
+  spec.benchmarks = {"eon", "nope"};
+  spec.instructions = 60000;
+  spec.sampling.enabled = true;
+  spec.sampling.interval_instructions = 5000;
+  spec.sampling.max_clusters = 4;
+  const std::string path = fresh_file("broken.jsonl");
+  const auto outcome = campaign::run_campaign(spec, path, 2);
+  EXPECT_EQ(outcome.executed, 2u);
+  ASSERT_EQ(outcome.quarantined, 1u);
+  EXPECT_EQ(outcome.failures[0].benchmark, "nope");
+  EXPECT_EQ(outcome.failures[0].error_class, "SimError");
+  EXPECT_EQ(outcome.failures[0].attempts, 2u);
+  EXPECT_EQ(ResultStore::load(path).entries().size(), 1u);
+
+  campaign::FaultPolicy strict;
+  strict.strict = true;
+  EXPECT_THROW((void)campaign::run_campaign(spec, fresh_file("strict.jsonl"),
+                                            2, {}, strict),
+               SimError);
+}
+
 TEST(SampledCompare, ErrorBandWidensTheGate) {
   const auto make_point = [](double ipc, double ipc_error) {
     PointResult r;
@@ -422,6 +524,32 @@ TEST(SampledStore, FullRunLineMatchesGoldenPin) {
       "\"Mem\":1},"
       "\"prefetch_sources\":{\"PB\":188,\"il0\":0,\"il1\":9,\"ul2\":31,"
       "\"Mem\":7}}}";
+  EXPECT_EQ(line, pinned);
+}
+
+TEST(SampledStore, SampledLineMatchesGoldenPin) {
+  // Byte-level pin of one sampled store line, recorded when every slice
+  // still walked the trace from instruction 0 to its start: starting
+  // slices from plan snapshots must not move a byte. Re-pin only for a
+  // deliberate simulator or sampling change.
+  const std::string line =
+      campaign::encode_line(campaign::simulate(sampled_point()));
+  const std::string pinned =
+      "{\"key\":\"6c832fa5b7c5a6d0\",\"preset\":\"clgp-l0\","
+      "\"config\":\"clgp-l0\",\"node\":\"0.045um\",\"l1i_size\":4096,"
+      "\"benchmark\":\"eon\",\"instructions\":120000,\"seed\":1,"
+      "\"result\":{\"instructions\":120000,\"cycles\":122948,"
+      "\"ipc\":0.9760195825,\"mispredicts_per_kilo_instr\":6.391666667,"
+      "\"recoveries\":767,\"blocks_predicted\":12229,"
+      "\"lines_fetched\":14362,\"prefetches_issued\":5188,"
+      "\"l2_hits\":1962,\"l2_misses\":430,\"dcache_misses\":621,"
+      "\"fetch_sources\":{\"PB\":13933,\"il0\":335,\"il1\":15,"
+      "\"ul2\":79,\"Mem\":0},"
+      "\"prefetch_sources\":{\"PB\":26042,\"il0\":0,\"il1\":3339,"
+      "\"ul2\":1230,\"Mem\":18},"
+      "\"sampling\":{\"ipc_error\":0.07447571861,\"intervals\":24,"
+      "\"clusters\":4,\"slices\":4,\"cold_starts\":4,"
+      "\"simulated_instructions\":65345}}}";
   EXPECT_EQ(line, pinned);
 }
 
