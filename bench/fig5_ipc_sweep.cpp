@@ -56,7 +56,7 @@ void budget_claim(const ResultGrid& grid) {
 
 int main() {
   const campaign::CampaignSpec& spec = *figures::find("fig5");
-  const campaign::ResultStore store = figures::run_in_memory(
+  const campaign::ResultStore store = campaign::run_in_memory(
       spec, 0, figures::stream_progress(spec, std::cerr));
   const ResultGrid grid(spec, store);
   std::fputs(figures::render_text(grid).c_str(), stdout);

@@ -11,7 +11,7 @@ using namespace prestage;
 
 int main() {
   const campaign::CampaignSpec& spec = *figures::find("fig6");
-  const campaign::ResultStore store = figures::run_in_memory(
+  const campaign::ResultStore store = campaign::run_in_memory(
       spec, 0, figures::stream_progress(spec, std::cerr));
   const campaign::ResultGrid grid(spec, store);
   std::fputs(figures::render_text(grid).c_str(), stdout);

@@ -1,8 +1,8 @@
 // Registry of the paper's figure grids as declarative campaigns.
 //
 // Each figure the paper plots (Figures 1/2/4/5/6/7/8) is one
-// CampaignSpec here; the per-figure bench mains and the `prestage
-// campaign` CLI subcommands both resolve campaigns from this registry,
+// CampaignSpec here; the `prestage campaign` CLI subcommands and the
+// fig5/fig6 analysis mains both resolve campaigns from this registry,
 // so a figure is defined exactly once. A small "smoke" grid rides along
 // for CI and tests (2 presets x 2 sizes x 2 benchmarks), plus its
 // phase-sampled twin "smoke-sampled" that CI diffs against it.
@@ -24,29 +24,16 @@ namespace prestage::figures {
 /// Lookup by campaign name ("fig5", "smoke", ...); nullptr if unknown.
 [[nodiscard]] const campaign::CampaignSpec* find(std::string_view name);
 
-/// Simulates the whole grid in memory (jobs 0 = auto) and returns a
-/// store holding every point. Progress is the caller's: pass a
-/// campaign::Progress to see per-point completion (the library itself
-/// never writes to the console).
-[[nodiscard]] campaign::ResultStore run_in_memory(
-    const campaign::CampaignSpec& spec, unsigned jobs = 0,
-    const campaign::Progress& progress = {});
-
 /// A Progress that prints "name: done/total points" lines to @p err at
 /// roughly eighth-of-the-grid intervals; what the fig mains pass to
-/// run_in_memory.
+/// campaign::run_in_memory. The stream is a parameter so this stays
+/// library-clean.
 [[nodiscard]] campaign::Progress stream_progress(
     const campaign::CampaignSpec& spec, std::ostream& err);
 
 /// Renders the paper's text charts (tables + CSV blocks) for the
-/// campaign's ReportKind from a complete grid.
+/// campaign's ReportKind from a complete grid; what `campaign report`
+/// prints.
 [[nodiscard]] std::string render_text(const campaign::ResultGrid& grid);
-
-/// Whole thin-main body: resolve @p name, run it, write the charts to
-/// @p out (progress and errors to @p err). Returns a process exit
-/// code. The streams are parameters so this stays library-clean: the
-/// fig mains pass std::cout/std::cerr.
-int run_and_print(std::string_view name, std::ostream& out,
-                  std::ostream& err);
 
 }  // namespace prestage::figures

@@ -11,7 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hpp"
+#include "campaign/engine.hpp"
+#include "campaign/report.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
 
@@ -19,6 +20,22 @@ namespace {
 
 using namespace prestage;
 using namespace prestage::sim;
+
+/// HMEAN IPC of one machine over @p suite: a one-cell campaign grid run
+/// in memory.
+double hmean_ipc(const std::string& preset, cacti::TechNode node,
+                 std::uint64_t l1i_size,
+                 const std::vector<std::string>& suite,
+                 std::uint64_t instructions) {
+  campaign::CampaignSpec spec;
+  spec.presets = {preset};
+  spec.nodes = {node};
+  spec.l1_sizes = {l1i_size};
+  spec.benchmarks = suite;
+  spec.instructions = instructions;
+  const campaign::ResultStore store = campaign::run_in_memory(spec);
+  return campaign::ResultGrid(spec, store).hmean_ipc(preset, node, l1i_size);
+}
 
 std::uint64_t config_budget(const cpu::MachineConfig& cfg) {
   std::uint64_t budget = cfg.l1i_size;
@@ -47,9 +64,7 @@ int main(int argc, char** argv) {
 
   // Reference: ideal 1-cycle 64KB I-cache.
   const double ideal =
-      run_suite(make_config("base-ideal", node, 65536), suite,
-                instructions)
-          .hmean_ipc;
+      hmean_ipc("base-ideal", node, 65536, suite, instructions);
   const double target = target_frac * ideal;
   std::printf("node %s: ideal-64KB IPC %.3f; target %.0f%% -> %.3f\n\n",
               std::string(cacti::to_string(node)).c_str(), ideal,
@@ -65,10 +80,10 @@ int main(int argc, char** argv) {
   for (const char* family : families) {
     bool met = false;
     for (const std::uint64_t size : paper_l1_sizes()) {
-      const auto cfg = make_config(family, node, size);
-      const double ipc = run_suite(cfg, suite, instructions).hmean_ipc;
+      const double ipc = hmean_ipc(family, node, size, suite, instructions);
       if (ipc >= target) {
-        const std::uint64_t budget = config_budget(cfg);
+        const std::uint64_t budget =
+            config_budget(make_config(family, node, size));
         t.add_row({preset_label(family), fmt_bytes(size),
                    fmt_bytes(budget), fmt(ipc, 3)});
         if (budget < best_budget) {

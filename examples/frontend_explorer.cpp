@@ -10,7 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hpp"
+#include "campaign/engine.hpp"
+#include "campaign/report.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
 
@@ -25,30 +26,26 @@ int main(int argc, char** argv) {
   const std::uint64_t instructions =
       argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 60000;
 
-  const char* presets[] = {"base",    "base-pipelined", "base-l0",
-                           "fdp-l0",  "clgp-l0",        "clgp-l0-pb16"};
   const auto& sizes = paper_l1_sizes();
 
-  // All (preset, size) runs are independent: run them in one parallel
-  // batch and reassemble the matrix.
-  std::vector<cpu::MachineConfig> configs;
-  for (const char* p : presets) {
-    for (const std::uint64_t size : sizes) {
-      auto cfg = make_config(p, node, size);
-      cfg.benchmark = benchmark;
-      cfg.max_instructions = instructions;
-      configs.push_back(cfg);
-    }
-  }
-  const auto results = run_parallel(configs);
+  // All (preset, size) runs are independent: run them as one campaign
+  // grid in memory and read the matrix back out of it.
+  campaign::CampaignSpec spec;
+  spec.presets = {"base",   "base-pipelined", "base-l0",
+                  "fdp-l0", "clgp-l0",        "clgp-l0-pb16"};
+  spec.nodes = {node};
+  spec.l1_sizes = sizes;
+  spec.benchmarks = {benchmark};
+  spec.instructions = instructions;
+  const campaign::ResultStore store = campaign::run_in_memory(spec);
+  const campaign::ResultGrid grid(spec, store);
 
   std::vector<Series> series;
-  std::size_t i = 0;
-  for (const char* p : presets) {
+  for (const std::string& p : spec.presets) {
     Series s;
     s.label = preset_label(p);
-    for (std::size_t k = 0; k < sizes.size(); ++k) {
-      s.values.push_back(results[i++].ipc);
+    for (const std::uint64_t size : sizes) {
+      s.values.push_back(grid.at(p, node, size, benchmark)->result.ipc);
     }
     series.push_back(std::move(s));
   }

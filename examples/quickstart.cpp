@@ -11,7 +11,6 @@
 #include <string>
 
 #include "cpu/cpu.hpp"
-#include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 
 int main(int argc, char** argv) {

@@ -109,6 +109,20 @@ echo "campaign: smoke store bytes identical for -j 2 and -j 8"
   --threshold 0.5
 ./build/src/cli/prestage campaign status $CAMPAIGN
 ./build/src/cli/prestage campaign report $CAMPAIGN --out BENCH_smoke.json
+# `sweep` runs the same engine over a one-preset grid: its HMEAN per
+# size must equal the smoke report's clgp-l0 series exactly.
+./build/src/cli/prestage sweep --preset clgp-l0 --bench eon,gzip \
+  --sizes 1K,4K --instrs 1200 -j 2 --json build/ci-sweep.json
+if command -v python3 > /dev/null; then
+  python3 - <<'EOF'
+import json
+sweep = [p["hmean_ipc"] for p in json.load(open("build/ci-sweep.json"))["points"]]
+smoke = next(s["hmean_ipc"] for s in json.load(open("BENCH_smoke.json"))["series"]
+             if s["preset"] == "clgp-l0")
+assert sweep == smoke, (sweep, smoke)
+print("sweep: clgp-l0 HMEAN per size equals the smoke campaign report")
+EOF
+fi
 
 # The fig5 headline grid at a small budget: the full 1296-point campaign
 # exercises every preset at both nodes and produces the BENCH_fig5.json
@@ -311,7 +325,7 @@ echo "sanitizer: every registered prefetcher ran clean under ASan+UBSan"
 # --- race-detector smoke -----------------------------------------------------
 # ThreadSanitizer build of the multi-worker surfaces: the campaign
 # engine's run/resume at -j 8 (ordered store flush + perf-sidecar
-# appends under contention), the run_parallel suite path, the
+# appends under contention), the run_points suite path, the
 # work-stealing scheduler's own regression tests, the process-wide
 # single-flight caches (synthetic workloads, sampling plans) that every
 # worker touches from Cpu::Cpu, and a 4-worker sampled campaign (the

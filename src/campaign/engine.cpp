@@ -336,4 +336,13 @@ std::vector<PointResult> run_points(const std::vector<RunPoint>& points,
   return results;
 }
 
+ResultStore run_in_memory(const CampaignSpec& spec, unsigned jobs,
+                          const Progress& progress) {
+  ResultStore store;
+  for (PointResult& r : run_points(expand(spec), jobs, progress)) {
+    store.insert(std::move(r));
+  }
+  return store;
+}
+
 }  // namespace prestage::campaign

@@ -106,10 +106,17 @@ RunOutcome run_campaign(const CampaignSpec& spec,
 bool compact_store(const std::string& store_path,
                    const std::vector<RunPoint>& points);
 
-/// In-memory variant for the bench harnesses: simulates the whole grid
-/// (no store involved) and returns results in expansion order.
+/// In-memory variant for the CLI, bench harnesses and examples:
+/// simulates the whole grid (no store involved) and returns results in
+/// expansion order.
 [[nodiscard]] std::vector<PointResult> run_points(
     const std::vector<RunPoint>& points, unsigned jobs,
     const Progress& progress = {});
+
+/// run_points over expand(@p spec), collected into an in-memory store
+/// that a ResultGrid can read (jobs 0 = auto).
+[[nodiscard]] ResultStore run_in_memory(const CampaignSpec& spec,
+                                        unsigned jobs = 0,
+                                        const Progress& progress = {});
 
 }  // namespace prestage::campaign

@@ -5,7 +5,6 @@
 #include "common/prestage_assert.hpp"
 #include "common/stats.hpp"
 #include "prefetch/registry.hpp"
-#include "sim/experiment.hpp"
 
 namespace prestage::campaign {
 

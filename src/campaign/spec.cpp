@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/prestage_assert.hpp"
-#include "sim/experiment.hpp"
 
 namespace prestage::campaign {
 
@@ -62,7 +61,6 @@ cpu::MachineConfig RunPoint::machine_config() const {
   cfg.benchmark = benchmark;
   cfg.max_instructions = instructions;
   cfg.seed = seed;
-  cfg.enable_cycle_skip = cycle_skip;
   return cfg;
 }
 
@@ -95,8 +93,7 @@ std::vector<RunPoint> expand(const CampaignSpec& spec) {
                                     .benchmark = bench,
                                     .instructions = instrs,
                                     .seed = spec.seed,
-                                    .sampling = sampling,
-                                    .cycle_skip = spec.cycle_skip});
+                                    .sampling = sampling});
         }
       }
     }

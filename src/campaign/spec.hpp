@@ -65,12 +65,6 @@ struct CampaignSpec {
   /// (src/sample/) and records error bars alongside the estimates.
   sample::SamplingParams sampling;
 
-  /// Host-side event-horizon cycle skipping (cpu::MachineConfig::
-  /// enable_cycle_skip). Timing-neutral by invariant — every statistic
-  /// is byte-identical either way — so it is NOT part of the run-point
-  /// descriptor/key. Off only for perf A/B measurement (--no-cycle-skip).
-  bool cycle_skip = true;
-
   /// The benchmark axis with the empty-list default resolved to the full
   /// suite. Run-point keys embed the resolved values, so every consumer
   /// (expansion, status, report) must resolve through these two — never
@@ -95,9 +89,6 @@ struct RunPoint {
 
   /// Resolved sampling parameters; disabled for full-run points.
   sample::ResolvedSamplingParams sampling;
-
-  /// Host-only cycle-skip knob (excluded from descriptor()/key()).
-  bool cycle_skip = true;
 
   /// Canonical text form, e.g.
   /// "preset=clgp-l0-pb16|node=0.045um|l1=4096|bench=eon|instrs=2000|seed=1".

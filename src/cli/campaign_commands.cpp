@@ -451,6 +451,7 @@ int cmd_campaign_report(const Options& opt) {
   campaign::write_report(json, grid, perf);
   if (!sink.finish()) return 1;
   if (!sink.owns_stdout()) {
+    std::fputs(figures::render_text(grid).c_str(), stdout);
     std::printf("report      : %s (%s, %zu points)\n", out_path.c_str(),
                 std::string(campaign::to_string(spec.kind)).c_str(),
                 grid.total_points());
@@ -461,7 +462,7 @@ int cmd_campaign_report(const Options& opt) {
 int cmd_campaign_perf(const Options& opt) {
   const campaign::CampaignSpec* registered = resolve_campaign(opt);
   if (!registered) return 2;
-  campaign::CampaignSpec spec = apply_overrides(*registered, opt);
+  const campaign::CampaignSpec spec = apply_overrides(*registered, opt);
   const std::string store_path = resolve_store_path(opt, spec);
   const std::string out_path =
       opt.out_path.empty() ? "BENCH_perf.json" : opt.out_path;
@@ -472,7 +473,6 @@ int cmd_campaign_perf(const Options& opt) {
     // sidecar) until the host-time floor is met. This is the mode that
     // produces a committed perf baseline: the repeat loop drowns timer
     // noise that a single microsecond-scale pass would be all of.
-    spec.cycle_skip = !opt.no_cycle_skip;
     summary = campaign::measure_perf(spec, opt.jobs, opt.min_host_seconds);
   } else {
     const std::string perf_path = campaign::perf_log_path(store_path);
@@ -500,7 +500,6 @@ int cmd_campaign_perf(const Options& opt) {
   if (opt.min_host_seconds > 0.0) {
     json.field("store", "(measured)");
     json.field("min_host_seconds", opt.min_host_seconds);
-    json.field("cycle_skip", !opt.no_cycle_skip);
   } else {
     write_store_field(json, store_path);
   }
@@ -546,8 +545,7 @@ int cmd_campaign_perf_compare(const Options& opt) {
   if (resolved.campaign.empty()) resolved.campaign = baseline.campaign;
   const campaign::CampaignSpec* registered = resolve_campaign(resolved);
   if (!registered) return 2;
-  campaign::CampaignSpec spec = apply_overrides(*registered, opt);
-  spec.cycle_skip = !opt.no_cycle_skip;
+  const campaign::CampaignSpec spec = apply_overrides(*registered, opt);
   const double floor =
       opt.min_host_seconds > 0.0 ? opt.min_host_seconds : 1.0;
 
@@ -603,7 +601,6 @@ int cmd_campaign_perf_compare(const Options& opt) {
     json.field("baseline", opt.baseline_path);
     json.field("slack_pct", opt.slack_pct);
     json.field("min_host_seconds", floor);
-    json.field("cycle_skip", !opt.no_cycle_skip);
     const auto write_entry = [&json](const campaign::PerfGateEntry& e) {
       json.begin_object();
       json.field("config", e.config);

@@ -8,13 +8,15 @@
 #include <utility>
 
 #include "bench/figures.hpp"
+#include "campaign/engine.hpp"
+#include "campaign/report.hpp"
 #include "cli/json_sink.hpp"
 #include "common/json_writer.hpp"
 #include "common/table.hpp"
 #include "cpu/cpu.hpp"
 #include "prefetch/registry.hpp"
 #include "sample/bbv.hpp"
-#include "sim/experiment.hpp"
+#include "sim/presets.hpp"
 #include "sim/report.hpp"
 #include "workload/champsim.hpp"
 #include "workload/profiles.hpp"
@@ -200,6 +202,30 @@ void print_run_summary(const cpu::RunResult& r) {
       fmt_pct(r.fetch_sources.fraction(FetchSource::Memory)).c_str());
 }
 
+/// The grid `suite` and `sweep` run: one preset at one node over
+/// @p sizes and the requested benchmarks (the full suite by default).
+/// The CLI has already folded any "@node" into opt.node and
+/// canonicalized opt.preset, so expand() takes the spec as is.
+campaign::CampaignSpec suite_spec(const Options& opt,
+                                  std::vector<std::uint64_t> sizes) {
+  campaign::CampaignSpec spec;
+  spec.presets = {opt.preset};
+  spec.nodes = {opt.node};
+  spec.l1_sizes = std::move(sizes);
+  spec.benchmarks = opt.benchmarks;
+  spec.instructions = opt.instructions;  // 0: sim::default_instructions()
+  return spec;
+}
+
+/// Host telemetry summed over every point of a grid, in grid order.
+sim::HostPerf grid_host_perf(const campaign::ResultStore& store) {
+  sim::HostPerfAccumulator acc;
+  for (const campaign::PointResult& p : store.entries()) {
+    acc.add(p.result.host_seconds, p.result.minstr_per_sec);
+  }
+  return acc.result();
+}
+
 void print_machine_banner(const cpu::MachineConfig& cfg,
                           const Options& opt) {
   const cpu::DerivedTimings t = cpu::DerivedTimings::from(cfg);
@@ -273,28 +299,32 @@ int cmd_run(const Options& opt) {
 
 int cmd_suite(const Options& opt) {
   if (!validate_benchmarks(opt.benchmarks)) return 2;
-  const std::vector<std::string> benchmarks =
-      opt.benchmarks.empty() ? sim::full_suite() : opt.benchmarks;
-  const std::uint64_t instrs =
-      opt.instructions > 0 ? opt.instructions : sim::default_instructions();
+  const campaign::CampaignSpec spec = suite_spec(opt, {opt.l1i_size});
+  const std::uint64_t instrs = spec.resolved_instructions();
 
-  const cpu::MachineConfig cfg =
-      sim::make_config(opt.preset, opt.node, opt.l1i_size);
   JsonSink sink(opt.json_path);
   if (sink.failed()) return 1;
   if (!sink.owns_stdout()) {
-    print_machine_banner(cfg, opt);
+    print_machine_banner(sim::make_config(opt.preset, opt.node, opt.l1i_size),
+                         opt);
     std::printf("suite       : %zu benchmarks x %llu instructions\n",
-                benchmarks.size(), static_cast<unsigned long long>(instrs));
+                spec.resolved_benchmarks().size(),
+                static_cast<unsigned long long>(instrs));
   }
 
-  const sim::SuiteResult suite =
-      sim::run_suite(cfg, benchmarks, instrs, opt.jobs);
+  const campaign::ResultStore store = campaign::run_in_memory(spec, opt.jobs);
+  const campaign::ResultGrid grid(spec, store);
+  const double hmean = grid.hmean_ipc(opt.preset, opt.node, opt.l1i_size);
+  const sim::HostPerf host = grid_host_perf(store);
+  const auto result = [&](const std::string& bench) -> const cpu::RunResult& {
+    return grid.at(opt.preset, opt.node, opt.l1i_size, bench)->result;
+  };
 
   if (!sink.owns_stdout()) {
     Table table(
         {"benchmark", "IPC", "MPKI", "PB", "il0", "il1", "ul2", "Mem"});
-    for (const auto& r : suite.per_benchmark) {
+    for (const std::string& bench : grid.benchmarks()) {
+      const cpu::RunResult& r = result(bench);
       table.add_row({r.benchmark, fmt(r.ipc, 3),
                      fmt(r.mispredicts_per_kilo_instr, 2),
                      fmt_pct(r.fetch_sources.fraction(FetchSource::PreBuffer)),
@@ -304,9 +334,8 @@ int cmd_suite(const Options& opt) {
                      fmt_pct(r.fetch_sources.fraction(FetchSource::Memory))});
     }
     std::cout << table.to_text();
-    std::printf("hmean IPC   : %.3f\n", suite.hmean_ipc);
-    std::printf("host        : %s\n",
-                sim::render_host_perf(suite.host).c_str());
+    std::printf("hmean IPC   : %.3f\n", hmean);
+    std::printf("host        : %s\n", sim::render_host_perf(host).c_str());
   }
 
   if (sink.wanted()) {
@@ -316,15 +345,19 @@ int cmd_suite(const Options& opt) {
     write_config_fields(json, opt, instrs);
     json.key("benchmarks");
     json.begin_array();
-    for (const auto& r : suite.per_benchmark) write_run_result(json, r);
+    for (const std::string& bench : grid.benchmarks()) {
+      write_run_result(json, result(bench));
+    }
     json.end_array();
-    json.field("hmean_ipc", suite.hmean_ipc);
+    json.field("hmean_ipc", hmean);
     json.key("fetch_sources");
-    write_source_counts(json, suite.fetch_sources());
+    write_source_counts(
+        json, grid.fetch_sources(opt.preset, opt.node, opt.l1i_size));
     json.key("prefetch_sources");
-    write_source_counts(json, suite.prefetch_sources());
+    write_source_counts(
+        json, grid.prefetch_sources(opt.preset, opt.node, opt.l1i_size));
     json.key("host");
-    sim::write_host_perf(json, suite.host);
+    sim::write_host_perf(json, host);
     json.end_object();
     if (!sink.finish()) return 1;
   }
@@ -333,33 +366,27 @@ int cmd_suite(const Options& opt) {
 
 int cmd_sweep(const Options& opt) {
   if (!validate_benchmarks(opt.benchmarks)) return 2;
-  const std::vector<std::string> benchmarks =
-      opt.benchmarks.empty() ? sim::full_suite() : opt.benchmarks;
-  const std::vector<std::uint64_t> sizes =
-      opt.sizes.empty() ? sim::paper_l1_sizes() : opt.sizes;
-  const std::uint64_t instrs =
-      opt.instructions > 0 ? opt.instructions : sim::default_instructions();
+  const campaign::CampaignSpec spec =
+      suite_spec(opt, opt.sizes.empty() ? sim::paper_l1_sizes() : opt.sizes);
 
   JsonSink sink(opt.json_path);
   if (sink.failed()) return 1;
 
+  // Every size is one grid: the whole sweep shares one worker pool.
+  const campaign::ResultStore store = campaign::run_in_memory(spec, opt.jobs);
+  const campaign::ResultGrid grid(spec, store);
   sim::Series series;
   series.label = sim::preset_label(opt.preset);
-  sim::HostPerf host;
-  for (const std::uint64_t size : sizes) {
-    const cpu::MachineConfig cfg =
-        sim::make_config(opt.preset, opt.node, size);
-    const sim::SuiteResult suite =
-        sim::run_suite(cfg, benchmarks, instrs, opt.jobs);
-    series.values.push_back(suite.hmean_ipc);
-    host = sim::merge_host_perf(host, suite.host);
+  for (const std::uint64_t size : spec.l1_sizes) {
+    series.values.push_back(grid.hmean_ipc(opt.preset, opt.node, size));
   }
+  const sim::HostPerf host = grid_host_perf(store);
 
   if (!sink.owns_stdout()) {
     std::cout << sim::render_size_chart(
         "HMEAN IPC vs L1 size, " + sim::preset_label(opt.preset) + " @ " +
             std::string(cacti::to_string(opt.node)),
-        sizes, {series});
+        spec.l1_sizes, {series});
     std::printf("host        : %s\n", sim::render_host_perf(host).c_str());
   }
 
@@ -369,12 +396,12 @@ int cmd_sweep(const Options& opt) {
     json.field("schema", "prestage-sweep-v1");
     json.field("preset", opt.preset);
     json.field("node", cacti::to_string(opt.node));
-    json.field("instructions", instrs);
+    json.field("instructions", spec.resolved_instructions());
     json.key("points");
     json.begin_array();
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
+    for (std::size_t i = 0; i < spec.l1_sizes.size(); ++i) {
       json.begin_object();
-      json.field("l1i_size", sizes[i]);
+      json.field("l1i_size", spec.l1_sizes[i]);
       json.field("hmean_ipc", series.values[i]);
       json.end_object();
     }

@@ -50,7 +50,8 @@ void print_usage(std::ostream& out) {
          "         campaigns), check its coverage, diff two stores for "
          "IPC\n"
          "         regressions, emit the BENCH_<name>.json figure "
-         "report,\n"
+         "report\n"
+         "         and print its chart,\n"
          "         emit the BENCH_perf.json host-throughput report (from\n"
          "         the store's .perf sidecar, or measured fresh with\n"
          "         --min-host-seconds), or gate host throughput against "
@@ -119,10 +120,6 @@ void print_usage(std::ostream& out) {
          "                  accumulate (perf compare default: 1)\n"
          "  --slack PCT     perf compare: allowed Minstr/s drop before a\n"
          "                  config counts as regressed (default 20)\n"
-         "  --no-cycle-skip perf / perf compare: measure with event-"
-         "horizon\n"
-         "                  cycle skipping disabled (timing-neutral A/B "
-         "lever)\n"
          "\n"
          "fault-tolerance flags (campaign run/resume):\n"
          "  --retries N     extra attempts per failing point before it "

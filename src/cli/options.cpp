@@ -230,8 +230,6 @@ ParseResult parse_options(int argc, char** argv, int first) {
       }
       opt.min_host_seconds = t;
       ++i;
-    } else if (arg == "--no-cycle-skip") {
-      opt.no_cycle_skip = true;
     } else if (arg == "--retries") {
       const char* v = need_value(i, arg);
       if (!v) return result;

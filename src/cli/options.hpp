@@ -46,7 +46,6 @@ struct Options {
   /// --min-host-seconds: host-time floor for fresh perf measurement.
   /// 0 keeps `campaign perf` in its sidecar-reading record mode.
   double min_host_seconds = 0.0;
-  bool no_cycle_skip = false;  ///< --no-cycle-skip: perf A/B baseline
 
   // --- fault tolerance (campaign run/resume) ------------------------------
   unsigned retries = 1;   ///< --retries: extra attempts before quarantine

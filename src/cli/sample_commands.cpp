@@ -22,7 +22,7 @@
 #include "sample/checkpoint.hpp"
 #include "sample/plan.hpp"
 #include "sample/runner.hpp"
-#include "sim/experiment.hpp"
+#include "sim/presets.hpp"
 #include "sim/report.hpp"
 #include "workload/champsim.hpp"
 #include "workload/profiles.hpp"

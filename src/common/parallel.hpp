@@ -3,7 +3,8 @@
 // Tasks are identified by their index, so callers that write result i
 // into slot i get deterministic output for any worker count — the
 // scheduling order varies, the result placement does not. This is the
-// execution substrate for sim::run_parallel and the campaign engine.
+// execution substrate for the campaign engine (and for batches of
+// hand-built machines, such as the CLGP ablation bench).
 //
 // The stealing scheme: each worker owns a deque preloaded with a
 // contiguous chunk of the index space and pops from its front; an idle

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdlib>
 
 #include "cacti/cacti.hpp"
 #include "common/prestage_assert.hpp"
 #include "prefetch/registry.hpp"
+#include "workload/profiles.hpp"
 
 namespace prestage::sim {
 
@@ -232,6 +234,21 @@ const std::vector<std::uint64_t>& paper_l1_sizes() {
   static const std::vector<std::uint64_t> sizes = {
       256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536};
   return sizes;
+}
+
+std::vector<std::string> full_suite() {
+  std::vector<std::string> names;
+  names.reserve(workload::kNumBenchmarks);
+  for (const auto n : workload::benchmark_names()) names.emplace_back(n);
+  return names;
+}
+
+std::uint64_t default_instructions() {
+  if (const char* env = std::getenv("PRESTAGE_INSTRS")) {
+    const long long v = std::atoll(env);
+    if (v > 0) return static_cast<std::uint64_t>(v);
+  }
+  return 120000;
 }
 
 }  // namespace prestage::sim

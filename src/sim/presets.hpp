@@ -88,4 +88,12 @@ struct Composition {
 /// The L1 I-cache sizes on the paper's X axes (256 B .. 64 KB).
 [[nodiscard]] const std::vector<std::uint64_t>& paper_l1_sizes();
 
+/// All 12 SPECint2000-like benchmark names.
+[[nodiscard]] std::vector<std::string> full_suite();
+
+/// Default instruction budget per benchmark run. Override with the
+/// PRESTAGE_INSTRS environment variable (CLI, bench harnesses and
+/// examples honour it).
+[[nodiscard]] std::uint64_t default_instructions();
+
 }  // namespace prestage::sim

@@ -7,21 +7,6 @@
 
 namespace prestage::sim {
 
-HostPerf aggregate_host_perf(const std::vector<cpu::RunResult>& runs) {
-  HostPerfAccumulator acc;
-  // Each run's simulated-instruction count is recovered from its own
-  // rate (RunResult::instructions excludes warmup; the rate does not).
-  for (const auto& r : runs) acc.add(r.host_seconds, r.minstr_per_sec);
-  return acc.result();
-}
-
-HostPerf merge_host_perf(const HostPerf& a, const HostPerf& b) {
-  HostPerfAccumulator acc;
-  acc.add(a);
-  acc.add(b);
-  return acc.result();
-}
-
 std::string render_host_perf(const HostPerf& perf) {
   std::ostringstream out;
   out << fmt(perf.host_seconds, 3) << " s host time, "

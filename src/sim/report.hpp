@@ -34,14 +34,11 @@ struct HostPerf {
 /// total simulated instructions by total worker-seconds exactly once.
 struct HostPerfAccumulator {
   void add(double host_seconds, double minstr_per_sec) noexcept {
-    // FP accumulation order is the caller's add() order; every caller
-    // folds in a deterministic sequence (suite vector order, campaign
-    // flush order), and the numbers are telemetry, never store-keyed.
+    // FP accumulation order is the caller's add() order. The numbers
+    // are telemetry, never store-keyed, and every caller folds them in
+    // a deterministic sequence: grid expansion order.
     seconds_ += host_seconds;
     minstr_ += minstr_per_sec * host_seconds;
-  }
-  void add(const HostPerf& perf) noexcept {
-    add(perf.host_seconds, perf.minstr_per_sec);
   }
   [[nodiscard]] HostPerf result() const noexcept {
     return {seconds_, seconds_ > 0.0 ? minstr_ / seconds_ : 0.0};
@@ -51,13 +48,6 @@ struct HostPerfAccumulator {
   double seconds_ = 0.0;
   double minstr_ = 0.0;  ///< simulated Minstr recovered as rate x time
 };
-
-/// Sums the per-run host telemetry of @p runs into one HostPerf.
-[[nodiscard]] HostPerf aggregate_host_perf(
-    const std::vector<cpu::RunResult>& runs);
-
-/// Folds another aggregate in (suite-of-suites accumulation, e.g. sweep).
-[[nodiscard]] HostPerf merge_host_perf(const HostPerf& a, const HostPerf& b);
 
 /// One human-readable line: "0.123 s host time, 4.56 Minstr/s".
 [[nodiscard]] std::string render_host_perf(const HostPerf& perf);

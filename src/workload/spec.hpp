@@ -5,7 +5,7 @@
 // present, else the shared synthetic spec for (benchmark name, seed)
 // (synthetic_spec.hpp). The override is how recorded trace files and
 // imported external traces (ChampSim) drive the full simulation
-// pipeline, including run_suite sweeps.
+// pipeline: `prestage trace replay`, or any Cpu built around one.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,7 @@ class WorkloadSpec {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Creates the dynamic instruction source for one simulation. Called
-  /// once per Cpu; implementations shared across run_parallel workers
+  /// once per Cpu; implementations shared by Cpus on parallel workers
   /// must be safe to call concurrently (recording specs are the
   /// documented single-run exception).
   [[nodiscard]] virtual std::unique_ptr<TraceSource> make_source(

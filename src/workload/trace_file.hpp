@@ -146,7 +146,7 @@ class RecordingTraceSource final : public TraceSource {
 
 /// Workload spec that records a synthetic benchmark run. Single-run only:
 /// make_source() resets the capture buffer, so do not share one instance
-/// across run_parallel workers.
+/// between Cpus on parallel workers.
 class RecordingWorkloadSpec final : public WorkloadSpec {
  public:
   RecordingWorkloadSpec(const std::string& benchmark,

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "bpred/bimodal.hpp"
-#include "bpred/gshare.hpp"
 #include "bpred/ras.hpp"
 #include "bpred/stream.hpp"
 #include "bpred/stream_predictor.hpp"
@@ -146,23 +145,6 @@ TEST(Bimodal, HysteresisAbsorbsOneBlip) {
   for (int i = 0; i < 4; ++i) bp.train(0x1000, true);
   bp.train(0x1000, false);
   EXPECT_TRUE(bp.predict(0x1000));
-}
-
-TEST(Gshare, LearnsAlternatingPatternBimodalCannot) {
-  GsharePredictor gs(4096, 8);
-  BimodalPredictor bp(4096);
-  int gs_correct = 0;
-  int bp_correct = 0;
-  bool taken = false;
-  for (int i = 0; i < 2000; ++i) {
-    taken = !taken;  // strict alternation
-    gs_correct += (gs.predict(0x2000) == taken);
-    bp_correct += (bp.predict(0x2000) == taken);
-    gs.train(0x2000, taken);
-    bp.train(0x2000, taken);
-  }
-  EXPECT_GT(gs_correct, 1900);  // history captures the pattern
-  EXPECT_LT(bp_correct, 1200);  // bimodal cannot
 }
 
 }  // namespace

@@ -159,6 +159,69 @@ TEST(CliSmoke, SweepJsonHasOnePointPerSize) {
   }
 }
 
+// Pinned numbers for `suite` and `sweep`: these commands run their grid
+// through the campaign engine, and must report exactly what the
+// per-benchmark machines simulate. Values are the %.10g JSON renderings.
+
+struct PinnedRun {
+  const char* benchmark;
+  double ipc;
+  double cycles;
+  double pb, il0, il1, ul2, mem;  ///< fetch sources
+};
+
+void expect_sources(const JsonValue& sb, double pb, double il0, double il1,
+                    double ul2, double mem) {
+  EXPECT_EQ(sb.at("PB").number, pb);
+  EXPECT_EQ(sb.at("il0").number, il0);
+  EXPECT_EQ(sb.at("il1").number, il1);
+  EXPECT_EQ(sb.at("ul2").number, ul2);
+  EXPECT_EQ(sb.at("Mem").number, mem);
+}
+
+TEST(CliSmoke, SuiteNumbersArePinned) {
+  std::string output;
+  ASSERT_EQ(run_cli("suite --preset clgp-l0 --bench eon,gzip --instrs 1500 "
+                    "-j 2 --json -",
+                    &output),
+            0)
+      << output;
+  const JsonValue doc = parse_json(output);
+  const PinnedRun kPins[] = {
+      {"eon", 0.2783027608, 5397, 192, 9, 0, 6, 1},
+      {"gzip", 0.3510042036, 4282, 174, 5, 1, 7, 2},
+  };
+  const JsonValue& benchmarks = doc.at("benchmarks");
+  ASSERT_EQ(benchmarks.array.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const JsonValue& r = benchmarks.array[i];
+    const PinnedRun& pin = kPins[i];
+    EXPECT_EQ(r.at("benchmark").string, pin.benchmark);
+    EXPECT_EQ(r.at("ipc").number, pin.ipc) << pin.benchmark;
+    EXPECT_EQ(r.at("cycles").number, pin.cycles) << pin.benchmark;
+    expect_sources(r.at("fetch_sources"), pin.pb, pin.il0, pin.il1, pin.ul2,
+                   pin.mem);
+  }
+  EXPECT_EQ(doc.at("hmean_ipc").number, 0.3104540215);
+  expect_sources(doc.at("fetch_sources"), 366, 14, 1, 13, 3);
+}
+
+TEST(CliSmoke, SweepNumbersArePinned) {
+  std::string output;
+  ASSERT_EQ(run_cli("sweep --preset fdp-l0 --bench eon,gzip --sizes 1K,4K "
+                    "--instrs 1500 -j 2 --json -",
+                    &output),
+            0)
+      << output;
+  const JsonValue doc = parse_json(output);
+  const JsonValue& points = doc.at("points");
+  ASSERT_EQ(points.array.size(), 2u);
+  EXPECT_EQ(points.array[0].at("l1i_size").number, 1024.0);
+  EXPECT_EQ(points.array[0].at("hmean_ipc").number, 0.3155385883);
+  EXPECT_EQ(points.array[1].at("l1i_size").number, 4096.0);
+  EXPECT_EQ(points.array[1].at("hmean_ipc").number, 0.3150424961);
+}
+
 TEST(CliSmoke, ListNamesEveryPresetAndPrefetcher) {
   std::string output;
   const int rc = run_cli("list", &output);
@@ -479,7 +542,6 @@ TEST(CliCampaign, PerfMeasuredModeNeedsNoStore) {
   EXPECT_EQ(doc.at("schema").string, "prestage-campaign-perf-v1");
   EXPECT_EQ(doc.at("campaign").string, "smoke");
   EXPECT_EQ(doc.at("store").string, "(measured)");
-  EXPECT_TRUE(doc.at("cycle_skip").boolean);
   EXPECT_EQ(doc.at("min_host_seconds").number, 0.01);
   // The repeat loop folds whole passes: a multiple of the 8-point grid.
   const auto points = static_cast<std::uint64_t>(doc.at("points").number);
@@ -487,14 +549,6 @@ TEST(CliCampaign, PerfMeasuredModeNeedsNoStore) {
   EXPECT_EQ(points % 8u, 0u);
   EXPECT_GT(doc.at("minstr_per_sec").number, 0.0);
   ASSERT_EQ(doc.at("per_config").array.size(), 2u);
-
-  // The A/B lever is accepted and recorded in the document.
-  ASSERT_EQ(run_cli("campaign perf --name smoke --instrs 300 "
-                    "--min-host-seconds 0.005 --no-cycle-skip -j 1 --out -",
-                    &output),
-            0)
-      << output;
-  EXPECT_FALSE(parse_json(output).at("cycle_skip").boolean);
 }
 
 TEST(CliCampaign, PerfCompareGatesAgainstACommittedBaseline) {

@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "common/prestage_assert.hpp"
+#include "cpu/cpu.hpp"
 #include "sample/sliced_source.hpp"
-#include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
@@ -67,26 +67,28 @@ void expect_identical(const cpu::RunResult& a, const cpu::RunResult& b,
   EXPECT_EQ(a.prefetches_issued, b.prefetches_issued) << what;
 }
 
+/// One benchmark of the golden suite on @p preset, skip on or off.
+cpu::RunResult run_point(const std::string& preset,
+                         const std::string& benchmark, bool cycle_skip) {
+  cpu::MachineConfig cfg =
+      make_config(preset, cacti::TechNode::um045, 4096);
+  cfg.benchmark = benchmark;
+  cfg.max_instructions = kInstrs;
+  cfg.enable_cycle_skip = cycle_skip;
+  cpu::Cpu machine(cfg);
+  return machine.run();
+}
+
 TEST(CycleSkipEquivalence, EveryPresetIsTimingIdenticalWithSkipOff) {
   for (const std::string& preset : all_presets()) {
-    cpu::MachineConfig on =
-        make_config(preset, cacti::TechNode::um045, 4096);
-    cpu::MachineConfig off = on;
-    on.enable_cycle_skip = true;
-    off.enable_cycle_skip = false;
-
-    const SuiteResult skip = run_suite(on, kBenchmarks, kInstrs, 1);
-    const SuiteResult scalar = run_suite(off, kBenchmarks, kInstrs, 1);
-
-    ASSERT_EQ(skip.per_benchmark.size(), scalar.per_benchmark.size());
-    EXPECT_EQ(skip.hmean_ipc, scalar.hmean_ipc) << preset;
     Cycle skipped = 0;
-    for (std::size_t i = 0; i < skip.per_benchmark.size(); ++i) {
-      expect_identical(skip.per_benchmark[i], scalar.per_benchmark[i],
-                       preset + "/" + kBenchmarks[i]);
-      EXPECT_EQ(scalar.per_benchmark[i].cycles_skipped, 0u)
+    for (const std::string& bench : kBenchmarks) {
+      const cpu::RunResult skip = run_point(preset, bench, true);
+      const cpu::RunResult scalar = run_point(preset, bench, false);
+      expect_identical(skip, scalar, preset + "/" + bench);
+      EXPECT_EQ(scalar.cycles_skipped, 0u)
           << preset << ": skip-disabled run reported skipped cycles";
-      skipped += skip.per_benchmark[i].cycles_skipped;
+      skipped += skip.cycles_skipped;
     }
     // The enabled run must exercise the fast path, or the A/B is vacuous.
     EXPECT_GT(skipped, 0u) << preset;

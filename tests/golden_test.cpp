@@ -11,10 +11,12 @@
 // model, calibration fix), re-pin by running this binary with
 // --gtest_filter='Golden.*' and copying the reported actual values —
 // and say so in the commit message. Refactors, parallelism changes and
-// I/O work must NOT move these numbers.
+// I/O work must NOT move these numbers. Every pin runs through the
+// campaign engine, the one path that executes run points.
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hpp"
+#include "campaign/engine.hpp"
+#include "campaign/report.hpp"
 #include "sim/presets.hpp"
 
 namespace prestage::sim {
@@ -39,15 +41,31 @@ struct Golden {
 };
 
 void check(const Golden& g) {
-  const auto cfg = make_config(g.preset, cacti::TechNode::um045, 4096);
-  const SuiteResult r = run_suite(cfg, kBenchmarks, kInstrs);
-  ASSERT_EQ(r.per_benchmark.size(), kBenchmarks.size());
-  EXPECT_NEAR(r.hmean_ipc, g.hmean_ipc, 1e-9);
+  // A pinned "@node" suffix becomes the grid's node axis, the way the
+  // CLI folds it into --node.
+  auto composition = parse_spec(g.preset);
+  ASSERT_TRUE(composition.has_value()) << g.preset;
+  const cacti::TechNode node =
+      composition->node.value_or(cacti::TechNode::um045);
+  composition->node.reset();
+  const std::string preset = canonical_name(*composition);
+
+  campaign::CampaignSpec spec;
+  spec.presets = {preset};
+  spec.nodes = {node};
+  spec.l1_sizes = {4096};
+  spec.benchmarks = kBenchmarks;
+  spec.instructions = kInstrs;
+  const campaign::ResultStore store = campaign::run_in_memory(spec);
+  const campaign::ResultGrid grid(spec, store);
+  ASSERT_EQ(grid.missing(), 0u);
+  EXPECT_NEAR(grid.hmean_ipc(preset, node, 4096), g.hmean_ipc, 1e-9);
   for (std::size_t i = 0; i < kBenchmarks.size(); ++i) {
-    EXPECT_NEAR(r.per_benchmark[i].ipc, g.ipc[i], 1e-9)
+    EXPECT_NEAR(grid.at(preset, node, 4096, kBenchmarks[i])->result.ipc,
+                g.ipc[i], 1e-9)
         << kBenchmarks[i];
   }
-  const SourceBreakdown sources = r.fetch_sources();
+  const SourceBreakdown sources = grid.fetch_sources(preset, node, 4096);
   EXPECT_EQ(sources.count(FetchSource::PreBuffer), g.fetch.pb);
   EXPECT_EQ(sources.count(FetchSource::L0), g.fetch.l0);
   EXPECT_EQ(sources.count(FetchSource::L1), g.fetch.l1);

@@ -1,10 +1,10 @@
-// Tests for the experiment harness and figure-shape properties — cheap
-// versions of the qualitative claims each paper figure makes.
+// Tests for the presets, report rendering and figure-shape properties —
+// cheap versions of the qualitative claims each paper figure makes, run
+// through the campaign engine like the figures themselves.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
-#include "sim/experiment.hpp"
+#include "campaign/engine.hpp"
+#include "campaign/report.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
 
@@ -124,33 +124,6 @@ TEST(Presets, PaperSizesAxis) {
   EXPECT_EQ(sizes.back(), 65536u);
 }
 
-TEST(Experiment, SuiteAggregatesAndHmean) {
-  auto cfg = make_config("base-ideal", cacti::TechNode::um045, 4096);
-  const SuiteResult r = run_suite(cfg, {"gzip", "twolf"}, 8000);
-  ASSERT_EQ(r.per_benchmark.size(), 2u);
-  EXPECT_GT(r.hmean_ipc, 0.0);
-  EXPECT_LE(r.hmean_ipc,
-            std::max(r.per_benchmark[0].ipc, r.per_benchmark[1].ipc));
-  const auto sources = r.fetch_sources();
-  EXPECT_GT(sources.total(), 0u);
-}
-
-TEST(Experiment, RunParallelPreservesOrderAndDeterminism) {
-  std::vector<cpu::MachineConfig> configs;
-  for (const char* b : {"gzip", "mcf", "gzip"}) {
-    auto cfg = make_config("base", cacti::TechNode::um045, 2048);
-    cfg.benchmark = b;
-    cfg.max_instructions = 6000;
-    configs.push_back(cfg);
-  }
-  const auto results = run_parallel(configs);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].benchmark, "gzip");
-  EXPECT_EQ(results[1].benchmark, "mcf");
-  // Same config => identical cycle counts even across thread schedules.
-  EXPECT_EQ(results[0].cycles, results[2].cycles);
-}
-
 TEST(Report, SizeChartRendersAllSeries) {
   const std::vector<std::uint64_t> sizes = {256, 512};
   const std::vector<Series> series = {{"a", {1.0, 2.0}}, {"b", {3.0, 4.0}}};
@@ -181,35 +154,50 @@ TEST(Report, SpeedupPct) {
 
 // --- figure-shape properties (cheap versions of the paper's claims) -----
 
+/// A presets x L1 sizes grid over @p suite at 0.045um and 10k
+/// instructions, simulated in memory through the campaign engine.
+class ShapeGrid {
+ public:
+  ShapeGrid(std::vector<std::string> presets,
+            std::vector<std::uint64_t> sizes,
+            std::vector<std::string> suite) {
+    spec_.presets = std::move(presets);
+    spec_.nodes = {kNode};
+    spec_.l1_sizes = std::move(sizes);
+    spec_.benchmarks = std::move(suite);
+    spec_.instructions = 10000;
+    store_ = campaign::run_in_memory(spec_);
+  }
+
+  [[nodiscard]] double hmean(const std::string& preset,
+                             std::uint64_t l1i_size) const {
+    return campaign::ResultGrid(spec_, store_).hmean_ipc(preset, kNode,
+                                                         l1i_size);
+  }
+
+ private:
+  static constexpr cacti::TechNode kNode = cacti::TechNode::um045;
+  campaign::CampaignSpec spec_;
+  campaign::ResultStore store_;
+};
+
 TEST(FigureShape, Fig1IdealDominatesAndBaseSuffersLatency) {
   // Figure 1: ideal >= pipelined >= base at a multi-cycle size.
-  const auto node = cacti::TechNode::um045;
-  const std::vector<std::string> suite = {"eon", "gcc", "gzip"};
-  const double ideal =
-      run_suite(make_config("base-ideal", node, 8192), suite, 10000)
-          .hmean_ipc;
-  const double pipelined =
-      run_suite(make_config("base-pipelined", node, 8192), suite, 10000)
-          .hmean_ipc;
-  const double base =
-      run_suite(make_config("base", node, 8192), suite, 10000)
-          .hmean_ipc;
+  const ShapeGrid grid({"base-ideal", "base-pipelined", "base"}, {8192},
+                       {"eon", "gcc", "gzip"});
+  const double ideal = grid.hmean("base-ideal", 8192);
+  const double pipelined = grid.hmean("base-pipelined", 8192);
+  const double base = grid.hmean("base", 8192);
   EXPECT_GE(ideal, pipelined * 0.999);
   EXPECT_GT(pipelined, base);
 }
 
 TEST(FigureShape, Fig5ClgpBeatsFdpBeatsBaseAt4KB) {
-  const auto node = cacti::TechNode::um045;
-  const std::vector<std::string> suite = {"eon", "vortex", "crafty"};
-  const double clgp =
-      run_suite(make_config("clgp-l0-pb16", node, 4096), suite, 10000)
-          .hmean_ipc;
-  const double fdp =
-      run_suite(make_config("fdp-l0-pb16", node, 4096), suite, 10000)
-          .hmean_ipc;
-  const double base =
-      run_suite(make_config("base-pipelined", node, 4096), suite, 10000)
-          .hmean_ipc;
+  const ShapeGrid grid({"clgp-l0-pb16", "fdp-l0-pb16", "base-pipelined"},
+                       {4096}, {"eon", "vortex", "crafty"});
+  const double clgp = grid.hmean("clgp-l0-pb16", 4096);
+  const double fdp = grid.hmean("fdp-l0-pb16", 4096);
+  const double base = grid.hmean("base-pipelined", 4096);
   EXPECT_GT(clgp, fdp * 0.995);  // CLGP at least matches FDP
   EXPECT_GT(clgp, base);         // and clearly beats no-prefetch
 }
@@ -217,14 +205,9 @@ TEST(FigureShape, Fig5ClgpBeatsFdpBeatsBaseAt4KB) {
 TEST(FigureShape, ClgpInsensitiveToL1Size) {
   // Paper §5.1: "CLGP almost saturates its performance at very small L1
   // cache sizes".
-  const auto node = cacti::TechNode::um045;
-  const std::vector<std::string> suite = {"eon", "crafty"};
-  const double small =
-      run_suite(make_config("clgp-l0", node, 1024), suite, 10000)
-          .hmean_ipc;
-  const double large =
-      run_suite(make_config("clgp-l0", node, 32768), suite, 10000)
-          .hmean_ipc;
+  const ShapeGrid grid({"clgp-l0"}, {1024, 32768}, {"eon", "crafty"});
+  const double small = grid.hmean("clgp-l0", 1024);
+  const double large = grid.hmean("clgp-l0", 32768);
   EXPECT_GT(small, large * 0.85);  // within 15% across a 32x size range
 }
 

@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/engine.hpp"
 #include "cpu/cpu.hpp"
-#include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "workload/champsim.hpp"
 #include "workload/generator.hpp"
@@ -318,24 +318,31 @@ void expect_identical(const cpu::RunResult& a, const cpu::RunResult& b) {
 }
 
 TEST(Determinism, RunParallelMatchesSerialForAnyWorkerCount) {
-  std::vector<cpu::MachineConfig> configs;
-  for (const char* b : {"gzip", "eon", "mcf", "crafty", "vortex"}) {
+  // The campaign engine, for any worker count, hands back in grid order
+  // exactly what a serial loop of hand-built machines computes.
+  const std::vector<std::string> benchmarks = {"gzip", "eon", "mcf",
+                                               "crafty", "vortex"};
+  std::vector<cpu::RunResult> serial;
+  for (const std::string& b : benchmarks) {
     cpu::MachineConfig cfg =
         sim::make_config("clgp-l0", cacti::TechNode::um045, 2048);
     cfg.benchmark = b;
     cfg.max_instructions = 4000;
-    configs.push_back(cfg);
-  }
-  std::vector<cpu::RunResult> serial;
-  for (const auto& cfg : configs) {
     cpu::Cpu machine(cfg);
     serial.push_back(machine.run());
   }
+  campaign::CampaignSpec spec;
+  spec.presets = {"clgp-l0"};
+  spec.nodes = {cacti::TechNode::um045};
+  spec.l1_sizes = {2048};
+  spec.benchmarks = benchmarks;
+  spec.instructions = 4000;
+  const std::vector<campaign::RunPoint> points = campaign::expand(spec);
   for (const unsigned workers : {1U, 2U, 7U}) {
-    const auto parallel = sim::run_parallel(configs, workers);
+    const auto parallel = campaign::run_points(points, workers);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      expect_identical(parallel[i], serial[i]);
+      expect_identical(parallel[i].result, serial[i]);
     }
   }
 }
@@ -365,20 +372,6 @@ TEST(Determinism, RecordThenReplayReproducesTheRunExactly) {
   cfg.workload = nullptr;
   cpu::Cpu plain(cfg);
   expect_identical(recorded, plain.run());
-}
-
-TEST(Determinism, ReplayedSuiteParticipatesInRunSuite) {
-  // Traced workloads ride the same run_suite/run_parallel machinery as
-  // synthetic ones (sweeps and benches included).
-  const auto spec = import_champsim_trace(fixture_path());
-  cpu::MachineConfig cfg =
-      sim::make_config("fdp", cacti::TechNode::um045, 1024);
-  cfg.workload = spec;
-  const sim::SuiteResult suite =
-      sim::run_suite(cfg, {spec->name()}, 1500);
-  ASSERT_EQ(suite.per_benchmark.size(), 1u);
-  EXPECT_EQ(suite.per_benchmark[0].benchmark, spec->name());
-  EXPECT_GT(suite.hmean_ipc, 0.0);
 }
 
 }  // namespace
