@@ -1,9 +1,11 @@
 // BBV-profiler microbenchmarks: the sampling subsystem's profiling pass
-// streams every dynamic instruction of a workload once, so accumulator
-// add/finish throughput and the whole-profile pass bound how cheap a
-// sampling plan is relative to the detailed simulation it replaces.
-// The slice-start pair prices what a plan's trace snapshots save: every
-// slice of every run point copies one instead of walking the trace.
+// walks every dynamic instruction of a workload once (as spans, building
+// no records), so accumulator add/finish throughput and the
+// whole-profile pass bound how cheap a sampling plan is relative to the
+// detailed simulation it replaces. The slice-start benchmarks price what
+// a plan's trace snapshots save (every slice of every run point copies
+// one instead of walking the trace) and what the plan's own snapshot
+// walk costs as a span walk against a fill() walk.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -108,8 +110,8 @@ void BM_SliceStartFromSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_SliceStartFromSnapshot)->Arg(100000)->Arg(1000000);
 
-/// The same start by walking a fresh source there in fill() batches —
-/// the cheapest walk; slices used to pay one per point.
+/// The same start by walking a fresh source there in fill() batches;
+/// slices used to pay one such walk per point.
 void BM_SliceStartByWalk(benchmark::State& state) {
   const workload::SyntheticWorkloadSpec spec("eon", 1);
   const auto start = static_cast<std::uint64_t>(state.range(0));
@@ -119,6 +121,36 @@ void BM_SliceStartByWalk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SliceStartByWalk)->Arg(100000)->Arg(1000000);
+
+/// walk_to() as a span walk, the way attach_snapshots reaches each
+/// slice: no records built.
+std::uint64_t span_walk_to(workload::TraceSource& source,
+                           std::uint64_t start) {
+  std::vector<workload::TraceSpan> spans(512);
+  bool at_stream_start = true;  // instruction 0 opens a stream
+  while (source.instructions() < start) {
+    const std::size_t got = source.fill_spans(
+        spans.data(), spans.size(), start - source.instructions());
+    at_stream_start = spans[got - 1].ends_stream;
+  }
+  // Finish the open stream; its remainder is at most one stream long.
+  while (!at_stream_start) {
+    (void)source.fill_spans(spans.data(), 1, bpred::kMaxStreamInstrs);
+    at_stream_start = spans[0].ends_stream;
+  }
+  return source.instructions();
+}
+
+/// BM_SliceStartByWalk's start reached by a span walk.
+void BM_SliceStartBySpanWalk(benchmark::State& state) {
+  const workload::SyntheticWorkloadSpec spec("eon", 1);
+  const auto start = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    const auto source = spec.make_source(18);
+    benchmark::DoNotOptimize(span_walk_to(*source, start));
+  }
+}
+BENCHMARK(BM_SliceStartBySpanWalk)->Arg(100000)->Arg(1000000);
 
 }  // namespace
 

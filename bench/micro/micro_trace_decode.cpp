@@ -1,8 +1,10 @@
-// Batched trace-decode microbenchmarks: TraceSource::fill() against the
-// scalar next_stream() walk it replaced on the oracle's refill path.
-// The oracle pulls records in 256-entry batches (cpu/oracle.hpp), so
-// fill() throughput at that batch size is what the simulator actually
-// sees; the scalar walk is kept as the baseline the batch path must beat.
+// Trace-decode microbenchmarks over the three read paths of a trace
+// source. The oracle pulls records through TraceSource::fill() in
+// 256-entry batches (cpu/oracle.hpp), so fill() throughput at that batch
+// size is what the simulator actually sees; sampling plans read spans
+// (fill_spans), which build no records. All three generator paths run
+// the same block-granular walk core; next_stream() adds a vector per
+// stream and is the oldest interface, kept as a reference point.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -20,21 +22,45 @@ using workload::DynInst;
 
 constexpr std::size_t kBatch = 256;  // the oracle's refill batch size
 
-/// Generator records through the native batched walk.
+/// Generator records through the native batched walk; the argument is
+/// the batch size.
 void BM_GeneratorFill(benchmark::State& state) {
   const workload::Program prog =
       workload::generate_program(workload::profile_for("eon"), 7);
   workload::TraceGenerator gen(prog, 42);
-  std::vector<DynInst> buf(kBatch);
+  std::vector<DynInst> buf(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(gen.fill(buf.data(), buf.size()));
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatch));
+                          state.range(0));
 }
-BENCHMARK(BM_GeneratorFill);
+BENCHMARK(BM_GeneratorFill)->Arg(256)->Arg(4096);
 
-/// The same records via the scalar stream walk (what fill() replaced).
+/// The same walk as spans: each iteration covers as many instructions
+/// as one BM_GeneratorFill batch, and builds no DynInst.
+void BM_GeneratorSpans(benchmark::State& state) {
+  const workload::Program prog =
+      workload::generate_program(workload::profile_for("eon"), 7);
+  workload::TraceGenerator gen(prog, 42);
+  std::vector<workload::TraceSpan> spans(512);
+  const auto per_iteration = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    for (std::uint64_t left = per_iteration; left > 0;) {
+      const std::size_t got = gen.fill_spans(spans.data(), spans.size(), left);
+      for (std::size_t i = 0; i < got; ++i) left -= spans[i].length;
+    }
+    benchmark::DoNotOptimize(spans.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_GeneratorSpans)->Arg(256)->Arg(4096);
+
+/// The same records a stream at a time, one vector per stream.
 void BM_GeneratorNextStream(benchmark::State& state) {
   const workload::Program prog =
       workload::generate_program(workload::profile_for("eon"), 7);

@@ -308,7 +308,7 @@ fi
 # ASan+UBSan build of the CLI, then one run per *registered* prefetcher
 # (with an L0, matching the family grid) — the preset list is derived
 # from `prestage list`, so a newly registered scheme is exercised under
-# sanitizers automatically.
+# sanitizers automatically — and two sampled runs.
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target prestage_cli
 PREFETCHERS=$(./build-asan/src/cli/prestage list |
@@ -321,6 +321,15 @@ for p in $PREFETCHERS; do
     --instrs 1500 > /dev/null
 done
 echo "sanitizer: every registered prefetcher ran clean under ASan+UBSan"
+# Sampled simulation under the same sanitizers: one fresh plan (span-walk
+# profile, clustering, snapshot walk, slices from the snapshots) and one
+# run from the PSCK checkpoint the sampled stage above wrote.
+echo "sanitizer   : prestage sample run (fresh plan, then --plan)"
+./build-asan/src/cli/prestage sample run --preset clgp-l0 --bench eon \
+  --instrs $SAMPLE_INSTRS --interval 5000 > /dev/null
+./build-asan/src/cli/prestage sample run --preset clgp-l0 --bench eon \
+  --instrs $SAMPLE_INSTRS --plan build/ci-plan.psck > /dev/null
+echo "sanitizer: fresh and checkpointed sampled runs ran clean"
 
 # --- race-detector smoke -----------------------------------------------------
 # ThreadSanitizer build of the multi-worker surfaces: the campaign

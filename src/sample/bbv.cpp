@@ -23,8 +23,8 @@ constexpr Addr kWarmLineBytes = 64;
   return hash_mix(block_pc ^ (0x9e3779b97f4a7c15ULL * (g + 1U)));
 }
 
-/// Records pulled per TraceSource::fill() call by the profiling pass.
-constexpr std::size_t kProfileBatch = 4096;
+/// Spans pulled per TraceSource::fill_spans() call by the profiling pass.
+constexpr std::size_t kProfileSpans = 512;
 
 }  // namespace
 
@@ -102,22 +102,34 @@ TraceProfile profile_source(workload::TraceSource& source,
   std::uint64_t consumed = 0;  // instructions in closed streams
   std::uint64_t interval_start = 0;
   std::vector<Addr> pending_warm;  // ring state at the open interval's start
-  std::vector<workload::DynInst> batch(kProfileBatch);
+  std::vector<workload::TraceSpan> spans(kProfileSpans);
   Addr block_pc = kNoAddr;       // start PC of the open stream
   std::uint64_t block_len = 0;   // its instructions so far
   while (consumed < total_instructions) {
-    const std::size_t got = source.fill(batch.data(), batch.size());
-    for (std::size_t i = 0; i < got && consumed < total_instructions; ++i) {
-      const workload::DynInst& inst = batch[i];
-      if (block_len++ == 0) block_pc = inst.pc;
-      const Addr line = line_align(inst.pc, kWarmLineBytes);
-      if (line != last_line) {
+    // Up to the budget, then one span at a time: the walk ends exactly
+    // at the close of the stream that reaches the budget.
+    const std::uint64_t reached = consumed + block_len;
+    const std::size_t got =
+        reached < total_instructions
+            ? source.fill_spans(spans.data(), spans.size(),
+                                total_instructions - reached)
+            : source.fill_spans(spans.data(), 1, bpred::kMaxStreamInstrs);
+    for (std::size_t i = 0; i < got; ++i) {
+      const workload::TraceSpan& span = spans[i];
+      if (block_len == 0) block_pc = span.start;
+      block_len += span.length;
+      // Every line the span covers, in order; consecutive duplicates
+      // (within the span and across spans) collapse.
+      const Addr last = span.start + (span.length - 1) * kInstrBytes;
+      for (Addr line = line_align(span.start, kWarmLineBytes);
+           line <= last; line += kWarmLineBytes) {
+        if (line == last_line) continue;
         ring[head] = line;
         head = (head + 1) % warm_lines;
         filled = std::min<std::size_t>(filled + 1, warm_lines);
         last_line = line;
       }
-      if (!inst.ends_stream) continue;
+      if (!span.ends_stream) continue;
       acc.add(block_pc, block_len);
       if (!seen_blocks.contains(block_pc)) seen_blocks.insert(block_pc, 0);
       consumed += block_len;

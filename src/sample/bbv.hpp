@@ -72,9 +72,12 @@ struct TraceProfile {
 /// Streams @p source for at least @p total_instructions, closing each
 /// interval at the first stream boundary at or past the nominal length —
 /// so every interval start is stream-aligned and a snapshot of the same
-/// trace taken there starts a whole stream. Reads in fill() batches, so
-/// @p source may end up to one batch past the last interval.
-/// Deterministic: same source state, same profile.
+/// trace taken there starts a whole stream. Reads pc-contiguous spans
+/// (TraceSource::fill_spans) and stops exactly at the end of the last
+/// interval, so @p source is left at the profile's total_instructions.
+/// Each stream counts for its start PC and length; the warm-line ring
+/// sees every line a span covers. Deterministic: same source state,
+/// same profile.
 [[nodiscard]] TraceProfile profile_source(workload::TraceSource& source,
                                           std::uint64_t total_instructions,
                                           std::uint64_t interval_instructions,

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "common/faultpoint.hpp"
 #include "common/prestage_assert.hpp"
@@ -11,6 +12,12 @@ namespace prestage::sample {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'S', 'C', 'K'};
+
+/// Smallest encodings of the counted items: a slice with no warm lines,
+/// one warm line, and a state with an empty scheme name and blob.
+constexpr std::size_t kMinSliceBytes = 3 * 8 + 4 + 8 + 8 + 4;
+constexpr std::size_t kWarmLineBytes = 8;
+constexpr std::size_t kMinStateBytes = 4 + 4;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -84,6 +91,18 @@ class Reader {
     std::vector<std::uint8_t> b(data_ + pos_, data_ + pos_ + len);
     pos_ += len;
     return b;
+  }
+
+  /// A u32 item count, refused unless @p n items of at least
+  /// @p min_bytes each fit in the bytes left: a lying count must fail
+  /// typed here, never size an allocation.
+  [[nodiscard]] std::uint32_t count(std::size_t min_bytes) {
+    const std::uint32_t n = u32();
+    if (n > (size_ - pos_) / min_bytes) {
+      throw SimError("PSCK checkpoint: count " + std::to_string(n) +
+                     " exceeds the bytes left");
+    }
+    return n;
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == size_; }
@@ -162,7 +181,7 @@ Checkpoint deserialize_checkpoint(const std::uint8_t* data,
   plan.intervals = r.u64();
   plan.unique_blocks = r.u64();
   plan.clusters = r.u32();
-  const std::uint32_t slice_count = r.u32();
+  const std::uint32_t slice_count = r.count(kMinSliceBytes);
   plan.slices.reserve(slice_count);
   for (std::uint32_t i = 0; i < slice_count; ++i) {
     Slice s;
@@ -172,12 +191,12 @@ Checkpoint deserialize_checkpoint(const std::uint8_t* data,
     s.cluster = r.u32();
     s.weight = r.f64();
     s.warm_start = r.u64();
-    const std::uint32_t warm = r.u32();
+    const std::uint32_t warm = r.count(kWarmLineBytes);
     s.warm_lines.reserve(warm);
     for (std::uint32_t w = 0; w < warm; ++w) s.warm_lines.push_back(r.u64());
     plan.slices.push_back(std::move(s));
   }
-  const std::uint32_t state_count = r.u32();
+  const std::uint32_t state_count = r.count(kMinStateBytes);
   cp.states.reserve(state_count);
   for (std::uint32_t i = 0; i < state_count; ++i) {
     SavedMachineState st;

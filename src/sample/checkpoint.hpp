@@ -50,8 +50,9 @@ struct Checkpoint {
 [[nodiscard]] std::vector<std::uint8_t> serialize_checkpoint(
     const Checkpoint& checkpoint);
 
-/// Parses PSCK bytes; throws SimError on bad magic, unsupported version
-/// or truncation.
+/// Parses PSCK bytes; throws SimError on bad magic, unsupported version,
+/// truncation, or a slice / warm-line / state count that cannot fit in
+/// the bytes left (checked before anything is reserved).
 [[nodiscard]] Checkpoint deserialize_checkpoint(
     const std::uint8_t* data, std::size_t size);
 

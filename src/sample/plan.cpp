@@ -97,7 +97,7 @@ SamplePlan build_plan(const workload::WorkloadSpec& base, std::uint64_t seed,
 void attach_snapshots(SamplePlan& plan, const workload::WorkloadSpec& base) {
   const std::unique_ptr<workload::TraceSource> source =
       base.make_source(plan.seed + 17);  // the Cpu's oracle trace seed
-  std::vector<workload::DynInst> batch(4096);
+  std::vector<workload::TraceSpan> spans(512);
   bool at_stream_start = true;  // instruction 0 opens a stream
   std::shared_ptr<const workload::TraceSource> snapshot;
   // Slices are in ascending start order, so their warm-up starts never
@@ -108,10 +108,10 @@ void attach_snapshots(SamplePlan& plan, const workload::WorkloadSpec& base) {
       continue;
     }
     while (source->instructions() < slice.warm_start) {
-      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
-          batch.size(), slice.warm_start - source->instructions()));
-      (void)source->fill(batch.data(), n);
-      at_stream_start = batch[n - 1].ends_stream;
+      const std::size_t got =
+          source->fill_spans(spans.data(), spans.size(),
+                             slice.warm_start - source->instructions());
+      at_stream_start = spans[got - 1].ends_stream;
     }
     if (source->instructions() != slice.warm_start || !at_stream_start) {
       throw SimError("slice warm-up start " +

@@ -67,10 +67,11 @@ struct SamplePlan {
                                     std::uint64_t seed, std::uint64_t budget,
                                     const ResolvedSamplingParams& params);
 
-/// Walks @p base's trace (seed `plan.seed + 17`) once, in fill()
-/// batches, and snapshots it at each slice's warm_start. build_plan
-/// ends with this; a plan read back from a checkpoint needs it before
-/// it can run. Throws SimError when a warm_start is not a stream
+/// Walks @p base's trace (seed `plan.seed + 17`) once, as a span walk
+/// (TraceSource::fill_spans: no DynInst is built) that stops exactly at
+/// each slice's warm_start, and snapshots it there. build_plan ends
+/// with this; a plan read back from a checkpoint needs it before it can
+/// run. Throws SimError when a warm_start is not a stream
 /// boundary of this trace (a checkpoint of another workload) or falls
 /// before the previous slice's.
 void attach_snapshots(SamplePlan& plan, const workload::WorkloadSpec& base);

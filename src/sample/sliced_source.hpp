@@ -1,11 +1,12 @@
 // Slice replay: the trace a sampled slice's Cpu runs.
 //
 // A sampling plan walks its workload's trace once, from instruction 0,
-// and keeps a snapshot (TraceSource::clone) at each slice's
-// stream-aligned warm-up start (attach_snapshots, plan.hpp). A slice's
-// Cpu starts from its own copy of that snapshot, so neither a slice nor
-// a run point ever re-walks the trace prefix: the walk is paid once per
-// plan, however many machine shapes the plan serves.
+// as a span walk that builds no records, and keeps a snapshot
+// (TraceSource::clone) at each slice's stream-aligned warm-up start
+// (attach_snapshots, plan.hpp). A slice's Cpu starts from its own copy
+// of that snapshot, so neither a slice nor a run point ever re-walks
+// the trace prefix: the walk is paid once per plan, however many
+// machine shapes the plan serves.
 //
 // SlicedTraceSource re-exposes such a copy with sequence numbers
 // renumbered from 0 (the Oracle's commit window requires the first
@@ -36,6 +37,13 @@ class SlicedTraceSource final : public workload::TraceSource {
   [[nodiscard]] std::vector<Addr> call_stack_pcs(
       std::size_t max_depth) const override {
     return inner_->call_stack_pcs(max_depth);
+  }
+  /// Clones the inner source and keeps the renumbering.
+  [[nodiscard]] std::unique_ptr<workload::TraceSource> clone()
+      const override {
+    auto copy = std::make_unique<SlicedTraceSource>(inner_->clone());
+    copy->emitted_ = emitted_;
+    return copy;
   }
 
  private:

@@ -1,6 +1,8 @@
 #include "workload/trace.hpp"
-#include <cmath>
+
 #include <algorithm>
+#include <array>
+#include <cmath>
 
 #include "common/prestage_assert.hpp"
 
@@ -25,6 +27,35 @@ std::size_t TraceSource::fill(DynInst* out, std::size_t n) {
     filled += take;
   }
   return filled;
+}
+
+std::size_t TraceSource::fill_spans(TraceSpan* out, std::size_t max_spans,
+                                    std::uint64_t max_instructions) {
+  // Each record extends the open span or opens one, so a batch no larger
+  // than the free span slots always fits: no record is read that could
+  // not be placed, and the source stops exactly where the spans do.
+  std::array<DynInst, 128> batch;
+  std::size_t spans = 0;
+  bool open = false;  // out[spans - 1] may still grow
+  while (max_instructions > 0 && spans < max_spans) {
+    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        {batch.size(), max_spans - spans, max_instructions}));
+    (void)fill(batch.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const DynInst& d = batch[i];
+      if (open && d.pc == out[spans - 1].start +
+                              static_cast<Addr>(out[spans - 1].length) *
+                                  kInstrBytes) {
+        ++out[spans - 1].length;
+      } else {
+        out[spans++] = TraceSpan{d.pc, 1, false};
+      }
+      out[spans - 1].ends_stream = d.ends_stream;
+      open = !d.ends_stream;
+    }
+    max_instructions -= n;
+  }
+  return spans;
 }
 
 std::unique_ptr<TraceSource> TraceSource::clone() const {
@@ -124,122 +155,137 @@ std::uint64_t TraceGenerator::draw_phase_budget() {
   return static_cast<std::uint64_t>(std::max(len, min_len));
 }
 
-DynInst TraceGenerator::step() {
-  const BasicBlock& b = prog_.blocks[cur_block_];
-  PRESTAGE_ASSERT(cur_idx_ < b.num_instrs());
-  const StaticInst& si = b.instrs[cur_idx_];
-
-  DynInst d;
-  d.pc = b.start + static_cast<Addr>(cur_idx_) * kInstrBytes;
-  d.op = si.op;
-  d.dst = si.dst;
-  d.src1 = si.src1;
-  d.src2 = si.src2;
-  d.seq = seq_++;
-  if (si.op == OpClass::Load || si.op == OpClass::Store) {
-    d.data_addr = data_address(si.site);
+template <bool kRecords>
+TraceGenerator::Chunk TraceGenerator::advance(std::uint64_t limit,
+                                              DynInst* out) {
+  // Region switching is evaluated at the dispatcher loop head, at a
+  // stream start, so a phase persists through whole dispatcher
+  // iterations. A chunk is the only place either can begin.
+  if (stream_len_ == 0 && cur_idx_ == 0 &&
+      cur_block_ == prog_.dispatcher_head && prog_.num_regions > 1 &&
+      seq_ > 0) {
+    maybe_switch_region();
   }
+  const BlockId here = cur_block_;
+  const BasicBlock& b = prog_.blocks[here];
+  PRESTAGE_ASSERT(cur_idx_ < b.num_instrs() && limit > 0);
+  Chunk c;
+  c.start = b.start + static_cast<Addr>(cur_idx_) * kInstrBytes;
+  c.length = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      {b.num_instrs() - cur_idx_, bpred::kMaxStreamInstrs - stream_len_,
+       limit}));
+  c.next_pc = c.start + static_cast<Addr>(c.length) * kInstrBytes;
 
-  const bool is_last = cur_idx_ + 1 == b.num_instrs();
-  if (!is_last || b.term == TermKind::FallThrough) {
-    d.taken = false;
-    d.next_pc = d.pc + kInstrBytes;
-    if (is_last) {
-      enter_block(cur_block_ + 1);
-    } else {
-      ++cur_idx_;
+  // Data addresses in program order, then the branch outcome: the RNG
+  // draws of an instruction-at-a-time walk, in the same order.
+  const StaticInst* si = b.instrs.data() + cur_idx_;
+  for (std::uint32_t i = 0; i < c.length; ++i) {
+    const bool mem = si[i].op == OpClass::Load || si[i].op == OpClass::Store;
+    const Addr data = mem ? data_address(si[i].site) : kNoAddr;
+    if constexpr (kRecords) {
+      DynInst& d = out[i];
+      d.pc = c.start + static_cast<Addr>(i) * kInstrBytes;
+      d.op = si[i].op;
+      d.dst = si[i].dst;
+      d.src1 = si[i].src1;
+      d.src2 = si[i].src2;
+      d.data_addr = data;
+      d.next_pc = d.pc + kInstrBytes;
+      d.taken = false;
+      d.ends_stream = false;
+      d.seq = seq_ + i;
     }
-    return d;
   }
+  seq_ += c.length;
+  stream_len_ += c.length;
 
-  switch (b.term) {
-    case TermKind::CondBranch: {
-      d.taken = eval_branch(cur_block_, b);
-      if (d.taken) {
-        const BasicBlock& t = prog_.blocks[b.taken_target];
-        d.next_pc = t.start;
+  if (cur_idx_ + c.length < b.num_instrs()) {
+    cur_idx_ += c.length;
+  } else {
+    switch (b.term) {
+      case TermKind::FallThrough:
+        enter_block(here + 1);
+        break;
+      case TermKind::CondBranch:
+        c.taken = eval_branch(here, b);
+        if (c.taken) {
+          c.next_pc = prog_.blocks[b.taken_target].start;
+          enter_block(b.taken_target);
+        } else {
+          enter_block(here + 1);
+        }
+        break;
+      case TermKind::Jump:
+        c.taken = true;
+        c.next_pc = prog_.blocks[b.taken_target].start;
         enter_block(b.taken_target);
-      } else {
-        d.next_pc = d.pc + kInstrBytes;
-        enter_block(cur_block_ + 1);
+        break;
+      case TermKind::Call:
+        c.taken = true;
+        c.next_pc = prog_.blocks[b.taken_target].start;
+        call_stack_.push_back(here + 1);  // continuation block
+        enter_block(b.taken_target);
+        break;
+      case TermKind::Return: {
+        c.taken = true;
+        PRESTAGE_ASSERT(!call_stack_.empty(),
+                        "return with an empty call stack");
+        const BlockId cont = call_stack_.back();
+        call_stack_.pop_back();
+        c.next_pc = prog_.blocks[cont].start;
+        enter_block(cont);
+        break;
       }
-      break;
     }
-    case TermKind::Jump: {
-      d.taken = true;
-      d.next_pc = prog_.blocks[b.taken_target].start;
-      enter_block(b.taken_target);
-      break;
-    }
-    case TermKind::Call: {
-      d.taken = true;
-      d.next_pc = prog_.blocks[b.taken_target].start;
-      call_stack_.push_back(cur_block_ + 1);  // continuation block
-      enter_block(b.taken_target);
-      break;
-    }
-    case TermKind::Return: {
-      d.taken = true;
-      PRESTAGE_ASSERT(!call_stack_.empty(),
-                      "return with an empty call stack");
-      const BlockId cont = call_stack_.back();
-      call_stack_.pop_back();
-      d.next_pc = prog_.blocks[cont].start;
-      enter_block(cont);
-      break;
-    }
-    case TermKind::FallThrough:
-      PRESTAGE_ASSERT(false, "unreachable");
   }
-  return d;
+  c.ends_stream = c.taken || stream_len_ >= bpred::kMaxStreamInstrs;
+  if (c.ends_stream) stream_len_ = 0;
+  if constexpr (kRecords) {
+    DynInst& last = out[c.length - 1];
+    last.taken = c.taken;
+    last.next_pc = c.next_pc;
+    last.ends_stream = c.ends_stream;
+  }
+  return c;
 }
 
 TraceGenerator::StreamChunk TraceGenerator::next_stream() {
   StreamChunk chunk;
-  chunk.insts.reserve(16);
-  stream_len_ = 0;
-  const BasicBlock& first = prog_.blocks[cur_block_];
-  chunk.stream.start =
-      first.start + static_cast<Addr>(cur_idx_) * kInstrBytes;
-
-  for (;;) {
-    // Region switching is evaluated at the dispatcher loop head so a
-    // phase persists through whole dispatcher iterations.
-    if (cur_idx_ == 0 && cur_block_ == prog_.dispatcher_head &&
-        prog_.num_regions > 1 && stream_len_ == 0 && seq_ > 0) {
-      maybe_switch_region();
-    }
-    DynInst d = step();
-    ++stream_len_;
-    const bool split = stream_len_ >= bpred::kMaxStreamInstrs;
-    d.ends_stream = d.taken || split;
-    chunk.insts.push_back(d);
-    if (d.ends_stream) {
-      chunk.stream.length = stream_len_;
-      chunk.stream.next_start = d.next_pc;
-      stream_len_ = 0;
-      return chunk;
-    }
-  }
+  chunk.insts.resize(bpred::kMaxStreamInstrs);
+  std::uint32_t len = 0;
+  Chunk c;
+  do {
+    c = advance<true>(bpred::kMaxStreamInstrs - len, chunk.insts.data() + len);
+    len += c.length;
+  } while (!c.ends_stream);
+  chunk.insts.resize(len);
+  chunk.stream.start = chunk.insts.front().pc;
+  chunk.stream.length = len;
+  chunk.stream.next_start = c.next_pc;
+  return chunk;
 }
 
 std::size_t TraceGenerator::fill(DynInst* out, std::size_t n) {
-  // The next_stream() loop flattened: stream_len_ persists across calls,
-  // so the region-switch hook and the ends_stream split fire exactly
-  // where the chunked walk would put them.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (stream_len_ == 0 && cur_idx_ == 0 &&
-        cur_block_ == prog_.dispatcher_head && prog_.num_regions > 1 &&
-        seq_ > 0) {
-      maybe_switch_region();
-    }
-    DynInst d = step();
-    ++stream_len_;
-    d.ends_stream = d.taken || stream_len_ >= bpred::kMaxStreamInstrs;
-    if (d.ends_stream) stream_len_ = 0;
-    out[i] = d;
-  }
+  for (std::size_t i = 0; i < n;) i += advance<true>(n - i, out + i).length;
   return n;
+}
+
+std::size_t TraceGenerator::fill_spans(TraceSpan* out, std::size_t max_spans,
+                                       std::uint64_t max_instructions) {
+  std::size_t spans = 0;
+  bool open = false;  // out[spans - 1] continues into the next chunk
+  while (max_instructions > 0 && (open || spans < max_spans)) {
+    const Chunk c = advance<false>(max_instructions, nullptr);
+    max_instructions -= c.length;
+    if (open) {
+      out[spans - 1].length += c.length;
+    } else {
+      out[spans++] = TraceSpan{c.start, c.length, false};
+    }
+    out[spans - 1].ends_stream = c.ends_stream;
+    open = !c.ends_stream;
+  }
+  return spans;
 }
 
 std::vector<Addr> TraceGenerator::call_stack_pcs(std::size_t max_depth) const {

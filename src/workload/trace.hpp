@@ -1,12 +1,13 @@
 // Dynamic execution: the oracle trace walker.
 //
 // TraceGenerator interprets a synthesized Program, producing the actual
-// (committed-path) instruction sequence one stream at a time. The CPU
-// model verifies the stream predictor's output against these actual
-// streams (prediction check), feeds correct-path instructions to the
-// back-end from them, and uses the walker's live call stack to repair the
-// RAS on misprediction recovery — mirroring how the paper's trace-driven
-// simulator combines a trace with a basic-block dictionary (§4).
+// (committed-path) instruction sequence a basic-block chunk at a time,
+// cut into streams at taken branches. The CPU model verifies the stream
+// predictor's output against these actual streams (prediction check),
+// feeds correct-path instructions to the back-end from them, and uses
+// the walker's live call stack to repair the RAS on misprediction
+// recovery — mirroring how the paper's trace-driven simulator combines a
+// trace with a basic-block dictionary (§4).
 #pragma once
 
 #include <cstdint>
@@ -41,13 +42,28 @@ struct StreamChunk {
   std::vector<DynInst> insts;
 };
 
+/// A pc-contiguous run of dynamic instructions: `length` records at
+/// start, start + 4, ...; only the last can end a stream. What a pass
+/// that needs only control flow (the BBV profiler, a snapshot walk)
+/// reads instead of DynInsts.
+struct TraceSpan {
+  Addr start = kNoAddr;
+  std::uint32_t length = 0;
+  bool ends_stream = false;  ///< the run's last instruction ends a stream
+};
+
 /// Where dynamic (committed-path) instructions come from.
 ///
 /// The CPU model is agnostic to the trace's origin: the synthetic walker
 /// (TraceGenerator), a recorded trace file replayed from disk, or an
-/// imported external trace (e.g. ChampSim) all present the same stream of
-/// StreamChunks. A source is conceptually infinite — next_stream() must
-/// always return a non-empty stream (file-backed sources wrap around).
+/// imported external trace (e.g. ChampSim) all present one flat record
+/// stream, read three ways: whole streams (next_stream), DynInst
+/// batches (fill — the oracle's path) and pc-contiguous spans
+/// (fill_spans — passes that need no per-instruction metadata). A
+/// source is conceptually infinite: file-backed sources wrap around.
+/// fill() and fill_spans() may be interleaved freely; mixing either
+/// with next_stream() on one source is undefined (the default fill()'s
+/// carry buffer would be bypassed).
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
@@ -61,10 +77,22 @@ class TraceSource {
   /// at will). Always returns n — sources are conceptually infinite.
   /// The default loops next_stream() through a carry buffer and is
   /// record-for-record identical to calling next_stream() directly;
-  /// sources with a cheaper batch path override it. Mixing fill() and
-  /// next_stream() calls on one source is undefined (the carry buffer
-  /// would be bypassed).
+  /// sources with a cheaper batch path override it.
   [[nodiscard]] virtual std::size_t fill(DynInst* out, std::size_t n);
+
+  /// Span walk: fills out[0..k) with the next records as pc-contiguous
+  /// spans and returns k <= @p max_spans. Stops after exactly
+  /// @p max_instructions records unless the spans run out first, so a
+  /// walk can land mid-block or mid-stream. Concatenated, the spans are
+  /// the records fill() would return (pc and ends_stream; the rest are
+  /// not materialized). A span ends at a stream end; other splits are
+  /// the source's choice. The default derives spans from fill(),
+  /// splitting at ends_stream and at any pc discontinuity, and never
+  /// reads a record it cannot place; the synthetic walker walks natively
+  /// and builds no DynInst.
+  [[nodiscard]] virtual std::size_t fill_spans(TraceSpan* out,
+                                               std::size_t max_spans,
+                                               std::uint64_t max_instructions);
 
   /// Total instructions emitted so far.
   [[nodiscard]] virtual std::uint64_t instructions() const = 0;
@@ -89,6 +117,13 @@ class TraceSource {
   std::size_t fill_carry_pos_ = 0;
 };
 
+/// The synthetic walker. One block-granular state machine (advance())
+/// drives all three read paths: each step covers a whole chunk of the
+/// current basic block, bounded by the block end, the kMaxStreamInstrs
+/// split and the caller's limit, and draws that chunk's data addresses
+/// and its branch outcome in program order. The read paths differ only
+/// in what they write per chunk: records (fill, next_stream) or one
+/// span extension (fill_spans).
 class TraceGenerator final : public TraceSource {
  public:
   /// Compatibility alias: StreamChunk predates the TraceSource interface.
@@ -99,9 +134,15 @@ class TraceGenerator final : public TraceSource {
   /// Produces the next actual stream (1..kMaxStreamInstrs instructions).
   [[nodiscard]] StreamChunk next_stream() override;
 
-  /// Native batch path: the next_stream() walk flattened to one record
-  /// per iteration — no chunk vector, no carry copy.
+  /// Native batch path: records written a block chunk at a time.
   [[nodiscard]] std::size_t fill(DynInst* out, std::size_t n) override;
+
+  /// Native span path: the same walk, no records. A generator stream is
+  /// always pc-contiguous (blocks are laid out back to back), so each
+  /// span is a whole stream or the part of one this call reached.
+  [[nodiscard]] std::size_t fill_spans(
+      TraceSpan* out, std::size_t max_spans,
+      std::uint64_t max_instructions) override;
 
   /// Total instructions emitted so far.
   [[nodiscard]] std::uint64_t instructions() const noexcept override {
@@ -125,7 +166,22 @@ class TraceGenerator final : public TraceSource {
   }
 
  private:
-  [[nodiscard]] DynInst step();
+  /// One advance(): `length` instructions from `start`; the rest
+  /// describes the last of them.
+  struct Chunk {
+    Addr start = kNoAddr;
+    std::uint32_t length = 0;
+    bool taken = false;
+    bool ends_stream = false;
+    Addr next_pc = kNoAddr;
+  };
+
+  /// The walk core: advances by one block chunk of at most @p limit
+  /// (>= 1) instructions. With kRecords, also writes the chunk's
+  /// records to out[0..length).
+  template <bool kRecords>
+  Chunk advance(std::uint64_t limit, DynInst* out);
+
   [[nodiscard]] bool eval_branch(BlockId id, const BasicBlock& b);
   [[nodiscard]] Addr data_address(std::uint32_t site_id);
   void enter_block(BlockId id);

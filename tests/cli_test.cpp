@@ -899,6 +899,30 @@ TEST(CliFaults, SampleRunFallsBackOnCorruptCheckpoint) {
   EXPECT_TRUE(doc.at("checkpoint_fallback").boolean);
   EXPECT_GE(doc.at("result").at("cold_starts").number, 1.0);
 
+  // A count that lies about the bytes after it is corrupt too, however
+  // large: the 79-byte header of an eon plan with a slice count of
+  // 0xffffffff falls back, it does not exhaust memory.
+  const std::string lying = test_file("lying.psck");
+  ASSERT_EQ(run_cli("sample plan --bench eon --instrs 3000 --out " + lying,
+                    &output),
+            0)
+      << output;
+  std::string bytes = read_file(lying);
+  ASSERT_GT(bytes.size(), 79u);
+  ASSERT_EQ(bytes.substr(52, 3), "eon");  // u32 name length, then the name
+  bytes.resize(79);                       // ... up to the slice count
+  bytes.replace(75, 4, "\xff\xff\xff\xff");
+  { std::ofstream(lying, std::ios::binary | std::ios::trunc) << bytes; }
+  ASSERT_EQ(run_cli("sample run --bench eon --instrs 3000 --plan " + lying +
+                        " --json -",
+                    &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("falling back to a fresh plan"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("exceeds the bytes left"), std::string::npos)
+      << output;
+
   // A checkpoint for the wrong workload stays a hard usage error.
   const std::string other = test_file("other.psck");
   ASSERT_EQ(run_cli("sample plan --bench gzip --instrs 3000 --out " + other,

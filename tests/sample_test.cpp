@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/compare.hpp"
@@ -27,6 +29,7 @@
 #include "sample/plan.hpp"
 #include "sample/runner.hpp"
 #include "sim/presets.hpp"
+#include "workload/synthetic_spec.hpp"
 
 namespace {
 
@@ -201,6 +204,89 @@ TEST(SamplePlan, SnapshotsSitAtEachWarmStart) {
   EXPECT_THROW(sample::attach_snapshots(reversed, *base), SimError);
 }
 
+/// FNV-1a over the eight little-endian bytes of @p v.
+void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+void fnv_double(std::uint64_t& h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  fnv_mix(h, bits);
+}
+
+TEST(SamplePlan, BuildPlanMatchesParentPin) {
+  // Generated with the DynInst-batch profiler and snapshot walk that the
+  // span walks replaced: every benchmark at 1M instructions, 5k
+  // intervals, k <= 2, one interval of warm-up. The digest covers the
+  // slice table (weights bit-exact, warm lines), unique_blocks, bic_by_k
+  // and the first 1k records of every slice snapshot.
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"gzip", 0xc399d591554f5ec6ULL},    {"vpr", 0x93f927345e7b7c95ULL},
+      {"gcc", 0xd32a5e54990996d6ULL},     {"mcf", 0x2c0206c5448fdea9ULL},
+      {"crafty", 0x84f8814b63a51b2dULL},  {"parser", 0xccf6c6178eaa5d02ULL},
+      {"eon", 0xeebfea19d1a1b9ceULL},     {"perlbmk", 0x204f82ad55ce92c5ULL},
+      {"gap", 0xe1a6406570d8f16aULL},     {"vortex", 0x5787703f8cb47d83ULL},
+      {"bzip2", 0xd83e6ba2bda641c4ULL},   {"twolf", 0x538e9deb71776056ULL},
+  };
+  constexpr std::uint64_t kBudget = 1000000;
+  sample::SamplingParams knobs;
+  knobs.enabled = true;
+  knobs.interval_instructions = 5000;
+  knobs.max_clusters = 2;
+  knobs.warmup_intervals = 1;
+  const sample::ResolvedSamplingParams params = knobs.resolve(kBudget);
+  for (const auto& [bench, pin] : pins) {
+    const auto spec = workload::synthetic_workload(bench, 1);
+    const sample::SamplePlan plan =
+        sample::build_plan(*spec, 1, kBudget, params);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    fnv_mix(h, plan.total_instructions);
+    fnv_mix(h, plan.intervals);
+    fnv_mix(h, plan.unique_blocks);
+    fnv_mix(h, plan.clusters);
+    fnv_mix(h, plan.bic_by_k.size());
+    for (const double bic : plan.bic_by_k) fnv_double(h, bic);
+    fnv_mix(h, plan.slices.size());
+    for (const sample::Slice& s : plan.slices) {
+      fnv_mix(h, s.start);
+      fnv_mix(h, s.instructions);
+      fnv_mix(h, s.interval_index);
+      fnv_mix(h, s.cluster);
+      fnv_double(h, s.weight);
+      fnv_mix(h, s.warm_start);
+      fnv_mix(h, s.warm_lines.size());
+      for (const Addr line : s.warm_lines) fnv_mix(h, line);
+      std::vector<workload::DynInst> recs(1000);
+      (void)s.snapshot->clone()->fill(recs.data(), recs.size());
+      for (const workload::DynInst& d : recs) {
+        fnv_mix(h, d.pc);
+        fnv_mix(h, static_cast<std::uint64_t>(d.op));
+        fnv_mix(h, d.dst);
+        fnv_mix(h, d.src1);
+        fnv_mix(h, d.src2);
+        fnv_mix(h, d.data_addr);
+        fnv_mix(h, d.next_pc);
+        fnv_mix(h, d.taken ? 1U : 0U);
+        fnv_mix(h, d.ends_stream ? 1U : 0U);
+        fnv_mix(h, d.seq);
+      }
+    }
+    EXPECT_EQ(h, pin) << bench;
+
+    // The profile pass stops exactly where its last interval closes.
+    const auto source = spec->make_source(18);
+    const sample::TraceProfile profile = sample::profile_source(
+        *source, kBudget, params.interval_instructions, params.dim,
+        params.warm_lines);
+    EXPECT_EQ(source->instructions(), profile.total_instructions) << bench;
+    EXPECT_EQ(profile.total_instructions, plan.total_instructions) << bench;
+  }
+}
+
 TEST(PlanCache, ConcurrentFirstTouchSharesOnePlan) {
   // A budget no other test plans at, so all eight threads race the
   // first build of this key.
@@ -335,6 +421,51 @@ TEST(SampleCheckpoint, RejectsCorruptBytes) {
   {
     std::vector<std::uint8_t> bad = bytes;
     bad.push_back(0);
+    EXPECT_THROW(sample::deserialize_checkpoint(bad.data(), bad.size()),
+                 SimError);
+  }
+  // Lying counts fail typed before anything is reserved for them. A
+  // count is refused once its items, each at their smallest encoding
+  // (slice 48 bytes, warm line 8, state 8), overrun the bytes left.
+  const auto u32_at = [](const std::vector<std::uint8_t>& b, std::size_t at) {
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<std::uint32_t>(b[at + i]) << (8 * i);
+    }
+    return v;
+  };
+  const auto with_u32 = [](std::vector<std::uint8_t> b, std::size_t at,
+                           std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    return b;
+  };
+  const std::size_t slice_count_at = 72 + cp.plan.workload.size();
+  const std::size_t warm_count_at = slice_count_at + 4 + 44;
+  const std::size_t state_count_at = bytes.size() - 4;
+  ASSERT_EQ(u32_at(bytes, slice_count_at), cp.plan.slices.size());
+  ASSERT_EQ(u32_at(bytes, warm_count_at),
+            cp.plan.slices.front().warm_lines.size());
+  ASSERT_EQ(u32_at(bytes, state_count_at), 0u);
+  const std::pair<std::size_t, std::size_t> counts[] = {
+      {slice_count_at, 48}, {warm_count_at, 8}, {state_count_at, 8}};
+  for (const auto& [at, item_bytes] : counts) {
+    const std::size_t left = bytes.size() - at - 4;
+    for (const std::uint32_t lie :
+         {0xffffffffU, static_cast<std::uint32_t>(left / item_bytes + 1)}) {
+      const std::vector<std::uint8_t> bad = with_u32(bytes, at, lie);
+      EXPECT_THROW(sample::deserialize_checkpoint(bad.data(), bad.size()),
+                   SimError)
+          << "count at byte " << at << " = " << lie;
+    }
+  }
+  // The 79-byte header that ends in a slice count of 0xffffffff.
+  {
+    const std::vector<std::uint8_t> bad = with_u32(
+        std::vector<std::uint8_t>(
+            bytes.begin(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(slice_count_at + 4)),
+        slice_count_at, 0xffffffffU);
+    ASSERT_EQ(bad.size(), 79u);
     EXPECT_THROW(sample::deserialize_checkpoint(bad.data(), bad.size()),
                  SimError);
   }
