@@ -5,6 +5,9 @@
 // prefetcher registry.
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "cpu/cpu.hpp"
 #include "frontend/fetch_queue.hpp"
 #include "mem/ifetch_caches.hpp"
 #include "mem/memsys.hpp"
@@ -15,6 +18,7 @@
 #include "prefetch/program_map.hpp"
 #include "prefetch/registry.hpp"
 #include "prefetch/stream.hpp"
+#include "sim/presets.hpp"
 
 namespace prestage::prefetch {
 namespace {
@@ -685,6 +689,105 @@ TEST(ProgramMap, ConsumePromotesAndFrees) {
   rig.pm.on_fetch_from_pb(0x8000, 61);
   EXPECT_FALSE(rig.pm.probe(0x8000).present);
   EXPECT_TRUE(rig.caches.probe_l1(0x8000));
+}
+
+// --- whole-machine pin for the buffered schemes -----------------------------
+
+/// FNV-1a over the eight little-endian bytes of @p v.
+void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// Mixes every simulated RunResult statistic (the set the cycle-skip
+/// equivalence test compares) and the scheme's own counters into @p h.
+void digest_run(std::uint64_t& h, const cpu::Cpu& machine,
+                const cpu::RunResult& r) {
+  fnv_mix(h, r.instructions);
+  fnv_mix(h, r.cycles);
+  fnv_mix(h, std::bit_cast<std::uint64_t>(r.ipc));
+  for (int i = 0; i < kNumFetchSources; ++i) {
+    fnv_mix(h, r.fetch_sources.count(static_cast<FetchSource>(i)));
+    fnv_mix(h, r.prefetch_sources.count(static_cast<FetchSource>(i)));
+  }
+  fnv_mix(h, r.lines_fetched);
+  fnv_mix(h, r.recoveries);
+  fnv_mix(h, r.blocks_predicted);
+  fnv_mix(h, std::bit_cast<std::uint64_t>(r.mispredicts_per_kilo_instr));
+  fnv_mix(h, r.l2_hits);
+  fnv_mix(h, r.l2_misses);
+  fnv_mix(h, r.dcache_misses);
+  fnv_mix(h, r.prefetches_issued);
+
+  const IPrefetcher& p = machine.prefetcher();
+  if (const auto* fdp = dynamic_cast<const FdpPrefetcher*>(&p)) {
+    fnv_mix(h, fdp->requests_filtered.value());
+    fnv_mix(h, fdp->pb_occupancy_stalls.value());
+  } else if (const auto* s = dynamic_cast<const StreamPrefetcher*>(&p)) {
+    fnv_mix(h, s->regions_recorded.value());
+    fnv_mix(h, s->region_replays.value());
+  } else if (const auto* m = dynamic_cast<const ManaPrefetcher*>(&p)) {
+    fnv_mix(h, m->records_created.value());
+    fnv_mix(h, m->record_replays.value());
+    fnv_mix(h, m->chain_replays.value());
+    fnv_mix(h, m->hobp_invalidations.value());
+  } else if (const auto* pm = dynamic_cast<const ProgramMapPrefetcher*>(&p)) {
+    fnv_mix(h, pm->nodes_recorded.value());
+    fnv_mix(h, pm->edges_strengthened.value());
+    fnv_mix(h, pm->traversals.value());
+    fnv_mix(h, pm->backward_edges.value());
+  } else {
+    EXPECT_NE(dynamic_cast<const NextLinePrefetcher*>(&p), nullptr)
+        << "unexpected scheme " << machine.config().prefetcher;
+  }
+}
+
+TEST(BufferedSchemes, MatchParentPin) {
+  // Whole runs long enough to fill the buffer (LRU reclaim, FDP's
+  // consume while a transfer is in flight, stalls on a full buffer) and
+  // small L1s so prefetches come from every level. Each literal digests
+  // six runs (L1 1K and 4K x gcc, eon, mcf at 50k instructions, 45 nm).
+  // The golden pins check IPC and fetch sources only; this one also
+  // pins prefetch sources and every counter a buffered scheme keeps.
+  struct Pin {
+    const char* preset;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"fdp", 0xbbbbb51b1307c952ULL},
+      {"fdp-l0", 0x9301ecc62cdc4bd7ULL},
+      {"fdp-l0-pb16", 0x8d37870e42a63c10ULL},
+      {"next-line", 0x731b33b5d14d8e24ULL},
+      {"next-line-l0", 0xb97fd3c8538ac1c9ULL},
+      {"next-line-l0-pb16", 0xc1ee653e0992f917ULL},
+      {"stream", 0x5918f547626728faULL},
+      {"stream-l0", 0x138ddc14f41d91ddULL},
+      {"stream-l0-pb16", 0x6f75cd27b15bac2bULL},
+      {"mana", 0x0e70633c488f7703ULL},
+      {"mana-l0", 0x62f5eb0765d8e43aULL},
+      {"mana-l0-pb16", 0xa9c77d2920691448ULL},
+      {"program-map", 0xe328ffae3869a1f2ULL},
+      {"program-map-l0", 0xcf5e8b591750574bULL},
+      {"program-map-l0-pb16", 0xdc85401f78c4d6c5ULL},
+  };
+  for (const Pin& pin : pins) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint64_t l1 : {1024U, 4096U}) {
+      for (const char* bench : {"gcc", "eon", "mcf"}) {
+        cpu::MachineConfig cfg =
+            sim::make_config(pin.preset, cacti::TechNode::um045, l1);
+        cfg.benchmark = bench;
+        cfg.max_instructions = 50000;
+        cpu::Cpu machine(cfg);
+        const cpu::RunResult r = machine.run();
+        digest_run(h, machine, r);
+      }
+    }
+    EXPECT_EQ(h, pin.digest)
+        << pin.preset << ": 0x" << std::hex << h << "ULL";
+  }
 }
 
 // --- registry ---------------------------------------------------------------
