@@ -51,9 +51,6 @@ class ClgpPrestager final : public prefetch::IPrefetcher {
                 mem::IFetchCaches& caches, mem::MemSystem& mem);
 
   [[nodiscard]] prefetch::PreBufferProbe probe(Addr line) const override;
-  [[nodiscard]] int pb_latency() const override {
-    return config_.pb_latency;
-  }
   [[nodiscard]] mem::LatencyPort* pb_port() override { return &port_; }
   void on_fetch_from_pb(Addr line, Cycle now) override;
   void tick(Cycle now) override;

@@ -95,8 +95,7 @@ void FetchEngine::initiate(Cycle now) {
     }
     mem::LatencyPort* port = prefetcher_.pb_port();
     PRESTAGE_ASSERT(port != nullptr, "pre-buffer probe without a port");
-    const bool streaming =
-        port->pipelined() || prefetcher_.pb_latency() == 1;
+    const bool streaming = port->pipelined() || port->latency() == 1;
     if (!pending_all_streaming ||
         (!streaming && (!pending_.empty() || line_buffer_.active))) {
       stall_cycles_structural.add();
@@ -108,7 +107,7 @@ void FetchEngine::initiate(Cycle now) {
     }
     const Cycle port_done = port->issue(now);
     const Cycle data_done =
-        pb.data_ready + static_cast<Cycle>(prefetcher_.pb_latency());
+        pb.data_ready + static_cast<Cycle>(port->latency());
     p.ready = std::max(port_done, data_done);
     p.source = FetchSource::PreBuffer;
     p.streaming = streaming;
@@ -235,8 +234,7 @@ IdlePlan FetchEngine::idle_plan(Cycle now, const IFetchSink& sink) {
     }
     mem::LatencyPort* port = prefetcher_.pb_port();
     PRESTAGE_ASSERT(port != nullptr, "pre-buffer probe without a port");
-    const bool streaming =
-        port->pipelined() || prefetcher_.pb_latency() == 1;
+    const bool streaming = port->pipelined() || port->latency() == 1;
     if (!pending_all_streaming ||
         (!streaming && (!pending_.empty() || line_buffer_.active))) {
       plan.per_cycle = &stall_cycles_structural;  // engine drain unblocks

@@ -1,74 +1,17 @@
 #include "prefetch/fdp.hpp"
 
-#include "cacti/storage.hpp"
-#include "common/prestage_assert.hpp"
 #include "prefetch/registry.hpp"
 
 namespace prestage::prefetch {
 
 FdpPrefetcher::FdpPrefetcher(const FdpConfig& config,
+                             const PrefetchBufferConfig& buffer,
                              frontend::FetchTargetQueue& ftq,
                              mem::IFetchCaches& caches, mem::MemSystem& mem)
-    : config_(config),
+    : BufferedPrefetcher(buffer, Arrival::Tracked, caches, mem),
+      config_(config),
       ftq_(ftq),
-      caches_(caches),
-      mem_(mem),
-      port_(config.pb_latency, config.pb_pipelined),
-      entries_(config.entries) {
-  PRESTAGE_ASSERT(config.entries >= 1);
-}
-
-FdpPrefetcher::Entry* FdpPrefetcher::find(Addr line) {
-  for (Entry& e : entries_) {
-    if (e.allocated && e.line == line) return &e;
-  }
-  return nullptr;
-}
-
-const FdpPrefetcher::Entry* FdpPrefetcher::find(Addr line) const {
-  return const_cast<FdpPrefetcher*>(this)->find(line);
-}
-
-FdpPrefetcher::Entry* FdpPrefetcher::allocate() {
-  Entry* victim = nullptr;
-  for (Entry& e : entries_) {
-    if (!e.allocated) return &e;
-  }
-  // LRU fallback over arrived-but-unused entries (see header).
-  for (Entry& e : entries_) {
-    if (!e.valid) continue;  // in-flight entries cannot be reclaimed
-    if (victim == nullptr || e.lru < victim->lru) victim = &e;
-  }
-  return victim;
-}
-
-PreBufferProbe FdpPrefetcher::probe(Addr line) const {
-  const Entry* e = find(line);
-  if (e == nullptr) return {};
-  return PreBufferProbe{true, e->valid ? 0 : e->ready};
-}
-
-void FdpPrefetcher::on_fetch_from_pb(Addr line, Cycle now) {
-  Entry* e = find(line);
-  PRESTAGE_ASSERT(e != nullptr, "PB consume of absent line");
-  e->lru = ++lru_clock_;
-  if (e->valid) {
-    promote_and_free(*e);
-  } else {
-    // Consumed while the fill is still in flight: promote on arrival.
-    e->promote_on_fill = true;
-  }
-  (void)now;
-}
-
-void FdpPrefetcher::promote_and_free(Entry& e) {
-  // Paper §3.1/§3.1.1: a used line moves to the I-cache (L0 if present),
-  // and the entry becomes available for new prefetches.
-  caches_.fill_promoted(e.line);
-  e.allocated = false;
-  e.valid = false;
-  e.promote_on_fill = false;
-}
+      caches_(caches) {}
 
 bool FdpPrefetcher::process_line(Addr line, Cycle now,
                                  bool& issued_transfer) {
@@ -78,58 +21,28 @@ bool FdpPrefetcher::process_line(Addr line, Cycle now,
                                       : caches_.probe_l1(line);
   if (one_cycle_resident) {
     requests_filtered.add();
-    sources_.add(caches_.has_l0() ? FetchSource::L0 : FetchSource::L1);
+    buffer_.record_source(caches_.has_l0() ? FetchSource::L0
+                                           : FetchSource::L1);
     return true;
   }
-  if (find(line) != nullptr) {
-    sources_.add(FetchSource::PreBuffer);  // already staged or in flight
+  if (buffer_.contains(line)) {
+    buffer_.record_source(FetchSource::PreBuffer);  // staged or in flight
     return true;
   }
   if (issued_transfer) return false;  // one new transfer per cycle
 
-  Entry* e = allocate();
-  if (e == nullptr) {
-    pb_occupancy_stalls.add();
-    return false;
-  }
   // With an L0, prefetches are served by the (multi-cycle) L1 first
   // (§3.1.1); without one, filtering guarantees the line is not in L1.
-  if (caches_.has_l0() && caches_.probe_l1(line)) {
-    if (!caches_.prefetch_port().can_accept(now)) return false;
-    const Cycle done = caches_.prefetch_port().issue(now);
-    *e = Entry{line, done, ++lru_clock_, e->gen + 1, true, false, false};
-    sources_.add(FetchSource::L1);
-    prefetches_issued.add();
-    issued_transfer = true;
-    return true;
-  }
-  *e = Entry{line, kNoCycle, ++lru_clock_, e->gen + 1, true, false, false};
-  const std::uint64_t gen = e->gen;
-  Entry* slot = e;
-  mem_.submit(mem::ReqType::IPrefetch, line, now,
-              [this, slot, line, gen](FetchSource src, Cycle ready) {
-                if (!slot->allocated || slot->gen != gen ||
-                    slot->line != line) {
-                  return;  // entry was reclaimed meanwhile
-                }
-                slot->ready = ready;
-                slot->valid = true;
-                sources_.add(src);
-                if (slot->promote_on_fill) promote_and_free(*slot);
-              });
-  prefetches_issued.add();
-  issued_transfer = true;
-  return true;
+  // An L1 transfer becomes valid only when tick() settles it.
+  const IssueResult r = buffer_.issue(line, now);
+  if (r == IssueResult::Full) pb_occupancy_stalls.add();
+  issued_transfer = r == IssueResult::Started;
+  return issued_transfer;
 }
 
 void FdpPrefetcher::tick(Cycle now) {
   // Make in-flight L1->PB transfers visible once their port time passes.
-  for (Entry& e : entries_) {
-    if (e.allocated && !e.valid && e.ready != kNoCycle && e.ready <= now) {
-      e.valid = true;
-      if (e.promote_on_fill) promote_and_free(e);
-    }
-  }
+  buffer_.settle(now);
   std::uint32_t examined = 0;
   bool issued_transfer = false;
   for (std::size_t b = 0; b < ftq_.size(); ++b) {
@@ -154,9 +67,7 @@ IdlePlan FdpPrefetcher::idle_plan(Cycle now) {
     if (c < plan.next_event) plan.next_event = c;
   };
   // Settle loop: known-time L1->PB transfers become visible at `ready`.
-  for (const Entry& e : entries_) {
-    if (e.allocated && !e.valid && e.ready != kNoCycle) consider(e.ready);
-  }
+  consider(buffer_.next_settle());
   if (plan.next_event <= now) return plan;  // a settle fires this cycle
 
   // The scan's frozen state is classified by its first unscanned line:
@@ -173,23 +84,15 @@ IdlePlan FdpPrefetcher::idle_plan(Cycle now) {
     const bool one_cycle_resident = caches_.has_l0()
                                         ? caches_.probe_l0(line)
                                         : caches_.probe_l1(line);
-    if (one_cycle_resident || find(line) != nullptr) {
+    if (one_cycle_resident || buffer_.contains(line)) {
       plan.next_event = now;
       return plan;
     }
-    bool can_allocate = false;
-    for (const Entry& e : entries_) {
-      if (!e.allocated || e.valid) {
-        can_allocate = true;
-        break;
-      }
-    }
-    if (!can_allocate) {
+    if (!buffer_.can_allocate()) {
       plan.per_cycle = &pb_occupancy_stalls;
       return plan;  // a settle (above) or a consume/fill unblocks
     }
-    if (caches_.has_l0() && caches_.probe_l1(line) &&
-        !caches_.prefetch_port().can_accept(now)) {
+    if (caches_.probe_l1(line) && !caches_.prefetch_port().can_accept(now)) {
       consider(caches_.prefetch_port().next_free());
       return plan;  // port drains on its own; no counter in this state
     }
@@ -197,25 +100,6 @@ IdlePlan FdpPrefetcher::idle_plan(Cycle now) {
     return plan;
   }
   return plan;  // nothing to scan; only a settle (if any) is due
-}
-
-void FdpPrefetcher::on_recovery(Cycle now) {
-  // The FTQ (and its scan cursors) is flushed by the CPU; prefetched
-  // lines stay in the buffer — the paper keeps wrong-path prefetches as
-  // potentially useful (§3.2.3 discusses the same for CLGP).
-  (void)now;
-}
-
-std::uint64_t FdpPrefetcher::storage_bits() const {
-  // Fully-associative prefetch buffer: data + tag + valid/in-flight
-  // state per entry. FDP keeps no history tables.
-  return cacti::line_buffer_bits(config_.entries, config_.line_bytes, 2);
-}
-
-std::uint32_t FdpPrefetcher::valid_entries() const {
-  std::uint32_t n = 0;
-  for (const Entry& e : entries_) n += (e.allocated && e.valid);
-  return n;
 }
 
 void register_fdp_prefetcher(PrefetcherRegistry& r) {
@@ -226,14 +110,10 @@ void register_fdp_prefetcher(PrefetcherRegistry& r) {
          .build = [](const BuildInputs& in) {
            auto ftq = std::make_unique<frontend::FetchTargetQueue>(
                in.config.queue_blocks, in.config.line_bytes);
-           FdpConfig cfg;
-           cfg.entries = in.config.prebuffer_entries;
-           cfg.pb_latency = in.timings.prebuffer_latency;
-           cfg.pb_pipelined = in.config.prebuffer_pipelined;
-           cfg.line_bytes = in.config.line_bytes;
            PrefetcherBuild b;
            b.prefetcher = std::make_unique<FdpPrefetcher>(
-               cfg, *ftq, in.caches, in.mem);
+               FdpConfig{}, prefetch_buffer_config(in), *ftq, in.caches,
+               in.mem);
            b.queue = std::move(ftq);
            return b;
          }});

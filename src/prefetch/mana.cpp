@@ -7,46 +7,20 @@
 namespace prestage::prefetch {
 
 ManaPrefetcher::ManaPrefetcher(const ManaConfig& config,
+                               const PrefetchBufferConfig& buffer,
                                mem::IFetchCaches& caches,
                                mem::MemSystem& mem)
-    : config_(config),
-      caches_(caches),
-      mem_(mem),
-      port_(config.pb_latency, config.pb_pipelined),
-      entries_(config.entries),
+    : BufferedPrefetcher(buffer, Arrival::Assumed, caches, mem),
+      config_(config),
       table_(config.table_entries),
       hobpt_(config.hobpt_entries, kNoAddr) {
-  PRESTAGE_ASSERT(config.entries >= 1 && config.table_entries >= 1 &&
-                  config.hobpt_entries >= 1);
+  PRESTAGE_ASSERT(config.table_entries >= 1 && config.hobpt_entries >= 1);
   PRESTAGE_ASSERT(config.region_span >= 1 && config.region_span <= 32);
   PRESTAGE_ASSERT(config.hobp_low_bits >= 1 && config.hobp_low_bits < 56);
 }
 
-ManaPrefetcher::Entry* ManaPrefetcher::find(Addr line) {
-  for (Entry& e : entries_) {
-    if (e.allocated && e.line == line) return &e;
-  }
-  return nullptr;
-}
-
-const ManaPrefetcher::Entry* ManaPrefetcher::find(Addr line) const {
-  return const_cast<ManaPrefetcher*>(this)->find(line);
-}
-
-ManaPrefetcher::Entry* ManaPrefetcher::allocate() {
-  Entry* victim = nullptr;
-  for (Entry& e : entries_) {
-    if (!e.allocated) return &e;
-  }
-  for (Entry& e : entries_) {
-    if (!e.valid) continue;  // in flight
-    if (victim == nullptr || e.lru < victim->lru) victim = &e;
-  }
-  return victim;
-}
-
 std::uint64_t ManaPrefetcher::line_number(Addr line) const {
-  return line / config_.line_bytes;
+  return line / buffer_.line_bytes();
 }
 
 std::size_t ManaPrefetcher::table_index(Addr trigger) const {
@@ -56,7 +30,7 @@ std::size_t ManaPrefetcher::table_index(Addr trigger) const {
 Addr ManaPrefetcher::record_trigger(const Record& r) const {
   const Addr pattern = hobpt_[r.hobp_index];
   if (pattern == kNoAddr) return kNoAddr;
-  return ((pattern << config_.hobp_low_bits) | r.low) * config_.line_bytes;
+  return ((pattern << config_.hobp_low_bits) | r.low) * buffer_.line_bytes();
 }
 
 std::uint32_t ManaPrefetcher::hobp_index_of(Addr trigger) {
@@ -89,21 +63,6 @@ std::uint32_t ManaPrefetcher::recorded_footprint(Addr trigger) const {
   return r.footprint;
 }
 
-PreBufferProbe ManaPrefetcher::probe(Addr line) const {
-  const Entry* e = find(line);
-  if (e == nullptr) return {};
-  return PreBufferProbe{true, e->ready};
-}
-
-void ManaPrefetcher::on_fetch_from_pb(Addr line, Cycle now) {
-  (void)now;
-  Entry* e = find(line);
-  PRESTAGE_ASSERT(e != nullptr, "PB consume of absent line");
-  caches_.fill_promoted(line);
-  e->allocated = false;
-  e->valid = false;
-}
-
 void ManaPrefetcher::finalize_region() {
   if (region_trigger_ != kNoAddr && region_footprint_ != 0) {
     const std::uint32_t index =
@@ -126,50 +85,13 @@ void ManaPrefetcher::finalize_region() {
   region_footprint_ = 0;
 }
 
-void ManaPrefetcher::prestage(Addr target, Cycle now) {
-  // Replays filter only against one-cycle-reachable structures; an
-  // L1-resident line is staged *from* the L1 into one-cycle reach
-  // (paper §3.1.1/§3.2.3), everything else fills from below.
-  if (find(target) != nullptr) {
-    sources_.add(FetchSource::PreBuffer);
-    return;
-  }
-  if (caches_.probe_l0(target)) {
-    sources_.add(FetchSource::L0);
-    return;
-  }
-  Entry* e = allocate();
-  if (e == nullptr) return;  // all entries in flight: drop the request
-  if (caches_.probe_l1(target)) {
-    if (!caches_.prefetch_port().can_accept(now)) return;
-    const Cycle done = caches_.prefetch_port().issue(now);
-    *e = Entry{target, done, ++lru_clock_, e->gen + 1, true, true};
-    sources_.add(FetchSource::L1);
-    prefetches_issued.add();
-    return;
-  }
-  *e = Entry{target, kNoCycle, ++lru_clock_, e->gen + 1, true, false};
-  const std::uint64_t gen = e->gen;
-  Entry* slot = e;
-  mem_.submit(mem::ReqType::IPrefetch, target, now,
-              [this, slot, target, gen](FetchSource src, Cycle ready) {
-                if (!slot->allocated || slot->gen != gen ||
-                    slot->line != target) {
-                  return;
-                }
-                slot->ready = ready;
-                slot->valid = true;
-                sources_.add(src);
-              });
-  prefetches_issued.add();
-}
-
 void ManaPrefetcher::replay_record(const Record& r, Cycle now) {
   const Addr trigger = record_trigger(r);
   if (trigger == kNoAddr) return;
   for (std::uint32_t d = 0; d < config_.region_span; ++d) {
     if ((r.footprint & (1U << d)) == 0) continue;
-    prestage(trigger + static_cast<Addr>(d + 1) * config_.line_bytes, now);
+    buffer_.prestage(
+        trigger + static_cast<Addr>(d + 1) * buffer_.line_bytes(), now);
   }
 }
 
@@ -188,7 +110,7 @@ void ManaPrefetcher::on_line_request(Addr line, Cycle now) {
       const Addr chained_trigger = record_trigger(chained);
       if (chained_trigger == kNoAddr) break;
       chain_replays.add();
-      prestage(chained_trigger, now);
+      buffer_.prestage(chained_trigger, now);
       replay_record(chained, now);
       next = chained.successor;
     }
@@ -229,13 +151,13 @@ std::uint64_t ManaPrefetcher::storage_bits() const {
   // Prestage buffer (data + tag + state), the MANA table (HOBP index +
   // low bits + footprint + successor + valid per record), and the HOBP
   // pattern table (high-order line-number bits per entry).
-  const std::uint32_t line_offset = cacti::index_bits(config_.line_bytes);
+  const std::uint32_t line_offset = cacti::index_bits(buffer_.line_bytes());
   const std::uint64_t record_bits =
       cacti::index_bits(config_.hobpt_entries) + config_.hobp_low_bits +
       config_.region_span + cacti::index_bits(config_.table_entries) + 1;
   const std::uint64_t pattern_bits =
       cacti::kPhysAddrBits - line_offset - config_.hobp_low_bits;
-  return cacti::line_buffer_bits(config_.entries, config_.line_bytes, 2) +
+  return buffer_.storage_bits() +
          cacti::table_bits(config_.table_entries, record_bits) +
          cacti::table_bits(config_.hobpt_entries, pattern_bits);
 }
@@ -251,13 +173,8 @@ void register_mana_prefetcher(PrefetcherRegistry& r) {
            PrefetcherBuild b;
            b.queue = std::make_unique<frontend::FetchTargetQueue>(
                in.config.queue_blocks, in.config.line_bytes);
-           ManaConfig cfg;
-           cfg.entries = in.config.prebuffer_entries;
-           cfg.pb_latency = in.timings.prebuffer_latency;
-           cfg.pb_pipelined = in.config.prebuffer_pipelined;
-           cfg.line_bytes = in.config.line_bytes;
            b.prefetcher = std::make_unique<ManaPrefetcher>(
-               cfg, in.caches, in.mem);
+               ManaConfig{}, prefetch_buffer_config(in), in.caches, in.mem);
            return b;
          }});
 }

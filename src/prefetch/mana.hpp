@@ -27,8 +27,8 @@
 //    region so wrong-path requests never become a record; the table
 //    itself describes previously observed control flow and is kept.
 //
-// The prestage buffer uses the same machinery as the stream scheme:
-// entries freed + promoted on use, replays filtered only against
+// Replayed lines go through PrefetchBuffer::prestage(), as in the stream
+// scheme: entries freed + promoted on use, replays filtered only against
 // one-cycle structures (the buffer and the L0), L1-resident lines
 // staged *from* the L1 through its prefetch port (paper §3.1.1/§3.2.3).
 #pragma once
@@ -38,35 +38,23 @@
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mem/ifetch_caches.hpp"
-#include "mem/memsys.hpp"
-#include "prefetch/prefetcher.hpp"
+#include "prefetch/prefetch_buffer.hpp"
 
 namespace prestage::prefetch {
 
 struct ManaConfig {
-  std::uint32_t entries = 8;          ///< prestage buffer entries (lines)
   std::uint32_t table_entries = 128;  ///< MANA table (direct-mapped)
   std::uint32_t hobpt_entries = 8;    ///< HOBP FIFO pattern table
   std::uint32_t region_span = 8;      ///< footprint lines above the trigger
   std::uint32_t lookahead = 3;        ///< chained records replayed ahead
   std::uint32_t hobp_low_bits = 10;   ///< low line-number bits kept per record
-  int pb_latency = 1;
-  bool pb_pipelined = false;
-  std::uint32_t line_bytes = 64;
 };
 
-class ManaPrefetcher final : public IPrefetcher {
+class ManaPrefetcher final : public BufferedPrefetcher {
  public:
-  ManaPrefetcher(const ManaConfig& config, mem::IFetchCaches& caches,
-                 mem::MemSystem& mem);
+  ManaPrefetcher(const ManaConfig& config, const PrefetchBufferConfig& buffer,
+                 mem::IFetchCaches& caches, mem::MemSystem& mem);
 
-  [[nodiscard]] PreBufferProbe probe(Addr line) const override;
-  [[nodiscard]] int pb_latency() const override {
-    return config_.pb_latency;
-  }
-  [[nodiscard]] mem::LatencyPort* pb_port() override { return &port_; }
-  void on_fetch_from_pb(Addr line, Cycle now) override;
   void on_line_request(Addr line, Cycle now) override;
   void tick(Cycle /*now*/) override {}
   [[nodiscard]] IdlePlan idle_plan(Cycle) override {
@@ -75,16 +63,9 @@ class ManaPrefetcher final : public IPrefetcher {
     return {kNoCycle, nullptr};
   }
   void on_recovery(Cycle now) override;
-  [[nodiscard]] const SourceBreakdown& prefetch_sources() const override {
-    return sources_;
-  }
-  [[nodiscard]] std::uint64_t prefetches() const override {
-    return prefetches_issued.value();
-  }
   [[nodiscard]] std::uint64_t storage_bits() const override;
 
   // --- statistics -------------------------------------------------------
-  Counter prefetches_issued;   ///< transfers started (L1/L2/mem)
   Counter records_created;     ///< regions finalized into the MANA table
   Counter record_replays;      ///< trigger re-encounters that prestaged
   Counter chain_replays;       ///< successor records replayed ahead
@@ -105,21 +86,8 @@ class ManaPrefetcher final : public IPrefetcher {
     bool valid = false;
   };
 
-  struct Entry {
-    Addr line = kNoAddr;
-    Cycle ready = kNoCycle;
-    std::uint64_t lru = 0;
-    std::uint64_t gen = 0;
-    bool allocated = false;
-    bool valid = false;
-  };
-
   static constexpr std::uint32_t kNoSuccessor =
       static_cast<std::uint32_t>(-1);
-
-  [[nodiscard]] Entry* find(Addr line);
-  [[nodiscard]] const Entry* find(Addr line) const;
-  [[nodiscard]] Entry* allocate();
 
   [[nodiscard]] std::uint64_t line_number(Addr line) const;
   [[nodiscard]] std::size_t table_index(Addr trigger) const;
@@ -133,20 +101,12 @@ class ManaPrefetcher final : public IPrefetcher {
   void finalize_region();
   /// Prestages a record's trigger footprint (not the trigger itself).
   void replay_record(const Record& r, Cycle now);
-  /// Stages one line into the prestage buffer unless one-cycle reachable.
-  void prestage(Addr line, Cycle now);
 
   ManaConfig config_;
-  mem::IFetchCaches& caches_;
-  mem::MemSystem& mem_;
-  mem::LatencyPort port_;
-  std::vector<Entry> entries_;
   std::vector<Record> table_;
   std::vector<Addr> hobpt_;       ///< FIFO of high-order bit patterns
   std::uint32_t hobpt_next_ = 0;  ///< FIFO replacement cursor
   std::uint32_t hobpt_used_ = 0;
-  std::uint64_t lru_clock_ = 0;
-  SourceBreakdown sources_;
 
   // Region recorder state.
   Addr region_trigger_ = kNoAddr;

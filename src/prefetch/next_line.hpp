@@ -2,40 +2,28 @@
 // sequential scheme included as a related-work baseline for ablations.
 //
 // Every demand line request triggers prefetches of the next N sequential
-// lines into a small prefetch buffer with FDP-style entry management
-// (freed on use, promoted to L0/L1).
+// lines into the shared prefetch buffer (prefetch_buffer.hpp: freed on
+// use, promoted to L0/L1). Lines already in the L1, the L0 or the buffer
+// are skipped.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mem/ifetch_caches.hpp"
-#include "mem/memsys.hpp"
-#include "prefetch/prefetcher.hpp"
+#include "prefetch/prefetch_buffer.hpp"
 
 namespace prestage::prefetch {
 
 struct NextLineConfig {
-  std::uint32_t entries = 8;
   std::uint32_t degree = 2;  ///< lines prefetched ahead
-  int pb_latency = 1;
-  bool pb_pipelined = false;
-  std::uint32_t line_bytes = 64;
 };
 
-class NextLinePrefetcher final : public IPrefetcher {
+class NextLinePrefetcher final : public BufferedPrefetcher {
  public:
-  NextLinePrefetcher(const NextLineConfig& config, mem::IFetchCaches& caches,
-                     mem::MemSystem& mem);
+  NextLinePrefetcher(const NextLineConfig& config,
+                     const PrefetchBufferConfig& buffer,
+                     mem::IFetchCaches& caches, mem::MemSystem& mem);
 
-  [[nodiscard]] PreBufferProbe probe(Addr line) const override;
-  [[nodiscard]] int pb_latency() const override {
-    return config_.pb_latency;
-  }
-  [[nodiscard]] mem::LatencyPort* pb_port() override { return &port_; }
-  void on_fetch_from_pb(Addr line, Cycle now) override;
   void on_line_request(Addr line, Cycle now) override;
   void tick(Cycle /*now*/) override {}
   [[nodiscard]] IdlePlan idle_plan(Cycle) override {
@@ -43,38 +31,10 @@ class NextLinePrefetcher final : public IPrefetcher {
     // arrivals come through MemSystem callbacks or fetch-side probes.
     return {kNoCycle, nullptr};
   }
-  void on_recovery(Cycle now) override { (void)now; }
-  [[nodiscard]] const SourceBreakdown& prefetch_sources() const override {
-    return sources_;
-  }
-  [[nodiscard]] std::uint64_t prefetches() const override {
-    return prefetches_issued.value();
-  }
-  [[nodiscard]] std::uint64_t storage_bits() const override;
-
-  Counter prefetches_issued;
 
  private:
-  struct Entry {
-    Addr line = kNoAddr;
-    Cycle ready = kNoCycle;
-    std::uint64_t lru = 0;
-    std::uint64_t gen = 0;
-    bool allocated = false;
-    bool valid = false;
-  };
-
-  [[nodiscard]] Entry* find(Addr line);
-  [[nodiscard]] const Entry* find(Addr line) const;
-  [[nodiscard]] Entry* allocate();
-
   NextLineConfig config_;
   mem::IFetchCaches& caches_;
-  mem::MemSystem& mem_;
-  mem::LatencyPort port_;
-  std::vector<Entry> entries_;
-  std::uint64_t lru_clock_ = 0;
-  SourceBreakdown sources_;
 };
 
 }  // namespace prestage::prefetch

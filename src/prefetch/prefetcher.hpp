@@ -31,11 +31,9 @@ class IPrefetcher {
   /// Probes the pre-buffer for @p line (no side effects).
   [[nodiscard]] virtual PreBufferProbe probe(Addr line) const = 0;
 
-  /// Pre-buffer read latency in cycles (1 for one-cycle buffers; the
+  /// Pre-buffer read port, or nullptr when there is no pre-buffer. Its
+  /// latency is the buffer's read latency (1 for one-cycle buffers; the
   /// pipelined 16-entry buffer takes 2-3, §5).
-  [[nodiscard]] virtual int pb_latency() const = 0;
-
-  /// Pre-buffer read port, or nullptr when there is no pre-buffer.
   [[nodiscard]] virtual mem::LatencyPort* pb_port() = 0;
 
   /// The fetch stage consumed @p line from the pre-buffer. FDP frees the
@@ -112,7 +110,6 @@ class IPrefetcher {
 class NonePrefetcher final : public IPrefetcher {
  public:
   [[nodiscard]] PreBufferProbe probe(Addr) const override { return {}; }
-  [[nodiscard]] int pb_latency() const override { return 1; }
   [[nodiscard]] mem::LatencyPort* pb_port() override { return nullptr; }
   void on_fetch_from_pb(Addr, Cycle) override {}
   void tick(Cycle) override {}

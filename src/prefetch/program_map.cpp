@@ -7,46 +7,19 @@
 namespace prestage::prefetch {
 
 ProgramMapPrefetcher::ProgramMapPrefetcher(const ProgramMapConfig& config,
+                                           const PrefetchBufferConfig& buffer,
                                            frontend::FetchTargetQueue& ftq,
                                            mem::IFetchCaches& caches,
                                            mem::MemSystem& mem)
-    : config_(config),
+    : BufferedPrefetcher(buffer, Arrival::Assumed, caches, mem),
+      config_(config),
       ftq_(ftq),
-      caches_(caches),
-      mem_(mem),
-      port_(config.pb_latency, config.pb_pipelined),
-      entries_(config.entries),
       map_(config.map_entries) {
-  PRESTAGE_ASSERT(config.entries >= 1 && config.map_entries >= 1 &&
-                  config.depth >= 1);
-}
-
-ProgramMapPrefetcher::Entry* ProgramMapPrefetcher::find(Addr line) {
-  for (Entry& e : entries_) {
-    if (e.allocated && e.line == line) return &e;
-  }
-  return nullptr;
-}
-
-const ProgramMapPrefetcher::Entry* ProgramMapPrefetcher::find(
-    Addr line) const {
-  return const_cast<ProgramMapPrefetcher*>(this)->find(line);
-}
-
-ProgramMapPrefetcher::Entry* ProgramMapPrefetcher::allocate() {
-  Entry* victim = nullptr;
-  for (Entry& e : entries_) {
-    if (!e.allocated) return &e;
-  }
-  for (Entry& e : entries_) {
-    if (!e.valid) continue;  // in flight
-    if (victim == nullptr || e.lru < victim->lru) victim = &e;
-  }
-  return victim;
+  PRESTAGE_ASSERT(config.map_entries >= 1 && config.depth >= 1);
 }
 
 std::size_t ProgramMapPrefetcher::map_index(Addr start) const {
-  return static_cast<std::size_t>((start / config_.line_bytes) %
+  return static_cast<std::size_t>((start / buffer_.line_bytes()) %
                                   map_.size());
 }
 
@@ -64,21 +37,6 @@ std::uint32_t ProgramMapPrefetcher::recorded_edges(Addr start) const {
   return count;
 }
 
-PreBufferProbe ProgramMapPrefetcher::probe(Addr line) const {
-  const Entry* e = find(line);
-  if (e == nullptr) return {};
-  return PreBufferProbe{true, e->ready};
-}
-
-void ProgramMapPrefetcher::on_fetch_from_pb(Addr line, Cycle now) {
-  (void)now;
-  Entry* e = find(line);
-  PRESTAGE_ASSERT(e != nullptr, "PB consume of absent line");
-  caches_.fill_promoted(line);
-  e->allocated = false;
-  e->valid = false;
-}
-
 void ProgramMapPrefetcher::record_block(const frontend::FetchBlock& block,
                                         Addr successor) {
   if (successor == kNoAddr || block.length == 0) return;
@@ -90,7 +48,7 @@ void ProgramMapPrefetcher::record_block(const frontend::FetchBlock& block,
     n.valid = true;
     nodes_recorded.add();
   }
-  n.span_lines = frontend::lines_in_block(block, config_.line_bytes);
+  n.span_lines = frontend::lines_in_block(block, buffer_.line_bytes());
 
   // Edge update: strengthen a matching successor, else take an empty
   // slot, else displace the weakest edge (decay-and-replace).
@@ -135,52 +93,14 @@ void ProgramMapPrefetcher::traverse(Addr start, Cycle now) {
     // still gets its entry line staged — it IS the discontinuity.
     const Node* tn = lookup(target);
     const std::uint32_t span = tn != nullptr ? tn->span_lines : 1;
-    const Addr first_line =
-        target / config_.line_bytes * config_.line_bytes;
+    const Addr line_bytes = buffer_.line_bytes();
+    const Addr first_line = target / line_bytes * line_bytes;
     for (std::uint32_t d = 0; d < span; ++d) {
-      prestage(first_line + static_cast<Addr>(d) * config_.line_bytes,
-               now);
+      buffer_.prestage(first_line + static_cast<Addr>(d) * line_bytes, now);
     }
     if (tn == nullptr) return;
     n = tn;
   }
-}
-
-void ProgramMapPrefetcher::prestage(Addr target, Cycle now) {
-  // One-cycle filtering only (pre-buffer + L0); L1-resident lines are
-  // staged from the L1's prefetch port (paper §3.1.1/§3.2.3).
-  if (find(target) != nullptr) {
-    sources_.add(FetchSource::PreBuffer);
-    return;
-  }
-  if (caches_.probe_l0(target)) {
-    sources_.add(FetchSource::L0);
-    return;
-  }
-  Entry* e = allocate();
-  if (e == nullptr) return;  // all entries in flight: drop the request
-  if (caches_.probe_l1(target)) {
-    if (!caches_.prefetch_port().can_accept(now)) return;
-    const Cycle done = caches_.prefetch_port().issue(now);
-    *e = Entry{target, done, ++lru_clock_, e->gen + 1, true, true};
-    sources_.add(FetchSource::L1);
-    prefetches_issued.add();
-    return;
-  }
-  *e = Entry{target, kNoCycle, ++lru_clock_, e->gen + 1, true, false};
-  const std::uint64_t gen = e->gen;
-  Entry* slot = e;
-  mem_.submit(mem::ReqType::IPrefetch, target, now,
-              [this, slot, target, gen](FetchSource src, Cycle ready) {
-                if (!slot->allocated || slot->gen != gen ||
-                    slot->line != target) {
-                  return;
-                }
-                slot->ready = ready;
-                slot->valid = true;
-                sources_.add(src);
-              });
-  prefetches_issued.add();
 }
 
 void ProgramMapPrefetcher::tick(Cycle now) {
@@ -244,7 +164,7 @@ std::uint64_t ProgramMapPrefetcher::storage_bits() const {
   const std::uint64_t edge_bits = cacti::kPhysAddrBits + 2 + 1;
   const std::uint64_t node_bits =
       cacti::kPhysAddrBits + 3 + kMaxEdges * edge_bits + 1;
-  return cacti::line_buffer_bits(config_.entries, config_.line_bytes, 2) +
+  return buffer_.storage_bits() +
          cacti::table_bits(config_.map_entries, node_bits);
 }
 
@@ -258,14 +178,10 @@ void register_program_map_prefetcher(PrefetcherRegistry& r) {
          .build = [](const BuildInputs& in) {
            auto ftq = std::make_unique<frontend::FetchTargetQueue>(
                in.config.queue_blocks, in.config.line_bytes);
-           ProgramMapConfig cfg;
-           cfg.entries = in.config.prebuffer_entries;
-           cfg.pb_latency = in.timings.prebuffer_latency;
-           cfg.pb_pipelined = in.config.prebuffer_pipelined;
-           cfg.line_bytes = in.config.line_bytes;
            PrefetcherBuild b;
            b.prefetcher = std::make_unique<ProgramMapPrefetcher>(
-               cfg, *ftq, in.caches, in.mem);
+               ProgramMapConfig{}, prefetch_buffer_config(in), *ftq,
+               in.caches, in.mem);
            b.queue = std::move(ftq);
            return b;
          }});

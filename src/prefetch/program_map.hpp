@@ -24,9 +24,9 @@
 //    (the old walk described a squashed path) but the map is kept — it
 //    records retired, not speculative, control flow.
 //
-// Prestaging uses the shared one-cycle-filter machinery: already-staged
-// or L0-resident lines are skipped, L1-resident lines are staged from
-// the L1's prefetch port, the rest fill from L2/memory.
+// Prestaging uses PrefetchBuffer::prestage(): already-staged or
+// L0-resident lines are skipped, L1-resident lines are staged from the
+// L1's prefetch port, the rest fill from L2/memory.
 #pragma once
 
 #include <cstdint>
@@ -35,47 +35,29 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "frontend/fetch_queue.hpp"
-#include "mem/ifetch_caches.hpp"
-#include "mem/memsys.hpp"
-#include "prefetch/prefetcher.hpp"
+#include "prefetch/prefetch_buffer.hpp"
 
 namespace prestage::prefetch {
 
 struct ProgramMapConfig {
-  std::uint32_t entries = 8;        ///< prestage buffer entries (lines)
   std::uint32_t map_entries = 256;  ///< program-map nodes (direct-mapped)
   std::uint32_t depth = 4;          ///< nodes traversed ahead of fetch
   std::uint32_t record_per_cycle = 2;  ///< FTQ blocks recorded per cycle
-  int pb_latency = 1;
-  bool pb_pipelined = false;
-  std::uint32_t line_bytes = 64;
 };
 
-class ProgramMapPrefetcher final : public IPrefetcher {
+class ProgramMapPrefetcher final : public BufferedPrefetcher {
  public:
   ProgramMapPrefetcher(const ProgramMapConfig& config,
+                       const PrefetchBufferConfig& buffer,
                        frontend::FetchTargetQueue& ftq,
                        mem::IFetchCaches& caches, mem::MemSystem& mem);
 
-  [[nodiscard]] PreBufferProbe probe(Addr line) const override;
-  [[nodiscard]] int pb_latency() const override {
-    return config_.pb_latency;
-  }
-  [[nodiscard]] mem::LatencyPort* pb_port() override { return &port_; }
-  void on_fetch_from_pb(Addr line, Cycle now) override;
   void tick(Cycle now) override;
   [[nodiscard]] IdlePlan idle_plan(Cycle now) override;
   void on_recovery(Cycle now) override;
-  [[nodiscard]] const SourceBreakdown& prefetch_sources() const override {
-    return sources_;
-  }
-  [[nodiscard]] std::uint64_t prefetches() const override {
-    return prefetches_issued.value();
-  }
   [[nodiscard]] std::uint64_t storage_bits() const override;
 
   // --- statistics -------------------------------------------------------
-  Counter prefetches_issued;  ///< transfers started (L1/L2/mem)
   Counter nodes_recorded;     ///< retired blocks entered into the map
   Counter edges_strengthened; ///< successor confidence increments
   Counter traversals;         ///< map walks launched from a new frontier
@@ -101,19 +83,6 @@ class ProgramMapPrefetcher final : public IPrefetcher {
     bool valid = false;
   };
 
-  struct Entry {
-    Addr line = kNoAddr;
-    Cycle ready = kNoCycle;
-    std::uint64_t lru = 0;
-    std::uint64_t gen = 0;
-    bool allocated = false;
-    bool valid = false;
-  };
-
-  [[nodiscard]] Entry* find(Addr line);
-  [[nodiscard]] const Entry* find(Addr line) const;
-  [[nodiscard]] Entry* allocate();
-
   [[nodiscard]] std::size_t map_index(Addr start) const;
   [[nodiscard]] const Node* lookup(Addr start) const;
 
@@ -122,18 +91,10 @@ class ProgramMapPrefetcher final : public IPrefetcher {
   /// Walks the map from the node at @p start, prestaging the blocks its
   /// successor chain reaches.
   void traverse(Addr start, Cycle now);
-  /// Stages one line into the prestage buffer unless one-cycle reachable.
-  void prestage(Addr line, Cycle now);
 
   ProgramMapConfig config_;
   frontend::FetchTargetQueue& ftq_;
-  mem::IFetchCaches& caches_;
-  mem::MemSystem& mem_;
-  mem::LatencyPort port_;
-  std::vector<Entry> entries_;
   std::vector<Node> map_;
-  std::uint64_t lru_clock_ = 0;
-  SourceBreakdown sources_;
   Addr last_frontier_ = kNoAddr;  ///< last traversal start (re-arm guard)
 };
 

@@ -43,6 +43,13 @@ void register_base_prefetcher(PrefetcherRegistry& r) {
 
 }  // namespace
 
+PrefetchBufferConfig prefetch_buffer_config(const BuildInputs& in) {
+  return {.entries = in.config.prebuffer_entries,
+          .latency = in.timings.prebuffer_latency,
+          .pipelined = in.config.prebuffer_pipelined,
+          .line_bytes = in.config.line_bytes};
+}
+
 PrefetcherRegistry::PrefetcherRegistry() {
   // Registration order is presentation order (`prestage list`).
   register_base_prefetcher(*this);

@@ -27,6 +27,7 @@
 #include "frontend/fetch_queue.hpp"
 #include "mem/ifetch_caches.hpp"
 #include "mem/memsys.hpp"
+#include "prefetch/prefetch_buffer.hpp"
 #include "prefetch/prefetcher.hpp"
 
 namespace prestage::prefetch {
@@ -38,6 +39,11 @@ struct BuildInputs {
   mem::IFetchCaches& caches;
   mem::MemSystem& mem;
 };
+
+/// The machine's prefetch-buffer geometry (entries, CACTI-derived read
+/// latency, pipelining, line size), shared by every buffered scheme.
+[[nodiscard]] PrefetchBufferConfig prefetch_buffer_config(
+    const BuildInputs& in);
 
 /// What a factory produces: the decoupling queue the predictor fills and
 /// the prefetcher that scans it. Both are owned by the Cpu.

@@ -7,66 +7,23 @@
 namespace prestage::prefetch {
 
 StreamPrefetcher::StreamPrefetcher(const StreamConfig& config,
+                                   const PrefetchBufferConfig& buffer,
                                    mem::IFetchCaches& caches,
                                    mem::MemSystem& mem)
-    : config_(config),
-      caches_(caches),
-      mem_(mem),
-      port_(config.pb_latency, config.pb_pipelined),
-      entries_(config.entries),
+    : BufferedPrefetcher(buffer, Arrival::Assumed, caches, mem),
+      config_(config),
       table_(config.table_entries) {
-  PRESTAGE_ASSERT(config.entries >= 1 && config.table_entries >= 1 &&
-                  config.max_region_lines >= 2);
-}
-
-StreamPrefetcher::Entry* StreamPrefetcher::find(Addr line) {
-  for (Entry& e : entries_) {
-    if (e.allocated && e.line == line) return &e;
-  }
-  return nullptr;
-}
-
-const StreamPrefetcher::Entry* StreamPrefetcher::find(Addr line) const {
-  return const_cast<StreamPrefetcher*>(this)->find(line);
-}
-
-StreamPrefetcher::Entry* StreamPrefetcher::allocate() {
-  Entry* victim = nullptr;
-  for (Entry& e : entries_) {
-    if (!e.allocated) return &e;
-  }
-  for (Entry& e : entries_) {
-    if (!e.valid) continue;  // in flight
-    if (victim == nullptr || e.lru < victim->lru) victim = &e;
-  }
-  return victim;
+  PRESTAGE_ASSERT(config.table_entries >= 1 && config.max_region_lines >= 2);
 }
 
 std::size_t StreamPrefetcher::table_index(Addr trigger) const {
-  return static_cast<std::size_t>((trigger / config_.line_bytes) %
+  return static_cast<std::size_t>((trigger / buffer_.line_bytes()) %
                                   table_.size());
 }
 
 std::uint32_t StreamPrefetcher::recorded_region_lines(Addr trigger) const {
   const Region& r = table_[table_index(trigger)];
   return r.trigger == trigger ? r.lines : 0;
-}
-
-PreBufferProbe StreamPrefetcher::probe(Addr line) const {
-  const Entry* e = find(line);
-  if (e == nullptr) return {};
-  // ready is the (possibly future) arrival cycle for L1->PB transfers,
-  // kNoCycle while a below-L1 fill is still in flight.
-  return PreBufferProbe{true, e->ready};
-}
-
-void StreamPrefetcher::on_fetch_from_pb(Addr line, Cycle now) {
-  (void)now;
-  Entry* e = find(line);
-  PRESTAGE_ASSERT(e != nullptr, "PB consume of absent line");
-  caches_.fill_promoted(line);
-  e->allocated = false;
-  e->valid = false;
 }
 
 void StreamPrefetcher::finalize_region() {
@@ -80,53 +37,14 @@ void StreamPrefetcher::finalize_region() {
   region_lines_ = 0;
 }
 
-void StreamPrefetcher::prestage(Addr target, Cycle now) {
-  // Only one-cycle-reachable locations filter a replay (the pre-buffer
-  // itself, or the L0 when configured). The L1 is deliberately NOT
-  // filtered against: with a multi-cycle L1 the whole point is staging
-  // resident lines into one-cycle reach (paper §3.1.1/§3.2.3) — the
-  // transfer source below just changes to the L1's prefetch port.
-  if (find(target) != nullptr) {
-    sources_.add(FetchSource::PreBuffer);
-    return;
-  }
-  if (caches_.probe_l0(target)) {
-    sources_.add(FetchSource::L0);
-    return;
-  }
-  Entry* e = allocate();
-  if (e == nullptr) return;  // all entries in flight: drop the request
-  if (caches_.probe_l1(target)) {
-    if (!caches_.prefetch_port().can_accept(now)) return;
-    const Cycle done = caches_.prefetch_port().issue(now);
-    *e = Entry{target, done, ++lru_clock_, e->gen + 1, true, true};
-    sources_.add(FetchSource::L1);
-    prefetches_issued.add();
-    return;
-  }
-  *e = Entry{target, kNoCycle, ++lru_clock_, e->gen + 1, true, false};
-  const std::uint64_t gen = e->gen;
-  Entry* slot = e;
-  mem_.submit(mem::ReqType::IPrefetch, target, now,
-              [this, slot, target, gen](FetchSource src, Cycle ready) {
-                if (!slot->allocated || slot->gen != gen ||
-                    slot->line != target) {
-                  return;
-                }
-                slot->ready = ready;
-                slot->valid = true;
-                sources_.add(src);
-              });
-  prefetches_issued.add();
-}
-
 void StreamPrefetcher::on_line_request(Addr line, Cycle now) {
   // Replay: a recorded trigger prestages the rest of its region.
   const Region& hit = table_[table_index(line)];
   if (hit.trigger == line && hit.lines >= 2) {
     region_replays.add();
     for (std::uint32_t d = 1; d < hit.lines; ++d) {
-      prestage(line + static_cast<Addr>(d) * config_.line_bytes, now);
+      buffer_.prestage(line + static_cast<Addr>(d) * buffer_.line_bytes(),
+                       now);
     }
   }
 
@@ -138,7 +56,7 @@ void StreamPrefetcher::on_line_request(Addr line, Cycle now) {
     return;
   }
   if (line == region_last_) return;  // same line re-requested
-  if (line == region_last_ + config_.line_bytes) {
+  if (line == region_last_ + buffer_.line_bytes()) {
     region_last_ = line;
     if (++region_lines_ >= config_.max_region_lines) {
       // Cap reached: store this region and chain a fresh one from the
@@ -171,9 +89,9 @@ std::uint64_t StreamPrefetcher::storage_bits() const {
   // Pre-buffer plus the direct-mapped region table: each region record
   // holds a trigger-line tag and the recorded length.
   const std::uint64_t record_bits =
-      cacti::line_tag_bits(config_.line_bytes) +
+      cacti::line_tag_bits(buffer_.line_bytes()) +
       cacti::index_bits(config_.max_region_lines + 1);
-  return cacti::line_buffer_bits(config_.entries, config_.line_bytes, 2) +
+  return buffer_.storage_bits() +
          cacti::table_bits(config_.table_entries, record_bits);
 }
 
@@ -241,13 +159,9 @@ void register_stream_prefetcher(PrefetcherRegistry& r) {
            PrefetcherBuild b;
            b.queue = std::make_unique<frontend::FetchTargetQueue>(
                in.config.queue_blocks, in.config.line_bytes);
-           StreamConfig cfg;
-           cfg.entries = in.config.prebuffer_entries;
-           cfg.pb_latency = in.timings.prebuffer_latency;
-           cfg.pb_pipelined = in.config.prebuffer_pipelined;
-           cfg.line_bytes = in.config.line_bytes;
            b.prefetcher = std::make_unique<StreamPrefetcher>(
-               cfg, in.caches, in.mem);
+               StreamConfig{}, prefetch_buffer_config(in), in.caches,
+               in.mem);
            return b;
          }});
 }

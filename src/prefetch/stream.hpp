@@ -15,12 +15,11 @@
 //    (wrong-path lines must not be recorded as a stream) but keeps the
 //    table — recorded regions describe committed control flow.
 //
-// The pre-buffer uses FDP-style entry management (freed on use, promoted
-// to L0/L1), but replays filter only against one-cycle structures (the
-// buffer itself and the L0): L1-resident region lines are staged *from*
-// the L1 into one-cycle reach through the prefetch port — the paper's
-// §3.1.1/§3.2.3 insight that filtering against a multi-cycle L1 defeats
-// an instruction prefetcher when hits are the common case.
+// Replayed lines go through PrefetchBuffer::prestage(): only one-cycle
+// structures (the buffer itself and the L0) filter them, and
+// L1-resident lines are staged *from* the L1 into one-cycle reach — the
+// paper's §3.1.1/§3.2.3 insight that filtering against a multi-cycle L1
+// defeats an instruction prefetcher when hits are the common case.
 #pragma once
 
 #include <cstdint>
@@ -28,32 +27,21 @@
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mem/ifetch_caches.hpp"
-#include "mem/memsys.hpp"
-#include "prefetch/prefetcher.hpp"
+#include "prefetch/prefetch_buffer.hpp"
 
 namespace prestage::prefetch {
 
 struct StreamConfig {
-  std::uint32_t entries = 8;           ///< pre-buffer entries (lines)
   std::uint32_t table_entries = 128;   ///< region table size (direct-mapped)
   std::uint32_t max_region_lines = 8;  ///< cap on a recorded region
-  int pb_latency = 1;
-  bool pb_pipelined = false;
-  std::uint32_t line_bytes = 64;
 };
 
-class StreamPrefetcher final : public IPrefetcher {
+class StreamPrefetcher final : public BufferedPrefetcher {
  public:
-  StreamPrefetcher(const StreamConfig& config, mem::IFetchCaches& caches,
-                   mem::MemSystem& mem);
+  StreamPrefetcher(const StreamConfig& config,
+                   const PrefetchBufferConfig& buffer,
+                   mem::IFetchCaches& caches, mem::MemSystem& mem);
 
-  [[nodiscard]] PreBufferProbe probe(Addr line) const override;
-  [[nodiscard]] int pb_latency() const override {
-    return config_.pb_latency;
-  }
-  [[nodiscard]] mem::LatencyPort* pb_port() override { return &port_; }
-  void on_fetch_from_pb(Addr line, Cycle now) override;
   void on_line_request(Addr line, Cycle now) override;
   void tick(Cycle /*now*/) override {}
   [[nodiscard]] IdlePlan idle_plan(Cycle) override {
@@ -62,12 +50,6 @@ class StreamPrefetcher final : public IPrefetcher {
     return {kNoCycle, nullptr};
   }
   void on_recovery(Cycle now) override;
-  [[nodiscard]] const SourceBreakdown& prefetch_sources() const override {
-    return sources_;
-  }
-  [[nodiscard]] std::uint64_t prefetches() const override {
-    return prefetches_issued.value();
-  }
   [[nodiscard]] std::uint64_t storage_bits() const override;
 
   // Checkpointing (sampling): the region table is learned from committed
@@ -79,7 +61,6 @@ class StreamPrefetcher final : public IPrefetcher {
                                    std::size_t size) override;
 
   // --- statistics -------------------------------------------------------
-  Counter prefetches_issued;  ///< transfers started (L1/L2/mem)
   Counter regions_recorded;   ///< regions finalized into the table
   Counter region_replays;     ///< trigger re-encounters that prestaged
 
@@ -93,34 +74,14 @@ class StreamPrefetcher final : public IPrefetcher {
     std::uint32_t lines = 0;
   };
 
-  struct Entry {
-    Addr line = kNoAddr;
-    Cycle ready = kNoCycle;
-    std::uint64_t lru = 0;
-    std::uint64_t gen = 0;
-    bool allocated = false;
-    bool valid = false;
-  };
-
-  [[nodiscard]] Entry* find(Addr line);
-  [[nodiscard]] const Entry* find(Addr line) const;
-  [[nodiscard]] Entry* allocate();
   [[nodiscard]] std::size_t table_index(Addr trigger) const;
 
   /// Stores the in-flight region (if it spans 2+ lines) and resets the
   /// recorder.
   void finalize_region();
-  /// Stages one line into the pre-buffer unless it is already reachable.
-  void prestage(Addr line, Cycle now);
 
   StreamConfig config_;
-  mem::IFetchCaches& caches_;
-  mem::MemSystem& mem_;
-  mem::LatencyPort port_;
-  std::vector<Entry> entries_;
   std::vector<Region> table_;
-  std::uint64_t lru_clock_ = 0;
-  SourceBreakdown sources_;
 
   // Region recorder state.
   Addr region_trigger_ = kNoAddr;

@@ -29,8 +29,10 @@ struct FdpRig {
   mem::MemSystem mem;
   FdpPrefetcher fdp;
 
-  explicit FdpRig(const FdpConfig& cfg = {}, bool with_l0 = false)
-      : caches(make_caches(with_l0)), mem(make_mem()), fdp(cfg, ftq, caches, mem) {}
+  explicit FdpRig(const PrefetchBufferConfig& pb = {}, bool with_l0 = false)
+      : caches(make_caches(with_l0)),
+        mem(make_mem()),
+        fdp({}, pb, ftq, caches, mem) {}
 
   static mem::IFetchCaches make_caches(bool l0) {
     mem::IFetchCachesConfig c;
@@ -69,7 +71,7 @@ TEST(Fdp, PrefetchesFtqLinesIntoBuffer) {
   rig.push_block(0x1000);
   rig.run_cycles(0, 20);
   EXPECT_TRUE(rig.fdp.probe(0x1000).present);
-  EXPECT_EQ(rig.fdp.prefetches_issued.value(), 1u);
+  EXPECT_EQ(rig.fdp.prefetches(), 1u);
   EXPECT_EQ(rig.fdp.prefetch_sources().count(FetchSource::L2), 1u);
 }
 
@@ -81,15 +83,14 @@ TEST(Fdp, EnqueueCacheProbeFilteringSkipsResidentLines) {
   rig.push_block(0x1000);
   rig.run_cycles(0, 20);
   EXPECT_FALSE(rig.fdp.probe(0x1000).present);
-  EXPECT_EQ(rig.fdp.prefetches_issued.value(), 0u);
+  EXPECT_EQ(rig.fdp.prefetches(), 0u);
   EXPECT_EQ(rig.fdp.requests_filtered.value(), 1u);
 }
 
 TEST(Fdp, WithL0FiltersOnlyAgainstL0AndPrefetchesFromL1) {
   // Paper §3.1.1: with an L0, prefetches are served by the L1 so its
   // multi-cycle hit latency stops hurting the fetch stage.
-  FdpConfig cfg;
-  FdpRig rig(cfg, /*with_l0=*/true);
+  FdpRig rig({}, /*with_l0=*/true);
   rig.caches.l1().insert(0x1000);  // in L1 but not L0
   rig.push_block(0x1000);
   rig.run_cycles(0, 20);
@@ -134,9 +135,9 @@ TEST(Fdp, ConsumeWhileInFlightPromotesOnFill) {
 }
 
 TEST(Fdp, BufferFullStallsScan) {
-  FdpConfig cfg;
-  cfg.entries = 2;
-  FdpRig rig(cfg);
+  PrefetchBufferConfig pb;
+  pb.entries = 2;
+  FdpRig rig(pb);
   rig.push_block(0x1000);
   rig.push_block(0x2000);
   rig.push_block(0x3000);
@@ -147,9 +148,9 @@ TEST(Fdp, BufferFullStallsScan) {
 
 TEST(Fdp, LruFallbackReclaimsArrivedUnusedEntries) {
   // Wrong-path leftovers must not wedge the buffer (DESIGN.md deviation).
-  FdpConfig cfg;
-  cfg.entries = 2;
-  FdpRig rig(cfg);
+  PrefetchBufferConfig pb;
+  pb.entries = 2;
+  FdpRig rig(pb);
   rig.mem.l2().insert(0x1000);
   rig.mem.l2().insert(0x2000);
   rig.push_block(0x1000);
@@ -185,7 +186,7 @@ struct NlRig {
   explicit NlRig(const NextLineConfig& cfg = {})
       : caches(FdpRig::make_caches(false)),
         mem(FdpRig::make_mem()),
-        nl(cfg, caches, mem) {}
+        nl(cfg, {}, caches, mem) {}
 
   void run_cycles(Cycle from, Cycle to) {
     for (Cycle t = from; t <= to; ++t) {
@@ -241,7 +242,7 @@ struct StreamRig {
   explicit StreamRig(const StreamConfig& cfg = {})
       : caches(FdpRig::make_caches(false)),
         mem(FdpRig::make_mem()),
-        stream(cfg, caches, mem) {}
+        stream(cfg, {}, caches, mem) {}
 
   void run_cycles(Cycle from, Cycle to) {
     for (Cycle t = from; t <= to; ++t) {
@@ -286,7 +287,7 @@ TEST(Stream, ReplaysTheRegionOnTriggerReencounter) {
   rig.mem.tick(0);
   rig.request_run(0x1000, 3, 0);
   rig.stream.on_line_request(0x8000, 0);  // record {0x1000, 3 lines}
-  EXPECT_EQ(rig.stream.prefetches_issued.value(), 0u)
+  EXPECT_EQ(rig.stream.prefetches(), 0u)
       << "recording alone must not prefetch";
 
   rig.stream.on_line_request(0x1000, 1);  // trigger re-encountered
@@ -295,7 +296,7 @@ TEST(Stream, ReplaysTheRegionOnTriggerReencounter) {
   EXPECT_TRUE(rig.stream.probe(0x1040).present);
   EXPECT_TRUE(rig.stream.probe(0x1080).present);
   EXPECT_FALSE(rig.stream.probe(0x10C0).present) << "region is 3 lines";
-  EXPECT_EQ(rig.stream.prefetches_issued.value(), 2u);
+  EXPECT_EQ(rig.stream.prefetches(), 2u);
 }
 
 TEST(Stream, ReplayStagesL1ResidentLinesFromTheL1) {
@@ -312,7 +313,7 @@ TEST(Stream, ReplayStagesL1ResidentLinesFromTheL1) {
   rig.run_cycles(1, 30);
   EXPECT_TRUE(rig.stream.probe(0x1040).present);
   EXPECT_TRUE(rig.stream.probe(0x1080).present);
-  EXPECT_EQ(rig.stream.prefetches_issued.value(), 2u);
+  EXPECT_EQ(rig.stream.prefetches(), 2u);
   EXPECT_EQ(rig.stream.prefetch_sources().count(FetchSource::L1), 1u);
   EXPECT_EQ(rig.stream.prefetch_sources().count(FetchSource::L2), 1u);
 }
@@ -323,7 +324,7 @@ TEST(Stream, ReplaySkipsOneCycleReachableLines) {
   StreamConfig cfg;
   mem::IFetchCaches caches{FdpRig::make_caches(/*l0=*/true)};
   mem::MemSystem mem{FdpRig::make_mem()};
-  StreamPrefetcher stream{cfg, caches, mem};
+  StreamPrefetcher stream{cfg, {}, caches, mem};
   caches.fill_promoted(0x1040);  // into the L0
   mem.tick(0);
   for (int i = 0; i < 3; ++i) stream.on_line_request(0x1000 + i * 64, 0);
@@ -388,7 +389,7 @@ struct ManaRig {
   explicit ManaRig(const ManaConfig& cfg = {})
       : caches(FdpRig::make_caches(false)),
         mem(FdpRig::make_mem()),
-        mana(cfg, caches, mem) {}
+        mana(cfg, {}, caches, mem) {}
 
   void run_cycles(Cycle from, Cycle to) {
     for (Cycle t = from; t <= to; ++t) {
@@ -414,7 +415,7 @@ TEST(Mana, RecordsARegionWithItsFootprintOnDiscontinuity) {
   rig.mana.on_line_request(0x8000, 0);  // discontinuity finalizes it
   EXPECT_EQ(rig.mana.recorded_footprint(0x1000), 0b11u);
   EXPECT_EQ(rig.mana.records_created.value(), 1u);
-  EXPECT_EQ(rig.mana.prefetches_issued.value(), 0u)
+  EXPECT_EQ(rig.mana.prefetches(), 0u)
       << "recording alone must not prefetch";
 }
 
@@ -443,7 +444,7 @@ TEST(Mana, ReplaysTheFootprintOnTriggerReencounter) {
   EXPECT_TRUE(rig.mana.probe(0x1040).present);
   EXPECT_TRUE(rig.mana.probe(0x1080).present);
   EXPECT_FALSE(rig.mana.probe(0x10C0).present) << "footprint is 2 lines";
-  EXPECT_EQ(rig.mana.prefetches_issued.value(), 2u);
+  EXPECT_EQ(rig.mana.prefetches(), 2u);
 }
 
 TEST(Mana, ChainReplayRunsAheadAcrossDiscontinuities) {
@@ -464,7 +465,7 @@ TEST(Mana, ChainReplayRunsAheadAcrossDiscontinuities) {
   EXPECT_TRUE(rig.mana.probe(0x8000).present)
       << "the chained trigger itself is prestaged";
   EXPECT_TRUE(rig.mana.probe(0x8040).present);
-  EXPECT_EQ(rig.mana.prefetches_issued.value(), 4u);
+  EXPECT_EQ(rig.mana.prefetches(), 4u);
 }
 
 TEST(Mana, HobpEvictionInvalidatesDependentRecords) {
@@ -529,7 +530,7 @@ struct ProgramMapRig {
   explicit ProgramMapRig(const ProgramMapConfig& cfg = {})
       : caches(FdpRig::make_caches(false)),
         mem(FdpRig::make_mem()),
-        pm(cfg, ftq, caches, mem) {}
+        pm(cfg, {}, ftq, caches, mem) {}
 
   /// An oracle-verified block, as a retired control-flow edge source.
   void push_block(Addr start, std::uint32_t len = 8) {
@@ -576,7 +577,7 @@ TEST(ProgramMap, RecordsConsecutiveRetiredBlocksAsEdges) {
   rig.pm.tick(0);
   EXPECT_EQ(rig.pm.recorded_edges(0x1000), 1u);
   EXPECT_EQ(rig.pm.nodes_recorded.value(), 1u);
-  EXPECT_EQ(rig.pm.prefetches_issued.value(), 0u)
+  EXPECT_EQ(rig.pm.prefetches(), 0u)
       << "the frontier block is not mapped yet: nothing to traverse";
 }
 
@@ -647,7 +648,7 @@ TEST(ProgramMap, TraversalFollowsTheHighestConfidenceEdge) {
   EXPECT_TRUE(rig.pm.probe(0x8000).present)
       << "the stronger successor is the one walked";
   EXPECT_FALSE(rig.pm.probe(0x9000).present);
-  EXPECT_EQ(rig.pm.prefetches_issued.value(), 1u);
+  EXPECT_EQ(rig.pm.prefetches(), 1u);
 }
 
 TEST(ProgramMap, BackwardEdgesAreClassified) {
