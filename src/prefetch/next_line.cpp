@@ -18,16 +18,17 @@ NextLinePrefetcher::NextLinePrefetcher(const NextLineConfig& config,
 void NextLinePrefetcher::on_line_request(Addr line, Cycle now) {
   for (std::uint32_t d = 1; d <= config_.degree; ++d) {
     const Addr target = line + static_cast<Addr>(d) * buffer_.line_bytes();
-    const bool resident = caches_.probe_l1(target) ||
-                          caches_.probe_l0(target) ||
-                          buffer_.contains(target);
-    if (resident) {
-      buffer_.record_source(buffer_.contains(target) ? FetchSource::PreBuffer
-                                                     : FetchSource::L1);
-      continue;
+    // A line already at hand is counted where it is (Figure 8); any
+    // other is fetched from below the L1.
+    if (buffer_.contains(target)) {
+      buffer_.record_source(FetchSource::PreBuffer);
+    } else if (caches_.probe_l1(target)) {
+      buffer_.record_source(FetchSource::L1);
+    } else if (caches_.probe_l0(target)) {
+      buffer_.record_source(FetchSource::L0);
+    } else if (buffer_.issue(target, now) == IssueResult::Full) {
+      return;
     }
-    // Not L1-resident, so the transfer comes from below the L1.
-    if (buffer_.issue(target, now) == IssueResult::Full) return;
   }
 }
 

@@ -183,8 +183,8 @@ struct NlRig {
   mem::MemSystem mem;
   NextLinePrefetcher nl;
 
-  explicit NlRig(const NextLineConfig& cfg = {})
-      : caches(FdpRig::make_caches(false)),
+  explicit NlRig(const NextLineConfig& cfg = {}, bool with_l0 = false)
+      : caches(FdpRig::make_caches(with_l0)),
         mem(FdpRig::make_mem()),
         nl(cfg, {}, caches, mem) {}
 
@@ -230,6 +230,18 @@ TEST(NextLine, ConsumePromotesAndFrees) {
   rig.nl.on_fetch_from_pb(0x1040, 31);
   EXPECT_FALSE(rig.nl.probe(0x1040).present);
   EXPECT_TRUE(rig.caches.probe_l1(0x1040));
+}
+
+TEST(NextLine, L0OnlyLineIsAttributedToL0) {
+  // Figure 8: a successor the L0 holds but the L1 does not (a promoted
+  // line, or one the fetch stage filled into the L0 only) was found in
+  // the L0.
+  NlRig rig({}, /*with_l0=*/true);
+  rig.caches.fill_l0_only(0x1040);
+  rig.mem.tick(0);
+  rig.nl.on_line_request(0x1000, 0);
+  EXPECT_EQ(rig.nl.prefetch_sources().count(FetchSource::L0), 1u);
+  EXPECT_EQ(rig.nl.prefetch_sources().count(FetchSource::L1), 0u);
 }
 
 // --- stream/discontinuity prefetcher ---------------------------------------
@@ -761,8 +773,10 @@ TEST(BufferedSchemes, MatchParentPin) {
       {"fdp-l0", 0x9301ecc62cdc4bd7ULL},
       {"fdp-l0-pb16", 0x8d37870e42a63c10ULL},
       {"next-line", 0x731b33b5d14d8e24ULL},
-      {"next-line-l0", 0xb97fd3c8538ac1c9ULL},
-      {"next-line-l0-pb16", 0xc1ee653e0992f917ULL},
+      // With an L0, next-line counts an L0-only successor as an L0
+      // prefetch source; the parent counted it as L1.
+      {"next-line-l0", 0x5cb6cf31fb04e16bULL},
+      {"next-line-l0-pb16", 0x99b16016be94ae5dULL},
       {"stream", 0x5918f547626728faULL},
       {"stream-l0", 0x138ddc14f41d91ddULL},
       {"stream-l0-pb16", 0x6f75cd27b15bac2bULL},
