@@ -1,7 +1,8 @@
-// Ablation study of CLGP's design decisions (our extension; DESIGN.md §6):
-// starting from the paper's CLGP+L0 at a 4 KB L1 / 0.045um, each row turns
-// one mechanism off (or swaps in a related-work alternative) to measure
-// what it contributes:
+// Ablation study of CLGP's design decisions (an extension beyond the
+// paper; the prefetch-buffer behaviours it swaps in are those of
+// src/prefetch/prefetch_buffer.hpp): starting from the paper's CLGP+L0 at
+// a 4 KB L1 / 0.045um, each row turns one mechanism off (or swaps in a
+// related-work alternative) to measure what it contributes:
 //   * consumers counter  -> free-on-first-use replacement (prefetch-buffer
 //     style), isolating the lifetime-management contribution;
 //   * no-filtering       -> FDP-style cache-probe filtering added;

@@ -304,6 +304,21 @@ print("sampled: perf sidecar reports effective speedup "
 EOF
 fi
 
+# --- Debug: the cycle-skip contract with asserts live ------------------------
+# Every other stage builds with NDEBUG, so the asserts in Cpu::try_skip
+# (each unit's idle_plan agrees with what its tick would do over the
+# skipped span) run only here: the cycle-skip equivalence grid over
+# every preset, the buffered-scheme pin and the prefetcher unit tests,
+# in a Debug build of just those two test binaries.
+cmake --preset debug > /dev/null
+cmake --build --preset debug -j --target equivalence_test prefetch_test
+./build-debug/tests/equivalence_test --gtest_brief=1 \
+  --gtest_filter='CycleSkipEquivalence.*'
+SCHEMES='Fdp.*:NextLine.*:Stream.*:Mana.*:ProgramMap.*'
+./build-debug/tests/prefetch_test --gtest_brief=1 \
+  --gtest_filter="BufferedSchemes.*:$SCHEMES"
+echo "debug: skip-contract asserts hold for every preset and buffered scheme"
+
 # --- sanitizer smoke ---------------------------------------------------------
 # ASan+UBSan build of the CLI, then one run per *registered* prefetcher
 # (with an L0, matching the family grid) — the preset list is derived

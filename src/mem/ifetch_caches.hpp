@@ -73,9 +73,9 @@ class IFetchCaches {
     }
   }
 
-  /// Fill used when a prefetch is served out of L1 into a pre-buffer and
-  /// the L0 should also learn the line: not used by the paper's policies
-  /// (no replication), present for ablations.
+  /// Installs @p line into the L0 only (no-op without one). The fetch
+  /// engine calls it on every L1 demand hit, so a filter-cache L0 learns
+  /// each line the fetch stage touches.
   void fill_l0_only(Addr line) {
     if (l0_) l0_->insert(line);
   }

@@ -10,11 +10,12 @@
 // CLTQ while FDP-family schemes scan (or ignore) a block-granular FTQ.
 //
 // Adding a new scheme is a one-directory change under src/prefetch/:
-// implement IPrefetcher, define a `register_<name>_prefetcher()` that
-// adds a PrefetcherInfo, and call it from the builtin list in
-// registry.cpp (see README "Adding a prefetcher"). Out-of-tree code
-// (tests, experiments) can also register at static-init or run time via
-// PrefetcherRegistrar.
+// implement IPrefetcher (a scheme with a conventional prefetch buffer
+// derives from BufferedPrefetcher), define a
+// `register_<name>_prefetcher()` that adds a PrefetcherInfo, and call it
+// from the builtin list in registry.cpp (see README "Adding a
+// prefetcher"). Out-of-tree code (tests, experiments) can also register
+// at static-init or run time via PrefetcherRegistrar.
 #pragma once
 
 #include <functional>

@@ -147,7 +147,8 @@ TEST(Fdp, BufferFullStallsScan) {
 }
 
 TEST(Fdp, LruFallbackReclaimsArrivedUnusedEntries) {
-  // Wrong-path leftovers must not wedge the buffer (DESIGN.md deviation).
+  // Wrong-path leftovers must not wedge the buffer (the LRU-reclaim
+  // deviation documented in prefetch/prefetch_buffer.hpp).
   PrefetchBufferConfig pb;
   pb.entries = 2;
   FdpRig rig(pb);
