@@ -10,9 +10,10 @@
 //    get staged into one-cycle reach);
 //  * on a fetch hit, the line is promoted out of the buffer (to the L0
 //    when present, else the L1) and the entry is freed — the simple
-//    replacement policy whose cost CLGP's consumers counter removes
-//    (prefetch_buffer.hpp, which also documents the LRU-reclaim
-//    deviation).
+//    replacement policy whose cost CLGP's consumers counter removes.
+//
+// The buffer itself, and its LRU-reclaim deviation from the paper, live
+// in prefetch_buffer.hpp.
 #pragma once
 
 #include <cstdint>
