@@ -174,8 +174,10 @@ std::string render_sources(const ResultGrid& grid, bool prefetch) {
     for (const cacti::TechNode node : spec.nodes) {
       std::vector<SourceBreakdown> rows;
       for (const std::uint64_t size : spec.l1_sizes) {
-        rows.push_back(prefetch ? grid.prefetch_sources(p, node, size)
-                                : grid.fetch_sources(p, node, size));
+        rows.push_back(grid.sources(prefetch
+                                        ? &cpu::RunResult::prefetch_sources
+                                        : &cpu::RunResult::fetch_sources,
+                                    p, node, size));
       }
       const bool has_l0 = sim::parse_spec(p)->has_l0;
       out << sim::render_source_chart(

@@ -323,7 +323,8 @@ echo "debug: skip-contract asserts hold for every preset and buffered scheme"
 # ASan+UBSan build of the CLI, then one run per *registered* prefetcher
 # (with an L0, matching the family grid) — the preset list is derived
 # from `prestage list`, so a newly registered scheme is exercised under
-# sanitizers automatically — and two sampled runs.
+# sanitizers automatically — two sampled runs, and a store with an
+# out-of-range count.
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target prestage_cli
 PREFETCHERS=$(./build-asan/src/cli/prestage list |
@@ -345,6 +346,22 @@ echo "sanitizer   : prestage sample run (fresh plan, then --plan)"
 ./build-asan/src/cli/prestage sample run --preset clgp-l0 --bench eon \
   --instrs $SAMPLE_INSTRS --plan build/ci-plan.psck > /dev/null
 echo "sanitizer: fresh and checkpointed sampled runs ran clean"
+# A hostile store: 1e300 has no uint64 value, so casting it would trip
+# float-cast-overflow (which GCC's -fsanitize=undefined leaves out, hence
+# its own entry in the preset). The loader must drop the line instead.
+echo "sanitizer   : prestage campaign status on a store with cycles 1e300"
+rm -f build-asan/ci-hostile.jsonl build-asan/ci-hostile.jsonl.perf
+./build-asan/src/cli/prestage campaign run --name smoke --instrs 1200 \
+  --store build-asan/ci-hostile.jsonl -j 2 > /dev/null
+sed -i '1s/"cycles":[0-9]*/"cycles":1e300/' build-asan/ci-hostile.jsonl
+./build-asan/src/cli/prestage campaign status --name smoke --instrs 1200 \
+  --store build-asan/ci-hostile.jsonl --json - > build-asan/ci-hostile.json
+if ! grep -q '"corrupt_dropped": 1,' build-asan/ci-hostile.json; then
+  echo "sanitizer: the 1e300 line was not dropped as corrupt" >&2
+  cat build-asan/ci-hostile.json >&2
+  exit 1
+fi
+echo "sanitizer: the out-of-range count was dropped as corrupt"
 
 # --- race-detector smoke -----------------------------------------------------
 # ThreadSanitizer build of the multi-worker surfaces: the campaign

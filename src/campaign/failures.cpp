@@ -35,8 +35,7 @@ FailureRecord decode_failure_line(std::string_view line) {
   r.benchmark = doc.at("benchmark").as_string();
   r.error_class = doc.at("error_class").as_string();
   r.message = doc.at("message").as_string();
-  r.attempts =
-      static_cast<std::uint64_t>(doc.at("attempts").as_number());
+  r.attempts = doc.at("attempts").as_u64();
   return r;
 }
 

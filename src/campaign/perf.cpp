@@ -176,7 +176,7 @@ PerfDocument parse_perf_document(std::string_view text) {
   }
   const auto aggregate = [](const json::Value& v) {
     PerfAggregate agg;
-    agg.points = static_cast<std::size_t>(v.at("points").as_number());
+    agg.points = static_cast<std::size_t>(v.at("points").as_u64());
     agg.host_seconds = v.at("host_seconds").as_number();
     agg.minstr_per_sec = v.at("minstr_per_sec").as_number();
     return agg;
@@ -186,7 +186,7 @@ PerfDocument parse_perf_document(std::string_view text) {
   out.summary.total = aggregate(doc);
   if (doc.has("dropped_lines")) {
     out.summary.dropped_lines =
-        static_cast<std::size_t>(doc.at("dropped_lines").as_number());
+        static_cast<std::size_t>(doc.at("dropped_lines").as_u64());
   }
   for (const json::Value& entry : doc.at("per_config").array) {
     out.summary.per_config.emplace_back(entry.at("config").as_string(),

@@ -62,32 +62,15 @@ double ResultGrid::hmean_ipc(const std::string& preset,
   return harmonic_mean(ipcs);
 }
 
-SourceBreakdown ResultGrid::fetch_sources(const std::string& preset,
-                                          cacti::TechNode node,
-                                          std::uint64_t l1i_size) const {
+SourceBreakdown ResultGrid::sources(SourceBreakdown cpu::RunResult::*which,
+                                    const std::string& preset,
+                                    cacti::TechNode node,
+                                    std::uint64_t l1i_size) const {
   SourceBreakdown total;
   for (const std::string& bench : benchmarks_) {
     const PointResult* r = at(preset, node, l1i_size, bench);
     PRESTAGE_ASSERT(r != nullptr, "grid cell missing from store");
-    for (int i = 0; i < kNumFetchSources; ++i) {
-      const auto s = static_cast<FetchSource>(i);
-      total.add(s, r->result.fetch_sources.count(s));
-    }
-  }
-  return total;
-}
-
-SourceBreakdown ResultGrid::prefetch_sources(const std::string& preset,
-                                             cacti::TechNode node,
-                                             std::uint64_t l1i_size) const {
-  SourceBreakdown total;
-  for (const std::string& bench : benchmarks_) {
-    const PointResult* r = at(preset, node, l1i_size, bench);
-    PRESTAGE_ASSERT(r != nullptr, "grid cell missing from store");
-    for (int i = 0; i < kNumFetchSources; ++i) {
-      const auto s = static_cast<FetchSource>(i);
-      total.add(s, r->result.prefetch_sources.count(s));
-    }
+    total += r->result.*which;
   }
   return total;
 }
@@ -154,9 +137,10 @@ void write_sources(JsonWriter& json, const ResultGrid& grid,
   for (const std::string& preset : grid.presets()) {
     for (const cacti::TechNode node : spec.nodes) {
       for (const std::uint64_t size : spec.l1_sizes) {
-        const SourceBreakdown sb =
-            prefetch ? grid.prefetch_sources(preset, node, size)
-                     : grid.fetch_sources(preset, node, size);
+        const SourceBreakdown sb = grid.sources(
+            prefetch ? &cpu::RunResult::prefetch_sources
+                     : &cpu::RunResult::fetch_sources,
+            preset, node, size);
         json.begin_object();
         json.field("preset", preset);
         json.field("node", cacti::to_string(node));

@@ -53,13 +53,11 @@ class ResultGrid {
                                  cacti::TechNode node,
                                  std::uint64_t l1i_size) const;
 
-  /// Aggregated source distributions over the benchmark axis.
-  [[nodiscard]] SourceBreakdown fetch_sources(const std::string& preset,
-                                              cacti::TechNode node,
-                                              std::uint64_t l1i_size) const;
-  [[nodiscard]] SourceBreakdown prefetch_sources(
-      const std::string& preset, cacti::TechNode node,
-      std::uint64_t l1i_size) const;
+  /// One source breakdown (RunResult::fetch_sources or
+  /// prefetch_sources) summed over the benchmark axis.
+  [[nodiscard]] SourceBreakdown sources(
+      SourceBreakdown cpu::RunResult::*which, const std::string& preset,
+      cacti::TechNode node, std::uint64_t l1i_size) const;
 
  private:
   const CampaignSpec* spec_;

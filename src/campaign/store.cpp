@@ -16,32 +16,6 @@
 
 namespace prestage::campaign {
 
-namespace {
-
-SourceBreakdown read_breakdown(const json::Value& v) {
-  SourceBreakdown sb;
-  for (int i = 0; i < kNumFetchSources; ++i) {
-    const auto s = static_cast<FetchSource>(i);
-    sb.add(s, static_cast<std::uint64_t>(
-                  v.at(std::string(to_string(s))).as_number()));
-  }
-  return sb;
-}
-
-std::uint64_t read_u64(const json::Value& v, const char* field) {
-  return static_cast<std::uint64_t>(v.at(field).as_number());
-}
-
-/// Doubles round-trip through the writer's `%.10g` (and NaN/Inf become
-/// null); a null reads back as 0.0 so stores with degenerate stats stay
-/// loadable.
-double read_double(const json::Value& v, const char* field) {
-  const json::Value& f = v.at(field);
-  return f.is_null() ? 0.0 : f.as_number();
-}
-
-}  // namespace
-
 std::string encode_line(const PointResult& r) {
   std::ostringstream out;
   JsonWriter json(out, JsonWriter::Style::Compact);
@@ -56,34 +30,13 @@ std::string encode_line(const PointResult& r) {
   json.field("seed", r.seed);
   json.key("result");
   json.begin_object();
-  json.field("instructions", r.result.instructions);
-  json.field("cycles", r.result.cycles);
-  json.field("ipc", r.result.ipc);
-  json.field("mispredicts_per_kilo_instr",
-             r.result.mispredicts_per_kilo_instr);
-  json.field("recoveries", r.result.recoveries);
-  json.field("blocks_predicted", r.result.blocks_predicted);
-  json.field("lines_fetched", r.result.lines_fetched);
-  json.field("prefetches_issued", r.result.prefetches_issued);
-  json.field("l2_hits", r.result.l2_hits);
-  json.field("l2_misses", r.result.l2_misses);
-  json.field("dcache_misses", r.result.dcache_misses);
-  json.key("fetch_sources");
-  write_source_counts(json, r.result.fetch_sources);
-  json.key("prefetch_sources");
-  write_source_counts(json, r.result.prefetch_sources);
+  cpu::write_result_body(json, r.result);
   // Additive sampling block: only sampled estimates carry it, so every
   // full-run store (and golden pin) stays byte-identical.
   if (r.result.sampled) {
     json.key("sampling");
     json.begin_object();
-    json.field("ipc_error", r.result.ipc_error);
-    json.field("intervals", r.result.sample_intervals);
-    json.field("clusters", r.result.sample_clusters);
-    json.field("slices", r.result.sample_slices);
-    json.field("cold_starts", r.result.sample_cold_starts);
-    json.field("simulated_instructions",
-               r.result.sample_simulated_instructions);
+    cpu::write_sampling_fields(json, r.result);
     json.end_object();
   }
   json.end_object();
@@ -102,37 +55,11 @@ PointResult decode_line(std::string_view line) {
   r.config = doc.has("config") ? doc.at("config").as_string() : r.preset;
   r.node = doc.at("node").as_string();
   r.benchmark = doc.at("benchmark").as_string();
-  r.l1i_size = read_u64(doc, "l1i_size");
-  r.instructions = read_u64(doc, "instructions");
-  r.seed = read_u64(doc, "seed");
-
-  const json::Value& res = doc.at("result");
+  r.l1i_size = doc.at("l1i_size").as_u64();
+  r.instructions = doc.at("instructions").as_u64();
+  r.seed = doc.at("seed").as_u64();
+  r.result = cpu::read_result_body(doc.at("result"));
   r.result.benchmark = r.benchmark;
-  r.result.instructions = read_u64(res, "instructions");
-  r.result.cycles = read_u64(res, "cycles");
-  r.result.ipc = read_double(res, "ipc");
-  r.result.mispredicts_per_kilo_instr =
-      read_double(res, "mispredicts_per_kilo_instr");
-  r.result.recoveries = read_u64(res, "recoveries");
-  r.result.blocks_predicted = read_u64(res, "blocks_predicted");
-  r.result.lines_fetched = read_u64(res, "lines_fetched");
-  r.result.prefetches_issued = read_u64(res, "prefetches_issued");
-  r.result.l2_hits = read_u64(res, "l2_hits");
-  r.result.l2_misses = read_u64(res, "l2_misses");
-  r.result.dcache_misses = read_u64(res, "dcache_misses");
-  r.result.fetch_sources = read_breakdown(res.at("fetch_sources"));
-  r.result.prefetch_sources = read_breakdown(res.at("prefetch_sources"));
-  if (res.has("sampling")) {
-    const json::Value& s = res.at("sampling");
-    r.result.sampled = true;
-    r.result.ipc_error = read_double(s, "ipc_error");
-    r.result.sample_intervals = read_u64(s, "intervals");
-    r.result.sample_clusters = read_u64(s, "clusters");
-    r.result.sample_slices = read_u64(s, "slices");
-    r.result.sample_cold_starts = read_u64(s, "cold_starts");
-    r.result.sample_simulated_instructions =
-        read_u64(s, "simulated_instructions");
-  }
   return r;
 }
 

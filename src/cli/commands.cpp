@@ -48,21 +48,10 @@ bool validate_benchmarks(const std::vector<std::string>& requested) {
 void write_run_result(JsonWriter& json, const cpu::RunResult& r) {
   json.begin_object();
   json.field("benchmark", r.benchmark);
-  json.field("instructions", r.instructions);
-  json.field("cycles", r.cycles);
-  json.field("ipc", r.ipc);
-  json.field("mispredicts_per_kilo_instr", r.mispredicts_per_kilo_instr);
-  json.field("recoveries", r.recoveries);
-  json.field("lines_fetched", r.lines_fetched);
-  json.field("prefetches_issued", r.prefetches_issued);
-  json.field("l2_hits", r.l2_hits);
-  json.field("l2_misses", r.l2_misses);
+  cpu::write_result_body(json, r);
   json.field("host_seconds", r.host_seconds);
   json.field("minstr_per_sec", r.minstr_per_sec);
-  json.key("fetch_sources");
-  write_source_counts(json, r.fetch_sources);
-  json.key("prefetch_sources");
-  write_source_counts(json, r.prefetch_sources);
+  json.field("cycles_skipped", r.cycles_skipped);
   json.end_object();
 }
 
@@ -350,12 +339,11 @@ int cmd_suite(const Options& opt) {
     }
     json.end_array();
     json.field("hmean_ipc", hmean);
-    json.key("fetch_sources");
-    write_source_counts(
-        json, grid.fetch_sources(opt.preset, opt.node, opt.l1i_size));
-    json.key("prefetch_sources");
-    write_source_counts(
-        json, grid.prefetch_sources(opt.preset, opt.node, opt.l1i_size));
+    for (const auto& b : cpu::kRunSources) {
+      json.key(b.key);
+      write_source_counts(
+          json, grid.sources(b.member, opt.preset, opt.node, opt.l1i_size));
+    }
     json.key("host");
     sim::write_host_perf(json, host);
     json.end_object();

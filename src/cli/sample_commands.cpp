@@ -377,18 +377,8 @@ int cmd_sample_run(const Options& opt) {
     }
     json.key("result");
     json.begin_object();
-    json.field("ipc", r.ipc);
-    json.field("ipc_error", r.ipc_error);
-    json.field("cycles", r.cycles);
-    json.field("instructions", r.instructions);
-    json.field("mispredicts_per_kilo_instr", r.mispredicts_per_kilo_instr);
-    json.field("lines_fetched", r.lines_fetched);
-    json.field("prefetches_issued", r.prefetches_issued);
-    json.field("intervals", r.sample_intervals);
-    json.field("clusters", r.sample_clusters);
-    json.field("slices", r.sample_slices);
-    json.field("cold_starts", r.sample_cold_starts);
-    json.field("simulated_instructions", r.sample_simulated_instructions);
+    cpu::write_result_body(json, r);
+    cpu::write_sampling_fields(json, r);
     json.field("effective_speedup", speedup);
     json.field("host_seconds", r.host_seconds);
     json.field("minstr_per_sec", r.minstr_per_sec);

@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace prestage::json {
@@ -14,6 +15,15 @@ const Value& Value::at(const std::string& key) const {
 double Value::as_number() const {
   if (kind != Kind::Number) throw JsonError("expected a number");
   return number;
+}
+
+std::uint64_t Value::as_u64() const {
+  const double n = as_number();
+  // 2^64 is exact as a double; NaN fails every comparison.
+  if (!(n >= 0.0 && n < 18446744073709551616.0) || std::floor(n) != n) {
+    throw JsonError("expected an unsigned integer");
+  }
+  return static_cast<std::uint64_t>(n);
 }
 
 const std::string& Value::as_string() const {

@@ -9,6 +9,7 @@
 // is distinguishable from a missing field.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -40,6 +41,9 @@ struct Value {
   [[nodiscard]] bool is_null() const { return kind == Kind::Null; }
   /// The number, checked: throws JsonError on a non-Number value.
   [[nodiscard]] double as_number() const;
+  /// The number as a count, checked: throws JsonError unless it is an
+  /// integral Number in [0, 2^64).
+  [[nodiscard]] std::uint64_t as_u64() const;
   /// The string, checked: throws JsonError on a non-String value.
   [[nodiscard]] const std::string& as_string() const;
 };

@@ -1,9 +1,15 @@
-// Lightweight named statistics for simulator components.
+// Statistic primitives for simulator components.
 //
-// Components register counters/distributions in a StatSet; the sim harness
-// walks the set to build reports. Counting must be cheap (a single add on
-// the fast path), so the stat objects are plain structs and formatting is
-// deferred to report time.
+// Each unit keeps its own Counters, Distributions and SourceBreakdowns as
+// public members. Counting must be cheap (a single add on the fast path),
+// so they are plain structs and formatting is deferred to report time.
+//
+// What a run reports is cpu::RunResult (cpu/cpu.hpp). The tables beside
+// it (kRunCounts, kRunSources, kSampleCounts) list every reported count
+// once with its JSON key, and every path walks them: the warm-up delta,
+// sampled reconstruction, store lines, the CLI JSON and the test
+// comparators. To report a new statistic, add the RunResult field, one
+// table entry, and one line in Cpu::totals() reading the unit's counter.
 #pragma once
 
 #include <array>
@@ -104,6 +110,14 @@ class SourceBreakdown {
     return ratio(count(s), total());
   }
   void reset() noexcept { counts_.fill(0); }
+  SourceBreakdown& operator+=(const SourceBreakdown& o) noexcept {
+    for (int i = 0; i < kNumFetchSources; ++i) counts_[i] += o.counts_[i];
+    return *this;
+  }
+  SourceBreakdown& operator-=(const SourceBreakdown& o) noexcept {
+    for (int i = 0; i < kNumFetchSources; ++i) counts_[i] -= o.counts_[i];
+    return *this;
+  }
 
  private:
   std::array<std::uint64_t, kNumFetchSources> counts_{};

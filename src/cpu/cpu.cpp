@@ -4,6 +4,8 @@
 #include <chrono>
 
 #include "common/cancel.hpp"
+#include "common/json.hpp"
+#include "common/json_writer.hpp"
 #include "common/prestage_assert.hpp"
 #include "prefetch/registry.hpp"
 #include "workload/synthetic_spec.hpp"
@@ -12,41 +14,65 @@ namespace prestage::cpu {
 
 namespace {
 
-/// Counter values at the warmup boundary, to report post-warmup deltas.
-struct StatSnapshot {
-  std::uint64_t fetch_src[kNumFetchSources] = {};
-  std::uint64_t prefetch_src[kNumFetchSources] = {};
-  std::uint64_t lines = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t blocks = 0;
-  std::uint64_t l2_hits = 0;
-  std::uint64_t l2_misses = 0;
-  std::uint64_t dcache_misses = 0;
-  std::uint64_t prefetches = 0;
-};
+/// Statistics accumulated since @p start: @p end minus @p start for
+/// instructions, cycles and every listed count.
+RunResult since(const RunResult& start, RunResult end) {
+  end.instructions -= start.instructions;
+  end.cycles -= start.cycles;
+  for (const auto& c : kRunCounts) end.*c.member -= start.*c.member;
+  for (const auto& b : kRunSources) end.*b.member -= start.*b.member;
+  return end;
+}
 
-StatSnapshot take_snapshot(const frontend::FetchEngine& fe,
-                           const prefetch::IPrefetcher& pf,
-                           const mem::MemSystem& mem, const Backend& be,
-                           std::uint64_t recoveries,
-                           std::uint64_t blocks) {
-  StatSnapshot s;
-  for (int i = 0; i < kNumFetchSources; ++i) {
-    s.fetch_src[i] = fe.fetch_sources.count(static_cast<FetchSource>(i));
-    s.prefetch_src[i] =
-        pf.prefetch_sources().count(static_cast<FetchSource>(i));
-  }
-  s.lines = fe.lines_fetched.value();
-  s.recoveries = recoveries;
-  s.blocks = blocks;
-  s.l2_hits = mem.l2_hits.value();
-  s.l2_misses = mem.l2_misses.value();
-  s.dcache_misses = be.dcache_misses.value();
-  s.prefetches = pf.prefetches();
-  return s;
+/// Doubles round-trip through the writer's `%.10g` (and NaN/Inf become
+/// null); a null reads back as 0.0 so stores with degenerate stats stay
+/// loadable.
+double read_double(const json::Value& v, const char* field) {
+  const json::Value& f = v.at(field);
+  return f.is_null() ? 0.0 : f.as_number();
 }
 
 }  // namespace
+
+void write_result_body(JsonWriter& json, const RunResult& r) {
+  json.field("instructions", r.instructions);
+  json.field("cycles", r.cycles);
+  json.field("ipc", r.ipc);
+  json.field("mispredicts_per_kilo_instr", r.mispredicts_per_kilo_instr);
+  for (const auto& c : kRunCounts) json.field(c.key, r.*c.member);
+  for (const auto& b : kRunSources) {
+    json.key(b.key);
+    write_source_counts(json, r.*b.member);
+  }
+}
+
+void write_sampling_fields(JsonWriter& json, const RunResult& r) {
+  json.field("ipc_error", r.ipc_error);
+  for (const auto& c : kSampleCounts) json.field(c.key, r.*c.member);
+}
+
+RunResult read_result_body(const json::Value& v) {
+  RunResult r;
+  r.instructions = v.at("instructions").as_u64();
+  r.cycles = v.at("cycles").as_u64();
+  r.ipc = read_double(v, "ipc");
+  r.mispredicts_per_kilo_instr = read_double(v, "mispredicts_per_kilo_instr");
+  for (const auto& c : kRunCounts) r.*c.member = v.at(c.key).as_u64();
+  for (const auto& b : kRunSources) {
+    const json::Value& counts = v.at(b.key);
+    for (int i = 0; i < kNumFetchSources; ++i) {
+      const auto s = static_cast<FetchSource>(i);
+      (r.*b.member).add(s, counts.at(std::string(to_string(s))).as_u64());
+    }
+  }
+  if (v.has("sampling")) {
+    const json::Value& s = v.at("sampling");
+    r.sampled = true;
+    r.ipc_error = read_double(s, "ipc_error");
+    for (const auto& c : kSampleCounts) r.*c.member = s.at(c.key).as_u64();
+  }
+  return r;
+}
 
 Cpu::Cpu(const MachineConfig& config)
     : cfg_(config),
@@ -105,6 +131,22 @@ void Cpu::do_recovery(Cycle now) {
   prefetcher_->on_recovery(now);
   driver_->on_recovery();
   recoveries.add();
+}
+
+RunResult Cpu::totals() const {
+  RunResult t;
+  t.instructions = backend_->committed();
+  t.cycles = cycle_;
+  t.recoveries = recoveries.value();
+  t.blocks_predicted = driver_->blocks_predicted.value();
+  t.lines_fetched = fetch_engine_->lines_fetched.value();
+  t.prefetches_issued = prefetcher_->prefetches();
+  t.l2_hits = mem_->l2_hits.value();
+  t.l2_misses = mem_->l2_misses.value();
+  t.dcache_misses = backend_->dcache_misses.value();
+  t.fetch_sources = fetch_engine_->fetch_sources;
+  t.prefetch_sources = prefetcher_->prefetch_sources();
+  return t;
 }
 
 void Cpu::tick() {
@@ -189,7 +231,8 @@ RunResult Cpu::run() {
   // Generous wedge detector: even mcf-like IPC stays well above 1/400.
   const Cycle cycle_cap = 10000 + target * 400;
 
-  StatSnapshot warm{};
+  RunResult warm;  // all zero when there is no warm-up to exclude
+  bool warm_taken = false;
   std::uint64_t watchdog_poll = 0;
   while (backend_->committed() < target) {
     // Runaway-point watchdog: a cheap mask test per iteration, the
@@ -210,13 +253,9 @@ RunResult Cpu::run() {
             std::to_string(cfg_.max_host_seconds) + "s)");
       }
     }
-    if (!warmup_done_ && backend_->committed() >= cfg_.warmup_instructions) {
-      warmup_done_ = true;
-      warmup_cycle_ = cycle_;
-      warmup_instrs_ = backend_->committed();
-      warm = take_snapshot(*fetch_engine_, *prefetcher_, *mem_, *backend_,
-                           recoveries.value(),
-                           driver_->blocks_predicted.value());
+    if (!warm_taken && backend_->committed() >= cfg_.warmup_instructions) {
+      warm_taken = true;
+      warm = totals();
     }
     PRESTAGE_ASSERT(cycle_ < cycle_cap, "machine wedged: committed " +
                                             std::to_string(backend_->committed()) +
@@ -224,40 +263,16 @@ RunResult Cpu::run() {
     if (cfg_.enable_cycle_skip && try_skip(cycle_cap)) continue;
     tick();
   }
-  if (!warmup_done_) {
-    warmup_done_ = true;
-    warmup_cycle_ = 0;
-    warmup_instrs_ = 0;
-  }
-
-  const StatSnapshot end = take_snapshot(
-      *fetch_engine_, *prefetcher_, *mem_, *backend_, recoveries.value(),
-      driver_->blocks_predicted.value());
-
-  RunResult r;
+  RunResult r = since(warm, totals());
   r.benchmark = cfg_.benchmark;
-  r.instructions = backend_->committed() - warmup_instrs_;
-  r.cycles = cycle_ - warmup_cycle_;
   r.ipc = r.cycles == 0 ? 0.0
                         : static_cast<double>(r.instructions) /
                               static_cast<double>(r.cycles);
-  for (int i = 0; i < kNumFetchSources; ++i) {
-    const auto s = static_cast<FetchSource>(i);
-    r.fetch_sources.add(s, end.fetch_src[i] - warm.fetch_src[i]);
-    r.prefetch_sources.add(s, end.prefetch_src[i] - warm.prefetch_src[i]);
-  }
-  r.lines_fetched = end.lines - warm.lines;
-  r.recoveries = end.recoveries - warm.recoveries;
-  r.blocks_predicted = end.blocks - warm.blocks;
   r.mispredicts_per_kilo_instr =
       r.instructions == 0
           ? 0.0
           : 1000.0 * static_cast<double>(r.recoveries) /
                 static_cast<double>(r.instructions);
-  r.l2_hits = end.l2_hits - warm.l2_hits;
-  r.l2_misses = end.l2_misses - warm.l2_misses;
-  r.dcache_misses = end.dcache_misses - warm.dcache_misses;
-  r.prefetches_issued = end.prefetches - warm.prefetches;
   r.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     host_start)

@@ -23,6 +23,10 @@
 #include "prefetch/prefetcher.hpp"
 #include "workload/program.hpp"
 
+namespace prestage::json {
+struct Value;
+}
+
 namespace prestage::cpu {
 
 /// Everything a bench harness needs to reproduce the paper's figures.
@@ -76,6 +80,60 @@ struct RunResult {
   Cycle cycles_skipped = 0;
 };
 
+/// One statistic a RunResult carries: its JSON key and its member.
+template <typename T>
+struct RunStat {
+  const char* key;
+  T RunResult::*member;
+};
+
+// The statistic tables. Every path that handles a run's simulated
+// statistics walks them rather than naming fields: the warm-up delta,
+// sampled reconstruction, store lines, the CLI JSON and the test
+// comparators. instructions, cycles, ipc and mispredicts_per_kilo_instr
+// are not listed, because a sampled run derives them from CPI and the
+// budget instead of scaling a per-instruction rate.
+
+/// Event counts, in store-line order.
+inline constexpr RunStat<std::uint64_t> kRunCounts[] = {
+    {"recoveries", &RunResult::recoveries},
+    {"blocks_predicted", &RunResult::blocks_predicted},
+    {"lines_fetched", &RunResult::lines_fetched},
+    {"prefetches_issued", &RunResult::prefetches_issued},
+    {"l2_hits", &RunResult::l2_hits},
+    {"l2_misses", &RunResult::l2_misses},
+    {"dcache_misses", &RunResult::dcache_misses},
+};
+
+/// Per-source breakdowns (Figures 7 and 8), in store-line order.
+inline constexpr RunStat<SourceBreakdown> kRunSources[] = {
+    {"fetch_sources", &RunResult::fetch_sources},
+    {"prefetch_sources", &RunResult::prefetch_sources},
+};
+
+/// The sampling block's counts, set only on sampled estimates.
+inline constexpr RunStat<std::uint64_t> kSampleCounts[] = {
+    {"intervals", &RunResult::sample_intervals},
+    {"clusters", &RunResult::sample_clusters},
+    {"slices", &RunResult::sample_slices},
+    {"cold_starts", &RunResult::sample_cold_starts},
+    {"simulated_instructions", &RunResult::sample_simulated_instructions},
+};
+
+/// Writes @p r's simulated statistics into the open JSON object:
+/// instructions, cycles, ipc, mispredicts_per_kilo_instr, then
+/// kRunCounts and kRunSources. This is a store line's "result" body.
+void write_result_body(JsonWriter& json, const RunResult& r);
+
+/// Writes ipc_error and kSampleCounts into the open JSON object.
+void write_sampling_fields(JsonWriter& json, const RunResult& r);
+
+/// Reads what write_result_body wrote, plus the sampling fields from a
+/// nested "sampling" object when present (which marks the result
+/// sampled). Throws json::JsonError on a missing field or on a count
+/// that is not an unsigned integer.
+[[nodiscard]] RunResult read_result_body(const json::Value& v);
+
 class Cpu {
  public:
   explicit Cpu(const MachineConfig& config);
@@ -125,6 +183,12 @@ class Cpu {
  private:
   void do_recovery(Cycle now);
 
+  /// Every listed statistic, cumulative since construction: the binding
+  /// from RunResult's fields to the units' counters. run() reports the
+  /// difference between its readings at the warm-up boundary and at the
+  /// end.
+  [[nodiscard]] RunResult totals() const;
+
   /// Event-horizon fast-forward: when every unit's next state change lies
   /// strictly past `cycle_`, advances the clock to the earliest such
   /// event (clamped to @p cycle_cap) in one step, folding the skipped
@@ -155,9 +219,6 @@ class Cpu {
 
   Cycle cycle_ = 0;
   Cycle cycles_skipped_ = 0;
-  bool warmup_done_ = false;
-  Cycle warmup_cycle_ = 0;
-  std::uint64_t warmup_instrs_ = 0;
 };
 
 }  // namespace prestage::cpu

@@ -12,26 +12,6 @@
 
 namespace prestage::sample {
 
-namespace {
-
-/// Weighted per-instruction rate of @p counts across slices, scaled to
-/// @p budget instructions.
-[[nodiscard]] std::uint64_t scale_counter(
-    const std::vector<cpu::RunResult>& slices,
-    const std::vector<double>& weights, std::uint64_t budget,
-    std::uint64_t (*get)(const cpu::RunResult&)) {
-  double rate = 0.0;
-  for (std::size_t i = 0; i < slices.size(); ++i) {
-    // Fixed slice order: deterministic sum.
-    rate += weights[i] * static_cast<double>(get(slices[i])) /
-            static_cast<double>(slices[i].instructions);
-  }
-  return static_cast<std::uint64_t>(
-      std::llround(rate * static_cast<double>(budget)));
-}
-
-}  // namespace
-
 std::shared_ptr<const workload::WorkloadSpec> base_workload(
     const cpu::MachineConfig& cfg) {
   if (cfg.workload) return cfg.workload;
@@ -96,7 +76,7 @@ cpu::RunResult run_sampled_point_with_plan(
   }
 
   // Whole-run reconstruction: CPI is the weighted mean of per-cluster
-  // slice CPIs; every event counter is the weighted per-instruction rate
+  // slice CPIs; every listed count is the weighted per-instruction rate
   // scaled back to the full budget.
   double cpi = 0.0;
   for (std::size_t i = 0; i < slices.size(); ++i) {
@@ -105,6 +85,16 @@ cpu::RunResult run_sampled_point_with_plan(
            static_cast<double>(slices[i].instructions);
   }
   PRESTAGE_ASSERT(cpi > 0.0);
+  const auto scale = [&](auto count_of) {
+    double rate = 0.0;
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+      // Fixed slice order: deterministic sum.
+      rate += weights[i] * static_cast<double>(count_of(slices[i])) /
+              static_cast<double>(slices[i].instructions);
+    }
+    return static_cast<std::uint64_t>(
+        std::llround(rate * static_cast<double>(budget)));
+  };
 
   cpu::RunResult out;
   out.benchmark = cfg.benchmark;
@@ -112,48 +102,18 @@ cpu::RunResult run_sampled_point_with_plan(
   out.cycles = static_cast<Cycle>(
       std::llround(cpi * static_cast<double>(budget)));
   out.ipc = 1.0 / cpi;
-  for (std::size_t si = 0; si < kNumFetchSources; ++si) {
-    const auto s = static_cast<FetchSource>(si);
-    double fetch_rate = 0.0;
-    double pf_rate = 0.0;
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      // Fixed slice order: deterministic sums.
-      const auto instrs = static_cast<double>(slices[i].instructions);
-      fetch_rate += weights[i] *
-                    static_cast<double>(slices[i].fetch_sources.count(s)) /
-                    instrs;
-      // Same fixed slice order.
-      pf_rate += weights[i] *
-                 static_cast<double>(slices[i].prefetch_sources.count(s)) /
-                 instrs;
-    }
-    const auto b = static_cast<double>(budget);
-    out.fetch_sources.add(
-        s, static_cast<std::uint64_t>(std::llround(fetch_rate * b)));
-    out.prefetch_sources.add(
-        s, static_cast<std::uint64_t>(std::llround(pf_rate * b)));
+  for (const auto& c : cpu::kRunCounts) {
+    out.*c.member =
+        scale([&](const cpu::RunResult& r) { return r.*c.member; });
   }
-  out.lines_fetched = scale_counter(
-      slices, weights, budget,
-      [](const cpu::RunResult& r) { return r.lines_fetched; });
-  out.recoveries = scale_counter(
-      slices, weights, budget,
-      [](const cpu::RunResult& r) { return r.recoveries; });
-  out.blocks_predicted = scale_counter(
-      slices, weights, budget,
-      [](const cpu::RunResult& r) { return r.blocks_predicted; });
-  out.l2_hits = scale_counter(
-      slices, weights, budget,
-      [](const cpu::RunResult& r) { return r.l2_hits; });
-  out.l2_misses = scale_counter(
-      slices, weights, budget,
-      [](const cpu::RunResult& r) { return r.l2_misses; });
-  out.dcache_misses = scale_counter(
-      slices, weights, budget,
-      [](const cpu::RunResult& r) { return r.dcache_misses; });
-  out.prefetches_issued = scale_counter(
-      slices, weights, budget,
-      [](const cpu::RunResult& r) { return r.prefetches_issued; });
+  for (const auto& b : cpu::kRunSources) {
+    for (int si = 0; si < kNumFetchSources; ++si) {
+      const auto s = static_cast<FetchSource>(si);
+      (out.*b.member).add(s, scale([&](const cpu::RunResult& r) {
+                            return (r.*b.member).count(s);
+                          }));
+    }
+  }
   out.mispredicts_per_kilo_instr =
       static_cast<double>(out.recoveries) * 1000.0 /
       static_cast<double>(budget);

@@ -23,6 +23,7 @@
 #include "common/json_writer.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
+#include "expect_same_stats.hpp"
 
 namespace {
 
@@ -147,29 +148,89 @@ TEST(CampaignSpec, KeyEmbedsEveryAxis) {
   EXPECT_EQ(base.key().size(), 16u) << "16 hex digits of FNV-1a 64";
 }
 
-TEST(CampaignStore, LineRoundTripsExactly) {
-  const auto points = campaign::expand(tiny_spec());
-  const PointResult original = campaign::simulate(points[3]);
-  const std::string line = campaign::encode_line(original);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-
-  const PointResult decoded = campaign::decode_line(line);
-  EXPECT_EQ(decoded.key, original.key);
-  EXPECT_EQ(decoded.preset, original.preset);
-  EXPECT_EQ(decoded.node, original.node);
-  EXPECT_EQ(decoded.benchmark, original.benchmark);
-  EXPECT_EQ(decoded.l1i_size, original.l1i_size);
-  EXPECT_EQ(decoded.instructions, original.instructions);
-  EXPECT_EQ(decoded.result.cycles, original.result.cycles);
-  EXPECT_EQ(decoded.result.instructions, original.result.instructions);
-  for (int i = 0; i < kNumFetchSources; ++i) {
-    const auto s = static_cast<FetchSource>(i);
-    EXPECT_EQ(decoded.result.fetch_sources.count(s),
-              original.result.fetch_sources.count(s));
+/// A stored point with a distinct value in every field a store line
+/// carries; @p sampled adds the sampling block. Its doubles have at most
+/// ten significant digits, so the writer's "%.10g" keeps them exact.
+PointResult hand_built_point(bool sampled) {
+  PointResult p;
+  p.key = "0123456789abcdef";
+  p.preset = "clgp+l0";
+  p.config = "clgp-l0";
+  p.node = "0.09um";
+  p.benchmark = "gcc";
+  p.l1i_size = 2048;
+  p.instructions = 5000;
+  p.seed = 7;
+  cpu::RunResult& r = p.result;
+  r.benchmark = p.benchmark;
+  r.instructions = 5001;
+  r.cycles = 9002;
+  r.ipc = 0.5555555556;
+  r.mispredicts_per_kilo_instr = 12.125;
+  std::uint64_t next = 100;
+  for (const auto& c : cpu::kRunCounts) r.*c.member = next++;
+  for (const auto& src : cpu::kRunSources) {
+    for (int i = 0; i < kNumFetchSources; ++i) {
+      (r.*src.member).add(static_cast<FetchSource>(i), next++);
+    }
   }
-  // Doubles go through "%.10g" once; re-encoding the decoded record must
-  // reproduce the line byte for byte (store idempotence).
-  EXPECT_EQ(campaign::encode_line(decoded), line);
+  if (sampled) {
+    r.sampled = true;
+    r.ipc_error = 0.03125;
+    for (const auto& c : cpu::kSampleCounts) r.*c.member = next++;
+  }
+  return p;
+}
+
+TEST(CampaignStore, LineRoundTripsExactly) {
+  // A simulated point's doubles go through "%.10g" once, so its input
+  // here is the record as first stored.
+  const PointResult simulated = campaign::decode_line(campaign::encode_line(
+      campaign::simulate(campaign::expand(tiny_spec())[3])));
+  for (const PointResult& original :
+       {simulated, hand_built_point(false), hand_built_point(true)}) {
+    const std::string line = campaign::encode_line(original);
+    EXPECT_EQ(line.find('\n'), std::string::npos);
+
+    const PointResult decoded = campaign::decode_line(line);
+    EXPECT_EQ(decoded.key, original.key);
+    EXPECT_EQ(decoded.preset, original.preset);
+    EXPECT_EQ(decoded.config, original.config);
+    EXPECT_EQ(decoded.node, original.node);
+    EXPECT_EQ(decoded.benchmark, original.benchmark);
+    EXPECT_EQ(decoded.l1i_size, original.l1i_size);
+    EXPECT_EQ(decoded.instructions, original.instructions);
+    EXPECT_EQ(decoded.seed, original.seed);
+    expect_same_stats(decoded.result, original.result, line);
+    // Re-encoding the decoded record must reproduce the line byte for
+    // byte (store idempotence).
+    EXPECT_EQ(campaign::encode_line(decoded), line);
+  }
+}
+
+TEST(CampaignStore, OutOfRangeCountsAreDroppedAsCorrupt) {
+  // A count with no uint64 value (negative, fractional, or past 2^64)
+  // must make its line corrupt, so the point is recomputed, rather than
+  // decode to a wrapped or truncated number.
+  const std::string good = campaign::encode_line(hand_built_point(false));
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string line = good;
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return line.replace(at, from.size(), to) + '\n';
+  };
+  const std::string path = fresh_file("store.jsonl");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << with("\"cycles\":9002", "\"cycles\":-5646")
+        << with("\"l1i_size\":2048", "\"l1i_size\":4096.5")
+        << with("\"l2_hits\":104", "\"l2_hits\":1e300") << good << '\n';
+  }
+  const ResultStore store = ResultStore::load(path);
+  EXPECT_EQ(store.load_stats().skipped, 3u);
+  EXPECT_EQ(store.load_stats().loaded, 1u);
+  ASSERT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.entries()[0].result.cycles, 9002u);
 }
 
 TEST(CampaignEngine, StoreBytesIdenticalForAnyWorkerCount) {

@@ -93,6 +93,14 @@ TEST(CliSmoke, RunEmitsHeadlineStatsAndJson) {
   // fields must be strictly positive.
   EXPECT_GT(result.at("host_seconds").number, 0.0);
   EXPECT_GT(result.at("minstr_per_sec").number, 0.0);
+  // Every statistic the run keeps reaches the JSON, host diagnostics
+  // included.
+  for (const char* key : {"recoveries", "blocks_predicted", "lines_fetched",
+                          "prefetches_issued", "l2_hits", "l2_misses",
+                          "dcache_misses", "cycles_skipped"}) {
+    ASSERT_TRUE(result.has(key)) << "missing " << key;
+    EXPECT_EQ(result.at(key).kind, JsonValue::Kind::Number) << key;
+  }
   check_breakdown(result.at("fetch_sources"));
   check_breakdown(result.at("prefetch_sources"));
 }
@@ -898,6 +906,9 @@ TEST(CliFaults, SampleRunFallsBackOnCorruptCheckpoint) {
   const JsonValue doc = parse_json(output.substr(json_start));
   EXPECT_TRUE(doc.at("checkpoint_fallback").boolean);
   EXPECT_GE(doc.at("result").at("cold_starts").number, 1.0);
+  // The estimate carries every count and both breakdowns of a full run.
+  EXPECT_TRUE(doc.at("result").has("dcache_misses")) << output;
+  check_breakdown(doc.at("result").at("prefetch_sources"));
 
   // A count that lies about the bytes after it is corrupt too, however
   // large: the 79-byte header of an eon plan with a slice count of

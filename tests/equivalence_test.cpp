@@ -36,6 +36,7 @@
 
 #include "common/prestage_assert.hpp"
 #include "cpu/cpu.hpp"
+#include "expect_same_stats.hpp"
 #include "sample/sliced_source.hpp"
 #include "sim/presets.hpp"
 #include "workload/champsim.hpp"
@@ -52,33 +53,6 @@ namespace {
 // benchmarks at a small fixed budget, L1 = 4 KiB, 45 nm.
 constexpr std::uint64_t kInstrs = 6000;
 const std::vector<std::string> kBenchmarks = {"eon", "gzip", "mcf"};
-
-/// Asserts every simulated statistic of two runs is identical. Doubles
-/// are compared exactly: the skip folds the same arithmetic over the
-/// same state, so even the last bit may not move. Host telemetry
-/// (host_seconds, minstr_per_sec, cycles_skipped) is exempt by design.
-void expect_identical(const cpu::RunResult& a, const cpu::RunResult& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.instructions, b.instructions) << what;
-  EXPECT_EQ(a.cycles, b.cycles) << what;
-  EXPECT_EQ(a.ipc, b.ipc) << what;
-  for (int i = 0; i < kNumFetchSources; ++i) {
-    const auto s = static_cast<FetchSource>(i);
-    EXPECT_EQ(a.fetch_sources.count(s), b.fetch_sources.count(s))
-        << what << " fetch source " << i;
-    EXPECT_EQ(a.prefetch_sources.count(s), b.prefetch_sources.count(s))
-        << what << " prefetch source " << i;
-  }
-  EXPECT_EQ(a.lines_fetched, b.lines_fetched) << what;
-  EXPECT_EQ(a.recoveries, b.recoveries) << what;
-  EXPECT_EQ(a.blocks_predicted, b.blocks_predicted) << what;
-  EXPECT_EQ(a.mispredicts_per_kilo_instr, b.mispredicts_per_kilo_instr)
-      << what;
-  EXPECT_EQ(a.l2_hits, b.l2_hits) << what;
-  EXPECT_EQ(a.l2_misses, b.l2_misses) << what;
-  EXPECT_EQ(a.dcache_misses, b.dcache_misses) << what;
-  EXPECT_EQ(a.prefetches_issued, b.prefetches_issued) << what;
-}
 
 /// One benchmark of the golden suite on @p preset, skip on or off.
 cpu::RunResult run_point(const std::string& preset,
@@ -98,7 +72,7 @@ TEST(CycleSkipEquivalence, EveryPresetIsTimingIdenticalWithSkipOff) {
     for (const std::string& bench : kBenchmarks) {
       const cpu::RunResult skip = run_point(preset, bench, true);
       const cpu::RunResult scalar = run_point(preset, bench, false);
-      expect_identical(skip, scalar, preset + "/" + bench);
+      expect_same_stats(skip, scalar, preset + "/" + bench);
       EXPECT_EQ(scalar.cycles_skipped, 0u)
           << preset << ": skip-disabled run reported skipped cycles";
       skipped += skip.cycles_skipped;

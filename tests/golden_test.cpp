@@ -65,7 +65,8 @@ void check(const Golden& g) {
                 g.ipc[i], 1e-9)
         << kBenchmarks[i];
   }
-  const SourceBreakdown sources = grid.fetch_sources(preset, node, 4096);
+  const SourceBreakdown sources =
+      grid.sources(&cpu::RunResult::fetch_sources, preset, node, 4096);
   EXPECT_EQ(sources.count(FetchSource::PreBuffer), g.fetch.pb);
   EXPECT_EQ(sources.count(FetchSource::L0), g.fetch.l0);
   EXPECT_EQ(sources.count(FetchSource::L1), g.fetch.l1);

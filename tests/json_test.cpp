@@ -142,4 +142,16 @@ TEST(JsonParser, CheckedAccessorsValidateKinds) {
   EXPECT_THROW((void)doc.at("n").as_string(), json::JsonError);
 }
 
+TEST(JsonParser, U64AccessorAcceptsOnlyIntegersInRange) {
+  // Store and sidecar counts are read through as_u64: a value with no
+  // uint64 equivalent must be a JsonError, never a wrapped or truncated
+  // count (or a float-cast-overflow abort in a sanitizer build).
+  for (const char* bad : {"-1", "4096.5", "1e300", "18446744073709551616",
+                          "\"7\""}) {
+    EXPECT_THROW((void)json::parse(bad).as_u64(), json::JsonError) << bad;
+  }
+  EXPECT_EQ(json::parse("0").as_u64(), 0u);
+  EXPECT_EQ(json::parse("9007199254740992").as_u64(), 9007199254740992u);
+}
+
 }  // namespace

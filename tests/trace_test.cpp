@@ -10,6 +10,7 @@
 
 #include "campaign/engine.hpp"
 #include "cpu/cpu.hpp"
+#include "expect_same_stats.hpp"
 #include "sim/presets.hpp"
 #include "workload/champsim.hpp"
 #include "workload/generator.hpp"
@@ -298,25 +299,6 @@ TEST(ChampSimImport, FixtureRunsEndToEndThroughClgp) {
 
 // --- determinism layer ------------------------------------------------------
 
-void expect_identical(const cpu::RunResult& a, const cpu::RunResult& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.ipc, b.ipc);  // same arithmetic, bit-identical
-  for (int i = 0; i < kNumFetchSources; ++i) {
-    const auto s = static_cast<FetchSource>(i);
-    EXPECT_EQ(a.fetch_sources.count(s), b.fetch_sources.count(s));
-    EXPECT_EQ(a.prefetch_sources.count(s), b.prefetch_sources.count(s));
-  }
-  EXPECT_EQ(a.lines_fetched, b.lines_fetched);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.blocks_predicted, b.blocks_predicted);
-  EXPECT_EQ(a.l2_hits, b.l2_hits);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.dcache_misses, b.dcache_misses);
-  EXPECT_EQ(a.prefetches_issued, b.prefetches_issued);
-}
-
 TEST(Determinism, RunParallelMatchesSerialForAnyWorkerCount) {
   // The campaign engine, for any worker count, hands back in grid order
   // exactly what a serial loop of hand-built machines computes.
@@ -342,7 +324,7 @@ TEST(Determinism, RunParallelMatchesSerialForAnyWorkerCount) {
     const auto parallel = campaign::run_points(points, workers);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      expect_identical(parallel[i].result, serial[i]);
+      expect_same_stats(parallel[i].result, serial[i]);
     }
   }
 }
@@ -366,12 +348,12 @@ TEST(Determinism, RecordThenReplayReproducesTheRunExactly) {
   cfg.workload = load_replay_spec(path);
   cpu::Cpu replay_machine(cfg);
   const cpu::RunResult replayed = replay_machine.run();
-  expect_identical(recorded, replayed);
+  expect_same_stats(recorded, replayed);
 
   // And the recording itself matches the plain (unrecorded) run.
   cfg.workload = nullptr;
   cpu::Cpu plain(cfg);
-  expect_identical(recorded, plain.run());
+  expect_same_stats(recorded, plain.run());
 }
 
 }  // namespace
