@@ -7,6 +7,7 @@
 // `<store>.perf`. Records are never deduplicated: a point that was
 // executed twice (killed before its ordered flush, recomputed on resume)
 // really did cost host time twice, and total host seconds should say so.
+// `campaign report` reads the sidecar into its `host` section.
 #pragma once
 
 #include <string>
@@ -14,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "campaign/engine.hpp"  // Progress
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
 
@@ -24,21 +24,15 @@ class JsonWriter;
 
 namespace prestage::campaign {
 
-/// One executed run point's host telemetry.
+/// One executed run point's host telemetry. Older sidecars also carry
+/// per-record sampled fields; the decoder ignores them, because the
+/// report derives the sampled speedup from the store instead.
 struct PerfRecord {
   std::string key;        ///< RunPoint::key() content hash
   std::string config;     ///< canonical machine-config string
   std::string benchmark;
   double host_seconds = 0.0;
   double minstr_per_sec = 0.0;
-
-  /// Sampled points additionally record what they *estimated* versus
-  /// what they actually simulated — the sidecar evidence behind the
-  /// sampled-vs-full speedup claim. Full-run records omit these fields
-  /// on disk, so existing sidecars parse (and re-encode) unchanged.
-  bool sampled = false;
-  double budget_minstr = 0.0;     ///< estimated (full-run) Minstr
-  double simulated_minstr = 0.0;  ///< timing-simulated Minstr
 };
 
 /// The sidecar path for a result store.
@@ -85,25 +79,10 @@ struct PerfAggregate {
   std::size_t points = 0;
   double host_seconds = 0.0;
   double minstr_per_sec = 0.0;
-
-  /// Sampled-point rollup (0 when the records were all full runs). The
-  /// JSON shape only carries these when sampled_points > 0, so full-run
-  /// BENCH_perf.json documents are byte-unchanged.
-  std::size_t sampled_points = 0;
-  double budget_minstr = 0.0;
-  double simulated_minstr = 0.0;
-  /// budget/simulated instruction ratio — the deterministic lower bound
-  /// on the effective sampling speedup (skip/profile overhead excluded).
-  [[nodiscard]] double effective_speedup() const {
-    return simulated_minstr > 0.0 ? budget_minstr / simulated_minstr : 0.0;
-  }
 };
 
-[[nodiscard]] PerfAggregate aggregate_perf(
-    const std::vector<PerfRecord>& records);
-
 /// Per-config aggregates in config-name order (deterministic given the
-/// same record multiset), plus the overall total.
+/// same record multiset), plus the overall total over every record.
 struct PerfSummary {
   PerfAggregate total;
   std::size_t dropped_lines = 0;  ///< corrupt sidecar lines skipped
@@ -121,64 +100,10 @@ struct PerfSummary {
 [[nodiscard]] PerfLog scope_to_spec(const PerfLog& log,
                                     const CampaignSpec& spec);
 
-/// The aggregate's JSON shape, shared by the report's host section and
-/// the BENCH_perf.json document: emits the points/host_seconds/
-/// minstr_per_sec fields into the currently open object.
-void write_perf_aggregate(JsonWriter& json, const PerfAggregate& agg);
-
 /// Writes a whole summary into the currently open object: the total's
-/// fields followed by a "per_config" array of {config, ...} objects.
+/// points/host_seconds/minstr_per_sec and dropped_lines, followed by a
+/// "per_config" array of {config, points, host_seconds, minstr_per_sec}
+/// objects.
 void write_perf_summary(JsonWriter& json, const PerfSummary& summary);
-
-/// A parsed BENCH_perf.json document (the perf-gate baseline).
-struct PerfDocument {
-  std::string campaign;
-  PerfSummary summary;
-};
-
-/// Parses a BENCH_perf.json document (schema
-/// "prestage-campaign-perf-v1"); throws json::JsonError on a missing
-/// field or a schema mismatch.
-[[nodiscard]] PerfDocument parse_perf_document(std::string_view text);
-
-/// Re-executes @p spec's grid in memory — no store, no sidecar —
-/// repeatedly until at least @p min_host_seconds of host time has
-/// accumulated (always at least one full pass), and folds every pass
-/// duration-weighted into one summary. Short grids finish in
-/// microseconds, where a single pass is all timer noise; the repeat
-/// loop buys a stable Minstr/s at a caller-chosen cost. @p progress
-/// sees (completed, grid size) per pass, like run_campaign.
-[[nodiscard]] PerfSummary measure_perf(const CampaignSpec& spec,
-                                       unsigned jobs,
-                                       double min_host_seconds,
-                                       const Progress& progress = {});
-
-/// One config's baseline-vs-candidate throughput pairing.
-struct PerfGateEntry {
-  std::string config;
-  double baseline_minstr_per_sec = 0.0;
-  double candidate_minstr_per_sec = 0.0;
-  /// (candidate - baseline) / baseline, in percent; negative = slower.
-  double delta_pct = 0.0;
-  bool regressed = false;
-};
-
-/// The perf gate's verdict: per-config pairings plus the total row.
-/// A config regresses when its candidate throughput falls more than
-/// @p slack_pct below baseline. Unpaired configs (present on one side
-/// only) never regress — they are surfaced for the caller to judge.
-struct PerfGateResult {
-  PerfGateEntry total;
-  std::vector<PerfGateEntry> configs;  ///< paired, config-name order
-  std::vector<std::string> baseline_only;
-  std::vector<std::string> candidate_only;
-  std::size_t regressions = 0;  ///< regressed paired configs (incl. total)
-
-  [[nodiscard]] bool ok() const { return regressions == 0; }
-};
-
-[[nodiscard]] PerfGateResult gate_perf(const PerfSummary& baseline,
-                                       const PerfSummary& candidate,
-                                       double slack_pct);
 
 }  // namespace prestage::campaign

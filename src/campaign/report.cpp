@@ -210,12 +210,21 @@ void write_report(JsonWriter& json, const ResultGrid& grid,
       cold += r.result.sample_cold_starts;
       simulated += r.result.sample_simulated_instructions;
     }
+    // Estimated over timing-simulated instructions: the deterministic
+    // lower bound on the sampling speedup (profiling and skipping are
+    // not counted). It reads only the store, so recomputed points that
+    // appear twice in the perf sidecar cannot move it.
+    const double budget = static_cast<double>(grid.instructions()) *
+                          static_cast<double>(points);
     json.key("sampling");
     json.begin_object();
     json.field("points", points);
     json.field("max_ipc_error", max_err);
     json.field("cold_starts", cold);
     json.field("simulated_instructions", simulated);
+    json.field("effective_speedup",
+               simulated > 0 ? budget / static_cast<double>(simulated)
+                             : 0.0);
     json.end_object();
   }
 

@@ -73,9 +73,10 @@ class ResultGrid {
 /// ReportKind. The grid must be complete (callers gate on missing()).
 /// When @p perf has records (loaded from the store's `.perf` sidecar), a
 /// trailing "host" section reports total host seconds and Minstr/s plus
-/// per-config aggregates — the BENCH perf trajectory. The figure numbers
-/// themselves stay a pure function of (spec, store); without perf the
-/// document is byte-identical to what pre-telemetry builds emitted.
+/// per-config aggregates — the one place campaign host telemetry is
+/// read. The figure numbers themselves stay a pure function of (spec,
+/// store); without perf the document is byte-identical to what
+/// pre-telemetry builds emitted.
 void write_report(JsonWriter& json, const ResultGrid& grid,
                   const PerfLog& perf = {});
 

@@ -4,10 +4,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <set>
-#include <sstream>
 
 #include "bench/figures.hpp"
 #include "campaign/compare.hpp"
@@ -16,7 +14,6 @@
 #include "campaign/report.hpp"
 #include "cli/commands.hpp"
 #include "cli/json_sink.hpp"
-#include "common/json.hpp"
 #include "common/json_writer.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
@@ -457,179 +454,6 @@ int cmd_campaign_report(const Options& opt) {
                 grid.total_points());
   }
   return 0;
-}
-
-int cmd_campaign_perf(const Options& opt) {
-  const campaign::CampaignSpec* registered = resolve_campaign(opt);
-  if (!registered) return 2;
-  const campaign::CampaignSpec spec = apply_overrides(*registered, opt);
-  const std::string store_path = resolve_store_path(opt, spec);
-  const std::string out_path =
-      opt.out_path.empty() ? "BENCH_perf.json" : opt.out_path;
-
-  campaign::PerfSummary summary;
-  if (opt.min_host_seconds > 0.0) {
-    // Fresh measurement: re-execute the grid in memory (no store, no
-    // sidecar) until the host-time floor is met. This is the mode that
-    // produces a committed perf baseline: the repeat loop drowns timer
-    // noise that a single microsecond-scale pass would be all of.
-    summary = campaign::measure_perf(spec, opt.jobs, opt.min_host_seconds);
-  } else {
-    const std::string perf_path = campaign::perf_log_path(store_path);
-    // Scope to this grid's keys: a reused store path accumulates sidecar
-    // generations, and this document must describe only the grid named.
-    const campaign::PerfLog perf =
-        campaign::scope_to_spec(campaign::PerfLog::load(perf_path), spec);
-    if (perf.empty()) {
-      std::cerr << "prestage: no host telemetry for this grid at '"
-                << perf_path
-                << "' (run `campaign run` first — with the same --instrs — "
-                   "the sidecar records only points executed on this "
-                   "host; or measure fresh with --min-host-seconds)\n";
-      return 1;
-    }
-    summary = campaign::summarize_perf(perf);
-  }
-
-  JsonSink sink(out_path);
-  if (sink.failed()) return 1;
-  JsonWriter json(sink.stream());
-  json.begin_object();
-  json.field("schema", "prestage-campaign-perf-v1");
-  json.field("campaign", spec.name);
-  if (opt.min_host_seconds > 0.0) {
-    json.field("store", "(measured)");
-    json.field("min_host_seconds", opt.min_host_seconds);
-  } else {
-    write_store_field(json, store_path);
-  }
-  campaign::write_perf_summary(json, summary);
-  json.end_object();
-  if (!sink.finish()) return 1;
-  if (!sink.owns_stdout()) {
-    std::printf("perf        : %s (%zu executed points, %s)\n",
-                out_path.c_str(), summary.total.points,
-                sim::render_host_perf({summary.total.host_seconds,
-                                       summary.total.minstr_per_sec})
-                    .c_str());
-  }
-  return 0;
-}
-
-int cmd_campaign_perf_compare(const Options& opt) {
-  if (opt.baseline_path.empty()) {
-    std::cerr << "prestage: `campaign perf compare` needs --baseline "
-                 "BENCH_perf.json (measure with the same --instrs the "
-                 "baseline was measured at)\n";
-    return 2;
-  }
-  std::ifstream in(opt.baseline_path);
-  if (!in) {
-    std::cerr << "prestage: baseline '" << opt.baseline_path
-              << "' does not exist\n";
-    return 2;
-  }
-  campaign::PerfDocument baseline;
-  try {
-    std::ostringstream text;
-    text << in.rdbuf();
-    baseline = campaign::parse_perf_document(text.str());
-  } catch (const json::JsonError& e) {
-    std::cerr << "prestage: baseline '" << opt.baseline_path
-              << "': " << e.what() << "\n";
-    return 2;
-  }
-
-  // The grid to re-measure: --name overrides, else the baseline names it.
-  Options resolved = opt;
-  if (resolved.campaign.empty()) resolved.campaign = baseline.campaign;
-  const campaign::CampaignSpec* registered = resolve_campaign(resolved);
-  if (!registered) return 2;
-  const campaign::CampaignSpec spec = apply_overrides(*registered, opt);
-  const double floor =
-      opt.min_host_seconds > 0.0 ? opt.min_host_seconds : 1.0;
-
-  JsonSink sink(opt.json_path);
-  if (sink.failed()) return 1;
-
-  const campaign::PerfSummary candidate =
-      campaign::measure_perf(spec, opt.jobs, floor);
-  const campaign::PerfGateResult gate =
-      campaign::gate_perf(baseline.summary, candidate, opt.slack_pct);
-
-  // Pairing nothing means the baseline describes a different grid —
-  // a misconfiguration, not a pass (same rule as `campaign compare`).
-  if (gate.configs.empty()) {
-    std::cerr << "prestage: baseline '" << opt.baseline_path
-              << "' shares no configs with campaign '" << spec.name
-              << "'\n";
-    return 2;
-  }
-
-  if (!sink.owns_stdout()) {
-    std::printf("baseline    : %s (%zu points)\n", opt.baseline_path.c_str(),
-                baseline.summary.total.points);
-    std::printf("candidate   : %s re-measured, %zu points over %.2fs "
-                "host, slack %.1f%%\n",
-                spec.name.c_str(), candidate.total.points,
-                candidate.total.host_seconds, opt.slack_pct);
-    Table t({"config", "base Minstr/s", "cand Minstr/s", "delta", ""});
-    const auto add_row = [&t](const campaign::PerfGateEntry& e) {
-      t.add_row({e.config, fmt(e.baseline_minstr_per_sec, 3),
-                 fmt(e.candidate_minstr_per_sec, 3),
-                 fmt(e.delta_pct, 1) + "%",
-                 e.regressed ? "REGRESSED" : "ok"});
-    };
-    for (const auto& e : gate.configs) add_row(e);
-    add_row(gate.total);
-    std::printf("%s", t.to_text().c_str());
-    for (const std::string& c : gate.baseline_only) {
-      std::printf("unpaired    : %s (baseline only)\n", c.c_str());
-    }
-    for (const std::string& c : gate.candidate_only) {
-      std::printf("unpaired    : %s (candidate only)\n", c.c_str());
-    }
-    std::printf("result      : %zu regression(s) beyond %.1f%% slack\n",
-                gate.regressions, opt.slack_pct);
-  }
-
-  if (sink.wanted()) {
-    JsonWriter json(sink.stream());
-    json.begin_object();
-    json.field("schema", "prestage-campaign-perf-compare-v1");
-    json.field("campaign", spec.name);
-    json.field("baseline", opt.baseline_path);
-    json.field("slack_pct", opt.slack_pct);
-    json.field("min_host_seconds", floor);
-    const auto write_entry = [&json](const campaign::PerfGateEntry& e) {
-      json.begin_object();
-      json.field("config", e.config);
-      json.field("baseline_minstr_per_sec", e.baseline_minstr_per_sec);
-      json.field("candidate_minstr_per_sec", e.candidate_minstr_per_sec);
-      json.field("delta_pct", e.delta_pct);
-      json.field("regressed", e.regressed);
-      json.end_object();
-    };
-    json.key("total");
-    write_entry(gate.total);
-    json.key("configs");
-    json.begin_array();
-    for (const auto& e : gate.configs) write_entry(e);
-    json.end_array();
-    json.key("baseline_only");
-    json.begin_array();
-    for (const std::string& c : gate.baseline_only) json.value(c);
-    json.end_array();
-    json.key("candidate_only");
-    json.begin_array();
-    for (const std::string& c : gate.candidate_only) json.value(c);
-    json.end_array();
-    json.field("regressions", static_cast<std::uint64_t>(gate.regressions));
-    json.field("ok", gate.ok());
-    json.end_object();
-    if (!sink.finish()) return 1;
-  }
-  return gate.ok() ? 0 : 3;
 }
 
 }  // namespace prestage::cli

@@ -48,18 +48,6 @@ int cmd_campaign_compare(const Options& opt);
 /// host-throughput section.
 int cmd_campaign_report(const Options& opt);
 
-/// Emits the host-throughput document (BENCH_perf.json by default):
-/// from a store's `.perf` sidecar by default, or — with
-/// --min-host-seconds — from a fresh in-memory re-execution of the grid
-/// repeated to that host-time floor. Record-only — never gates.
-int cmd_campaign_perf(const Options& opt);
-
-/// The standing host-perf regression gate: re-measures the grid named
-/// by a BENCH_perf.json baseline (--min-host-seconds floor) and fails
-/// with exit 3 when any config's Minstr/s falls more than --slack
-/// percent below the baseline.
-int cmd_campaign_perf_compare(const Options& opt);
-
 /// Streams one BBV profiling pass over a workload (--bench or --trace)
 /// and reports its interval/phase structure.
 int cmd_sample_profile(const Options& opt);

@@ -14,9 +14,12 @@
 // All subcommands honour PRESTAGE_INSTRS when --instrs is absent, like
 // the bench harnesses, and emit machine-readable JSON via --json (a file
 // path, or `-` for stdout).
+#include <algorithm>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <iterator>
+#include <string>
 #include <string_view>
 
 #include "cli/commands.hpp"
@@ -24,6 +27,8 @@
 #include "common/faultpoint.hpp"
 
 namespace {
+
+using namespace prestage::cli;
 
 void print_usage(std::ostream& out) {
   out << "usage: prestage <command> [flags]\n"
@@ -43,21 +48,12 @@ void print_usage(std::ostream& out) {
          "         (optionally saved as a PSCK checkpoint with --out), or\n"
          "         run one sampled point and reconstruct whole-run\n"
          "         statistics with an error bar\n"
-         "  campaign  run | resume | status | compare | report | perf |\n"
-         "         perf compare — execute a declarative figure grid "
-         "against\n"
-         "         a resumable JSONL store (`prestage list` names the\n"
-         "         campaigns), check its coverage, diff two stores for "
-         "IPC\n"
-         "         regressions, emit the BENCH_<name>.json figure "
-         "report\n"
-         "         and print its chart,\n"
-         "         emit the BENCH_perf.json host-throughput report (from\n"
-         "         the store's .perf sidecar, or measured fresh with\n"
-         "         --min-host-seconds), or gate host throughput against "
-         "a\n"
-         "         committed BENCH_perf.json baseline (exit 3 on "
-         "regression)\n"
+         "  campaign  run | resume | status | compare | report — execute a\n"
+         "         declarative figure grid against a resumable JSONL store\n"
+         "         (`prestage list` names the campaigns), check its coverage,\n"
+         "         diff two stores for IPC regressions, or emit the\n"
+         "         BENCH_<name>.json figure report (with the host telemetry\n"
+         "         of the store's .perf sidecar) and print its chart\n"
          "  faults  list — enumerate the fault-injection sites compiled\n"
          "         into the I/O and execution paths, and what\n"
          "         PRESTAGE_FAULTS currently arms (spec grammar:\n"
@@ -113,13 +109,6 @@ void print_usage(std::ostream& out) {
          "(default 2)\n"
          "  --out PATH      report: output file (default "
          "BENCH_<name>.json)\n"
-         "  --min-host-seconds S\n"
-         "                  perf / perf compare: measure the grid fresh "
-         "(in\n"
-         "                  memory, repeated passes) until S host-seconds\n"
-         "                  accumulate (perf compare default: 1)\n"
-         "  --slack PCT     perf compare: allowed Minstr/s drop before a\n"
-         "                  config counts as regressed (default 20)\n"
          "\n"
          "fault-tolerance flags (campaign run/resume):\n"
          "  --retries N     extra attempts per failing point before it "
@@ -143,11 +132,56 @@ void print_usage(std::ostream& out) {
          "            4 campaign completed with quarantined points\n";
 }
 
+using Handler = int (*)(const Options&);
+
+/// One command: a top-level word (empty group) or a group's subcommand.
+struct Command {
+  std::string_view group;
+  std::string_view name;
+  Handler run;
+};
+
+int campaign_run(const Options& opt) { return cmd_campaign_run(opt, false); }
+int campaign_resume(const Options& opt) { return cmd_campaign_run(opt, true); }
+
+constexpr Command kCommands[] = {
+    {"", "run", cmd_run},
+    {"", "suite", cmd_suite},
+    {"", "sweep", cmd_sweep},
+    {"", "list", cmd_list},
+    {"trace", "record", cmd_trace_record},
+    {"trace", "replay", cmd_trace_replay},
+    {"trace", "info", cmd_trace_info},
+    {"sample", "profile", cmd_sample_profile},
+    {"sample", "plan", cmd_sample_plan},
+    {"sample", "run", cmd_sample_run},
+    {"campaign", "run", campaign_run},
+    {"campaign", "resume", campaign_resume},
+    {"campaign", "status", cmd_campaign_status},
+    {"campaign", "compare", cmd_campaign_compare},
+    {"campaign", "report", cmd_campaign_report},
+    {"faults", "list", cmd_faults_list},
+};
+
+bool is_help(std::string_view word) {
+  return word == "--help" || word == "-h" || word == "help";
+}
+
+bool is_group(std::string_view word) {
+  return std::any_of(std::begin(kCommands), std::end(kCommands),
+                     [word](const Command& c) { return c.group == word; });
+}
+
+const Command* find_command(std::string_view group, std::string_view name) {
+  for (const Command& c : kCommands) {
+    if (c.group == group && c.name == name) return &c;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace prestage::cli;
-
   // Arm fault injection before anything touches a faultable path. A
   // malformed spec is a usage error: failing loudly here beats running
   // a chaos campaign that silently injects nothing.
@@ -163,159 +197,45 @@ int main(int argc, char** argv) {
     print_usage(std::cerr);
     return 2;
   }
-  const std::string_view command = argv[1];
-  if (command == "--help" || command == "-h" || command == "help") {
+  std::string_view group;
+  std::string_view name = argv[1];
+  if (is_help(name)) {
     print_usage(std::cout);
     return 0;
   }
-
-  if (command == "trace") {
+  int first = 2;  // argv index of the first flag
+  if (is_group(name)) {
+    group = name;
     if (argc < 3) {
-      std::cerr << "prestage: `trace` needs a subcommand "
-                   "(record | replay | info)\n\n";
+      std::cerr << "prestage: `" << group << "` needs a subcommand (";
+      const char* sep = "";
+      for (const Command& c : kCommands) {
+        if (c.group != group) continue;
+        std::cerr << sep << c.name;
+        sep = " | ";
+      }
+      std::cerr << ")\n\n";
       print_usage(std::cerr);
       return 2;
     }
-    const std::string_view sub = argv[2];
-    if (sub == "--help" || sub == "-h" || sub == "help") {
+    name = argv[2];
+    if (is_help(name)) {
       print_usage(std::cout);
       return 0;
     }
-    const ParseResult parsed = parse_options(argc, argv, 3);
-    if (parsed.help) {
-      print_usage(std::cout);
-      return 0;
-    }
-    if (!parsed.error.empty()) {
-      std::cerr << "prestage: " << parsed.error << "\n\n";
-      print_usage(std::cerr);
-      return 2;
-    }
-    try {
-      if (sub == "record") return cmd_trace_record(parsed.options);
-      if (sub == "replay") return cmd_trace_replay(parsed.options);
-      if (sub == "info") return cmd_trace_info(parsed.options);
-    } catch (const std::exception& e) {
-      std::cerr << "prestage: " << e.what() << "\n";
-      return 1;
-    }
-    std::cerr << "prestage: unknown trace subcommand '" << sub << "'\n\n";
+    first = 3;
+  }
+
+  const Command* command = find_command(group, name);
+  if (command == nullptr) {
+    std::cerr << "prestage: unknown "
+              << (group.empty() ? "command" : std::string(group) +
+                                                  " subcommand")
+              << " '" << name << "'\n\n";
     print_usage(std::cerr);
     return 2;
   }
-
-  if (command == "sample") {
-    if (argc < 3) {
-      std::cerr << "prestage: `sample` needs a subcommand "
-                   "(profile | plan | run)\n\n";
-      print_usage(std::cerr);
-      return 2;
-    }
-    const std::string_view sub = argv[2];
-    if (sub == "--help" || sub == "-h" || sub == "help") {
-      print_usage(std::cout);
-      return 0;
-    }
-    const ParseResult parsed = parse_options(argc, argv, 3);
-    if (parsed.help) {
-      print_usage(std::cout);
-      return 0;
-    }
-    if (!parsed.error.empty()) {
-      std::cerr << "prestage: " << parsed.error << "\n\n";
-      print_usage(std::cerr);
-      return 2;
-    }
-    try {
-      if (sub == "profile") return cmd_sample_profile(parsed.options);
-      if (sub == "plan") return cmd_sample_plan(parsed.options);
-      if (sub == "run") return cmd_sample_run(parsed.options);
-    } catch (const std::exception& e) {
-      std::cerr << "prestage: " << e.what() << "\n";
-      return 1;
-    }
-    std::cerr << "prestage: unknown sample subcommand '" << sub << "'\n\n";
-    print_usage(std::cerr);
-    return 2;
-  }
-
-  if (command == "campaign") {
-    if (argc < 3) {
-      std::cerr << "prestage: `campaign` needs a subcommand "
-                   "(run | resume | status | compare | report | perf)\n\n";
-      print_usage(std::cerr);
-      return 2;
-    }
-    const std::string_view sub = argv[2];
-    if (sub == "--help" || sub == "-h" || sub == "help") {
-      print_usage(std::cout);
-      return 0;
-    }
-    // `campaign perf compare` is the one two-word subcommand: the gate
-    // variant of `perf`, so its flags start one word later.
-    const bool perf_compare =
-        sub == "perf" && argc > 3 && std::string_view(argv[3]) == "compare";
-    const ParseResult parsed = parse_options(argc, argv, perf_compare ? 4 : 3);
-    if (parsed.help) {
-      print_usage(std::cout);
-      return 0;
-    }
-    if (!parsed.error.empty()) {
-      std::cerr << "prestage: " << parsed.error << "\n\n";
-      print_usage(std::cerr);
-      return 2;
-    }
-    try {
-      if (sub == "run") return cmd_campaign_run(parsed.options, false);
-      if (sub == "resume") return cmd_campaign_run(parsed.options, true);
-      if (sub == "status") return cmd_campaign_status(parsed.options);
-      if (sub == "compare") return cmd_campaign_compare(parsed.options);
-      if (sub == "report") return cmd_campaign_report(parsed.options);
-      if (perf_compare) return cmd_campaign_perf_compare(parsed.options);
-      if (sub == "perf") return cmd_campaign_perf(parsed.options);
-    } catch (const std::exception& e) {
-      std::cerr << "prestage: " << e.what() << "\n";
-      return 1;
-    }
-    std::cerr << "prestage: unknown campaign subcommand '" << sub
-              << "'\n\n";
-    print_usage(std::cerr);
-    return 2;
-  }
-
-  if (command == "faults") {
-    if (argc < 3) {
-      std::cerr << "prestage: `faults` needs a subcommand (list)\n\n";
-      print_usage(std::cerr);
-      return 2;
-    }
-    const std::string_view sub = argv[2];
-    if (sub == "--help" || sub == "-h" || sub == "help") {
-      print_usage(std::cout);
-      return 0;
-    }
-    const ParseResult parsed = parse_options(argc, argv, 3);
-    if (parsed.help) {
-      print_usage(std::cout);
-      return 0;
-    }
-    if (!parsed.error.empty()) {
-      std::cerr << "prestage: " << parsed.error << "\n\n";
-      print_usage(std::cerr);
-      return 2;
-    }
-    try {
-      if (sub == "list") return cmd_faults_list(parsed.options);
-    } catch (const std::exception& e) {
-      std::cerr << "prestage: " << e.what() << "\n";
-      return 1;
-    }
-    std::cerr << "prestage: unknown faults subcommand '" << sub << "'\n\n";
-    print_usage(std::cerr);
-    return 2;
-  }
-
-  const ParseResult parsed = parse_options(argc, argv, 2);
+  const ParseResult parsed = parse_options(argc, argv, first);
   if (parsed.help) {
     print_usage(std::cout);
     return 0;
@@ -325,18 +245,10 @@ int main(int argc, char** argv) {
     print_usage(std::cerr);
     return 2;
   }
-
   try {
-    if (command == "run") return cmd_run(parsed.options);
-    if (command == "suite") return cmd_suite(parsed.options);
-    if (command == "sweep") return cmd_sweep(parsed.options);
-    if (command == "list") return cmd_list(parsed.options);
+    return command->run(parsed.options);
   } catch (const std::exception& e) {
     std::cerr << "prestage: " << e.what() << "\n";
     return 1;
   }
-
-  std::cerr << "prestage: unknown command '" << command << "'\n\n";
-  print_usage(std::cerr);
-  return 2;
 }

@@ -206,30 +206,6 @@ ParseResult parse_options(int argc, char** argv, int first) {
       }
       opt.threshold_pct = t;
       ++i;
-    } else if (arg == "--slack") {
-      const char* v = need_value(i, arg);
-      if (!v) return result;
-      char* end = nullptr;
-      const double t = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !std::isfinite(t) || t < 0.0) {
-        result.error = std::string("--slack needs a non-negative "
-                                   "percentage, got '") + v + "'";
-        return result;
-      }
-      opt.slack_pct = t;
-      ++i;
-    } else if (arg == "--min-host-seconds") {
-      const char* v = need_value(i, arg);
-      if (!v) return result;
-      char* end = nullptr;
-      const double t = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !std::isfinite(t) || t <= 0.0) {
-        result.error = std::string("--min-host-seconds needs a positive "
-                                   "duration, got '") + v + "'";
-        return result;
-      }
-      opt.min_host_seconds = t;
-      ++i;
     } else if (arg == "--retries") {
       const char* v = need_value(i, arg);
       if (!v) return result;

@@ -42,10 +42,6 @@ struct Options {
   std::string store_path;     ///< --store: result store (JSONL)
   std::string baseline_path;  ///< --baseline: compare reference store
   double threshold_pct = 2.0;  ///< --threshold: regression bound (%)
-  double slack_pct = 20.0;     ///< --slack: perf-gate slack (%)
-  /// --min-host-seconds: host-time floor for fresh perf measurement.
-  /// 0 keeps `campaign perf` in its sidecar-reading record mode.
-  double min_host_seconds = 0.0;
 
   // --- fault tolerance (campaign run/resume) ------------------------------
   unsigned retries = 1;   ///< --retries: extra attempts before quarantine

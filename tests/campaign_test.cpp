@@ -329,7 +329,7 @@ TEST(CampaignEngine, PerfSidecarKeepsRecomputedDuplicatesOnResume) {
   EXPECT_EQ(log.size(), 12u) << "8 fresh + 4 recomputed records";
   const auto scoped = campaign::scope_to_spec(log, spec);
   EXPECT_EQ(scoped.size(), 12u) << "same-grid duplicates are kept";
-  EXPECT_EQ(campaign::aggregate_perf(scoped.records()).points, 12u);
+  EXPECT_EQ(campaign::summarize_perf(scoped).total.points, 12u);
 }
 
 TEST(CampaignEngine, TornFinalWriteHealsWithoutCorruptingNewRecords) {
@@ -654,6 +654,17 @@ TEST(CampaignPerf, RecordRoundTripsAndAggregates) {
   ASSERT_EQ(summary.per_config.size(), 2u);
   EXPECT_EQ(summary.per_config[0].first, "base");  // config-name order
   EXPECT_EQ(summary.per_config[1].first, "clgp-l0");
+
+  // A sampled point's line in the older sidecar format, which also
+  // carried its budget and simulated Minstr, still loads.
+  const campaign::PerfRecord sampled = campaign::decode_perf_line(
+      R"({"key":"0123abcd","config":"clgp-l0","benchmark":"gzip",)"
+      R"("host_seconds":0.5,"minstr_per_sec":3,"sampled":true,)"
+      R"("budget_minstr":0.4,"simulated_minstr":0.078})");
+  EXPECT_EQ(sampled.key, "0123abcd");
+  EXPECT_EQ(sampled.benchmark, "gzip");
+  EXPECT_DOUBLE_EQ(sampled.host_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(sampled.minstr_per_sec, 3.0);
 }
 
 TEST(CampaignPerf, FoldIsDurationWeightedAcrossUnequalPoints) {
@@ -670,7 +681,10 @@ TEST(CampaignPerf, FoldIsDurationWeightedAcrossUnequalPoints) {
   slow.config = "base";
   slow.host_seconds = 3.0;
   slow.minstr_per_sec = 2.0;
-  const campaign::PerfAggregate agg = campaign::aggregate_perf({fast, slow});
+  campaign::PerfLog log;
+  log.add(fast);
+  log.add(slow);
+  const campaign::PerfAggregate agg = campaign::summarize_perf(log).total;
   EXPECT_EQ(agg.points, 2u);
   EXPECT_DOUBLE_EQ(agg.host_seconds, 4.0);
   EXPECT_DOUBLE_EQ(agg.minstr_per_sec, 4.0)
@@ -948,135 +962,6 @@ TEST(CampaignCompare, ReportsRenamedAndUnknownConfigsByName) {
     }
   }
   EXPECT_EQ(candidate_only, 2u);
-}
-
-// --- host-perf regression gate ---------------------------------------------
-
-campaign::PerfAggregate perf_agg(std::size_t points, double seconds,
-                                 double rate) {
-  campaign::PerfAggregate a;
-  a.points = points;
-  a.host_seconds = seconds;
-  a.minstr_per_sec = rate;
-  return a;
-}
-
-TEST(CampaignPerfGate, SeededRegressionTripsTheGate) {
-  campaign::PerfSummary baseline;
-  baseline.total = perf_agg(8, 2.0, 10.0);
-  baseline.per_config.emplace_back("base@045", perf_agg(4, 1.0, 12.0));
-  baseline.per_config.emplace_back("clgp-l0@045", perf_agg(4, 1.0, 8.0));
-
-  // clgp-l0 seeded 50% slower; base improves; total drops within slack.
-  campaign::PerfSummary candidate;
-  candidate.total = perf_agg(8, 2.2, 9.0);
-  candidate.per_config.emplace_back("base@045", perf_agg(4, 1.0, 14.0));
-  candidate.per_config.emplace_back("clgp-l0@045", perf_agg(4, 1.2, 4.0));
-
-  const campaign::PerfGateResult gate =
-      campaign::gate_perf(baseline, candidate, 20.0);
-  EXPECT_FALSE(gate.ok());
-  EXPECT_EQ(gate.regressions, 1u);
-  EXPECT_FALSE(gate.total.regressed);  // -10% is inside 20% slack
-  ASSERT_EQ(gate.configs.size(), 2u);
-  EXPECT_FALSE(gate.configs[0].regressed);
-  EXPECT_TRUE(gate.configs[1].regressed);
-  EXPECT_NEAR(gate.configs[1].delta_pct, -50.0, 1e-9);
-  EXPECT_TRUE(gate.baseline_only.empty());
-  EXPECT_TRUE(gate.candidate_only.empty());
-
-  // Slack wide enough to absorb the seeded drop: the gate passes.
-  EXPECT_TRUE(campaign::gate_perf(baseline, candidate, 60.0).ok());
-}
-
-TEST(CampaignPerfGate, UnpairedConfigsSurfaceWithoutRegressing) {
-  campaign::PerfSummary baseline;
-  baseline.total = perf_agg(4, 1.0, 10.0);
-  baseline.per_config.emplace_back("base@045", perf_agg(2, 0.5, 10.0));
-  baseline.per_config.emplace_back("retired@045", perf_agg(2, 0.5, 10.0));
-
-  campaign::PerfSummary candidate;
-  candidate.total = perf_agg(4, 1.0, 10.0);
-  candidate.per_config.emplace_back("base@045", perf_agg(2, 0.5, 10.0));
-  candidate.per_config.emplace_back("fresh@045", perf_agg(2, 0.5, 10.0));
-
-  const campaign::PerfGateResult gate =
-      campaign::gate_perf(baseline, candidate, 20.0);
-  EXPECT_TRUE(gate.ok());
-  ASSERT_EQ(gate.configs.size(), 1u);  // only the paired config gates
-  ASSERT_EQ(gate.baseline_only.size(), 1u);
-  EXPECT_EQ(gate.baseline_only[0], "retired@045");
-  ASSERT_EQ(gate.candidate_only.size(), 1u);
-  EXPECT_EQ(gate.candidate_only[0], "fresh@045");
-}
-
-TEST(CampaignPerfGate, DocumentRoundTripsThroughParser) {
-  campaign::PerfSummary summary;
-  summary.total = perf_agg(8, 1.5, 6.25);
-  summary.dropped_lines = 2;
-  summary.per_config.emplace_back("base@045", perf_agg(4, 0.5, 9.0));
-  summary.per_config.emplace_back("clgp-l0@045", perf_agg(4, 1.0, 5.0));
-
-  // The exact shape `campaign perf` emits (see cmd_campaign_perf).
-  std::ostringstream out;
-  JsonWriter json(out);
-  json.begin_object();
-  json.field("schema", "prestage-campaign-perf-v1");
-  json.field("campaign", "tiny");
-  campaign::write_perf_summary(json, summary);
-  json.end_object();
-
-  const campaign::PerfDocument doc =
-      campaign::parse_perf_document(out.str());
-  EXPECT_EQ(doc.campaign, "tiny");
-  EXPECT_EQ(doc.summary.total.points, 8u);
-  EXPECT_EQ(doc.summary.total.host_seconds, 1.5);
-  EXPECT_EQ(doc.summary.total.minstr_per_sec, 6.25);
-  EXPECT_EQ(doc.summary.dropped_lines, 2u);
-  ASSERT_EQ(doc.summary.per_config.size(), 2u);
-  EXPECT_EQ(doc.summary.per_config[0].first, "base@045");
-  EXPECT_EQ(doc.summary.per_config[0].second.minstr_per_sec, 9.0);
-  EXPECT_EQ(doc.summary.per_config[1].first, "clgp-l0@045");
-  EXPECT_EQ(doc.summary.per_config[1].second.host_seconds, 1.0);
-
-  // A round-tripped document gates cleanly against itself.
-  EXPECT_TRUE(campaign::gate_perf(doc.summary, summary, 0.0).ok());
-}
-
-TEST(CampaignPerfGate, ParserRejectsForeignDocuments) {
-  EXPECT_THROW(
-      (void)campaign::parse_perf_document(
-          R"({"schema": "prestage-campaign-report-v1"})"),
-      json::JsonError);
-  EXPECT_THROW((void)campaign::parse_perf_document("not json"),
-               json::JsonError);
-}
-
-TEST(CampaignPerfMeasure, FreshMeasurementCoversTheGridAndHonorsTheFloor) {
-  CampaignSpec spec = tiny_spec();
-  spec.instructions = 300;
-
-  // Floor 0: exactly one pass over the grid, straight from memory.
-  const campaign::PerfSummary once = campaign::measure_perf(spec, 1, 0.0);
-  EXPECT_EQ(once.total.points, 8u);
-  EXPECT_GT(once.total.host_seconds, 0.0);
-  EXPECT_GT(once.total.minstr_per_sec, 0.0);
-  EXPECT_EQ(once.dropped_lines, 0u);
-  ASSERT_EQ(once.per_config.size(), 2u);
-  std::size_t covered = 0;
-  for (const auto& [config, agg] : once.per_config) {
-    EXPECT_GT(agg.minstr_per_sec, 0.0) << config;
-    covered += agg.points;
-  }
-  EXPECT_EQ(covered, 8u);
-
-  // A positive floor repeats whole passes until the host time is spent:
-  // always a multiple of the grid, never a partial pass.
-  const campaign::PerfSummary folded =
-      campaign::measure_perf(spec, 1, 0.02);
-  EXPECT_GE(folded.total.host_seconds, 0.02);
-  EXPECT_GE(folded.total.points, 8u);
-  EXPECT_EQ(folded.total.points % 8, 0u);
 }
 
 }  // namespace

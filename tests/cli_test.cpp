@@ -479,185 +479,35 @@ TEST(CliCampaign, RunStatusCompareReportFlow) {
     }
   }
   // The run above left a .perf sidecar, so the report carries the host
-  // section (the BENCH perf trajectory).
+  // section: this host's telemetry for the grid.
   ASSERT_TRUE(report.has("host"));
-  EXPECT_GT(report.at("host").at("host_seconds").number, 0.0);
-  EXPECT_EQ(report.at("host").at("points").number, 8.0);
-  EXPECT_FALSE(report.at("host").at("per_config").array.empty());
-}
-
-TEST(CliCampaign, PerfEmitsHostThroughputDoc) {
-  const std::string store = test_file("perf.jsonl");
-  std::remove(store.c_str());
-  std::remove((store + ".perf").c_str());
-  const std::string common = "--name smoke --instrs 600 --store " + store;
-  std::string output;
-
-  // Before any run there is no sidecar: record-only, but loud about it.
-  EXPECT_EQ(run_cli("campaign perf " + common + " --out -", &output), 1);
-  EXPECT_NE(output.find("no host telemetry"), std::string::npos) << output;
-
-  ASSERT_EQ(run_cli("campaign run " + common + " -j 2", &output), 0)
-      << output;
-  const int rc = run_cli("campaign perf " + common + " --out -", &output);
-  ASSERT_EQ(rc, 0) << output;
-  const JsonValue doc = parse_json(output);
-  EXPECT_EQ(doc.at("schema").string, "prestage-campaign-perf-v1");
-  EXPECT_EQ(doc.at("campaign").string, "smoke");
-  EXPECT_EQ(doc.at("points").number, 8.0);
-  EXPECT_EQ(doc.at("dropped_lines").number, 0.0)
+  const JsonValue& host = report.at("host");
+  EXPECT_EQ(host.at("points").number, 8.0);
+  EXPECT_EQ(host.at("dropped_lines").number, 0.0)
       << "a fresh sidecar must report zero torn lines";
-  EXPECT_GT(doc.at("host_seconds").number, 0.0);
-  EXPECT_GT(doc.at("minstr_per_sec").number, 0.0);
-  const JsonValue& per_config = doc.at("per_config");
-  ASSERT_EQ(per_config.kind, JsonValue::Kind::Array);
-  ASSERT_EQ(per_config.array.size(), 2u);  // smoke grid: base + clgp-l0
+  EXPECT_GT(host.at("host_seconds").number, 0.0);
+  EXPECT_GT(host.at("minstr_per_sec").number, 0.0);
+  ASSERT_EQ(host.at("per_config").array.size(), 2u);  // base + clgp-l0
   double summed = 0.0;
-  for (const JsonValue& c : per_config.array) {
+  for (const JsonValue& c : host.at("per_config").array) {
     EXPECT_FALSE(c.at("config").string.empty());
     EXPECT_GT(c.at("minstr_per_sec").number, 0.0);
     summed += c.at("host_seconds").number;
   }
   // Relative tolerance: %.10g-serialized doubles on a possibly slow host.
-  EXPECT_NEAR(doc.at("host_seconds").number, summed,
-              1e-9 + 1e-6 * summed);
+  EXPECT_NEAR(host.at("host_seconds").number, summed, 1e-9 + 1e-6 * summed);
 
   // A second generation at the same store path (different --instrs →
-  // different keys) appends 8 more sidecar records, but the document is
-  // scoped to the grid it names: still 8 points per budget, not 16.
+  // different keys) appends 8 more sidecar records, but the report is
+  // scoped to the grid it names: still 8 points, not 16.
   ASSERT_EQ(run_cli("campaign run --name smoke --instrs 450 --store " +
                         store + " -j 2",
                     &output),
             0)
       << output;
-  ASSERT_EQ(run_cli("campaign perf " + common + " --out -", &output), 0);
-  EXPECT_EQ(parse_json(output).at("points").number, 8.0);
-  ASSERT_EQ(run_cli("campaign perf --name smoke --instrs 450 --store " +
-                        store + " --out -",
-                    &output),
-            0);
-  EXPECT_EQ(parse_json(output).at("points").number, 8.0);
-}
-
-TEST(CliCampaign, PerfMeasuredModeNeedsNoStore) {
-  std::string output;
-  const int rc = run_cli(
-      "campaign perf --name smoke --instrs 300 --min-host-seconds 0.01 "
-      "-j 1 --out -",
-      &output);
-  ASSERT_EQ(rc, 0) << output;
-  const JsonValue doc = parse_json(output);
-  EXPECT_EQ(doc.at("schema").string, "prestage-campaign-perf-v1");
-  EXPECT_EQ(doc.at("campaign").string, "smoke");
-  EXPECT_EQ(doc.at("store").string, "(measured)");
-  EXPECT_EQ(doc.at("min_host_seconds").number, 0.01);
-  // The repeat loop folds whole passes: a multiple of the 8-point grid.
-  const auto points = static_cast<std::uint64_t>(doc.at("points").number);
-  EXPECT_GE(points, 8u);
-  EXPECT_EQ(points % 8u, 0u);
-  EXPECT_GT(doc.at("minstr_per_sec").number, 0.0);
-  ASSERT_EQ(doc.at("per_config").array.size(), 2u);
-}
-
-TEST(CliCampaign, PerfCompareGatesAgainstACommittedBaseline) {
-  std::string output;
-  // Measure a genuine document once, to copy the grid's canonical
-  // per-config names into the doctored baselines below.
-  ASSERT_EQ(run_cli("campaign perf --name smoke --instrs 300 "
-                    "--min-host-seconds 0.005 -j 1 --out -",
-                    &output),
-            0)
+  ASSERT_EQ(run_cli("campaign report " + common + " --out -", &output), 0)
       << output;
-  const JsonValue real = parse_json(output);
-  std::vector<std::string> configs;
-  for (const JsonValue& c : real.at("per_config").array) {
-    configs.push_back(c.at("config").string);
-  }
-  ASSERT_EQ(configs.size(), 2u);
-
-  const auto doctored = [&configs](double rate) {
-    std::ostringstream doc;
-    doc << "{\"schema\":\"prestage-campaign-perf-v1\",\"campaign\":"
-           "\"smoke\",\"points\":8,\"host_seconds\":1.0,"
-           "\"minstr_per_sec\":"
-        << rate << ",\"per_config\":[";
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (i > 0) doc << ",";
-      doc << "{\"config\":\"" << configs[i]
-          << "\",\"points\":4,\"host_seconds\":0.5,\"minstr_per_sec\":"
-          << rate << "}";
-    }
-    doc << "]}";
-    return doc.str();
-  };
-
-  // A seeded regression: an impossibly fast baseline makes every config
-  // (and the total) regress beyond any slack -> exit 3.
-  const std::string fast = test_file("fast-baseline.json");
-  { std::ofstream out(fast); out << doctored(1e9); }
-  const std::string measure =
-      " --instrs 300 --min-host-seconds 0.005 -j 1";
-  int rc = run_cli("campaign perf compare --baseline " + fast + measure,
-                   &output);
-  EXPECT_EQ(rc, 3) << output;
-  EXPECT_NE(output.find("REGRESSED"), std::string::npos) << output;
-
-  rc = run_cli(
-      "campaign perf compare --baseline " + fast + measure + " --json -",
-      &output);
-  EXPECT_EQ(rc, 3) << output;
-  const JsonValue gated = parse_json(output);
-  EXPECT_EQ(gated.at("schema").string,
-            "prestage-campaign-perf-compare-v1");
-  EXPECT_FALSE(gated.at("ok").boolean);
-  EXPECT_EQ(gated.at("regressions").number, 3.0);  // 2 configs + total
-  EXPECT_EQ(gated.at("configs").array.size(), 2u);
-  EXPECT_TRUE(gated.at("total").at("regressed").boolean);
-
-  // An impossibly slow baseline: everything improves -> exit 0.
-  const std::string slow = test_file("slow-baseline.json");
-  { std::ofstream out(slow); out << doctored(1e-9); }
-  rc = run_cli("campaign perf compare --baseline " + slow + measure,
-               &output);
-  EXPECT_EQ(rc, 0) << output;
-  EXPECT_NE(output.find("0 regression(s)"), std::string::npos) << output;
-}
-
-TEST(CliCampaign, PerfCompareErrorPathsFailLoudly) {
-  std::string output;
-  EXPECT_EQ(run_cli("campaign perf compare", &output), 2);
-  EXPECT_NE(output.find("--baseline"), std::string::npos) << output;
-
-  EXPECT_EQ(run_cli("campaign perf compare --baseline " +
-                        test_file("missing.json"),
-                    &output),
-            2);
-  EXPECT_NE(output.find("does not exist"), std::string::npos) << output;
-
-  // A JSON file that is not a perf document is rejected up front.
-  const std::string bogus = test_file("bogus.json");
-  { std::ofstream out(bogus); out << "{\"schema\": \"other\"}"; }
-  EXPECT_EQ(run_cli("campaign perf compare --baseline " + bogus, &output),
-            2);
-  EXPECT_NE(output.find("prestage-campaign-perf-v1"), std::string::npos)
-      << output;
-
-  // A baseline naming no shared configs is a misconfiguration, not a
-  // silent pass.
-  const std::string foreign = test_file("foreign.json");
-  {
-    std::ofstream out(foreign);
-    out << "{\"schema\":\"prestage-campaign-perf-v1\",\"campaign\":"
-           "\"smoke\",\"points\":1,\"host_seconds\":1.0,"
-           "\"minstr_per_sec\":1.0,\"per_config\":[{\"config\":"
-           "\"no-such@000\",\"points\":1,\"host_seconds\":1.0,"
-           "\"minstr_per_sec\":1.0}]}";
-  }
-  EXPECT_EQ(run_cli("campaign perf compare --baseline " + foreign +
-                        " --instrs 200 --min-host-seconds 0.001 -j 1",
-                    &output),
-            2);
-  EXPECT_NE(output.find("shares no configs"), std::string::npos) << output;
+  EXPECT_EQ(parse_json(output).at("host").at("points").number, 8.0);
 }
 
 TEST(CliCampaign, ResumeRecomputesOnlyMissingPoints) {
@@ -694,6 +544,15 @@ TEST(CliCampaign, ErrorPathsFailLoudly) {
   EXPECT_EQ(run_cli("campaign", &output), 2);
   EXPECT_NE(output.find("subcommand"), std::string::npos);
   EXPECT_EQ(run_cli("campaign frobnicate", &output), 2);
+  // The retired host-throughput gate is gone, not hidden.
+  EXPECT_EQ(run_cli("campaign perf --name smoke", &output), 2);
+  EXPECT_NE(output.find("unknown campaign subcommand 'perf'"),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(run_cli("campaign perf compare --baseline x", &output), 2);
+  EXPECT_NE(output.find("unknown campaign subcommand 'perf'"),
+            std::string::npos)
+      << output;
 
   // Unknown campaign name, and the missing --name flag.
   EXPECT_EQ(run_cli("campaign run --name no-such-fig", &output), 2);

@@ -4,7 +4,8 @@
 // checkpoint round-trips (a round-tripped plan runs byte-identically)
 // and corruption rejection, prefetcher save/restore semantics,
 // reconstruction fidelity against the full run, the plan-first campaign
-// phase's error path, error-bar-aware compare gating, and two golden
+// phase's error path, the report's store-derived effective speedup,
+// error-bar-aware compare gating, and two golden
 // store lines: a full run (the sampling block is strictly additive) and
 // a sampled run (slice starts and reconstruction are byte-stable).
 #include <gtest/gtest.h>
@@ -21,8 +22,12 @@
 
 #include "campaign/compare.hpp"
 #include "campaign/engine.hpp"
+#include "campaign/perf.hpp"
+#include "campaign/report.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
+#include "common/json.hpp"
+#include "common/json_writer.hpp"
 #include "common/prestage_assert.hpp"
 #include "cpu/cpu.hpp"
 #include "sample/checkpoint.hpp"
@@ -526,7 +531,8 @@ TEST(SampledRun, ReconstructsFullRunIpcWithinItsErrorBar) {
   }
 }
 
-TEST(SampledCampaign, StoreBytesIdenticalForAnyWorkerCount) {
+/// 2 presets x 2 sizes x 2 benchmarks, sampled under the smoke knobs.
+CampaignSpec sampled_tiny_spec() {
   CampaignSpec spec;
   spec.name = "sampled-tiny";
   spec.title = "sampled test grid";
@@ -539,7 +545,11 @@ TEST(SampledCampaign, StoreBytesIdenticalForAnyWorkerCount) {
   spec.sampling.interval_instructions = 5000;
   spec.sampling.max_clusters = 4;
   spec.sampling.warmup_intervals = 3;
+  return spec;
+}
 
+TEST(SampledCampaign, StoreBytesIdenticalForAnyWorkerCount) {
+  const CampaignSpec spec = sampled_tiny_spec();
   std::string reference;
   for (const unsigned jobs : {1u, 4u}) {
     std::string store_name = "w";  // (two steps: GCC 12 -Wrestrict FP)
@@ -556,6 +566,46 @@ TEST(SampledCampaign, StoreBytesIdenticalForAnyWorkerCount) {
       EXPECT_EQ(bytes, reference) << jobs << " workers diverged";
     }
   }
+}
+
+TEST(SampledCampaign, ReportSpeedupComesFromTheStore) {
+  const CampaignSpec spec = sampled_tiny_spec();
+  const std::string path = fresh_file("speedup.jsonl");
+  const std::string sidecar = campaign::perf_log_path(path);
+  std::filesystem::remove(sidecar);
+  ASSERT_EQ(campaign::run_campaign(spec, path, 2).executed, 8u);
+
+  const ResultStore store = ResultStore::load(path);
+  const campaign::ResultGrid grid(spec, store);
+  const auto sampling = [&grid](const campaign::PerfLog& perf) {
+    std::ostringstream out;
+    JsonWriter json(out, JsonWriter::Style::Compact);
+    campaign::write_report(json, grid, perf);
+    return json::parse(out.str()).at("sampling");
+  };
+
+  const json::Value fresh = sampling(campaign::PerfLog::load(sidecar));
+  const double points = fresh.at("points").as_number();
+  EXPECT_EQ(points, 8.0);
+  const double expected =
+      static_cast<double>(grid.instructions()) * points /
+      fresh.at("simulated_instructions").as_number();
+  EXPECT_NEAR(fresh.at("effective_speedup").as_number(), expected,
+              1e-9 * expected);
+
+  // A kill between the sidecar append and the store flush recomputes
+  // those points on resume, so their host records appear twice. The
+  // speedup reads the store, not the sidecar, and must not move.
+  const std::string records = read_file(sidecar);
+  {
+    std::ofstream out(sidecar, std::ios::app);
+    out << records.substr(records.find('\n') + 1);
+  }
+  EXPECT_EQ(campaign::PerfLog::load(sidecar).size(), 15u);
+  EXPECT_EQ(sampling(campaign::PerfLog::load(sidecar))
+                .at("effective_speedup")
+                .as_number(),
+            fresh.at("effective_speedup").as_number());
 }
 
 TEST(SampledCampaign, PlanBuildErrorQuarantinesItsPoint) {
