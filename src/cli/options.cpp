@@ -3,35 +3,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 
 #include "common/types.hpp"
 #include "prefetch/registry.hpp"
 
 namespace prestage::cli {
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t multiplier = 1;
-  if (text.back() == 'K' || text.back() == 'k') {
-    multiplier = 1024;
-    text.remove_suffix(1);
-  } else if (text.back() == 'M' || text.back() == 'm') {
-    multiplier = 1024 * 1024;
-    text.remove_suffix(1);
-  }
-  if (text.empty()) return std::nullopt;
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (kMax - digit) / 10) return std::nullopt;  // would overflow
-    v = v * 10 + digit;
-  }
-  if (v == 0 || v > kMax / multiplier) return std::nullopt;
-  return v * multiplier;
-}
 
 std::vector<std::string> split_csv(std::string_view text) {
   std::vector<std::string> out;

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,9 +77,7 @@ struct ParseResult {
 using cacti::parse_node;
 using sim::all_presets;
 using sim::parse_spec;
-
-/// Parses a positive decimal integer (with optional K/M suffix for sizes).
-[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text);
+using sim::parse_u64;
 
 /// Splits "a,b,c" into trimmed non-empty tokens.
 [[nodiscard]] std::vector<std::string> split_csv(std::string_view text);

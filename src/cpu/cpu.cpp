@@ -226,10 +226,15 @@ bool Cpu::try_skip(Cycle cycle_cap) {
 
 RunResult Cpu::run() {
   const auto host_start = std::chrono::steady_clock::now();
+  // Both saturate at kNoCycle: a budget near the top of the u64 range
+  // must not wrap the wedge detector's cap down to a few thousand cycles.
   const std::uint64_t target =
-      cfg_.warmup_instructions + cfg_.max_instructions;
+      cfg_.max_instructions > kNoCycle - cfg_.warmup_instructions
+          ? kNoCycle
+          : cfg_.warmup_instructions + cfg_.max_instructions;
   // Generous wedge detector: even mcf-like IPC stays well above 1/400.
-  const Cycle cycle_cap = 10000 + target * 400;
+  const Cycle cycle_cap =
+      target > (kNoCycle - 10000) / 400 ? kNoCycle : 10000 + target * 400;
 
   RunResult warm;  // all zero when there is no warm-up to exclude
   bool warm_taken = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 
 #include "cacti/cacti.hpp"
 #include "common/prestage_assert.hpp"
@@ -243,12 +244,39 @@ std::vector<std::string> full_suite() {
   return names;
 }
 
-std::uint64_t default_instructions() {
-  if (const char* env = std::getenv("PRESTAGE_INSTRS")) {
-    const long long v = std::atoll(env);
-    if (v > 0) return static_cast<std::uint64_t>(v);
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t multiplier = 1;
+  if (text.back() == 'K' || text.back() == 'k') {
+    multiplier = 1024;
+    text.remove_suffix(1);
+  } else if (text.back() == 'M' || text.back() == 'm') {
+    multiplier = 1024 * 1024;
+    text.remove_suffix(1);
   }
-  return 120000;
+  if (text.empty()) return std::nullopt;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (kMax - digit) / 10) return std::nullopt;  // would overflow
+    v = v * 10 + digit;
+  }
+  if (v == 0 || v > kMax / multiplier) return std::nullopt;
+  return v * multiplier;
+}
+
+std::uint64_t default_instructions() {
+  const char* env = std::getenv("PRESTAGE_INSTRS");
+  if (env == nullptr) return 120000;
+  const auto n = parse_u64(env);
+  if (!n) {
+    throw SimError(std::string("PRESTAGE_INSTRS needs a positive "
+                               "instruction count, got '") +
+                   env + "'");
+  }
+  return *n;
 }
 
 }  // namespace prestage::sim

@@ -91,9 +91,15 @@ struct Composition {
 /// All 12 SPECint2000-like benchmark names.
 [[nodiscard]] std::vector<std::string> full_suite();
 
+/// Parses a positive decimal count with an optional K/M suffix (x1024,
+/// x1024^2): the grammar of --instrs, --l1 and PRESTAGE_INSTRS. nullopt
+/// on any other character, on zero and on overflow.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text);
+
 /// Default instruction budget per benchmark run. Override with the
 /// PRESTAGE_INSTRS environment variable (CLI, bench harnesses and
-/// examples honour it).
+/// examples honour it), parsed like --instrs; a malformed value throws
+/// SimError.
 [[nodiscard]] std::uint64_t default_instructions();
 
 }  // namespace prestage::sim

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "common/cancel.hpp"
 #include "cpu/cpu.hpp"
 #include "sim/presets.hpp"
 #include "workload/synthetic_spec.hpp"
@@ -166,6 +167,15 @@ TEST(Machine, TickAdvancesCycleByCycle) {
   cpu.tick();
   cpu.tick();
   EXPECT_EQ(cpu.cycle(), 2u);
+}
+
+TEST(Machine, HugeBudgetRunsUntilItsHostBudgetNotAWedge) {
+  // 2^60 * 400 wraps to 0 in 64 bits, so an unsaturated wedge cap would
+  // be 10,000 cycles and fire a false "machine wedged" long before the
+  // 50 ms host budget cancels the run.
+  MachineConfig cfg = tiny("eon", "base", 1ULL << 60U);
+  cfg.max_host_seconds = 0.05;
+  EXPECT_THROW((void)Cpu(cfg).run(), PointCancelled);
 }
 
 TEST(SharedWorkload, CpusOfOneBenchmarkAndSeedShareOneProgram) {

@@ -3,8 +3,13 @@
 // through the campaign engine like the figures themselves.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "campaign/engine.hpp"
 #include "campaign/report.hpp"
+#include "common/prestage_assert.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
 
@@ -122,6 +127,37 @@ TEST(Presets, PaperSizesAxis) {
   ASSERT_EQ(sizes.size(), 9u);
   EXPECT_EQ(sizes.front(), 256u);
   EXPECT_EQ(sizes.back(), 65536u);
+}
+
+TEST(Presets, InstructionBudgetEnvParsesLikeInstrs) {
+  // Other cases in this process read the default: restore the variable.
+  const char* saved = std::getenv("PRESTAGE_INSTRS");
+  const std::optional<std::string> restore =
+      saved != nullptr ? std::optional<std::string>(saved) : std::nullopt;
+
+  ::setenv("PRESTAGE_INSTRS", "2000", 1);
+  EXPECT_EQ(default_instructions(), 2000u);
+  ::setenv("PRESTAGE_INSTRS", "100k", 1);
+  EXPECT_EQ(default_instructions(), 102400u) << "same K suffix as --instrs";
+  // Each of these once ran a silently wrong budget: 8 instructions, the
+  // 120,000 default, and 2^63-1 (a false "machine wedged").
+  for (const char* bad : {"5e6", "abc", "99999999999999999999"}) {
+    ::setenv("PRESTAGE_INSTRS", bad, 1);
+    try {
+      (void)default_instructions();
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const SimError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("PRESTAGE_INSTRS"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+
+  if (restore) {
+    ::setenv("PRESTAGE_INSTRS", restore->c_str(), 1);
+  } else {
+    ::unsetenv("PRESTAGE_INSTRS");
+  }
 }
 
 TEST(Report, SizeChartRendersAllSeries) {
