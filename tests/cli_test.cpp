@@ -544,7 +544,8 @@ TEST(CliCampaign, ErrorPathsFailLoudly) {
   EXPECT_EQ(run_cli("campaign", &output), 2);
   EXPECT_NE(output.find("subcommand"), std::string::npos);
   EXPECT_EQ(run_cli("campaign frobnicate", &output), 2);
-  // The retired host-throughput gate is gone, not hidden.
+  // `perf` is no campaign subcommand: host telemetry is read from the
+  // report's host section.
   EXPECT_EQ(run_cli("campaign perf --name smoke", &output), 2);
   EXPECT_NE(output.find("unknown campaign subcommand 'perf'"),
             std::string::npos)

@@ -593,8 +593,8 @@ TEST(SampledCampaign, ReportSpeedupComesFromTheStore) {
   EXPECT_NEAR(fresh.at("effective_speedup").as_number(), expected,
               1e-9 * expected);
 
-  // A kill between the sidecar append and the store flush recomputes
-  // those points on resume, so their host records appear twice. The
+  // A resume after the store lost its tail (a torn or truncated write)
+  // recomputes those points, so their host records appear twice. The
   // speedup reads the store, not the sidecar, and must not move.
   const std::string records = read_file(sidecar);
   {
