@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -327,6 +328,46 @@ TEST(CliTrace, RecordThenReplayReportsIdenticalStats) {
     EXPECT_EQ(a.at("fetch_sources").at(source).number,
               b.at("fetch_sources").at(source).number)
         << source;
+  }
+}
+
+/// FNV-1a 64 over a file's bytes.
+std::uint64_t file_digest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c = 0; in.get(c);) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// `trace record` writes the same bytes as the parent binary that
+// generated these pins: record count and an FNV-1a 64 digest of the file.
+TEST(CliTrace, RecordedFileMatchesParentPin) {
+  struct Pin {
+    const char* args;
+    double records;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"--preset clgp-l0-pb16 --bench eon --instrs 3000", 3330,
+       0x953c57f419c3d950ULL},
+      {"--preset base --bench gcc --instrs 50000", 50200,
+       0x71ed9d3476b52eefULL},
+  };
+  const std::string path = test_file("pin.pstr");
+  for (const Pin& pin : pins) {
+    std::string output;
+    ASSERT_EQ(run_cli("trace record " + std::string(pin.args) + " --out " +
+                          path + " --json -",
+                      &output),
+              0)
+        << output;
+    EXPECT_EQ(parse_json(output).at("trace").at("records").number,
+              pin.records)
+        << pin.args;
+    EXPECT_EQ(file_digest(path), pin.digest) << pin.args;
   }
 }
 
