@@ -1,10 +1,9 @@
-// Trace-decode microbenchmarks over the three read paths of a trace
+// Trace-decode microbenchmarks over the two read paths of a trace
 // source. The oracle pulls records through TraceSource::fill() in
 // 256-entry batches (cpu/oracle.hpp), so fill() throughput at that batch
 // size is what the simulator actually sees; sampling plans read spans
-// (fill_spans), which build no records. All three generator paths run
-// the same block-granular walk core; next_stream() adds a vector per
-// stream and is the oldest interface, kept as a reference point.
+// (fill_spans), which build no records. Both generator paths run the
+// same block-granular walk core.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -60,32 +59,13 @@ void BM_GeneratorSpans(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratorSpans)->Arg(256)->Arg(4096);
 
-/// The same records a stream at a time, one vector per stream.
-void BM_GeneratorNextStream(benchmark::State& state) {
-  const workload::Program prog =
-      workload::generate_program(workload::profile_for("eon"), 7);
-  workload::TraceGenerator gen(prog, 42);
-  std::uint64_t records = 0;
-  for (auto _ : state) {
-    const workload::StreamChunk chunk = gen.next_stream();
-    records += chunk.insts.size();
-    benchmark::DoNotOptimize(chunk.insts.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(records));
-}
-BENCHMARK(BM_GeneratorNextStream);
-
 /// Replay-source batched copy, including the wrap-around seam.
 void BM_ReplayFill(benchmark::State& state) {
   const workload::Program prog =
       workload::generate_program(workload::profile_for("gcc"), 11);
-  std::vector<DynInst> recorded;
-  {
-    workload::RecordingTraceSource recorder(prog, 42, &recorded);
-    for (int i = 0; i < 200; ++i) (void)recorder.next_stream();
-  }
-  const auto image =
-      std::make_shared<const std::vector<DynInst>>(std::move(recorded));
+  workload::TraceGenerator recorder(prog, 42);
+  const auto image = std::make_shared<const std::vector<DynInst>>(
+      workload::read_streams(recorder, 2000));
   workload::ReplayTraceSource replay(image);
   std::vector<DynInst> buf(kBatch);
   for (auto _ : state) {

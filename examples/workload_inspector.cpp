@@ -33,20 +33,18 @@ int main(int argc, char** argv) {
     std::uint64_t taken_ctl = 0;
     std::uint64_t loads = 0;
     std::uint64_t streams = 0;
-    while (instrs < budget) {
-      const auto chunk = walker.next_stream();
-      ++streams;
-      for (const auto& d : chunk.insts) {
-        lines.insert(line_align(d.pc, 64));
-        if (d.op == OpClass::Branch) {
-          ++branches;
-          correct += (bp.predict(d.pc) == d.taken);
-          bp.train(d.pc, d.taken);
-        }
-        if (is_control(d.op) && d.taken) ++taken_ctl;
-        if (d.op == OpClass::Load) ++loads;
+    // Whole streams: the budget, continued to the end of its stream.
+    for (const DynInst& d : read_streams(walker, budget)) {
+      ++instrs;
+      streams += d.ends_stream;
+      lines.insert(line_align(d.pc, 64));
+      if (d.op == OpClass::Branch) {
+        ++branches;
+        correct += (bp.predict(d.pc) == d.taken);
+        bp.train(d.pc, d.taken);
       }
-      instrs += chunk.stream.length;
+      if (is_control(d.op) && d.taken) ++taken_ctl;
+      if (d.op == OpClass::Load) ++loads;
     }
     t.add_row({std::string(profile.name),
                fmt_bytes(prog.footprint_bytes()),

@@ -421,9 +421,6 @@ int cmd_trace_record(const Options& opt) {
       sim::make_config(opt.preset, opt.node, opt.l1i_size);
   cfg.benchmark = benchmark;
   cfg.max_instructions = instrs;
-  auto spec = std::make_shared<workload::RecordingWorkloadSpec>(benchmark,
-                                                                cfg.seed);
-  cfg.workload = spec;
 
   JsonSink sink(opt.json_path);
   if (sink.failed()) return 1;
@@ -437,13 +434,22 @@ int cmd_trace_record(const Options& opt) {
 
   cpu::Cpu machine(cfg);
   const cpu::RunResult r = machine.run();
-  const workload::TraceHeader header = spec->header();
-  workload::write_trace_file(opt.out_path, header, spec->recorded());
+  // The synthetic walk is a pure function of (program, trace seed), so a
+  // fresh walker re-reads exactly the records the run's oracle read.
+  workload::TraceHeader header;
+  header.benchmark = benchmark;
+  header.program_seed = cfg.seed;
+  header.trace_seed = cfg.seed + 17;  // the Cpu's oracle trace seed
+  workload::TraceGenerator walk(machine.program(), header.trace_seed);
+  const std::vector<workload::DynInst> records =
+      workload::read_streams(walk, machine.trace_records_read());
+  header.record_count = records.size();
+  workload::write_trace_file(opt.out_path, header, records);
 
   if (!sink.owns_stdout()) {
     print_run_summary(r);
     std::printf("trace       : wrote %llu records to %s\n",
-                static_cast<unsigned long long>(spec->recorded().size()),
+                static_cast<unsigned long long>(header.record_count),
                 opt.out_path.c_str());
   }
 

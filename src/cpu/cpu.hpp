@@ -177,6 +177,12 @@ class Cpu {
   [[nodiscard]] const MachineConfig& config() const { return cfg_; }
   [[nodiscard]] const DerivedTimings& timings() const { return timings_; }
   [[nodiscard]] const workload::Program& program() const { return program_; }
+  /// Records the oracle has read from its trace source: every committed
+  /// instruction plus the decode read-ahead. `prestage trace record`
+  /// writes this many, continued to the end of their stream.
+  [[nodiscard]] std::uint64_t trace_records_read() const {
+    return oracle_->instructions_generated();
+  }
 
   Counter recoveries;
 

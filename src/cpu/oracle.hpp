@@ -105,7 +105,8 @@ class Oracle {
  private:
   /// Records pulled per TraceSource::fill() call. Large enough to
   /// amortise the virtual dispatch and small enough that the read-ahead
-  /// (and a recording tee's trailing streams) stays negligible.
+  /// stays negligible; `prestage trace record` writes it too, so a
+  /// replay of the recording never runs past the file's end.
   static constexpr std::size_t kFillBatch = 256;
 
   void refill() {

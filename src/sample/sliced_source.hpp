@@ -10,8 +10,8 @@
 //
 // SlicedTraceSource re-exposes such a copy with sequence numbers
 // renumbered from 0 (the Oracle's commit window requires the first
-// delivered seq to be 0), forwarding fill() to the inner source's
-// native batch path.
+// delivered seq to be 0): fill() forwards to the inner source's batch
+// path and renumbers, and the span walk is the default derived from it.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +28,12 @@ class SlicedTraceSource final : public workload::TraceSource {
   explicit SlicedTraceSource(std::unique_ptr<workload::TraceSource> inner)
       : inner_(std::move(inner)) {}
 
-  [[nodiscard]] workload::StreamChunk next_stream() override;
   [[nodiscard]] std::size_t fill(workload::DynInst* out,
-                                 std::size_t n) override;
+                                 std::size_t n) override {
+    const std::size_t got = inner_->fill(out, n);
+    for (std::size_t i = 0; i < got; ++i) out[i].seq = emitted_++;
+    return got;
+  }
   [[nodiscard]] std::uint64_t instructions() const override {
     return emitted_;
   }

@@ -30,8 +30,7 @@ class WorkloadSpec {
 
   /// Creates the dynamic instruction source for one simulation. Called
   /// once per Cpu; implementations shared by Cpus on parallel workers
-  /// must be safe to call concurrently (recording specs are the
-  /// documented single-run exception).
+  /// must be safe to call concurrently.
   [[nodiscard]] virtual std::unique_ptr<TraceSource> make_source(
       std::uint64_t seed) const = 0;
 };

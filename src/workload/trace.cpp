@@ -8,27 +8,6 @@
 
 namespace prestage::workload {
 
-std::size_t TraceSource::fill(DynInst* out, std::size_t n) {
-  std::size_t filled = 0;
-  while (filled < n) {
-    if (fill_carry_pos_ == fill_carry_.size()) {
-      StreamChunk chunk = next_stream();
-      fill_carry_ = std::move(chunk.insts);
-      fill_carry_pos_ = 0;
-      PRESTAGE_ASSERT(!fill_carry_.empty(),
-                      "trace source produced an empty stream");
-    }
-    const std::size_t take =
-        std::min(n - filled, fill_carry_.size() - fill_carry_pos_);
-    std::copy_n(fill_carry_.begin() +
-                    static_cast<std::ptrdiff_t>(fill_carry_pos_),
-                take, out + filled);
-    fill_carry_pos_ += take;
-    filled += take;
-  }
-  return filled;
-}
-
 std::size_t TraceSource::fill_spans(TraceSpan* out, std::size_t max_spans,
                                     std::uint64_t max_instructions) {
   // Each record extends the open span or opens one, so a batch no larger
@@ -58,8 +37,14 @@ std::size_t TraceSource::fill_spans(TraceSpan* out, std::size_t max_spans,
   return spans;
 }
 
-std::unique_ptr<TraceSource> TraceSource::clone() const {
-  throw SimError("this trace source cannot be snapshotted");
+std::vector<DynInst> read_streams(TraceSource& source, std::uint64_t n) {
+  std::vector<DynInst> records(static_cast<std::size_t>(n));
+  (void)source.fill(records.data(), records.size());
+  while (!records.empty() && !records.back().ends_stream) {
+    records.emplace_back();
+    (void)source.fill(&records.back(), 1);
+  }
+  return records;
 }
 
 TraceGenerator::TraceGenerator(const Program& program, std::uint64_t seed)
@@ -247,22 +232,6 @@ TraceGenerator::Chunk TraceGenerator::advance(std::uint64_t limit,
     last.ends_stream = c.ends_stream;
   }
   return c;
-}
-
-TraceGenerator::StreamChunk TraceGenerator::next_stream() {
-  StreamChunk chunk;
-  chunk.insts.resize(bpred::kMaxStreamInstrs);
-  std::uint32_t len = 0;
-  Chunk c;
-  do {
-    c = advance<true>(bpred::kMaxStreamInstrs - len, chunk.insts.data() + len);
-    len += c.length;
-  } while (!c.ends_stream);
-  chunk.insts.resize(len);
-  chunk.stream.start = chunk.insts.front().pc;
-  chunk.stream.length = len;
-  chunk.stream.next_start = c.next_pc;
-  return chunk;
 }
 
 std::size_t TraceGenerator::fill(DynInst* out, std::size_t n) {

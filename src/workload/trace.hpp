@@ -36,12 +36,6 @@ struct DynInst {
   std::uint64_t seq = 0;     ///< program order, from 0
 };
 
-/// An actual stream plus its dynamic instructions.
-struct StreamChunk {
-  bpred::Stream stream;
-  std::vector<DynInst> insts;
-};
-
 /// A pc-contiguous run of dynamic instructions: `length` records at
 /// start, start + 4, ...; only the last can end a stream. What a pass
 /// that needs only control flow (the BBV profiler, a snapshot walk)
@@ -57,28 +51,19 @@ struct TraceSpan {
 /// The CPU model is agnostic to the trace's origin: the synthetic walker
 /// (TraceGenerator), a recorded trace file replayed from disk, or an
 /// imported external trace (e.g. ChampSim) all present one flat record
-/// stream, read three ways: whole streams (next_stream), DynInst
+/// stream, read two ways, which may be interleaved freely: DynInst
 /// batches (fill — the oracle's path) and pc-contiguous spans
 /// (fill_spans — passes that need no per-instruction metadata). A
 /// source is conceptually infinite: file-backed sources wrap around.
-/// fill() and fill_spans() may be interleaved freely; mixing either
-/// with next_stream() on one source is undefined (the default fill()'s
-/// carry buffer would be bypassed).
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
-
-  /// Produces the next actual stream (1..kMaxStreamInstrs instructions).
-  [[nodiscard]] virtual StreamChunk next_stream() = 0;
 
   /// Batched decode: fills out[0..n) with the next n dynamic
   /// instructions of the flat record stream (stream boundaries are
   /// carried by DynInst::ends_stream / next_pc, so callers re-segment
   /// at will). Always returns n — sources are conceptually infinite.
-  /// The default loops next_stream() through a carry buffer and is
-  /// record-for-record identical to calling next_stream() directly;
-  /// sources with a cheaper batch path override it.
-  [[nodiscard]] virtual std::size_t fill(DynInst* out, std::size_t n);
+  [[nodiscard]] virtual std::size_t fill(DynInst* out, std::size_t n) = 0;
 
   /// Span walk: fills out[0..k) with the next records as pc-contiguous
   /// spans and returns k <= @p max_spans. Stops after exactly
@@ -106,33 +91,27 @@ class TraceSource {
   /// records and call stacks from here on are identical to this one's.
   /// Reads only, so concurrent clones of one shared const source are
   /// safe. A synthetic walker's clone borrows the walker's Program, like
-  /// the walker itself. Sources that cannot be copied (the recording
-  /// tee, whose capture buffer is a side effect) throw SimError.
-  [[nodiscard]] virtual std::unique_ptr<TraceSource> clone() const;
-
- private:
-  // Default-fill carry: the tail of the last next_stream() chunk not yet
-  // handed out.
-  std::vector<DynInst> fill_carry_;
-  std::size_t fill_carry_pos_ = 0;
+  /// the walker itself.
+  [[nodiscard]] virtual std::unique_ptr<TraceSource> clone() const = 0;
 };
 
+/// The next @p n records of @p source through fill(), continued to the
+/// end of the stream the last of them belongs to: whole streams, as a
+/// trace file holds them. From a stream boundary, n = 1 reads exactly
+/// one stream.
+[[nodiscard]] std::vector<DynInst> read_streams(TraceSource& source,
+                                                std::uint64_t n);
+
 /// The synthetic walker. One block-granular state machine (advance())
-/// drives all three read paths: each step covers a whole chunk of the
+/// drives both read paths: each step covers a whole chunk of the
 /// current basic block, bounded by the block end, the kMaxStreamInstrs
 /// split and the caller's limit, and draws that chunk's data addresses
 /// and its branch outcome in program order. The read paths differ only
-/// in what they write per chunk: records (fill, next_stream) or one
-/// span extension (fill_spans).
+/// in what they write per chunk: records (fill) or one span extension
+/// (fill_spans).
 class TraceGenerator final : public TraceSource {
  public:
-  /// Compatibility alias: StreamChunk predates the TraceSource interface.
-  using StreamChunk = workload::StreamChunk;
-
   TraceGenerator(const Program& program, std::uint64_t seed);
-
-  /// Produces the next actual stream (1..kMaxStreamInstrs instructions).
-  [[nodiscard]] StreamChunk next_stream() override;
 
   /// Native batch path: records written a block chunk at a time.
   [[nodiscard]] std::size_t fill(DynInst* out, std::size_t n) override;
@@ -156,10 +135,6 @@ class TraceGenerator final : public TraceSource {
   [[nodiscard]] std::vector<Addr> call_stack_pcs(
       std::size_t max_depth) const override;
 
-  /// Region currently being executed (diagnostics / calibration tests).
-  [[nodiscard]] std::uint32_t current_region() const noexcept {
-    return region_;
-  }
   /// Number of region switches so far (calibration tests).
   [[nodiscard]] std::uint64_t region_switches() const noexcept {
     return region_switches_;

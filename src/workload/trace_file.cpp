@@ -290,44 +290,6 @@ ReplayTraceSource::ReplayTraceSource(
                   "replay source needs at least one record");
 }
 
-StreamChunk ReplayTraceSource::next_stream() {
-  const std::vector<DynInst>& recs = *records_;
-  if (pos_ == recs.size()) {
-    // The source is conceptually infinite: start the next lap. Laps can
-    // only begin at a stream boundary (the format guarantees the final
-    // record ends a stream), so replaying exactly the recorded run never
-    // alters a chunk.
-    pos_ = 0;
-    ++wraps_;
-  }
-  StreamChunk chunk;
-  chunk.insts.reserve(16);
-  chunk.stream.start = recs[pos_].pc;
-  for (;;) {
-    DynInst d = recs[pos_++];
-    d.seq = emitted_++;
-    // Maintain the call stack the recorded walker had: a call's
-    // continuation is the instruction after it (blocks are contiguous),
-    // and a return pops it. Defensive pop: an imported trace can start
-    // mid-function.
-    if (d.op == OpClass::Call && d.taken) {
-      call_stack_.push_back(d.pc + kInstrBytes);
-    } else if (d.op == OpClass::Return && d.taken && !call_stack_.empty()) {
-      call_stack_.pop_back();
-    }
-    chunk.insts.push_back(d);
-    PRESTAGE_ASSERT(chunk.insts.size() <= bpred::kMaxStreamInstrs,
-                    "replayed stream exceeds the maximum stream length");
-    if (d.ends_stream) {
-      chunk.stream.length = static_cast<std::uint32_t>(chunk.insts.size());
-      chunk.stream.next_start = d.next_pc;
-      return chunk;
-    }
-    PRESTAGE_ASSERT(pos_ < recs.size(),
-                    "trace ends mid-stream (missing ends_stream flag)");
-  }
-}
-
 std::size_t ReplayTraceSource::fill(DynInst* out, std::size_t n) {
   const std::vector<DynInst>& recs = *records_;
   std::size_t filled = 0;
@@ -344,6 +306,8 @@ std::size_t ReplayTraceSource::fill(DynInst* out, std::size_t n) {
     for (std::size_t i = 0; i < take; ++i) {
       DynInst& d = out[filled + i];
       d.seq = emitted_++;
+      // A taken call pushes its continuation, a taken return pops it;
+      // the pop is defensive, as an imported trace can start mid-function.
       if (d.op == OpClass::Call && d.taken) {
         call_stack_.push_back(d.pc + kInstrBytes);
       } else if (d.op == OpClass::Return && d.taken &&
@@ -370,30 +334,6 @@ std::vector<Addr> ReplayTraceSource::call_stack_pcs(
 
 std::unique_ptr<TraceSource> ReplayTraceSource::clone() const {
   return std::make_unique<ReplayTraceSource>(*this);
-}
-
-// --- RecordingWorkloadSpec --------------------------------------------------
-
-RecordingWorkloadSpec::RecordingWorkloadSpec(const std::string& benchmark,
-                                             std::uint64_t program_seed)
-    : benchmark_(benchmark),
-      program_seed_(program_seed),
-      program_(generate_program(profile_for(benchmark), program_seed)) {}
-
-std::unique_ptr<TraceSource> RecordingWorkloadSpec::make_source(
-    std::uint64_t seed) const {
-  trace_seed_ = seed;
-  recorded_.clear();
-  return std::make_unique<RecordingTraceSource>(program_, seed, &recorded_);
-}
-
-TraceHeader RecordingWorkloadSpec::header() const {
-  TraceHeader h;
-  h.benchmark = benchmark_;
-  h.program_seed = program_seed_;
-  h.trace_seed = trace_seed_;
-  h.record_count = recorded_.size();
-  return h;
 }
 
 // --- ReplayWorkloadSpec -----------------------------------------------------

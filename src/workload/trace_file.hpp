@@ -18,8 +18,10 @@
 //
 // Sequence numbers are positional and not stored. A replayed source wraps
 // to the first record when the file is exhausted (trace sources are
-// conceptually infinite); recordings made by `prestage trace record`
-// always cover the full run, so a same-configuration replay never wraps.
+// conceptually infinite). `prestage trace record` writes every record its
+// run's oracle read, decode read-ahead included, continued to the end of
+// that stream (read_streams over the same walk), so a replay with the
+// same configuration reads no record past the file's end and never wraps.
 #pragma once
 
 #include <cstdint>
@@ -90,11 +92,9 @@ class ReplayTraceSource final : public TraceSource {
   explicit ReplayTraceSource(
       std::shared_ptr<const std::vector<DynInst>> records);
 
-  [[nodiscard]] StreamChunk next_stream() override;
-
-  /// Native batch path: bulk-copies record runs (wrapping at the end of
-  /// the vector), renumbering seq and replaying call/return effects on
-  /// the reconstructed stack exactly as next_stream() would.
+  /// Bulk-copies record runs (wrapping at the end of the vector),
+  /// renumbering seq and replaying call/return effects on the
+  /// reconstructed stack.
   [[nodiscard]] std::size_t fill(DynInst* out, std::size_t n) override;
 
   [[nodiscard]] std::uint64_t instructions() const noexcept override {
@@ -115,60 +115,6 @@ class ReplayTraceSource final : public TraceSource {
   std::uint64_t emitted_ = 0;
   std::uint64_t wraps_ = 0;
   std::vector<Addr> call_stack_;  ///< return-continuation PCs
-};
-
-/// Tees every stream produced by a synthetic walker into a record buffer
-/// (the `prestage trace record` capture path). Not clonable: two copies
-/// would append interleaved streams to one capture.
-class RecordingTraceSource final : public TraceSource {
- public:
-  RecordingTraceSource(const Program& program, std::uint64_t seed,
-                       std::vector<DynInst>* sink)
-      : inner_(program, seed), sink_(sink) {}
-
-  [[nodiscard]] StreamChunk next_stream() override {
-    StreamChunk chunk = inner_.next_stream();
-    sink_->insert(sink_->end(), chunk.insts.begin(), chunk.insts.end());
-    return chunk;
-  }
-  [[nodiscard]] std::uint64_t instructions() const noexcept override {
-    return inner_.instructions();
-  }
-  [[nodiscard]] std::vector<Addr> call_stack_pcs(
-      std::size_t max_depth) const override {
-    return inner_.call_stack_pcs(max_depth);
-  }
-
- private:
-  TraceGenerator inner_;
-  std::vector<DynInst>* sink_;
-};
-
-/// Workload spec that records a synthetic benchmark run. Single-run only:
-/// make_source() resets the capture buffer, so do not share one instance
-/// between Cpus on parallel workers.
-class RecordingWorkloadSpec final : public WorkloadSpec {
- public:
-  RecordingWorkloadSpec(const std::string& benchmark,
-                        std::uint64_t program_seed);
-
-  [[nodiscard]] const Program& program() const override { return program_; }
-  [[nodiscard]] std::string name() const override { return benchmark_; }
-  [[nodiscard]] std::unique_ptr<TraceSource> make_source(
-      std::uint64_t seed) const override;
-
-  /// Header + records of the capture (valid after the run finishes).
-  [[nodiscard]] TraceHeader header() const;
-  [[nodiscard]] const std::vector<DynInst>& recorded() const {
-    return recorded_;
-  }
-
- private:
-  std::string benchmark_;
-  std::uint64_t program_seed_;
-  Program program_;
-  mutable std::uint64_t trace_seed_ = 0;
-  mutable std::vector<DynInst> recorded_;
 };
 
 /// Workload spec replaying a fixed record vector over a given program

@@ -7,13 +7,14 @@
 //    force-disabled (same suite shape the pins use), and the enabled run
 //    must skip exactly its pinned number of cycles — a skip that stops
 //    firing is a host-speed regression no timing identity can show.
-//  - Batched decode: TraceSource::fill() must hand out the exact record
-//    stream next_stream() produces, for every source family (the
-//    generator's native walk, the replay source's native copy incl.
-//    wrap-around, and the sliced source's forwarding path), across
-//    adversarial batch sizes that straddle stream boundaries. Since the
-//    generator's fill() and next_stream() share one walk core, its
-//    records are also pinned to digests taken before that core existed.
+//  - Batched decode: TraceSource::fill() must hand out the same records
+//    whatever its batch sizes, for every source family, across
+//    adversarial batch sizes that straddle stream boundaries: the
+//    generator's native walk against one-record reads, the replay
+//    source against its recorded vector lap after lap (renumbered,
+//    across the wrap seam), and the sliced source against its inner
+//    source renumbered from 0. The generator's records are also pinned
+//    to digests taken before its block-granular walk core existed.
 //  - Trace snapshots: a source cloned at a stream-aligned position must
 //    continue exactly like a fresh source walked there (records and
 //    call stack), for the generator and across the replay wrap seam —
@@ -107,17 +108,12 @@ TEST(CycleSkipEquivalence, EveryPresetIsTimingIdenticalWithSkipOff) {
 // --- batched decode identity ------------------------------------------------
 
 using workload::DynInst;
-using workload::StreamChunk;
 using workload::TraceSource;
 
-/// Flattens @p n records out of the scalar next_stream() interface.
-std::vector<DynInst> scalar_records(TraceSource& src, std::size_t n) {
-  std::vector<DynInst> out;
-  while (out.size() < n) {
-    const StreamChunk chunk = src.next_stream();
-    out.insert(out.end(), chunk.insts.begin(), chunk.insts.end());
-  }
-  out.resize(n);
+/// Pulls @p n records through one-record fill() calls.
+std::vector<DynInst> single_records(TraceSource& src, std::size_t n) {
+  std::vector<DynInst> out(n);
+  for (DynInst& d : out) EXPECT_EQ(src.fill(&d, 1), 1U);
   return out;
 }
 
@@ -159,20 +155,21 @@ void expect_same_records(const std::vector<DynInst>& a,
   }
 }
 
-TEST(BatchedDecode, GeneratorFillMatchesNextStream) {
+TEST(BatchedDecode, GeneratorFillMatchesSingleRecordReads) {
   for (const char* bench : {"eon", "gzip", "mcf"}) {
     const workload::Program prog =
         workload::generate_program(workload::profile_for(bench), 7);
-    workload::TraceGenerator scalar(prog, 42);
+    workload::TraceGenerator single(prog, 42);
     workload::TraceGenerator batched(prog, 42);
     constexpr std::size_t kRecords = 20000;  // spans many region switches
-    expect_same_records(scalar_records(scalar, kRecords),
+    expect_same_records(single_records(single, kRecords),
                         batched_records(batched, kRecords), bench);
-    // The flat view stops exactly at kRecords; the scalar one ran to
-    // the end of its last chunk, so only >= holds there (and the live
-    // call stacks may differ by that overshoot).
-    EXPECT_GE(scalar.instructions(), kRecords) << bench;
+    // Both stop exactly at kRecords, mid-stream or not, with the same
+    // live call stack.
+    EXPECT_EQ(single.instructions(), kRecords) << bench;
     EXPECT_EQ(batched.instructions(), kRecords) << bench;
+    EXPECT_EQ(single.call_stack_pcs(64), batched.call_stack_pcs(64))
+        << bench;
   }
 }
 
@@ -210,20 +207,6 @@ std::uint64_t digest_fill(TraceSource& src, std::size_t batch) {
         src.fill(buf.data(), std::min(batch, kPinRecords - done));
     for (std::size_t i = 0; i < got; ++i) fnv_record(h, buf[i]);
     done += got;
-  }
-  return h;
-}
-
-/// The same digest read stream by stream (the last stream is cut).
-std::uint64_t digest_next_stream(TraceSource& src) {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t done = 0; done < kPinRecords;) {
-    const StreamChunk chunk = src.next_stream();
-    for (const DynInst& d : chunk.insts) {
-      if (done == kPinRecords) break;
-      fnv_record(h, d);
-      ++done;
-    }
   }
   return h;
 }
@@ -272,29 +255,30 @@ TEST(BatchedDecode, WalkerRecordsMatchParentPin) {
       EXPECT_EQ(digest_call_stack(*src), pin.call_stack)
           << pin.bench << " fill(" << batch << ")";
     }
-    const std::unique_ptr<TraceSource> src = spec->make_source(18);
-    EXPECT_EQ(digest_next_stream(*src), pin.records)
-        << pin.bench << " next_stream()";
   }
 }
 
-TEST(BatchedDecode, ReplayFillMatchesNextStreamAcrossWrap) {
+/// A recorded gcc walk of whole streams (~60 of them).
+std::vector<DynInst> recorded_gcc(const workload::Program& prog) {
+  workload::TraceGenerator recorder(prog, 42);
+  return workload::read_streams(recorder, 600);
+}
+
+TEST(BatchedDecode, ReplayFillMatchesRecordedLapsAcrossWrap) {
   const workload::Program prog =
       workload::generate_program(workload::profile_for("gcc"), 11);
-  std::vector<DynInst> recorded;
-  {
-    workload::RecordingTraceSource recorder(prog, 42, &recorded);
-    for (int i = 0; i < 60; ++i) (void)recorder.next_stream();
-  }
-  const auto image =
-      std::make_shared<const std::vector<DynInst>>(recorded);
-  workload::ReplayTraceSource scalar(image);
-  workload::ReplayTraceSource batched(image);
-  // Three laps: the identity must hold across the wrap seam, where the
-  // replay source renumbers seq and re-anchors the stream walk.
+  const std::vector<DynInst> recorded = recorded_gcc(prog);
+  // Three and a half laps: each lap is the recording again, with seq
+  // counting on across the wrap seam.
   const std::size_t n = recorded.size() * 3 + recorded.size() / 2;
-  expect_same_records(scalar_records(scalar, n),
-                      batched_records(batched, n), "replay");
+  std::vector<DynInst> laps(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    laps[i] = recorded[i % recorded.size()];
+    laps[i].seq = i;
+  }
+  workload::ReplayTraceSource batched(
+      std::make_shared<const std::vector<DynInst>>(recorded));
+  expect_same_records(laps, batched_records(batched, n), "replay");
   EXPECT_EQ(batched.wraps(), 3u);
 }
 
@@ -308,16 +292,18 @@ std::uint64_t walk_to_stream_start(TraceSource& src, std::uint64_t at) {
   return src.instructions();
 }
 
-TEST(BatchedDecode, SlicedSourceFillMatchesNextStream) {
+TEST(BatchedDecode, SlicedSourceFillMatchesRenumberedInnerFill) {
   const workload::Program prog =
       workload::generate_program(workload::profile_for("eon"), 5);
   workload::TraceGenerator walker(prog, 42);
   (void)walk_to_stream_start(walker, 300);
-  sample::SlicedTraceSource scalar(walker.clone());
+  // The inner source's own records, renumbered from seq 0 as a slice
+  // must deliver them.
+  std::vector<DynInst> inner(5000);
+  ASSERT_EQ(walker.clone()->fill(inner.data(), inner.size()), inner.size());
+  for (std::size_t i = 0; i < inner.size(); ++i) inner[i].seq = i;
   sample::SlicedTraceSource batched(walker.clone());
-  const std::vector<DynInst> a = scalar_records(scalar, 5000);
-  expect_same_records(a, batched_records(batched, 5000), "sliced");
-  EXPECT_EQ(a.front().seq, 0u) << "a slice renumbers from seq 0";
+  expect_same_records(inner, batched_records(batched, 5000), "sliced");
   EXPECT_EQ(batched.instructions(), 5000u);
 }
 
@@ -328,7 +314,7 @@ void expect_same_continuation(TraceSource& clone, TraceSource& fresh,
                               const std::string& what) {
   EXPECT_EQ(clone.call_stack_pcs(64), fresh.call_stack_pcs(64)) << what;
   expect_same_records(batched_records(clone, 20000),
-                      scalar_records(fresh, 20000), what);
+                      single_records(fresh, 20000), what);
 }
 
 TEST(TraceSnapshot, GeneratorCloneContinuesLikeAFreshWalk) {
@@ -339,9 +325,9 @@ TEST(TraceSnapshot, GeneratorCloneContinuesLikeAFreshWalk) {
     const std::uint64_t start = walk_to_stream_start(walker, 30000);
     const std::unique_ptr<TraceSource> clone = walker.clone();
 
-    // The old slice start: a fresh source walked stream by stream.
+    // The old slice start: a fresh source walked there.
     workload::TraceGenerator fresh(prog, 42);
-    while (fresh.instructions() < start) (void)fresh.next_stream();
+    (void)single_records(fresh, start);
     ASSERT_EQ(fresh.instructions(), start) << bench;
     ASSERT_EQ(clone->instructions(), start) << bench;
     expect_same_continuation(*clone, fresh, bench);
@@ -349,7 +335,7 @@ TEST(TraceSnapshot, GeneratorCloneContinuesLikeAFreshWalk) {
     // The clone is independent: draining it left the original in place.
     ASSERT_EQ(walker.instructions(), start) << bench;
     workload::TraceGenerator again(prog, 42);
-    while (again.instructions() < start) (void)again.next_stream();
+    (void)single_records(again, start);
     expect_same_continuation(walker, again, std::string(bench) + " orig");
   }
 }
@@ -357,11 +343,7 @@ TEST(TraceSnapshot, GeneratorCloneContinuesLikeAFreshWalk) {
 TEST(TraceSnapshot, ReplayCloneContinuesLikeAFreshWalkAcrossWrap) {
   const workload::Program prog =
       workload::generate_program(workload::profile_for("gcc"), 11);
-  std::vector<DynInst> recorded;
-  {
-    workload::RecordingTraceSource recorder(prog, 42, &recorded);
-    for (int i = 0; i < 60; ++i) (void)recorder.next_stream();
-  }
+  const std::vector<DynInst> recorded = recorded_gcc(prog);
   const auto image =
       std::make_shared<const std::vector<DynInst>>(recorded);
   // One snapshot just before the seam, one a lap later (taken after a
@@ -374,7 +356,7 @@ TEST(TraceSnapshot, ReplayCloneContinuesLikeAFreshWalkAcrossWrap) {
     const std::uint64_t start = walk_to_stream_start(walker, at);
     const std::unique_ptr<TraceSource> clone = walker.clone();
     workload::ReplayTraceSource fresh(image);
-    while (fresh.instructions() < start) (void)fresh.next_stream();
+    (void)single_records(fresh, start);
     const std::string what = "replay @" + std::to_string(start);
     ASSERT_EQ(fresh.instructions(), start) << what;
     ASSERT_EQ(clone->instructions(), start) << what;
@@ -511,11 +493,7 @@ TEST(TraceSpans, GeneratorNativeWalkKeepsTheContract) {
 TEST(TraceSpans, ReplayDefaultWalkKeepsTheContractAcrossWrap) {
   const workload::Program prog =
       workload::generate_program(workload::profile_for("gcc"), 11);
-  std::vector<DynInst> recorded;
-  {
-    workload::RecordingTraceSource recorder(prog, 42, &recorded);
-    for (int i = 0; i < 60; ++i) (void)recorder.next_stream();
-  }
+  const std::vector<DynInst> recorded = recorded_gcc(prog);
   const auto image =
       std::make_shared<const std::vector<DynInst>>(recorded);
   // Three and a half laps; the bounded walk stops a lap in, past a seam.
@@ -540,14 +518,6 @@ TEST(TraceSpans, ChampSimFixtureDefaultWalkKeepsTheContract) {
   const std::uint64_t lap = spec->records().size();
   expect_span_contract([&] { return spec->make_source(0); },
                        spec->program(), lap * 5 / 2, lap + 3, "champsim");
-}
-
-TEST(TraceSnapshot, RecordingTeeRejectsClone) {
-  const workload::Program prog =
-      workload::generate_program(workload::profile_for("eon"), 5);
-  std::vector<DynInst> recorded;
-  workload::RecordingTraceSource recorder(prog, 42, &recorded);
-  EXPECT_THROW((void)recorder.clone(), SimError);
 }
 
 }  // namespace

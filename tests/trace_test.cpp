@@ -11,6 +11,7 @@
 #include "campaign/engine.hpp"
 #include "cpu/cpu.hpp"
 #include "expect_same_stats.hpp"
+#include "read_stream.hpp"
 #include "sim/presets.hpp"
 #include "workload/champsim.hpp"
 #include "workload/generator.hpp"
@@ -176,22 +177,22 @@ TEST(TraceFile, OutOfRangeRegisterOrOpByteThrows) {
 
 TEST(ReplaySource, ReproducesTheRecordedWalkerExactly) {
   const Program prog = generate_program(profile_for("gcc"), 11);
-  std::vector<DynInst> recorded;
-  RecordingTraceSource recorder(prog, 42, &recorded);
-  std::vector<StreamChunk> chunks;
-  for (int i = 0; i < 50; ++i) chunks.push_back(recorder.next_stream());
+  TraceGenerator recorder(prog, 42);
+  const std::vector<DynInst> recorded = read_streams(recorder, 500);
 
   ReplayTraceSource replay(
       std::make_shared<const std::vector<DynInst>>(recorded));
-  for (const StreamChunk& expected : chunks) {
-    const StreamChunk got = replay.next_stream();
-    EXPECT_EQ(got.stream, expected.stream);
-    ASSERT_EQ(got.insts.size(), expected.insts.size());
-    for (std::size_t i = 0; i < expected.insts.size(); ++i) {
-      EXPECT_EQ(got.insts[i].pc, expected.insts[i].pc);
-      EXPECT_EQ(got.insts[i].seq, expected.insts[i].seq);
-      EXPECT_EQ(got.insts[i].op, expected.insts[i].op);
-      EXPECT_EQ(got.insts[i].data_addr, expected.insts[i].data_addr);
+  TraceGenerator reference(prog, 42);
+  while (replay.instructions() < recorded.size()) {
+    const std::vector<DynInst> expected = read_stream(reference);
+    const std::vector<DynInst> got = read_stream(replay);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(got[i].pc, expected[i].pc);
+      EXPECT_EQ(got[i].seq, expected[i].seq);
+      EXPECT_EQ(got[i].op, expected[i].op);
+      EXPECT_EQ(got[i].data_addr, expected[i].data_addr);
+      EXPECT_EQ(got[i].next_pc, expected[i].next_pc);
     }
   }
   EXPECT_EQ(replay.instructions(), recorder.instructions());
@@ -200,20 +201,16 @@ TEST(ReplaySource, ReproducesTheRecordedWalkerExactly) {
 
 TEST(ReplaySource, TracksTheCallStackForRasRepair) {
   const Program prog = generate_program(profile_for("eon"), 3);
-  std::vector<DynInst> recorded;
-  {
-    RecordingTraceSource recorder(prog, 9, &recorded);
-    for (int i = 0; i < 200; ++i) (void)recorder.next_stream();
-  }
+  TraceGenerator recorder(prog, 9);
+  const std::vector<DynInst> recorded = read_streams(recorder, 2000);
   ReplayTraceSource replay(
       std::make_shared<const std::vector<DynInst>>(recorded));
-  std::vector<DynInst> scrap;
-  RecordingTraceSource reference(prog, 9, &scrap);
+  TraceGenerator reference(prog, 9);
   // Advance both in lockstep and compare the stack snapshot at every
   // stream boundary (the oracle samples it exactly there).
-  for (int i = 0; i < 200; ++i) {
-    (void)replay.next_stream();
-    (void)reference.next_stream();
+  for (int i = 0; replay.instructions() < recorded.size(); ++i) {
+    (void)read_stream(replay);
+    (void)read_stream(reference);
     EXPECT_EQ(replay.call_stack_pcs(8), reference.call_stack_pcs(8))
         << "stream " << i;
   }
@@ -223,16 +220,16 @@ TEST(ReplaySource, WrapsLazilyAtTheNextRequest) {
   std::vector<DynInst> recs = sample_records();
   ReplayTraceSource replay(
       std::make_shared<const std::vector<DynInst>>(recs));
-  const StreamChunk first = replay.next_stream();
-  ASSERT_EQ(first.insts.size(), 5u);
-  // Consuming exactly the recorded run is not a wrap: chunks stay
+  const std::vector<DynInst> first = read_stream(replay);
+  ASSERT_EQ(first.size(), 5u);
+  // Consuming exactly the recorded run is not a wrap: records stay
   // byte-identical to the recording.
-  EXPECT_EQ(first.stream.next_start, recs[4].next_pc);
+  EXPECT_EQ(first.back().next_pc, recs[4].next_pc);
   EXPECT_EQ(replay.wraps(), 0u);
-  const StreamChunk second = replay.next_stream();  // the next lap
+  const std::vector<DynInst> second = read_stream(replay);  // the next lap
   EXPECT_EQ(replay.wraps(), 1u);
-  EXPECT_EQ(second.stream.start, recs[0].pc);
-  EXPECT_EQ(second.insts[0].seq, 5u);  // seq keeps counting across laps
+  EXPECT_EQ(second[0].pc, recs[0].pc);
+  EXPECT_EQ(second[0].seq, 5u);  // seq keeps counting across laps
 }
 
 // --- ChampSim import --------------------------------------------------------
@@ -332,23 +329,32 @@ TEST(Determinism, RunParallelMatchesSerialForAnyWorkerCount) {
 TEST(Determinism, RecordThenReplayReproducesTheRunExactly) {
   // Acceptance: `trace record` on a synthetic benchmark followed by
   // `trace replay` of the produced file yields identical IPC and
-  // fetch-source statistics.
+  // fetch-source statistics. Recorded the way `trace record` does it:
+  // the records the run's oracle read, re-walked to a stream end.
   const std::string path = test_file("eon.pstr");
   cpu::MachineConfig cfg = sim::make_config("clgp-l0-pb16",
                                             cacti::TechNode::um045, 4096);
   cfg.benchmark = "eon";
   cfg.max_instructions = 5000;
 
-  auto recording = std::make_shared<RecordingWorkloadSpec>("eon", cfg.seed);
-  cfg.workload = recording;
   cpu::Cpu rec_machine(cfg);
   const cpu::RunResult recorded = rec_machine.run();
-  write_trace_file(path, recording->header(), recording->recorded());
+  TraceHeader header;
+  header.benchmark = "eon";
+  header.program_seed = cfg.seed;
+  header.trace_seed = cfg.seed + 17;
+  TraceGenerator walk(rec_machine.program(), header.trace_seed);
+  const std::vector<DynInst> records =
+      read_streams(walk, rec_machine.trace_records_read());
+  EXPECT_GT(records.size(), cfg.max_instructions);
+  write_trace_file(path, header, records);
 
   cfg.workload = load_replay_spec(path);
   cpu::Cpu replay_machine(cfg);
   const cpu::RunResult replayed = replay_machine.run();
   expect_same_stats(recorded, replayed);
+  EXPECT_EQ(replay_machine.trace_records_read(),
+            rec_machine.trace_records_read());
 
   // And the recording itself matches the plain (unrecorded) run.
   cfg.workload = nullptr;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bpred/bimodal.hpp"
+#include "read_stream.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 #include "workload/program.hpp"
@@ -99,18 +100,16 @@ TEST_P(TraceTest, WalkerRunsAndTerminatesStreams) {
   TraceGenerator walker(prog, 1);
   std::uint64_t instrs = 0;
   while (instrs < 20000) {
-    const auto chunk = walker.next_stream();
-    ASSERT_GE(chunk.stream.length, 1u);
-    ASSERT_LE(chunk.stream.length, bpred::kMaxStreamInstrs);
-    ASSERT_EQ(chunk.stream.length, chunk.insts.size());
+    const auto insts = read_stream(walker);
+    ASSERT_GE(insts.size(), 1u);
+    ASSERT_LE(insts.size(), bpred::kMaxStreamInstrs);
     // Stream instructions are sequential; only the last may jump.
-    for (std::size_t i = 0; i + 1 < chunk.insts.size(); ++i) {
-      EXPECT_EQ(chunk.insts[i].next_pc, chunk.insts[i].pc + kInstrBytes);
-      EXPECT_FALSE(chunk.insts[i].ends_stream);
+    for (std::size_t i = 0; i + 1 < insts.size(); ++i) {
+      EXPECT_EQ(insts[i].next_pc, insts[i].pc + kInstrBytes);
+      EXPECT_FALSE(insts[i].ends_stream);
     }
-    EXPECT_TRUE(chunk.insts.back().ends_stream);
-    EXPECT_EQ(chunk.stream.next_start, chunk.insts.back().next_pc);
-    instrs += chunk.stream.length;
+    EXPECT_TRUE(insts.back().ends_stream);
+    instrs += insts.size();
   }
   EXPECT_EQ(walker.instructions(), instrs);
 }
@@ -123,12 +122,13 @@ TEST(Trace, DeterministicReplay) {
   TraceGenerator a(prog, 3);
   TraceGenerator b(prog, 3);
   for (int i = 0; i < 200; ++i) {
-    const auto ca = a.next_stream();
-    const auto cb = b.next_stream();
-    ASSERT_EQ(ca.stream, cb.stream);
-    for (std::size_t j = 0; j < ca.insts.size(); ++j) {
-      EXPECT_EQ(ca.insts[j].pc, cb.insts[j].pc);
-      EXPECT_EQ(ca.insts[j].data_addr, cb.insts[j].data_addr);
+    const auto ca = read_stream(a);
+    const auto cb = read_stream(b);
+    ASSERT_EQ(ca.size(), cb.size());
+    for (std::size_t j = 0; j < ca.size(); ++j) {
+      EXPECT_EQ(ca[j].pc, cb[j].pc);
+      EXPECT_EQ(ca[j].data_addr, cb[j].data_addr);
+      EXPECT_EQ(ca[j].next_pc, cb[j].next_pc);
     }
   }
 }
@@ -142,9 +142,9 @@ TEST(Trace, StreamLengthsAreRealistic) {
     TraceGenerator walker(prog, 1);
     std::uint64_t instrs = 0;
     while (instrs < 30000) {
-      const auto chunk = walker.next_stream();
-      instrs += chunk.stream.length;
-      total_len += chunk.stream.length;
+      const auto insts = read_stream(walker);
+      instrs += insts.size();
+      total_len += static_cast<double>(insts.size());
       ++streams;
     }
   }
@@ -160,8 +160,7 @@ TEST(Trace, TakenBranchFrequencyIsRealistic) {
   std::uint64_t branches = 0;
   std::uint64_t controls = 0;
   while (instrs < 50000) {
-    const auto chunk = walker.next_stream();
-    for (const auto& d : chunk.insts) {
+    for (const auto& d : read_stream(walker)) {
       ++instrs;
       if (d.op == OpClass::Branch) ++branches;
       if (is_control(d.op)) ++controls;
@@ -182,9 +181,9 @@ TEST(Trace, DynamicFootprintTracksStaticFootprint) {
     std::unordered_set<Addr> lines;
     std::uint64_t instrs = 0;
     while (instrs < 400000) {
-      const auto chunk = walker.next_stream();
-      for (const auto& d : chunk.insts) lines.insert(line_align(d.pc, 64));
-      instrs += chunk.stream.length;
+      const auto insts = read_stream(walker);
+      for (const auto& d : insts) lines.insert(line_align(d.pc, 64));
+      instrs += insts.size();
     }
     return lines.size() * 64;
   };
@@ -199,7 +198,7 @@ TEST(Trace, RegionSwitchingHappens) {
   const Program prog = generate_program(profile_for("gcc"));
   TraceGenerator walker(prog, 1);
   std::uint64_t instrs = 0;
-  while (instrs < 300000) instrs += walker.next_stream().stream.length;
+  while (instrs < 300000) instrs += read_stream(walker).size();
   EXPECT_GT(walker.region_switches(), 4u);
 }
 
@@ -207,7 +206,7 @@ TEST(Trace, CallStackViewIsBounded) {
   const Program prog = generate_program(profile_for("gcc"));
   TraceGenerator walker(prog, 1);
   for (int i = 0; i < 2000; ++i) {
-    (void)walker.next_stream();
+    (void)read_stream(walker);
     const auto pcs = walker.call_stack_pcs(8);
     EXPECT_LE(pcs.size(), 8u);
     for (const Addr pc : pcs) EXPECT_TRUE(prog.contains_pc(pc));
@@ -219,8 +218,8 @@ TEST(Trace, DataAddressesRespectRegions) {
   TraceGenerator walker(prog, 1);
   std::uint64_t instrs = 0;
   while (instrs < 40000) {
-    const auto chunk = walker.next_stream();
-    for (const auto& d : chunk.insts) {
+    const auto insts = read_stream(walker);
+    for (const auto& d : insts) {
       if (d.op == OpClass::Load || d.op == OpClass::Store) {
         const bool in_stack = d.data_addr >= kStackBase &&
                               d.data_addr < kStackBase + kStackBytes;
@@ -231,7 +230,7 @@ TEST(Trace, DataAddressesRespectRegions) {
         EXPECT_EQ(d.data_addr, kNoAddr);
       }
     }
-    instrs += chunk.stream.length;
+    instrs += insts.size();
   }
 }
 
@@ -246,15 +245,15 @@ TEST(Trace, BranchPredictabilityIsInTheRealisticBand) {
     std::uint64_t correct = 0;
     std::uint64_t instrs = 0;
     while (instrs < 200000) {
-      const auto chunk = walker.next_stream();
-      for (const auto& d : chunk.insts) {
+      const auto insts = read_stream(walker);
+      for (const auto& d : insts) {
         if (d.op == OpClass::Branch) {
           ++branches;
           correct += (bp.predict(d.pc) == d.taken);
           bp.train(d.pc, d.taken);
         }
       }
-      instrs += chunk.stream.length;
+      instrs += insts.size();
     }
     // Slightly below real-SPEC bimodal accuracy (~0.80-0.95): the
     // synthetic branch mix errs pessimistic on predictability, which
@@ -274,15 +273,15 @@ TEST(Trace, GzipMorePredictableThanTwolf) {
     std::uint64_t correct = 0;
     std::uint64_t instrs = 0;
     while (instrs < 150000) {
-      const auto chunk = walker.next_stream();
-      for (const auto& d : chunk.insts) {
+      const auto insts = read_stream(walker);
+      for (const auto& d : insts) {
         if (d.op == OpClass::Branch) {
           ++branches;
           correct += (bp.predict(d.pc) == d.taken);
           bp.train(d.pc, d.taken);
         }
       }
-      instrs += chunk.stream.length;
+      instrs += insts.size();
     }
     return static_cast<double>(correct) / branches;
   };
