@@ -1,6 +1,7 @@
 #include "campaign/report.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "common/prestage_assert.hpp"
 #include "common/stats.hpp"
@@ -197,14 +198,17 @@ void write_report(JsonWriter& json, const ResultGrid& grid,
 
   // Additive sampling summary: present only when the grid was sampled,
   // so full-run report documents are byte-identical to the pre-sampling
-  // schema.
+  // schema. It sums this grid's points only: a store may also hold other
+  // grids' (another budget's, say).
   if (spec.sampling.enabled) {
+    std::set<std::string> keys;
+    for (const RunPoint& p : expand(spec)) keys.insert(p.key());
     double max_err = 0.0;
     std::uint64_t cold = 0;
     std::uint64_t simulated = 0;
     std::size_t points = 0;
     for (const PointResult& r : grid.store().entries()) {
-      if (!r.result.sampled) continue;
+      if (!r.result.sampled || keys.count(r.key) == 0) continue;
       ++points;
       max_err = std::max(max_err, r.result.ipc_error);
       cold += r.result.sample_cold_starts;

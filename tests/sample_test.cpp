@@ -608,6 +608,36 @@ TEST(SampledCampaign, ReportSpeedupComesFromTheStore) {
             fresh.at("effective_speedup").as_number());
 }
 
+TEST(SampledCampaign, ReportSamplingSumsOnlyItsOwnGrid) {
+  // A store shared with the same grid at a second budget holds both
+  // grids' points; the report's sampling block counts only its own.
+  const CampaignSpec spec = sampled_tiny_spec();
+  const auto sampling = [&spec](const std::string& path) {
+    const ResultStore store = ResultStore::load(path);
+    const campaign::ResultGrid grid(spec, store);
+    std::ostringstream out;
+    JsonWriter json(out, JsonWriter::Style::Compact);
+    campaign::write_report(json, grid);
+    return json::parse(out.str()).at("sampling");
+  };
+  const std::string fresh = fresh_file("own.jsonl");
+  ASSERT_EQ(campaign::run_campaign(spec, fresh, 2).executed, 8u);
+  const std::string mixed = fresh_file("mixed.jsonl");
+  std::filesystem::copy_file(fresh, mixed);
+  CampaignSpec other = spec;
+  other.instructions = 80000;
+  ASSERT_EQ(campaign::run_campaign(other, mixed, 2).executed, 8u);
+
+  const json::Value own = sampling(fresh);
+  const json::Value shared = sampling(mixed);
+  EXPECT_EQ(own.at("points").as_number(), 8.0);
+  for (const char* field : {"points", "max_ipc_error", "cold_starts",
+                            "simulated_instructions", "effective_speedup"}) {
+    EXPECT_EQ(shared.at(field).as_number(), own.at(field).as_number())
+        << field;
+  }
+}
+
 TEST(SampledCampaign, PlanBuildErrorQuarantinesItsPoint) {
   // "nope" is no benchmark: the plan-first phase cannot build its plan,
   // drops the error, and the point reports it through retry/quarantine
