@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "campaign/perf.hpp"
+#include "common/cancel.hpp"
 #include "common/faultpoint.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
@@ -20,11 +21,7 @@
 
 namespace prestage::campaign {
 
-PointResult simulate(const RunPoint& point) {
-  return simulate(point, ExecControls{});
-}
-
-PointResult simulate(const RunPoint& point, const ExecControls& controls) {
+PointResult simulate(const RunPoint& point, double max_host_seconds) {
   PointResult r;
   r.key = point.key();
   // The point.execute site fires before any machine is built: an
@@ -40,8 +37,7 @@ PointResult simulate(const RunPoint& point, const ExecControls& controls) {
   r.instructions = point.instructions;
   r.seed = point.seed;
   cpu::MachineConfig cfg = point.machine_config();
-  cfg.cancel = controls.cancel;
-  cfg.max_host_seconds = controls.max_host_seconds;
+  cfg.max_host_seconds = max_host_seconds;
   if (point.sampling.enabled) {
     r.result = sample::run_sampled_point(cfg, point.sampling);
   } else {
@@ -151,14 +147,13 @@ void run_ordered(
 /// bounded, no sleeps); strict mode rethrows the first error annotated
 /// with the point's identity instead.
 PointOutcome execute_with_policy(const RunPoint& point,
-                                 const FaultPolicy& policy,
-                                 const ExecControls& controls) {
+                                 const FaultPolicy& policy) {
   const unsigned max_attempts = std::max(1U, policy.max_attempts);
   PointOutcome out;
   for (unsigned attempt = 1;; ++attempt) {
     out.attempts = attempt;
     try {
-      out.result = simulate(point, controls);
+      out.result = simulate(point, policy.point_host_seconds);
       return out;
     } catch (const std::exception& e) {
       if (policy.strict) throw SimError(annotate(point, e.what()));
@@ -267,11 +262,10 @@ RunOutcome run_campaign(const CampaignSpec& spec,
   // silently losing the fact that a point failed is not.
   std::unique_ptr<LineAppender> failure_appender;
   sim::HostPerfAccumulator host;
-  const ExecControls controls{nullptr, policy.point_host_seconds};
   run_ordered(
       todo, jobs,
       [&](const RunPoint& p) {
-        return execute_with_policy(p, policy, controls);
+        return execute_with_policy(p, policy);
       },
       [&](PointOutcome o) {
         if (o.attempts > 1 && o.result) ++outcome.retried;

@@ -21,7 +21,6 @@
 #include "campaign/failures.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
-#include "common/cancel.hpp"
 
 namespace prestage::campaign {
 
@@ -71,17 +70,11 @@ struct RunOutcome {
 /// Progress callback: (newly completed points, points to execute).
 using Progress = std::function<void(std::size_t, std::size_t)>;
 
-/// Host-only execution controls threaded into the machine config (never
-/// part of a run point's identity).
-struct ExecControls {
-  const CancelToken* cancel = nullptr;
-  double max_host_seconds = 0.0;
-};
-
 /// Simulates one run point (used by the engine workers and tests).
-[[nodiscard]] PointResult simulate(const RunPoint& point);
+/// @p max_host_seconds is the watchdog budget (MachineConfig's; host-only,
+/// never part of the point's identity); 0 disables it.
 [[nodiscard]] PointResult simulate(const RunPoint& point,
-                                   const ExecControls& controls);
+                                   double max_host_seconds = 0.0);
 
 /// Runs every point of @p spec that @p store_path does not already
 /// contain; appends the new results (in expansion order) to the store.

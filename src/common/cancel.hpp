@@ -1,28 +1,14 @@
-// Cooperative cancellation for runaway run points.
+// The exception a runaway run point ends with.
 //
-// A CancelToken is shared between the campaign engine (which decides a
-// point must stop) and Cpu::run's outer loop (which polls it every few
-// thousand iterations and throws PointCancelled). Purely cooperative:
-// nothing is interrupted mid-cycle, so the machine state a cancelled
-// run abandons was never half-updated.
+// Cpu::run's outer loop checks MachineConfig::max_host_seconds every few
+// thousand iterations and throws PointCancelled once the run has used
+// its budget. Purely cooperative: nothing is interrupted mid-cycle, so
+// the machine state a cancelled run abandons was never half-updated.
 #pragma once
-
-#include <atomic>
 
 #include "common/prestage_assert.hpp"
 
 namespace prestage {
-
-class CancelToken {
- public:
-  void cancel() noexcept { flag_.store(true, std::memory_order_relaxed); }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return flag_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> flag_{false};
-};
 
 /// Thrown by a cancelled Cpu::run. Derives SimError so campaign catch
 /// sites quarantine a cancelled point exactly like a throwing one.

@@ -10,10 +10,6 @@
 #include "cacti/cacti.hpp"
 #include "cacti/tech.hpp"
 
-namespace prestage {
-class CancelToken;
-}  // namespace prestage
-
 namespace prestage::workload {
 class WorkloadSpec;
 }  // namespace prestage::workload
@@ -73,13 +69,10 @@ struct MachineConfig {
   bool enable_cycle_skip = true;
 
   // --- watchdog (host-only; excluded from run-point keys) -----------------
-  /// Cooperative cancellation: when set, run()'s outer loop polls the
-  /// token every few thousand iterations and throws PointCancelled once
-  /// it is cancelled (common/cancel.hpp). Lets the campaign engine
-  /// quarantine a runaway point instead of hanging a worker on it.
-  const CancelToken* cancel = nullptr;
-  /// Per-run host-seconds budget; run() throws PointCancelled once the
-  /// wall clock it already tracks exceeds it. 0 disables the check.
+  /// Per-run host-seconds budget; run() throws PointCancelled
+  /// (common/cancel.hpp) once the wall clock it already tracks exceeds
+  /// it, so the campaign engine can quarantine a runaway point instead
+  /// of hanging a worker on it. 0 disables the check.
   double max_host_seconds = 0.0;
 
   // --- data side (Table 2, held fixed across the study) -------------------

@@ -241,12 +241,8 @@ RunResult Cpu::run() {
   std::uint64_t watchdog_poll = 0;
   while (backend_->committed() < target) {
     // Runaway-point watchdog: a cheap mask test per iteration, the
-    // token/clock reads only every 4096th. Polling at iteration 0 too
-    // means a pre-cancelled token never simulates a single cycle.
+    // clock read only every 4096th, iteration 0 included.
     if ((watchdog_poll++ & 0xFFFU) == 0U) {
-      if (cfg_.cancel != nullptr && cfg_.cancel->cancelled()) {
-        throw PointCancelled("run cancelled by token");
-      }
       if (cfg_.max_host_seconds > 0.0 &&
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         host_start)

@@ -17,7 +17,6 @@
 #include "campaign/report.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
-#include "common/cancel.hpp"
 #include "common/faultpoint.hpp"
 #include "common/json.hpp"
 #include "common/json_writer.hpp"
@@ -556,18 +555,6 @@ TEST(CampaignEngine, WatchdogQuarantinesOverBudgetPointsAndResumeRecovers) {
   const auto resumed = campaign::run_campaign(spec, path, 2);
   EXPECT_EQ(resumed.executed, 8u);
   EXPECT_EQ(read_file(path), read_file(ref_path));
-}
-
-TEST(CampaignEngine, CancelTokenStopsSimulationCooperatively) {
-  const RunPoint point = campaign::expand(tiny_spec()).front();
-  CancelToken token;
-  campaign::ExecControls controls;
-  controls.cancel = &token;
-  // Not cancelled: the point simulates normally.
-  EXPECT_EQ(campaign::simulate(point, controls).key, point.key());
-  // Pre-cancelled: the watchdog fires before any cycle is simulated.
-  token.cancel();
-  EXPECT_THROW((void)campaign::simulate(point, controls), PointCancelled);
 }
 
 TEST(CampaignEngine, FailureRecordRoundTripsThroughJsonl) {
