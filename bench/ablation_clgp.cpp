@@ -59,9 +59,8 @@ int main() {
   variants.push_back({"FDP+L0 (FTQ granularity)",
                       make_config("fdp-l0", node, kL1)});
 
-  MachineConfig nl = make_config("next-line-l0", node, kL1);
-  nl.next_line_degree = 2;
-  variants.push_back({"next-2-line + L0", nl});
+  variants.push_back({"next-2-line + L0",
+                      make_config("next-line-l0", node, kL1)});
 
   variants.push_back({"base+L0 (no prefetch)",
                       make_config("base-l0", node, kL1)});

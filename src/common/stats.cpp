@@ -37,12 +37,4 @@ double harmonic_mean(const std::vector<double>& xs) {
   return n == 0 ? 0.0 : static_cast<double>(n) / inv_sum;
 }
 
-double arithmetic_mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  // FP-deterministic: accumulates in the caller's vector order.
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
 }  // namespace prestage

@@ -137,7 +137,4 @@ void write_source_fractions(JsonWriter& json, const SourceBreakdown& sb);
 /// is over the positive samples); 0.0 when none are positive.
 [[nodiscard]] double harmonic_mean(const std::vector<double>& xs);
 
-/// Arithmetic mean.
-[[nodiscard]] double arithmetic_mean(const std::vector<double>& xs);
-
 }  // namespace prestage

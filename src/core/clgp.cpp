@@ -37,10 +37,8 @@ void ClgpPrestager::on_fetch_from_pb(Addr line, Cycle now) {
   }
 }
 
-void ClgpPrestager::settle_arrivals(Cycle now) { buffer_.settle(now); }
-
 void ClgpPrestager::tick(Cycle now) {
-  settle_arrivals(now);
+  buffer_.settle(now);  // valid bits for transfers that have arrived
 
   std::uint32_t examined = 0;
   bool issued_transfer = false;

@@ -74,9 +74,6 @@ class ClgpPrestager final : public prefetch::IPrefetcher {
   Counter consumers_resets;        ///< recoveries processed
 
  private:
-  /// Applies the valid bit to entries whose transfer time has passed.
-  void settle_arrivals(Cycle now);
-
   ClgpConfig config_;
   frontend::CacheLineTargetQueue& cltq_;
   mem::IFetchCaches& caches_;

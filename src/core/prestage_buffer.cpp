@@ -61,12 +61,6 @@ void PrestageBuffer::settle(Cycle now) {
   }
 }
 
-std::uint32_t PrestageBuffer::valid_entries() const {
-  std::uint32_t n = 0;
-  for (const Entry& e : entries_) n += (e.allocated && e.valid);
-  return n;
-}
-
 std::uint32_t PrestageBuffer::pinned_entries() const {
   std::uint32_t n = 0;
   for (const Entry& e : entries_) n += (e.allocated && e.consumers > 0);

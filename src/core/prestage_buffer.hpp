@@ -64,7 +64,6 @@ class PrestageBuffer {
   [[nodiscard]] std::uint32_t size() const {
     return static_cast<std::uint32_t>(entries_.size());
   }
-  [[nodiscard]] std::uint32_t valid_entries() const;
   [[nodiscard]] std::uint32_t pinned_entries() const;  ///< consumers > 0
 
   /// Would allocate() succeed right now? Mirrors its victim search

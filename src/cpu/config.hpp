@@ -46,7 +46,6 @@ struct MachineConfig {
   std::uint32_t prebuffer_entries = 4;
   bool prebuffer_pipelined = false;  ///< required for 16-entry buffers (§5)
   std::uint32_t queue_blocks = 8;    ///< FTQ/CLTQ capacity (Table 2)
-  std::uint32_t next_line_degree = 2;  ///< for the "next-line" scheme
 
   // CLGP ablation knobs (all false == the paper's CLGP):
   bool clgp_disable_consumers = false;

@@ -41,10 +41,9 @@ void register_next_line_prefetcher(PrefetcherRegistry& r) {
            PrefetcherBuild b;
            b.queue = std::make_unique<frontend::FetchTargetQueue>(
                in.config.queue_blocks, in.config.line_bytes);
-           NextLineConfig cfg;
-           cfg.degree = in.config.next_line_degree;
            b.prefetcher = std::make_unique<NextLinePrefetcher>(
-               cfg, prefetch_buffer_config(in), in.caches, in.mem);
+               NextLineConfig{}, prefetch_buffer_config(in), in.caches,
+               in.mem);
            return b;
          }});
 }

@@ -15,7 +15,7 @@
 // `register_<name>_prefetcher()` that adds a PrefetcherInfo, and call it
 // from the builtin list in registry.cpp (see README "Adding a
 // prefetcher"). Out-of-tree code (tests, experiments) can also register
-// at static-init or run time via PrefetcherRegistrar.
+// at run time through PrefetcherRegistry::instance().add().
 #pragma once
 
 #include <functional>
@@ -86,14 +86,6 @@ class PrefetcherRegistry {
   PrefetcherRegistry();
 
   std::vector<PrefetcherInfo> entries_;
-};
-
-/// Static-init self-registration helper:
-///   static const PrefetcherRegistrar r{{.name = "mine", ...}};
-struct PrefetcherRegistrar {
-  explicit PrefetcherRegistrar(PrefetcherInfo info) {
-    PrefetcherRegistry::instance().add(std::move(info));
-  }
 };
 
 /// Builds the prefetcher + queue pair for `in.config.prefetcher`.
