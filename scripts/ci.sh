@@ -272,7 +272,8 @@ SCHEMES='Fdp.*:NextLine.*:Stream.*:Mana.*:ProgramMap.*'
   --gtest_filter="BufferedSchemes.*:$SCHEMES"
 echo "debug: skip-contract asserts hold for every preset and buffered scheme"
 # Build-type identity: the -O0 Debug CLI must write the same store bytes
-# as the -O3 + LTO Release CLI did for each grid the stages above ran.
+# as the -O3 + LTO Release CLI did for each grid the stages above ran,
+# and the same trace file as the round-trip smoke recorded.
 for grid in smoke:1200:ci-smoke-full family:800:ci-family fig5:1000:ci-fig5 \
     smoke-sampled:$SAMPLE_INSTRS:ci-sampled; do
   IFS=: read -r name instrs release <<< "$grid"
@@ -281,14 +282,18 @@ for grid in smoke:1200:ci-smoke-full family:800:ci-family fig5:1000:ci-fig5 \
     --instrs "$instrs" --store "build-debug/$release.jsonl" -j 0 > /dev/null
   cmp "build/$release.jsonl" "build-debug/$release.jsonl"
 done
-echo "debug: smoke, family, fig5 and smoke-sampled stores match Release"
+./build-debug/src/cli/prestage trace record --preset clgp-l0-pb16 --bench eon \
+  --instrs 3000 --out build-debug/ci-eon.pstr > /dev/null
+cmp build/ci-eon.pstr build-debug/ci-eon.pstr
+echo "debug: smoke, family, fig5 and smoke-sampled stores and the eon" \
+  "recording match Release"
 
 # --- sanitizer smoke ---------------------------------------------------------
 # ASan+UBSan build of the CLI, then one run per *registered* prefetcher
 # (with an L0, matching the family grid) — the preset list is derived
 # from `prestage list`, so a newly registered scheme is exercised under
-# sanitizers automatically — two sampled runs, and a store with an
-# out-of-range count.
+# sanitizers automatically — a trace record and its replay, two sampled
+# runs, and a store with an out-of-range count.
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target prestage_cli
 PREFETCHERS=$(./build-asan/src/cli/prestage list |
@@ -301,6 +306,13 @@ for p in $PREFETCHERS; do
     --instrs 1500 > /dev/null
 done
 echo "sanitizer: every registered prefetcher ran clean under ASan+UBSan"
+echo "sanitizer   : prestage trace record, then trace replay"
+./build-asan/src/cli/prestage trace record --preset clgp-l0-pb16 --bench eon \
+  --instrs 3000 --out build-asan/ci-eon.pstr > /dev/null
+./build-asan/src/cli/prestage trace replay --preset clgp-l0-pb16 \
+  --instrs 3000 --trace build-asan/ci-eon.pstr > /dev/null
+cmp build/ci-eon.pstr build-asan/ci-eon.pstr
+echo "sanitizer: trace record and replay ran clean"
 # Sampled simulation under the same sanitizers: one fresh plan (span-walk
 # profile, clustering, snapshot walk, slices from the snapshots) and one
 # run from the PSCK checkpoint the sampled stage above wrote.
