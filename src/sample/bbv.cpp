@@ -26,6 +26,10 @@ constexpr Addr kWarmLineBytes = 64;
 /// Spans pulled per TraceSource::fill_spans() call by the profiling pass.
 constexpr std::size_t kProfileSpans = 512;
 
+/// A profile keeps a waypoint at every k-th interval start, with k
+/// chosen so that fewer than this many fit.
+constexpr std::uint64_t kWaypointSlots = 16;
+
 }  // namespace
 
 void SignatureAccumulator::add(Addr block_pc, std::uint64_t weight) {
@@ -99,6 +103,14 @@ TraceProfile profile_source(workload::TraceSource& source,
     return out;
   };
 
+  // Waypoints at every `every`-th interval start (k in bbv.hpp).
+  const std::uint64_t nominal_intervals =
+      total_instructions / interval_instructions +
+      (total_instructions % interval_instructions != 0 ? 1 : 0);
+  const std::uint64_t every =
+      (nominal_intervals + kWaypointSlots - 1) / kWaypointSlots;
+  const std::uint64_t origin = source.instructions();
+
   std::uint64_t consumed = 0;  // instructions in closed streams
   std::uint64_t interval_start = 0;
   std::vector<Addr> pending_warm;  // ring state at the open interval's start
@@ -106,13 +118,19 @@ TraceProfile profile_source(workload::TraceSource& source,
   Addr block_pc = kNoAddr;       // start PC of the open stream
   std::uint64_t block_len = 0;   // its instructions so far
   while (consumed < total_instructions) {
-    // Up to the budget, then one span at a time: the walk ends exactly
-    // at the close of the stream that reaches the budget.
+    // Interval i + j opens no earlier than j nominal lengths after
+    // interval i did, so the next waypoint's interval cannot open before
+    // `limit`. Up to the budget or that point, then one span at a time:
+    // the walk never reads past the stream that closes either.
+    const std::uint64_t open = profile.intervals.size();
+    const std::uint64_t next_waypoint = (open / every + 1) * every;
+    const std::uint64_t limit = std::min(
+        total_instructions,
+        interval_start + (next_waypoint - open) * interval_instructions);
     const std::uint64_t reached = consumed + block_len;
     const std::size_t got =
-        reached < total_instructions
-            ? source.fill_spans(spans.data(), spans.size(),
-                                total_instructions - reached)
+        reached < limit
+            ? source.fill_spans(spans.data(), spans.size(), limit - reached)
             : source.fill_spans(spans.data(), 1, bpred::kMaxStreamInstrs);
     for (std::size_t i = 0; i < got; ++i) {
       const workload::TraceSpan& span = spans[i];
@@ -145,6 +163,12 @@ TraceProfile profile_source(workload::TraceSource& source,
         profile.intervals.push_back(std::move(iv));
         interval_start = consumed;
         pending_warm = snapshot_ring();
+        if (profile.intervals.size() % every == 0 &&
+            consumed < total_instructions) {
+          PRESTAGE_ASSERT(source.instructions() - origin == consumed,
+                          "waypoint read past its interval start");
+          profile.waypoints.push_back(source.clone());
+        }
       }
     }
   }

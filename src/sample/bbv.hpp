@@ -15,10 +15,13 @@
 // window of instruction-line addresses — the functional-warming
 // checkpoint a sampled run replays into any cache geometry before
 // simulating the interval (checkpoint.hpp stores them; runner.cpp
-// applies them via Cpu::warm_ifetch).
+// applies them via Cpu::warm_ifetch) — and, at a few interval starts, a
+// clone of the source itself: the waypoints a plan's snapshot walk
+// resumes from instead of walking the trace again from instruction 0.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -67,6 +70,11 @@ struct TraceProfile {
   std::uint32_t dim = 0;
   std::uint64_t unique_blocks = 0;  ///< distinct stream-start PCs seen
   std::vector<IntervalProfile> intervals;
+  /// Waypoints: clones of the profiled source at every k-th interval
+  /// start, ascending, none at the first or past the last. Each sits at
+  /// a stream boundary, and its instructions() is that interval's start
+  /// when the source was fresh.
+  std::vector<std::unique_ptr<workload::TraceSource>> waypoints;
 };
 
 /// Streams @p source for at least @p total_instructions, closing each
@@ -76,8 +84,12 @@ struct TraceProfile {
 /// (TraceSource::fill_spans) and stops exactly at the end of the last
 /// interval, so @p source is left at the profile's total_instructions.
 /// Each stream counts for its start PC and length; the warm-line ring
-/// sees every line a span covers. Deterministic: same source state,
-/// same profile.
+/// sees every line a span covers. Keeps a waypoint at every k-th
+/// interval start, k = ceil(ceil(total / interval) / 16), so at most 15:
+/// a span batch never reads past the earliest position the next
+/// waypoint's interval can open at, and the stream that reaches it is
+/// read one span at a time, so each clone is taken exactly at its
+/// interval start. Deterministic: same source state, same profile.
 [[nodiscard]] TraceProfile profile_source(workload::TraceSource& source,
                                           std::uint64_t total_instructions,
                                           std::uint64_t interval_instructions,

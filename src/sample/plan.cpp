@@ -90,15 +90,19 @@ SamplePlan build_plan(const workload::WorkloadSpec& base, std::uint64_t seed,
   // carried prefetcher state always moves forward in trace time.
   std::sort(plan.slices.begin(), plan.slices.end(),
             [](const Slice& a, const Slice& b) { return a.start < b.start; });
-  attach_snapshots(plan, base);
+  attach_snapshots(plan, base, std::move(profile.waypoints));
   return plan;
 }
 
-void attach_snapshots(SamplePlan& plan, const workload::WorkloadSpec& base) {
-  const std::unique_ptr<workload::TraceSource> source =
+std::uint64_t attach_snapshots(
+    SamplePlan& plan, const workload::WorkloadSpec& base,
+    std::vector<std::unique_ptr<workload::TraceSource>> waypoints) {
+  std::unique_ptr<workload::TraceSource> source =
       base.make_source(plan.seed + 17);  // the Cpu's oracle trace seed
   std::vector<workload::TraceSpan> spans(512);
   bool at_stream_start = true;  // instruction 0 opens a stream
+  std::uint64_t walked = 0;
+  auto waypoint = waypoints.begin();
   std::shared_ptr<const workload::TraceSource> snapshot;
   // Slices are in ascending start order, so their warm-up starts never
   // decrease and one forward walk reaches them all.
@@ -107,12 +111,22 @@ void attach_snapshots(SamplePlan& plan, const workload::WorkloadSpec& base) {
       slice.snapshot = snapshot;  // a warm-up start shared with the last
       continue;
     }
+    // Resume from the latest waypoint at or before the warm-up start.
+    // The ones left all lie past the previous warm-up start, and each
+    // sits at a stream boundary, as the walk does here.
+    for (; waypoint != waypoints.end() &&
+           (*waypoint)->instructions() <= slice.warm_start;
+         ++waypoint) {
+      source = std::move(*waypoint);
+    }
+    const std::uint64_t from = source->instructions();
     while (source->instructions() < slice.warm_start) {
       const std::size_t got =
           source->fill_spans(spans.data(), spans.size(),
                              slice.warm_start - source->instructions());
       at_stream_start = spans[got - 1].ends_stream;
     }
+    walked += source->instructions() - from;
     if (source->instructions() != slice.warm_start || !at_stream_start) {
       throw SimError("slice warm-up start " +
                      std::to_string(slice.warm_start) +
@@ -122,6 +136,7 @@ void attach_snapshots(SamplePlan& plan, const workload::WorkloadSpec& base) {
     snapshot = source->clone();
     slice.snapshot = snapshot;
   }
+  return walked;
 }
 
 namespace {

@@ -9,9 +9,11 @@
 // campaign store stays byte-identical at any worker count.
 //
 // A plan also holds, per slice, a snapshot of the workload's trace at
-// the slice's warm-up start, taken in one walk when the plan is built
-// (or read back from a checkpoint). Every slice of every run point
-// starts from a copy of it instead of walking the trace from 0.
+// the slice's warm-up start. A fresh plan takes them in one forward walk
+// that resumes from the profile pass's waypoints, so it re-reads only
+// the trace between a waypoint and a warm-up start; a plan read back
+// from a checkpoint walks from instruction 0. Every slice of every run
+// point starts from a copy of its snapshot instead of walking the trace.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +61,8 @@ struct SamplePlan {
 };
 
 /// Profiles @p base once (trace seed `seed + 17`, matching the Cpu's
-/// oracle), clusters the intervals and attaches the slice snapshots.
+/// oracle), clusters the intervals and attaches the slice snapshots
+/// from the profile's waypoints, which it drops before returning.
 /// @p budget is the full-run instruction target the plan reconstructs.
 /// A synthetic workload's snapshots borrow @p base's program, so @p base
 /// must outlive the plan (synthetic_workload specs live for the process).
@@ -67,14 +70,21 @@ struct SamplePlan {
                                     std::uint64_t seed, std::uint64_t budget,
                                     const ResolvedSamplingParams& params);
 
-/// Walks @p base's trace (seed `plan.seed + 17`) once, as a span walk
-/// (TraceSource::fill_spans: no DynInst is built) that stops exactly at
-/// each slice's warm_start, and snapshots it there. build_plan ends
-/// with this; a plan read back from a checkpoint needs it before it can
-/// run. Throws SimError when a warm_start is not a stream
+/// Walks @p base's trace (seed `plan.seed + 17`) forward once, as a
+/// span walk (TraceSource::fill_spans: no DynInst is built) that stops
+/// exactly at each slice's warm_start, and snapshots it there. Before
+/// each slice the walk jumps to the latest of @p waypoints at or before
+/// that warm_start when it lies ahead; without waypoints it walks from
+/// instruction 0. Waypoints must be clones of this trace at stream
+/// boundaries in ascending order (TraceProfile::waypoints); they are
+/// consumed. Returns the instructions walked. build_plan ends with this;
+/// a plan read back from a checkpoint, which has no waypoints, needs it
+/// before it can run. Throws SimError when a warm_start is not a stream
 /// boundary of this trace (a checkpoint of another workload) or falls
 /// before the previous slice's.
-void attach_snapshots(SamplePlan& plan, const workload::WorkloadSpec& base);
+std::uint64_t attach_snapshots(
+    SamplePlan& plan, const workload::WorkloadSpec& base,
+    std::vector<std::unique_ptr<workload::TraceSource>> waypoints = {});
 
 /// Process-wide plan cache keyed by (workload name, seed, budget,
 /// params): campaign workers simulating different machine shapes of the

@@ -1,12 +1,13 @@
 // Slice replay: the trace a sampled slice's Cpu runs.
 //
-// A sampling plan walks its workload's trace once, from instruction 0,
-// as a span walk that builds no records, and keeps a snapshot
-// (TraceSource::clone) at each slice's stream-aligned warm-up start
-// (attach_snapshots, plan.hpp). A slice's Cpu starts from its own copy
-// of that snapshot, so neither a slice nor a run point ever re-walks
-// the trace prefix: the walk is paid once per plan, however many
-// machine shapes the plan serves.
+// A sampling plan walks its workload's trace forward once, as a span
+// walk that builds no records, resuming from the profile pass's
+// waypoints (from instruction 0 for a plan read from a checkpoint), and
+// keeps a snapshot (TraceSource::clone) at each slice's stream-aligned
+// warm-up start (attach_snapshots, plan.hpp). A slice's Cpu starts from
+// its own copy of that snapshot, so neither a slice nor a run point
+// ever re-walks the trace prefix: the walk is paid once per plan,
+// however many machine shapes the plan serves.
 //
 // SlicedTraceSource re-exposes such a copy with sequence numbers
 // renumbered from 0 (the Oracle's commit window requires the first

@@ -1,6 +1,7 @@
 // Sampled-simulation subsystem coverage: parameter resolution and
 // descriptor suffixes, plan determinism (including across worker
-// counts), slice trace snapshots, the single-flight plan cache, PSCK
+// counts), slice trace snapshots and the profile waypoints they resume
+// from (generator and replayed traces), the single-flight plan cache, PSCK
 // checkpoint round-trips (a round-tripped plan runs byte-identically)
 // and corruption rejection, prefetcher save/restore semantics,
 // reconstruction fidelity against the full run, the plan-first campaign
@@ -30,11 +31,13 @@
 #include "common/json_writer.hpp"
 #include "common/prestage_assert.hpp"
 #include "cpu/cpu.hpp"
+#include "expect_same_records.hpp"
 #include "sample/checkpoint.hpp"
 #include "sample/plan.hpp"
 #include "sample/runner.hpp"
 #include "sim/presets.hpp"
 #include "workload/synthetic_spec.hpp"
+#include "workload/trace_file.hpp"
 
 namespace {
 
@@ -289,6 +292,102 @@ TEST(SamplePlan, BuildPlanMatchesParentPin) {
         params.warm_lines);
     EXPECT_EQ(source->instructions(), profile.total_instructions) << bench;
     EXPECT_EQ(profile.total_instructions, plan.total_instructions) << bench;
+  }
+}
+
+/// The next @p n records of @p source, read from a clone of it.
+std::vector<workload::DynInst> next_records(
+    const workload::TraceSource& source, std::size_t n = 1000) {
+  std::vector<workload::DynInst> out(n);
+  (void)source.clone()->fill(out.data(), out.size());
+  return out;
+}
+
+TEST(SamplePlan, WaypointsSitAtIntervalStarts) {
+  // 5k intervals: 80 at 400k (a waypoint every 5th interval start) and
+  // 200 at 1M (every 13th), so 15 either way.
+  const std::pair<std::uint64_t, std::size_t> budgets[] = {{400000, 5},
+                                                           {1000000, 13}};
+  std::vector<workload::DynInst> batch(4096);
+  for (const char* bench : {"eon", "gcc"}) {
+    const auto spec = workload::synthetic_workload(bench, 1);
+    for (const auto& [budget, every] : budgets) {
+      const std::string what =
+          std::string(bench) + " at " + std::to_string(budget);
+      const auto source = spec->make_source(18);
+      const sample::TraceProfile profile =
+          sample::profile_source(*source, budget, 5000, 16, 256);
+      EXPECT_EQ(source->instructions(), profile.total_instructions) << what;
+      ASSERT_EQ(profile.waypoints.size(), 15u) << what;
+      // Each waypoint continues exactly like a fresh source walked to
+      // its interval start with fill().
+      const auto fresh = spec->make_source(18);
+      for (std::size_t j = 0; j < profile.waypoints.size(); ++j) {
+        const std::uint64_t start = profile.intervals[(j + 1) * every].start;
+        ASSERT_EQ(profile.waypoints[j]->instructions(), start)
+            << what << " waypoint " << j;
+        while (fresh->instructions() < start) {
+          (void)fresh->fill(batch.data(),
+                            static_cast<std::size_t>(std::min<std::uint64_t>(
+                                batch.size(), start - fresh->instructions())));
+        }
+        workload::expect_same_records(
+            next_records(*profile.waypoints[j]), next_records(*fresh),
+            what + " waypoint " + std::to_string(j));
+      }
+    }
+  }
+}
+
+TEST(SamplePlan, WaypointSnapshotsMatchAWalkFromZero) {
+  constexpr std::uint64_t kBudget = 400000;
+  sample::SamplingParams knobs;
+  knobs.enabled = true;
+  knobs.interval_instructions = 5000;
+  knobs.max_clusters = 6;
+  knobs.warmup_intervals = 3;
+  const sample::ResolvedSamplingParams params = knobs.resolve(kBudget);
+
+  // eon's generator trace, and the same trace recorded to a file (past
+  // the profile's end, so the replay never wraps) and replayed.
+  const auto generated = workload::synthetic_workload("eon", 1);
+  workload::TraceHeader header;
+  header.benchmark = "eon";
+  header.program_seed = 1;
+  header.trace_seed = 18;
+  workload::TraceGenerator walk(generated->program(), header.trace_seed);
+  const std::string path = fresh_file("eon.pstr");
+  workload::write_trace_file(path, header,
+                             workload::read_streams(walk, kBudget + 1000));
+  const std::pair<const char*, std::shared_ptr<const workload::WorkloadSpec>>
+      specs[] = {{"generator", generated},
+                 {"replay", workload::load_replay_spec(path)}};
+
+  for (const auto& [what, spec] : specs) {
+    const sample::SamplePlan plan =
+        sample::build_plan(*spec, 1, kBudget, params);
+    ASSERT_GT(plan.slices.size(), 1u) << what;
+    // build_plan's snapshot walk resumed from these same waypoints.
+    const auto source = spec->make_source(18);
+    sample::TraceProfile profile = sample::profile_source(
+        *source, kBudget, params.interval_instructions, params.dim,
+        params.warm_lines);
+    sample::SamplePlan from_waypoints = plan;
+    const std::uint64_t short_walk = sample::attach_snapshots(
+        from_waypoints, *spec, std::move(profile.waypoints));
+    sample::SamplePlan from_zero = plan;
+    const std::uint64_t long_walk = sample::attach_snapshots(from_zero, *spec);
+    EXPECT_EQ(long_walk, plan.slices.back().warm_start) << what;
+    EXPECT_LT(short_walk, long_walk) << what;
+    for (std::size_t i = 0; i < plan.slices.size(); ++i) {
+      const std::string at = std::string(what) + " slice " + std::to_string(i);
+      const std::vector<workload::DynInst> expected =
+          next_records(*from_zero.slices[i].snapshot);
+      workload::expect_same_records(next_records(*plan.slices[i].snapshot),
+                                    expected, at);
+      workload::expect_same_records(
+          next_records(*from_waypoints.slices[i].snapshot), expected, at);
+    }
   }
 }
 
