@@ -72,6 +72,12 @@ void Program::validate() const {
   for (BlockId root : region_roots) {
     PRESTAGE_ASSERT(root < blocks.size());
   }
+  // TraceGenerator wraps a Stream cursor with one subtraction.
+  for (const DataSite& site : data_sites) {
+    PRESTAGE_ASSERT(site.cls != DataSiteClass::Stream ||
+                        site.stride <= data_ws_bytes,
+                    "stream stride larger than the working set");
+  }
 }
 
 }  // namespace prestage::workload

@@ -86,8 +86,12 @@ Addr TraceGenerator::data_address(std::uint32_t site_id) {
     case DataSiteClass::StackLocal:
       return kStackBase + (rng_.below(kStackBytes / 8) * 8);
     case DataSiteClass::Stream: {
+      // The cursor stays below the working set and no stride exceeds it
+      // (Program::validate), so one compare-and-subtract wraps exactly
+      // as `% data_ws_bytes` would, without a 64-bit division per access.
       std::uint64_t& cursor = site_cursors_[site_id];
-      cursor = (cursor + site.stride) % prog_.data_ws_bytes;
+      cursor += site.stride;
+      if (cursor >= prog_.data_ws_bytes) cursor -= prog_.data_ws_bytes;
       return kHeapBase + cursor;
     }
     case DataSiteClass::PointerChase: {

@@ -234,6 +234,33 @@ TEST(Trace, DataAddressesRespectRegions) {
   }
 }
 
+TEST(Trace, StreamCursorsWrapAtTheWorkingSet) {
+  // A working set small enough that every Stream site wraps many times,
+  // and not a multiple of the 16-byte stride: each access must land
+  // where `(cursor + stride) % working set` puts it.
+  Program prog = generate_program(profile_for("gzip"));
+  prog.data_ws_bytes = 1000;
+  TraceGenerator walker(prog, 1);
+  std::vector<std::uint64_t> cursors(prog.data_sites.size(), 0);
+  std::uint64_t wraps = 0;
+  std::vector<DynInst> batch(4096);
+  for (int i = 0; i < 50; ++i) {
+    (void)walker.fill(batch.data(), batch.size());
+    for (const DynInst& d : batch) {
+      if (d.op != OpClass::Load && d.op != OpClass::Store) continue;
+      const StaticInst& si = prog.static_inst_at(d.pc);
+      const DataSite& site = prog.data_sites[si.site];
+      if (site.cls != DataSiteClass::Stream) continue;
+      std::uint64_t& cursor = cursors[si.site];
+      const std::uint64_t next = (cursor + site.stride) % prog.data_ws_bytes;
+      wraps += next < cursor ? 1 : 0;
+      cursor = next;
+      ASSERT_EQ(d.data_addr, kHeapBase + cursor) << "seq " << d.seq;
+    }
+  }
+  EXPECT_GT(wraps, 100u);
+}
+
 TEST(Trace, BranchPredictabilityIsInTheRealisticBand) {
   // A plain bimodal predictor on the synthetic branch stream should land
   // in the 80-97% range typical of SPECint — neither random nor trivial.
