@@ -74,7 +74,8 @@ void print_usage(std::ostream& out) {
          "  --instrs N      instructions per run (default "
          "$PRESTAGE_INSTRS or 120000)\n"
          "  --json PATH     write a JSON report to PATH (`-` = stdout)\n"
-         "  --jobs N, -j N  worker threads (0 = all cores; default 0)\n"
+         "  --jobs N, -j N, -jN\n"
+         "                  worker threads (0 = all cores; default 0)\n"
          "\n"
          "trace flags:\n"
          "  --out PATH      trace record: output trace file\n"

@@ -138,8 +138,11 @@ ParseResult parse_options(int argc, char** argv, int first) {
       if (!v) return result;
       opt.json_path = v;
       ++i;
-    } else if (arg == "--jobs" || arg == "-j") {
-      const char* v = need_value(i, arg);
+    } else if (arg == "--jobs" || arg.starts_with("-j")) {
+      // "-j4" carries its count, as make's does; "-j 4" takes the next
+      // argument.
+      const bool attached = arg != "--jobs" && arg != "-j";
+      const char* v = attached ? argv[i] + 2 : need_value(i, arg);
       if (!v) return result;
       // 0 is meaningful here (auto-detect), so parse_u64 (which rejects
       // zero) only handles the positive values.
@@ -154,7 +157,7 @@ ParseResult parse_options(int argc, char** argv, int first) {
         }
         opt.jobs = static_cast<unsigned>(*n);
       }
-      ++i;
+      if (!attached) ++i;
     } else if (arg == "--name") {
       const char* v = need_value(i, arg);
       if (!v) return result;

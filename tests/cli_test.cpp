@@ -191,7 +191,7 @@ void expect_sources(const JsonValue& sb, double pb, double il0, double il1,
 TEST(CliSmoke, SuiteNumbersArePinned) {
   std::string output;
   ASSERT_EQ(run_cli("suite --preset clgp-l0 --bench eon,gzip --instrs 1500 "
-                    "-j 2 --json -",
+                    "-j2 --json -",
                     &output),
             0)
       << output;
@@ -284,6 +284,20 @@ TEST(CliSmoke, BadInputFailsWithUsage) {
 
   EXPECT_NE(run_cli("run --bench no-such-benchmark", &output), 0);
   EXPECT_NE(output.find("unknown benchmark"), std::string::npos);
+
+  // An attached worker count gets the same range check as "-j N".
+  for (const char* jobs : {"-jx", "-j2000"}) {
+    EXPECT_EQ(run_cli(std::string("suite --instrs 1000 ") + jobs, &output),
+              2)
+        << jobs;
+    EXPECT_NE(output.find("--jobs needs a count in 0..1024"),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+  }
+  EXPECT_EQ(run_cli("suite --instrs 1000 -j", &output), 2);
+  EXPECT_NE(output.find("missing value for -j"), std::string::npos)
+      << output;
 }
 
 // --- trace subcommands ------------------------------------------------------
