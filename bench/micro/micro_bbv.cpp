@@ -5,7 +5,9 @@
 // detailed simulation it replaces. The slice-start benchmarks price what
 // a plan's trace snapshots save (every slice of every run point copies
 // one instead of walking the trace) and what the plan's own snapshot
-// walk costs as a span walk against a fill() walk.
+// walk costs as a span walk against a fill() walk. BM_BuildPlan times
+// one whole plan: profile, clustering and the snapshot walk from the
+// profile's waypoints.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include "common/rng.hpp"
 #include "sample/bbv.hpp"
 #include "sample/kmeans.hpp"
+#include "sample/plan.hpp"
 #include "workload/synthetic_spec.hpp"
 
 namespace {
@@ -151,6 +154,28 @@ void BM_SliceStartBySpanWalk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SliceStartBySpanWalk)->Arg(100000)->Arg(1000000);
+
+/// One sampling plan of eon at 10M with the perfbench `sampled` knobs
+/// (50k intervals, dim 16, k <= 2, 256 warm lines, one interval of
+/// warm-up): the cost each plan of that grid adds to a campaign.
+void BM_BuildPlan(benchmark::State& state) {
+  constexpr std::uint64_t kBudget = 10000000;
+  const workload::SyntheticWorkloadSpec spec("eon", 1);
+  sample::SamplingParams knobs;
+  knobs.enabled = true;
+  knobs.interval_instructions = 50000;
+  knobs.dim = 16;
+  knobs.max_clusters = 2;
+  knobs.warm_lines = 256;
+  knobs.warmup_intervals = 1;
+  const sample::ResolvedSamplingParams params = knobs.resolve(kBudget);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sample::build_plan(spec, 1, kBudget, params));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBudget));
+}
+BENCHMARK(BM_BuildPlan)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
