@@ -210,6 +210,28 @@ SAMPLE_INSTRS=400000
 ./build/src/cli/prestage sample run --preset clgp-l0 --bench eon \
   --instrs $SAMPLE_INSTRS --plan build/ci-plan.psck \
   --json build/ci-sample-run.json
+# The same run from a fresh plan with the checkpoint's knobs: its slice
+# snapshots come from the profile's waypoints, the checkpoint's from a
+# walk from instruction 0, and the results must not tell them apart.
+./build/src/cli/prestage sample run --preset clgp-l0 --bench eon \
+  --instrs $SAMPLE_INSTRS --interval 5000 --max-k 4 --warmup 3 \
+  --json build/ci-sample-run-fresh.json
+if command -v python3 > /dev/null; then
+  python3 - <<'EOF'
+import json
+
+def result(path):
+    r = json.load(open(path))["result"]
+    for host in ("host_seconds", "minstr_per_sec"):
+        del r[host]
+    return r
+
+fresh = result("build/ci-sample-run-fresh.json")
+checkpointed = result("build/ci-sample-run.json")
+assert fresh == checkpointed, (fresh, checkpointed)
+print("sampled: fresh-plan and checkpoint runs give the same result")
+EOF
+fi
 rm -f build/ci-sampled-base.jsonl build/ci-sampled-base.jsonl.perf
 ./build/src/cli/prestage campaign run --name smoke --instrs $SAMPLE_INSTRS \
   --store build/ci-sampled-base.jsonl -j 0 > /dev/null
