@@ -40,13 +40,31 @@ class RingBuffer {
     ++size_;
   }
 
+  /// Appends a value-initialised element at the tail and returns it, so
+  /// the caller fills it in place instead of building a temporary and
+  /// copying it in. A reused slot holds nothing of its last occupant.
+  /// Precondition: !full().
+  T& emplace_back() {
+    PRESTAGE_ASSERT(!full(), "push on full ring buffer");
+    T& slot = slots_[(head_ + size_) & mask_];
+    slot = T{};
+    ++size_;
+    return slot;
+  }
+
   /// Removes and returns the head. Precondition: !empty().
   T pop() {
     PRESTAGE_ASSERT(!empty(), "pop on empty ring buffer");
     T value = std::move(slots_[head_]);
+    pop_front();
+    return value;
+  }
+
+  /// Discards the head without moving it out. Precondition: !empty().
+  void pop_front() {
+    PRESTAGE_ASSERT(!empty(), "pop on empty ring buffer");
     head_ = (head_ + 1) & mask_;
     --size_;
-    return value;
   }
 
   /// Head element (next to pop). Precondition: !empty().

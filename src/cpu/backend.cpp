@@ -14,34 +14,33 @@ Backend::Backend(const MachineConfig& cfg, Oracle& oracle,
       prog_(program),
       mem_(mem),
       l1d_(cfg.l1d_size, cfg.line_bytes, cfg.l1d_assoc),
-      decode_(static_cast<std::size_t>(cfg.decode_stages) * cfg.width) {}
+      decode_(static_cast<std::size_t>(cfg.decode_stages) * cfg.width),
+      ruu_(cfg.ruu_size) {
+  unissued_.reserve(cfg.ruu_size);
+}
 
 void Backend::accept(const frontend::FetchedInst& inst) {
   PRESTAGE_ASSERT(!decode_.full(), "accept into full decode pipe");
-  decode_.push(Staged{inst, next_order_++,
-                      now_ + static_cast<Cycle>(cfg_.decode_stages)});
+  Staged& st = decode_.emplace_back();
+  st.f = inst;
+  st.order = next_order_++;
+  st.ready_at = now_ + static_cast<Cycle>(cfg_.decode_stages);
 }
 
 bool Backend::recovery_due(Cycle now) const {
-  if (culprits_.empty()) return false;
-  const Slot& s = *culprits_.front();
-  return s.done != kNoCycle && s.done <= now;
+  return culprit_ != nullptr && culprit_->done != kNoCycle &&
+         culprit_->done <= now;
 }
 
 void Backend::squash_younger_than_culprit() {
-  PRESTAGE_ASSERT(!culprits_.empty(), "squash without a resolved culprit");
-  Slot& culprit = *culprits_.front();
-  const std::uint64_t culprit_order = culprit.order;
-  culprit.recovery_handled = true;
-  culprits_.pop_front();
-  while (!culprits_.empty() && culprits_.back()->order > culprit_order) {
-    culprits_.pop_back();
-  }
+  PRESTAGE_ASSERT(culprit_ != nullptr, "squash without a resolved culprit");
+  const std::uint64_t culprit_order = culprit_->order;
+  culprit_ = nullptr;
   while (!unissued_.empty() && unissued_.back()->order > culprit_order) {
     unissued_.pop_back();
   }
   while (!ruu_.empty() && ruu_.back().order > culprit_order) {
-    ruu_.pop_back();
+    ruu_.pop_back_n(1);
   }
   decode_.clear();
 }
@@ -72,24 +71,24 @@ void Backend::issue_one(Slot& s, Cycle now, std::uint32_t& loads_this_cycle) {
       return;
     }
     dcache_misses.add();
+    // The slot outlives the miss (see unissued_ in backend.hpp); `order`
+    // checks that it still holds this load.
+    Slot* slot = &s;
     const std::uint64_t order = s.order;
     mem_.submit(mem::ReqType::Data, line, now,
-                [this, order, line](FetchSource, Cycle ready) {
+                [this, slot, order, line](FetchSource, Cycle ready) {
                   const auto ev = l1d_.insert(line);
                   if (ev.has_value() && ev->dirty) {
                     mem_.submit_writeback(ev->line, ready);
                   }
-                  for (Slot& slot : ruu_) {
-                    if (slot.order == order) {
-                      slot.done = ready + 1;
-                      // Wake dependents through the scoreboard now, not
-                      // at commit.
-                      if (slot.dst != kNoReg && !slot.f.wrong_path &&
-                          reg_ready_[slot.dst] < slot.done) {
-                        reg_ready_[slot.dst] = slot.done;
-                      }
-                      return;
-                    }
+                  PRESTAGE_ASSERT(slot->order == order,
+                                  "D-cache fill for a reused RUU slot");
+                  slot->done = ready + 1;
+                  // Wake dependents through the scoreboard now, not at
+                  // commit.
+                  if (slot->dst != kNoReg && !slot->f.wrong_path &&
+                      reg_ready_[slot->dst] < slot->done) {
+                    reg_ready_[slot->dst] = slot->done;
                   }
                 });
     s.done = kNoCycle;  // completed by the fill callback
@@ -167,14 +166,10 @@ Cycle Backend::next_event_cycle(Cycle now) const {
       consider(head.done);
     }
   }
-  // Recovery: the first unhandled culprit triggers it when it completes
-  // (recovery_due looks only at that slot).
-  if (!culprits_.empty()) {
-    const Slot& s = *culprits_.front();
-    if (s.done != kNoCycle) {
-      if (s.done <= now) return now;
-      consider(s.done);
-    }
+  // Recovery: the unresolved culprit triggers it when it completes.
+  if (culprit_ != nullptr && culprit_->done != kNoCycle) {
+    if (culprit_->done <= now) return now;
+    consider(culprit_->done);
   }
   // Issue: the first cycle any unissued slot has both sources ready
   // (same scoreboard read tick_issue performs).
@@ -217,7 +212,7 @@ void Backend::tick_dispatch(Cycle now) {
     const Staged& st = decode_.front();
     if (st.ready_at > now) return;
 
-    Slot s;
+    Slot& s = ruu_.emplace_back();
     s.f = st.f;
     s.order = st.order;
     if (st.f.wrong_path) {
@@ -242,10 +237,12 @@ void Backend::tick_dispatch(Cycle now) {
       s.src2 = d.src2;
       s.data_addr = d.data_addr;
     }
-    ruu_.push_back(s);
-    unissued_.push_back(&ruu_.back());
-    if (s.f.culprit) culprits_.push_back(&ruu_.back());
-    (void)decode_.pop();
+    unissued_.push_back(&s);
+    if (s.f.culprit) {
+      PRESTAGE_ASSERT(culprit_ == nullptr, "second unresolved culprit");
+      culprit_ = &s;
+    }
+    decode_.pop_front();
     ++dispatched;
   }
 }

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/ring_buffer.hpp"
 #include "common/stats.hpp"
@@ -98,7 +98,6 @@ class Backend final : public frontend::IFetchSink {
     Addr data_addr = kNoAddr;
     Cycle done = kNoCycle;  ///< completion cycle; kNoCycle = outstanding
     bool issued = false;
-    bool recovery_handled = false;  ///< culprit already triggered recovery
   };
 
   [[nodiscard]] bool reg_ready(RegId r, Cycle now) const {
@@ -114,14 +113,18 @@ class Backend final : public frontend::IFetchSink {
   mem::SetAssocCache l1d_;
 
   RingBuffer<Staged> decode_;
-  std::deque<Slot> ruu_;
-  // Hot-path indices over ruu_, in program order. Raw pointers are safe:
-  // std::deque never moves surviving elements on push_back/pop_front/
-  // pop_back, commit only pops issued slots (never in unissued_, and an
-  // unhandled culprit cannot reach commit — recovery fires first), and
-  // squash prunes both lists alongside the slots it pops.
+  RingBuffer<Slot> ruu_;  ///< filled in place at dispatch, never copied
+  // Hot-path pointers into ruu_'s fixed storage. A ring slot never moves;
+  // it is only reused after it leaves the ring, so a pointer stays valid
+  // while its slot is live. Commit pops only issued slots (never in
+  // unissued_), and the culprit cannot reach commit: recovery fires first.
+  // Squash pops only slots younger than the culprit and prunes unissued_
+  // alongside. A D-cache fill's slot is correct-path, so it is never
+  // squashed, and it cannot commit before the fill sets `done`.
   std::vector<Slot*> unissued_;  ///< dispatch order; tick_issue's scan set
-  std::deque<Slot*> culprits_;   ///< unhandled culprits, oldest first
+  // The unresolved culprit, or nullptr. The driver predicts no
+  // correct-path block past a divergence, so there is at most one.
+  Slot* culprit_ = nullptr;
   Cycle reg_ready_[kNumRegs] = {};
   std::uint64_t next_order_ = 1;
   std::uint64_t committed_ = 0;

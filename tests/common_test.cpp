@@ -194,6 +194,87 @@ TEST(RingBuffer, NonPow2CapacityStillBounds) {
   EXPECT_EQ(q.back(), 44);
 }
 
+// A slot with the defaults of a back-end RUU entry.
+struct DefaultedSlot {
+  std::uint64_t order = 0;
+  OpClass op = OpClass::IntAlu;
+  RegId dst = kNoReg;
+  Addr data_addr = kNoAddr;
+  Cycle done = kNoCycle;
+  bool issued = false;
+};
+
+void expect_defaults(const DefaultedSlot& s) {
+  EXPECT_EQ(s.order, 0u);
+  EXPECT_EQ(s.op, OpClass::IntAlu);
+  EXPECT_EQ(s.dst, kNoReg);
+  EXPECT_EQ(s.data_addr, kNoAddr);
+  EXPECT_EQ(s.done, kNoCycle);
+  EXPECT_FALSE(s.issued);
+}
+
+// The in-place append must hand out a value-initialised slot even when
+// it reuses one a popped or squashed element held: nothing of the old
+// occupant may leak into the new one.
+TEST(RingBuffer, EmplaceBackValueInitialisesReusedSlots) {
+  RingBuffer<DefaultedSlot> q(3);  // 4 slots behind the mask
+  const auto fill = [](DefaultedSlot& s, std::uint64_t order) {
+    s.order = order;
+    s.op = OpClass::Load;
+    s.dst = 7;
+    s.data_addr = 0x1234;
+    s.done = 99;
+    s.issued = true;
+  };
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    DefaultedSlot& s = q.emplace_back();
+    expect_defaults(s);
+    fill(s, i);
+  }
+  q.pop_back_n(1);  // squash: the tail slot is reused next
+  expect_defaults(q.emplace_back());
+  EXPECT_EQ(q.size(), 3u);
+  // Retire and refill many times, so every backing slot is reused.
+  for (std::uint64_t i = 4; i < 40; ++i) {
+    q.pop_front();
+    DefaultedSlot& s = q.emplace_back();
+    expect_defaults(s);
+    fill(s, i);
+  }
+  RingBuffer<int> ints(2);
+  ints.push(5);
+  ints.pop_front();
+  ints.push(6);
+  ints.pop_front();
+  EXPECT_EQ(ints.emplace_back(), 0);
+  EXPECT_EQ(ints.emplace_back(), 0);
+  EXPECT_THROW((void)ints.emplace_back(), SimError);
+}
+
+TEST(RingBuffer, PopFrontKeepsFifoOrderAcrossTheWrap) {
+  RingBuffer<int> q(3);
+  std::deque<int> ref;
+  Rng rng(11);
+  int next = 0;
+  for (int step = 0; step < 500; ++step) {
+    if (!q.full() && (q.empty() || rng.chance(0.5))) {
+      q.emplace_back() = next;
+      ref.push_back(next++);
+    } else {
+      EXPECT_EQ(q.front(), ref.front());
+      q.pop_front();
+      ref.pop_front();
+    }
+    ASSERT_EQ(q.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(q.at(i), ref[i]);
+    }
+  }
+  EXPECT_GT(next, 100);  // many wraps of the 4-slot backing store
+  while (!q.empty()) q.pop_front();
+  EXPECT_THROW(q.pop_front(), SimError);
+}
+
 TEST(GrowableRingBuffer, GrowsAcrossWrapPreservingFifo) {
   GrowableRingBuffer<int> q(2);
   std::deque<int> ref;
