@@ -310,8 +310,10 @@ std::shared_ptr<const ReplayWorkloadSpec> import_champsim_trace(
     if (!last && !leader[i + 1] && !is_control(si.op)) continue;
     BasicBlock b;
     b.start = kImageBase + static_cast<Addr>(block_start) * kInstrBytes;
+    b.first = block_start;
+    b.count = i + 1 - block_start;
     for (std::uint32_t j = block_start; j <= i; ++j) {
-      b.instrs.push_back(statics[j].inst);
+      prog.insts.push_back(statics[j].inst);
     }
     switch (si.op) {
       case OpClass::Branch: b.term = TermKind::CondBranch; break;
@@ -341,7 +343,9 @@ std::shared_ptr<const ReplayWorkloadSpec> import_champsim_trace(
     pad.taken_target = 0;
     StaticInst jump;
     jump.op = OpClass::Jump;
-    pad.instrs.push_back(jump);
+    pad.first = static_cast<std::uint32_t>(prog.insts.size());
+    pad.count = 1;
+    prog.insts.push_back(jump);
     prog.blocks.push_back(std::move(pad));
   }
   for (const auto& [id, target] : pending_targets) {

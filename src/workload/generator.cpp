@@ -37,9 +37,14 @@ class Builder {
 
   BlockId new_block(std::uint32_t n_instrs) {
     PRESTAGE_ASSERT(n_instrs >= 1);
+    // Blocks are created in layout order, so each appends its
+    // instructions to the program's one address-ordered array.
     BasicBlock b;
-    b.instrs.reserve(n_instrs);
-    for (std::uint32_t i = 0; i < n_instrs; ++i) b.instrs.push_back(make_inst());
+    b.first = static_cast<std::uint32_t>(prog_.insts.size());
+    b.count = n_instrs;
+    for (std::uint32_t i = 0; i < n_instrs; ++i) {
+      prog_.insts.push_back(make_inst());
+    }
     const auto id = static_cast<BlockId>(prog_.blocks.size());
     prog_.blocks.push_back(std::move(b));
     return id;
@@ -119,7 +124,7 @@ class Builder {
   void set_terminator(BlockId id, TermKind kind, OpClass op) {
     BasicBlock& b = prog_.blocks[id];
     b.term = kind;
-    StaticInst& last = b.instrs.back();
+    StaticInst& last = prog_.instrs(b).back();
     last = StaticInst{};  // terminators carry no data site
     last.op = op;
     last.src1 = recent_or_random();
@@ -334,7 +339,7 @@ class Builder {
     Addr pc = prog_.base;
     for (BasicBlock& b : prog_.blocks) {
       b.start = pc;
-      pc += static_cast<Addr>(b.instrs.size()) * kInstrBytes;
+      pc += static_cast<Addr>(b.count) * kInstrBytes;
     }
   }
 

@@ -9,11 +9,15 @@ void Program::validate() const {
   PRESTAGE_ASSERT(region_roots.size() == num_regions);
 
   Addr pc = base;
+  std::uint32_t next_inst = 0;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const BasicBlock& b = blocks[i];
-    PRESTAGE_ASSERT(!b.instrs.empty(), "empty basic block");
+    PRESTAGE_ASSERT(b.count != 0, "empty basic block");
     PRESTAGE_ASSERT(b.start == pc, "blocks must be laid out contiguously");
+    PRESTAGE_ASSERT(b.first == next_inst && b.count <= insts.size() - b.first,
+                    "block does not index its own instructions");
     pc = b.end();
+    next_inst += b.count;
 
     const bool needs_target = b.term == TermKind::CondBranch ||
                               b.term == TermKind::Jump ||
@@ -44,7 +48,7 @@ void Program::validate() const {
           break;
       }
     }
-    const OpClass last = b.instrs.back().op;
+    const OpClass last = instrs(b).back().op;
     switch (b.term) {
       case TermKind::FallThrough:
         PRESTAGE_ASSERT(!is_control(last));
@@ -62,13 +66,15 @@ void Program::validate() const {
         PRESTAGE_ASSERT(last == OpClass::Return);
         break;
     }
-    for (const StaticInst& si : b.instrs) {
+    for (const StaticInst& si : instrs(b)) {
       if (si.op == OpClass::Load || si.op == OpClass::Store) {
         PRESTAGE_ASSERT(si.site != kNoSite && si.site < data_sites.size(),
                         "memory instruction without a data site");
       }
     }
   }
+  PRESTAGE_ASSERT(next_inst == insts.size(),
+                  "instructions outside every block");
   for (BlockId root : region_roots) {
     PRESTAGE_ASSERT(root < blocks.size());
   }

@@ -6,9 +6,15 @@
 // exactly that dictionary: the full static CFG of a synthesized workload,
 // addressable by PC, used both by the oracle trace walker (correct path)
 // and by the front-end when it runs down mispredicted paths.
+//
+// Blocks are laid out contiguously from `base`, so the static
+// instructions form one address-ordered array: the instruction at `pc`
+// is `insts[(pc - base) / kInstrBytes]`, and a block is the run of
+// `count` entries from `first`. Each instruction is stored exactly once.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,13 +72,12 @@ struct BasicBlock {
   double bias = 0.5;           ///< P(taken) for Biased conditionals
   std::uint32_t period = 0;    ///< trip count for Periodic latches
   std::uint32_t router_mid = 0;  ///< Router: taken iff region >= router_mid
-  std::vector<StaticInst> instrs;
+  std::uint32_t first = 0;  ///< Program::insts index of its first instr
+  std::uint32_t count = 0;  ///< instructions in the block
 
-  [[nodiscard]] std::uint32_t num_instrs() const noexcept {
-    return static_cast<std::uint32_t>(instrs.size());
-  }
+  [[nodiscard]] std::uint32_t num_instrs() const noexcept { return count; }
   [[nodiscard]] Addr end() const noexcept {
-    return start + static_cast<Addr>(instrs.size()) * kInstrBytes;
+    return start + static_cast<Addr>(count) * kInstrBytes;
   }
   [[nodiscard]] Addr last_pc() const noexcept { return end() - kInstrBytes; }
 };
@@ -81,6 +86,7 @@ class Program {
  public:
   std::string name;
   std::vector<BasicBlock> blocks;   ///< laid out contiguously by address
+  std::vector<StaticInst> insts;    ///< every instruction, by address
   std::vector<DataSite> data_sites;
   std::vector<BlockId> region_roots;  ///< entry function of each region
   BlockId dispatcher_head = 0;        ///< loop head of the dispatcher
@@ -93,14 +99,12 @@ class Program {
 
   /// Total static code size in bytes.
   [[nodiscard]] std::uint64_t footprint_bytes() const {
-    std::uint64_t n = 0;
-    for (const auto& b : blocks) n += b.num_instrs() * kInstrBytes;
-    return n;
+    return insts.size() * kInstrBytes;
   }
 
   [[nodiscard]] Addr code_begin() const { return base; }
   [[nodiscard]] Addr code_end() const {
-    return blocks.empty() ? base : blocks.back().end();
+    return base + static_cast<Addr>(insts.size()) * kInstrBytes;
   }
   [[nodiscard]] bool contains_pc(Addr pc) const {
     return pc >= code_begin() && pc < code_end();
@@ -122,12 +126,19 @@ class Program {
     return static_cast<BlockId>(lo);
   }
 
-  /// Static metadata of the instruction at @p pc.
+  /// Static metadata of the instruction at @p pc: one index, no search.
+  /// Precondition: contains_pc(pc).
   [[nodiscard]] const StaticInst& static_inst_at(Addr pc) const {
-    const BasicBlock& b = blocks[block_at(pc)];
-    const auto idx = static_cast<std::size_t>((pc - b.start) / kInstrBytes);
-    PRESTAGE_ASSERT(idx < b.instrs.size());
-    return b.instrs[idx];
+    PRESTAGE_ASSERT(contains_pc(pc), "PC outside program image");
+    return insts[static_cast<std::size_t>((pc - base) / kInstrBytes)];
+  }
+
+  /// The instructions of @p b, in address order.
+  [[nodiscard]] std::span<const StaticInst> instrs(const BasicBlock& b) const {
+    return {insts.data() + b.first, b.count};
+  }
+  [[nodiscard]] std::span<StaticInst> instrs(const BasicBlock& b) {
+    return {insts.data() + b.first, b.count};
   }
 
   /// Validates structural invariants; throws SimError on violation.

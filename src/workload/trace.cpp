@@ -167,7 +167,7 @@ TraceGenerator::Chunk TraceGenerator::advance(std::uint64_t limit,
 
   // Data addresses in program order, then the branch outcome: the RNG
   // draws of an instruction-at-a-time walk, in the same order.
-  const StaticInst* si = b.instrs.data() + cur_idx_;
+  const StaticInst* si = prog_.insts.data() + b.first + cur_idx_;
   for (std::uint32_t i = 0; i < c.length; ++i) {
     const bool mem = si[i].op == OpClass::Load || si[i].op == OpClass::Store;
     const Addr data = mem ? data_address(si[i].site) : kNoAddr;

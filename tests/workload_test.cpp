@@ -9,6 +9,7 @@
 
 #include "bpred/bimodal.hpp"
 #include "read_stream.hpp"
+#include "workload/champsim.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 #include "workload/program.hpp"
@@ -84,12 +85,36 @@ TEST(Program, BlockAtFindsEveryPc) {
 }
 
 TEST(Program, StaticInstLookupMatchesBlockContents) {
-  const Program prog = generate_program(profile_for("gzip"));
-  const BasicBlock& b = prog.blocks[5];
-  for (std::uint32_t i = 0; i < b.num_instrs(); ++i) {
-    const StaticInst& si =
-        prog.static_inst_at(b.start + i * kInstrBytes);
-    EXPECT_EQ(si.op, b.instrs[i].op);
+  // Every PC of every benchmark and of an imported ChampSim image: the
+  // direct index must find what the block (found by search) holds.
+  std::vector<Program> programs;
+  for (const auto& p : all_profiles()) programs.push_back(generate_program(p));
+  programs.push_back(
+      import_champsim_trace(PRESTAGE_TEST_DATA_DIR "/fixture.champsim.trace")
+          ->program());
+  for (const Program& prog : programs) {
+    SCOPED_TRACE(prog.name);
+    std::uint64_t checked = 0;
+    for (Addr pc = prog.code_begin(); pc < prog.code_end();
+         pc += kInstrBytes) {
+      const BasicBlock& b = prog.blocks[prog.block_at(pc)];
+      const StaticInst& want =
+          prog.instrs(b)[static_cast<std::size_t>((pc - b.start) /
+                                                  kInstrBytes)];
+      const StaticInst& got = prog.static_inst_at(pc);
+      ASSERT_EQ(got.op, want.op) << std::hex << pc;
+      ASSERT_EQ(got.dst, want.dst) << std::hex << pc;
+      ASSERT_EQ(got.src1, want.src1) << std::hex << pc;
+      ASSERT_EQ(got.src2, want.src2) << std::hex << pc;
+      ASSERT_EQ(got.site, want.site) << std::hex << pc;
+      ++checked;
+    }
+    EXPECT_EQ(checked, prog.insts.size());
+    EXPECT_EQ(checked * kInstrBytes, prog.footprint_bytes());
+    EXPECT_THROW((void)prog.static_inst_at(prog.code_end()), SimError);
+    EXPECT_THROW((void)prog.static_inst_at(prog.code_begin() - kInstrBytes),
+                 SimError);
+    EXPECT_THROW((void)prog.static_inst_at(0), SimError);
   }
 }
 
