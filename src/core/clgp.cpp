@@ -83,7 +83,7 @@ void ClgpPrestager::tick(Cycle now) {
       return;  // every entry pinned: wait for fetch to consume
     }
     if (from_l1) {
-      e->ready = caches_.prefetch_port().issue(now);
+      buffer_.set_ready(*e, caches_.prefetch_port().issue(now));
       sources_.add(FetchSource::L1);
     } else {
       const std::uint64_t gen = e->gen;

@@ -53,10 +53,14 @@ void PrestageBuffer::reset_consumers() {
   for (Entry& e : entries_) e.consumers = 0;
 }
 
-void PrestageBuffer::settle(Cycle now) {
+void PrestageBuffer::settle_due(Cycle now) {
+  settle_floor_ = kNoCycle;
   for (Entry& e : entries_) {
-    if (e.allocated && !e.valid && e.ready != kNoCycle && e.ready <= now) {
+    if (!e.allocated || e.valid || e.ready == kNoCycle) continue;
+    if (e.ready <= now) {
       e.valid = true;
+    } else if (e.ready < settle_floor_) {
+      settle_floor_ = e.ready;
     }
   }
 }

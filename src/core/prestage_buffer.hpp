@@ -57,9 +57,21 @@ class PrestageBuffer {
   /// while valid lines remain opportunistically fetchable (paper §3.2.3).
   void reset_consumers();
 
+  /// An L1->buffer transfer into @p e completes at @p ready. The only
+  /// way a transfer time reaches an entry that is not yet valid (a fill
+  /// callback sets `ready` and `valid` together), so settle() can skip
+  /// every cycle before the earliest one.
+  void set_ready(Entry& e, Cycle ready) {
+    e.ready = ready;
+    if (ready < settle_floor_) settle_floor_ = ready;
+  }
+
   /// Sets the valid bit on entries whose known transfer time has passed
   /// (L1->buffer transfers; L2/memory fills flip valid via callback).
-  void settle(Cycle now);
+  /// Returns at once before the earliest of them.
+  void settle(Cycle now) {
+    if (now >= settle_floor_) settle_due(now);
+  }
 
   [[nodiscard]] std::uint32_t size() const {
     return static_cast<std::uint32_t>(entries_.size());
@@ -80,6 +92,7 @@ class PrestageBuffer {
   /// kNoCycle when only fill callbacks can change buffer state.
   [[nodiscard]] Cycle next_settle_cycle() const {
     Cycle next = kNoCycle;
+    if (settle_floor_ == kNoCycle) return next;  // nothing in flight
     for (const Entry& e : entries_) {
       if (e.allocated && !e.valid && e.ready != kNoCycle && e.ready < next) {
         next = e.ready;
@@ -94,7 +107,14 @@ class PrestageBuffer {
   }
 
  private:
+  void settle_due(Cycle now);
+
   std::vector<Entry> entries_;
+  // No known-time transfer in flight completes before this (kNoCycle:
+  // none is in flight). set_ready() lowers it and settle_due()
+  // recomputes it. It may run early, when allocate() reclaims an
+  // unpinned entry still in flight, but never late.
+  Cycle settle_floor_ = kNoCycle;
   std::uint64_t lru_clock_ = 0;
 };
 

@@ -24,8 +24,7 @@ std::optional<LineView> line_of_block(const FetchBlock& block,
                                       std::uint32_t line_bytes,
                                       std::uint32_t index) {
   if (index >= lines_in_block(block, line_bytes)) return std::nullopt;
-  const Addr line =
-      line_align(block.start, line_bytes) + static_cast<Addr>(index) * line_bytes;
+  const Addr line = line_addr_of_block(block, line_bytes, index);
   const Addr first_pc = index == 0 ? block.start : line;
   const Addr block_end =
       block.start + static_cast<Addr>(block.length) * kInstrBytes;
@@ -67,7 +66,7 @@ void FetchTargetQueue::consume_line() {
   Entry& e = entries_.at(0);
   ++e.fetch_line;
   if (e.prefetch_line < e.fetch_line) e.prefetch_line = e.fetch_line;
-  if (e.fetch_line >= lines_in_block(e.block, line_bytes_)) {
+  if (e.fetch_line >= e.lines) {
     (void)entries_.pop();
   }
   head_view_valid_ = false;

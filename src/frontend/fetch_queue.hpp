@@ -49,10 +49,19 @@ class IFetchQueue {
 [[nodiscard]] std::uint32_t lines_in_block(const FetchBlock& block,
                                            std::uint32_t line_bytes);
 
+/// Address of the @p index-th line a block spans (no range check).
+[[nodiscard]] inline Addr line_addr_of_block(const FetchBlock& block,
+                                             std::uint32_t line_bytes,
+                                             std::uint32_t index) {
+  return line_align(block.start, line_bytes) +
+         static_cast<Addr>(index) * line_bytes;
+}
+
 class FetchTargetQueue final : public IFetchQueue {
  public:
   struct Entry {
     FetchBlock block;
+    std::uint32_t lines = 0;          ///< lines the block spans (at push)
     std::uint32_t fetch_line = 0;     ///< next line for the fetch engine
     std::uint32_t prefetch_line = 0;  ///< FDP scan cursor within the block
   };
@@ -64,7 +73,7 @@ class FetchTargetQueue final : public IFetchQueue {
     return !entries_.full();
   }
   void push_block(const FetchBlock& block) override {
-    entries_.push(Entry{block, 0, 0});
+    entries_.push(Entry{block, lines_in_block(block, line_bytes_), 0, 0});
     head_view_valid_ = false;
   }
 

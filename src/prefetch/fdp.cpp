@@ -47,15 +47,12 @@ void FdpPrefetcher::tick(Cycle now) {
   bool issued_transfer = false;
   for (std::size_t b = 0; b < ftq_.size(); ++b) {
     auto& entry = ftq_.entry(b);
-    for (;;) {
+    for (; entry.prefetch_line < entry.lines; ++entry.prefetch_line) {
       if (examined >= config_.scan_per_cycle) return;
-      const auto view = frontend::line_of_block(entry.block,
-                                                ftq_.line_bytes(),
-                                                entry.prefetch_line);
-      if (!view.has_value()) break;  // block fully scanned
       ++examined;
-      if (!process_line(view->line, now, issued_transfer)) return;
-      ++entry.prefetch_line;
+      const Addr line = frontend::line_addr_of_block(
+          entry.block, ftq_.line_bytes(), entry.prefetch_line);
+      if (!process_line(line, now, issued_transfer)) return;
     }
   }
 }
@@ -76,11 +73,9 @@ IdlePlan FdpPrefetcher::idle_plan(Cycle now) {
   // cycle, a feasible allocation issues a transfer (work).
   for (std::size_t b = 0; b < ftq_.size(); ++b) {
     const auto& entry = ftq_.entry(b);
-    const auto view = frontend::line_of_block(entry.block,
-                                              ftq_.line_bytes(),
-                                              entry.prefetch_line);
-    if (!view.has_value()) continue;  // block fully scanned
-    const Addr line = view->line;
+    if (entry.prefetch_line >= entry.lines) continue;  // fully scanned
+    const Addr line = frontend::line_addr_of_block(
+        entry.block, ftq_.line_bytes(), entry.prefetch_line);
     const bool one_cycle_resident = caches_.has_l0()
                                         ? caches_.probe_l0(line)
                                         : caches_.probe_l1(line);

@@ -58,6 +58,7 @@ IssueResult PrefetchBuffer::issue(Addr line, Cycle now) {
     const Cycle done = caches_.prefetch_port().issue(now);
     *e = Entry{line, done, ++lru_clock_, e->gen + 1, true,
                arrival_ == Arrival::Assumed, false};
+    if (arrival_ == Arrival::Tracked && done < pending_) pending_ = done;
     sources_.add(FetchSource::L1);
     prefetches_issued.add();
     return IssueResult::Started;
@@ -92,21 +93,17 @@ void PrefetchBuffer::prestage(Addr line, Cycle now) {
   (void)issue(line, now);
 }
 
-void PrefetchBuffer::settle(Cycle now) {
+void PrefetchBuffer::settle_due(Cycle now) {
+  pending_ = kNoCycle;
   for (Entry& e : entries_) {
-    if (e.allocated && !e.valid && e.ready != kNoCycle && e.ready <= now) {
+    if (!e.allocated || e.valid || e.ready == kNoCycle) continue;
+    if (e.ready <= now) {
       e.valid = true;
       if (e.promote_on_fill) promote_and_free(e);
+    } else if (e.ready < pending_) {
+      pending_ = e.ready;
     }
   }
-}
-
-Cycle PrefetchBuffer::next_settle() const {
-  Cycle next = kNoCycle;
-  for (const Entry& e : entries_) {
-    if (e.allocated && !e.valid && e.ready < next) next = e.ready;
-  }
-  return next;
 }
 
 bool PrefetchBuffer::can_allocate() const {

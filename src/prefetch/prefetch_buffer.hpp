@@ -107,9 +107,12 @@ class PrefetchBuffer {
   void prestage(Addr line, Cycle now);
 
   /// Makes Tracked L1 transfers whose completion cycle has passed valid.
-  void settle(Cycle now);
+  /// Returns at once before the earliest of them.
+  void settle(Cycle now) {
+    if (now >= pending_) settle_due(now);
+  }
   /// Earliest completion cycle settle() is waiting for, or kNoCycle.
-  [[nodiscard]] Cycle next_settle() const;
+  [[nodiscard]] Cycle next_settle() const noexcept { return pending_; }
   /// Would issue() find an entry (free, or arrived and reclaimable)?
   [[nodiscard]] bool can_allocate() const;
 
@@ -146,6 +149,7 @@ class PrefetchBuffer {
   }
   [[nodiscard]] Entry* allocate();
   void promote_and_free(Entry& e);
+  void settle_due(Cycle now);
 
   PrefetchBufferConfig config_;
   Arrival arrival_;
@@ -153,6 +157,11 @@ class PrefetchBuffer {
   mem::MemSystem& mem_;
   mem::LatencyPort port_;
   std::vector<Entry> entries_;
+  // Earliest `ready` of the Tracked L1 transfers in flight, or kNoCycle.
+  // Exact: such a transfer starts only in issue(), and it ends only in
+  // settle_due(), which recomputes this (allocate() reclaims arrived
+  // entries only, and a consume before arrival waits for it).
+  Cycle pending_ = kNoCycle;
   std::uint64_t lru_clock_ = 0;
   SourceBreakdown sources_;
 };

@@ -105,7 +105,7 @@ TEST(PrestageBuffer, GenerationGuardsDistinguishReallocations) {
 TEST(PrestageBuffer, SettleFlipsValidOnlyAfterReadyTime) {
   PrestageBuffer pb(2);
   auto* a = pb.allocate(0x1000);
-  a->ready = 10;
+  pb.set_ready(*a, 10);
   pb.settle(9);
   EXPECT_FALSE(pb.find(0x1000)->valid);
   pb.settle(10);
@@ -369,14 +369,21 @@ TEST(PrestageBufferProperty, RandomOperationSequenceKeepsInvariants) {
         pb.reset_consumers();
         EXPECT_EQ(pb.pinned_entries(), 0u);
         break;
-      case 4: {  // a fill completes
+      case 4: {  // a transfer time becomes known
         const Addr line = pick_resident();
         if (line == kNoAddr) break;
-        pb.find(line)->ready = iter;
+        pb.set_ready(*pb.find(line), iter);
         break;
       }
       case 5:
         pb.settle(iter);
+        // settle() may skip its scan, but never past a due transfer.
+        for (const auto& e : pb.entries()) {
+          if (e.allocated && e.ready != kNoCycle && e.ready <= iter) {
+            EXPECT_TRUE(e.valid) << "settle(" << iter << ") left line "
+                                 << e.line << " due at " << e.ready;
+          }
+        }
         break;
     }
     // Global invariants after every operation. An underflow through the

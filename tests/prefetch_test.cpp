@@ -134,6 +134,45 @@ TEST(Fdp, ConsumeWhileInFlightPromotesOnFill) {
   EXPECT_FALSE(rig.fdp.probe(0x1000).present);
 }
 
+TEST(Fdp, ConsumedL1TransferIsPromotedExactlyAtItsReadyCycle) {
+  // With an L0, L1-resident lines reach the buffer over the L1 prefetch
+  // port at a known cycle, and tick()'s settle() makes them valid. A
+  // line consumed in flight is promoted at exactly that cycle: settle()
+  // may skip the cycles before it, never the cycle itself. Two
+  // transfers: the first is due after settle() found nothing due, the
+  // second after a settle() that made only the first valid.
+  FdpRig rig({}, /*with_l0=*/true);
+  const Addr lines[] = {0x1000, 0x2000};
+  for (const Addr line : lines) {
+    rig.caches.l1().insert(line);
+    rig.push_block(line);
+  }
+  Cycle now = 0;
+  while (!rig.fdp.probe(lines[1]).present) {
+    ASSERT_LT(now, 100u) << "second transfer never started";
+    rig.run_cycles(now, now);
+    ++now;
+  }
+  Cycle ready[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    ready[i] = rig.fdp.probe(lines[i]).data_ready;
+    ASSERT_GT(ready[i], now) << "line " << i << " arrived before use";
+    rig.fdp.on_fetch_from_pb(lines[i], now);
+  }
+  ASSERT_LT(ready[0], ready[1]);
+  for (; now <= ready[1]; ++now) {
+    rig.run_cycles(now, now);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const bool arrived = now >= ready[i];
+      EXPECT_EQ(rig.fdp.probe(lines[i]).present, !arrived)
+          << "line " << i << " at cycle " << now;
+      EXPECT_EQ(rig.caches.probe_l0(lines[i]), arrived)
+          << "line " << i << " at cycle " << now;
+    }
+  }
+  EXPECT_EQ(rig.fdp.prefetch_sources().count(FetchSource::L1), 2u);
+}
+
 TEST(Fdp, BufferFullStallsScan) {
   PrefetchBufferConfig pb;
   pb.entries = 2;
