@@ -310,6 +310,18 @@ cmp build/ci-eon.pstr build-debug/ci-eon.pstr
 echo "debug: smoke, family, fig5 and smoke-sampled stores and the eon" \
   "recording match Release"
 
+# --- perfbench builds against the tree ---------------------------------------
+# perfbench/ times the kernel with a shadow machine that calls the units'
+# constructors and per-cycle methods itself, so a kernel change can break
+# the benchmark without breaking any test. Build it as perfbench/run.py
+# does (Release + LTO), and require the shadow to reproduce Cpu::run on
+# every one of its 144 points (18 presets x 2 nodes x 2 L1 sizes x 2
+# benchmarks).
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release > /dev/null
+cmake --build build-perfbench -j --target perfbench_driver shadow_check
+./build-perfbench/shadow_check | tee build-perfbench/shadow_check.txt
+grep -q "^shadow_check: 144/144 points match" build-perfbench/shadow_check.txt
+
 # --- sanitizer smoke ---------------------------------------------------------
 # ASan+UBSan build of the CLI, then one run per *registered* prefetcher
 # (with an L0, matching the family grid) — the preset list is derived
