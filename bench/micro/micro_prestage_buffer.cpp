@@ -15,8 +15,8 @@ using namespace prestage;
 void BM_PrestageBufferFetch(benchmark::State& state) {
   core::PrestageBuffer pb(static_cast<std::uint32_t>(state.range(0)));
   for (std::uint32_t i = 0; i < pb.size(); ++i) {
-    auto* e = pb.allocate(static_cast<Addr>(i) * 64);
-    e->valid = true;
+    const auto* e = pb.allocate(static_cast<Addr>(i) * 64);
+    (void)pb.fill(*e, e->gen, 0);
   }
   Rng rng(1);
   for (auto _ : state) {
@@ -39,8 +39,8 @@ void BM_PrestageBufferAllocateChurn(benchmark::State& state) {
     if (auto* e = pb.find(line)) {
       pb.add_consumer(line);
       benchmark::DoNotOptimize(e);
-    } else if (auto* slot = pb.allocate(line)) {
-      slot->valid = true;
+    } else if (const auto* slot = pb.allocate(line)) {
+      (void)pb.fill(*slot, slot->gen, 0);
     } else if (++spins % 8 == 0) {
       pb.reset_consumers();  // mispredict recovery unpins everything
     }
@@ -52,8 +52,8 @@ BENCHMARK(BM_PrestageBufferAllocateChurn);
 void BM_PrestageBufferSettle(benchmark::State& state) {
   core::PrestageBuffer pb(16);
   for (std::uint32_t i = 0; i < pb.size(); ++i) {
-    auto* e = pb.allocate(static_cast<Addr>(i) * 64);
-    e->ready = static_cast<Cycle>(i);
+    const auto* e = pb.allocate(static_cast<Addr>(i) * 64);
+    pb.set_ready(*e, static_cast<Cycle>(i));
   }
   Cycle now = 0;
   for (auto _ : state) {

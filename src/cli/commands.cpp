@@ -1,10 +1,8 @@
 #include "cli/commands.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <utility>
 
 #include "bench/figures.hpp"
@@ -15,7 +13,6 @@
 #include "common/table.hpp"
 #include "cpu/cpu.hpp"
 #include "prefetch/registry.hpp"
-#include "sample/bbv.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
 #include "workload/champsim.hpp"
@@ -76,103 +73,6 @@ workload::TraceFormat resolve_trace_format(const Options& opt) {
 
 [[nodiscard]] const char* format_name(workload::TraceFormat f) {
   return f == workload::TraceFormat::Native ? "native" : "champsim";
-}
-
-/// Streaming N-interval phase scan for `trace info --intervals`: chops
-/// the record stream into equal spans, summarizes each as a projected
-/// BBV at stream granularity (block = stream start PC) and reports the
-/// cosine similarity of adjacent intervals — a one-pass look at the
-/// phase structure the sampling subsystem clusters on.
-class PhaseScan {
- public:
-  PhaseScan(std::uint64_t total_records, std::uint64_t intervals,
-            std::uint32_t dim)
-      : span_(std::max<std::uint64_t>(
-            1, (total_records + intervals - 1) / intervals)),
-        acc_(dim) {}
-
-  void add(const workload::DynInst& d) {
-    if (stream_starting_) {
-      block_ = d.pc;
-      stream_starting_ = false;
-    }
-    acc_.add(block_, 1);
-    ++in_interval_;
-    if (d.ends_stream) stream_starting_ = true;
-    if (in_interval_ >= span_) close();
-  }
-
-  /// Flushes the trailing partial interval.
-  void finish() {
-    if (in_interval_ > 0) close();
-  }
-
-  struct Interval {
-    std::uint64_t instructions = 0;
-    double similarity_to_prev = 0.0;  ///< 0 for the first interval
-  };
-  [[nodiscard]] const std::vector<Interval>& intervals() const {
-    return intervals_;
-  }
-
-  /// Smallest adjacent similarity — the sharpest phase change seen.
-  [[nodiscard]] double min_similarity() const {
-    double min = 1.0;
-    for (std::size_t i = 1; i < intervals_.size(); ++i) {
-      min = std::min(min, intervals_[i].similarity_to_prev);
-    }
-    return intervals_.size() > 1 ? min : 0.0;
-  }
-
- private:
-  void close() {
-    std::vector<double> sig = acc_.finish();
-    Interval iv;
-    iv.instructions = in_interval_;
-    if (!prev_.empty()) {
-      iv.similarity_to_prev = sample::cosine_similarity(prev_, sig);
-    }
-    intervals_.push_back(iv);
-    prev_ = std::move(sig);
-    in_interval_ = 0;
-  }
-
-  std::uint64_t span_;
-  sample::SignatureAccumulator acc_;
-  std::uint64_t in_interval_ = 0;
-  Addr block_ = 0;
-  bool stream_starting_ = true;
-  std::vector<double> prev_;
-  std::vector<Interval> intervals_;
-};
-
-void print_phase_scan(const PhaseScan& scan) {
-  std::printf("phases      : %zu intervals", scan.intervals().size());
-  if (scan.intervals().size() > 1) {
-    std::printf(", min adjacent BBV similarity %.3f",
-                scan.min_similarity());
-  }
-  std::printf("\n");
-  for (std::size_t i = 0; i < scan.intervals().size(); ++i) {
-    const auto& iv = scan.intervals()[i];
-    std::printf("  interval %2zu: %8llu instrs", i,
-                static_cast<unsigned long long>(iv.instructions));
-    if (i > 0) std::printf("  sim %.3f", iv.similarity_to_prev);
-    std::printf("\n");
-  }
-}
-
-void write_phase_scan(JsonWriter& json, const PhaseScan& scan) {
-  json.key("intervals");
-  json.begin_array();
-  for (std::size_t i = 0; i < scan.intervals().size(); ++i) {
-    const auto& iv = scan.intervals()[i];
-    json.begin_object();
-    json.field("instructions", iv.instructions);
-    if (i > 0) json.field("similarity_to_prev", iv.similarity_to_prev);
-    json.end_object();
-  }
-  json.end_array();
 }
 
 void print_run_summary(const cpu::RunResult& r) {
@@ -547,23 +447,11 @@ int cmd_trace_info(const Options& opt) {
   if (format == workload::TraceFormat::Native) {
     // One buffered streaming pass: the record vector is never
     // materialized, so info stays O(buffer) even for very large traces.
-    // The phase scan (--intervals) rides the same pass. The header's
-    // record count is only known mid-stream, so the scan is sized lazily
-    // from a first header-only read.
-    const workload::TraceHeader header =
-        workload::read_trace_header(opt.trace_path);
-    std::optional<PhaseScan> scan;
-    if (opt.info_intervals > 0) {
-      scan.emplace(header.record_count, opt.info_intervals,
-                   opt.bbv_dim > 0 ? opt.bbv_dim : 16);
-    }
     std::uint64_t streams = 0;
-    (void)workload::stream_trace_records(
-        opt.trace_path, [&](const workload::DynInst& d) {
+    const workload::TraceHeader header = workload::stream_trace_records(
+        opt.trace_path, [&streams](const workload::DynInst& d) {
           if (d.ends_stream) ++streams;
-          if (scan) scan->add(d);
         });
-    if (scan) scan->finish();
     if (!sink.owns_stdout()) {
       std::printf("trace       : %s (native, version %u)\n",
                   opt.trace_path.c_str(), header.version);
@@ -574,7 +462,6 @@ int cmd_trace_info(const Options& opt) {
       std::printf("records     : %llu instructions in %llu streams\n",
                   static_cast<unsigned long long>(header.record_count),
                   static_cast<unsigned long long>(streams));
-      if (scan) print_phase_scan(*scan);
     }
     if (sink.wanted()) {
       json.begin_object();
@@ -587,7 +474,6 @@ int cmd_trace_info(const Options& opt) {
       json.field("trace_seed", header.trace_seed);
       json.field("records", header.record_count);
       json.field("streams", streams);
-      if (scan) write_phase_scan(json, *scan);
       json.end_object();
       if (!sink.finish()) return 1;
     }
@@ -597,15 +483,6 @@ int cmd_trace_info(const Options& opt) {
   workload::ChampSimImportStats st;
   const auto spec =
       workload::import_champsim_trace(opt.trace_path, opt.max_records, &st);
-  // ChampSim imports are materialized anyway (the importer synthesizes a
-  // program image), so the phase scan iterates the in-memory records.
-  std::optional<PhaseScan> scan;
-  if (opt.info_intervals > 0) {
-    scan.emplace(spec->records().size(), opt.info_intervals,
-                 opt.bbv_dim > 0 ? opt.bbv_dim : 16);
-    for (const workload::DynInst& d : spec->records()) scan->add(d);
-    scan->finish();
-  }
   if (!sink.owns_stdout()) {
     std::printf("trace       : %s (champsim)\n", opt.trace_path.c_str());
     std::printf("records     : %llu instructions in %llu streams\n",
@@ -621,7 +498,6 @@ int cmd_trace_info(const Options& opt) {
     std::printf("image       : %zu blocks, %s footprint\n",
                 spec->program().blocks.size(),
                 fmt_bytes(spec->program().footprint_bytes()).c_str());
-    if (scan) print_phase_scan(*scan);
   }
   if (sink.wanted()) {
     json.begin_object();
@@ -638,7 +514,6 @@ int cmd_trace_info(const Options& opt) {
     json.field("image_blocks",
                static_cast<std::uint64_t>(spec->program().blocks.size()));
     json.field("image_bytes", spec->program().footprint_bytes());
-    if (scan) write_phase_scan(json, *scan);
     json.end_object();
     if (!sink.finish()) return 1;
   }

@@ -84,8 +84,6 @@ void print_usage(std::ostream& out) {
          "file)\n"
          "  --max-records N cap on imported ChampSim records (default "
          "all)\n"
-         "  --intervals N   trace info: N-interval BBV phase-similarity "
-         "summary\n"
          "\n"
          "sample flags:\n"
          "  --interval N    BBV interval length in instructions (default\n"

@@ -295,17 +295,6 @@ ParseResult parse_options(int argc, char** argv, int first) {
       }
       opt.warmup_intervals = static_cast<std::uint32_t>(*n);
       ++i;
-    } else if (arg == "--intervals") {
-      const char* v = need_value(i, arg);
-      if (!v) return result;
-      const auto n = parse_u64(v);
-      if (!n || *n > 1000000) {
-        result.error = std::string("--intervals needs a count in 1..1M, "
-                                   "got '") + v + "'";
-        return result;
-      }
-      opt.info_intervals = *n;
-      ++i;
     } else if (arg == "--plan") {
       const char* v = need_value(i, arg);
       if (!v) return result;

@@ -57,7 +57,6 @@ struct Options {
   std::uint32_t max_clusters = 0;     ///< --max-k: k-means upper bound
   std::uint32_t warm_lines = 0;       ///< --warm-lines: checkpoint window
   std::uint32_t warmup_intervals = 0;  ///< --warmup: detailed-warmup depth
-  std::uint64_t info_intervals = 0;   ///< --intervals: trace info phase scan
   std::string plan_path;              ///< --plan: PSCK checkpoint to run
 };
 

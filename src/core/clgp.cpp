@@ -1,5 +1,7 @@
 #include "core/clgp.hpp"
 
+#include <algorithm>
+
 #include "cacti/storage.hpp"
 #include "common/prestage_assert.hpp"
 #include "prefetch/registry.hpp"
@@ -30,11 +32,31 @@ void ClgpPrestager::on_fetch_from_pb(Addr line, Cycle now) {
     // used lines into the cache (the paper's CLGP never does).
     caches_.fill_promoted(line);
   }
-  if (config_.disable_consumers) {
-    // Ablation: free-on-first-use replacement.
-    PrestageBuffer::Entry* e = buffer_.find(line);
-    if (e != nullptr) e->consumers = 0;
+  // Ablation: free-on-first-use replacement.
+  if (config_.disable_consumers) buffer_.release(line);
+}
+
+// Inline: tick() calls it per scanned line, idle_plan() per forecast.
+inline ClgpPrestager::Scan ClgpPrestager::classify(Addr line,
+                                                   Cycle now) const {
+  if (buffer_.find(line) != nullptr) return Scan::Staged;
+  if (config_.filter_resident &&
+      (caches_.probe_l0(line) ||
+       (!caches_.has_l0() && caches_.probe_l1(line)))) {
+    // Ablation: FDP-style cache probe filtering (CLGP proper never
+    // filters — §3.2.3).
+    return Scan::Filtered;
   }
+  // CLGP performs no filtering, but the transfer source depends on
+  // where the line currently lives: L1-resident lines are read from
+  // the L1 (multi-cycle) into the one-cycle buffer; everything else
+  // comes from L2/memory through the arbitrated bus.
+  const bool from_l1 = caches_.probe_l1(line);
+  if (from_l1 && !caches_.prefetch_port().can_accept(now)) {
+    return Scan::PortBusy;
+  }
+  if (!buffer_.can_allocate()) return Scan::Full;
+  return from_l1 ? Scan::FromL1 : Scan::FromBelow;
 }
 
 void ClgpPrestager::tick(Cycle now) {
@@ -46,58 +68,41 @@ void ClgpPrestager::tick(Cycle now) {
        ++i) {
     if (examined >= config_.scan_per_cycle) return;
     if (cltq_.is_prefetched(i)) continue;
-    const frontend::LineView& v = cltq_.line_at(i);
+    const Addr line = cltq_.line_at(i).line;
     ++examined;
 
-    if (buffer_.find(v.line) != nullptr) {
-      // Already staged or in flight: extend the entry's lifetime to cover
-      // this future fetch (paper §3.2.3). No transfer, no bus traffic.
-      if (!config_.disable_consumers) buffer_.add_consumer(v.line);
+    const Scan step = classify(line, now);
+    if (step == Scan::Staged) {
+      // Extend the entry's lifetime to cover this future fetch (paper
+      // §3.2.3). No transfer, no bus traffic.
+      if (!config_.disable_consumers) buffer_.add_consumer(line);
       consumer_extensions.add();
       sources_.add(FetchSource::PreBuffer);
       cltq_.mark_prefetched(i);
       continue;
     }
-    if (config_.filter_resident &&
-        (caches_.probe_l0(v.line) ||
-         (!caches_.has_l0() && caches_.probe_l1(v.line)))) {
-      // Ablation: FDP-style cache probe filtering (CLGP proper never
-      // filters — §3.2.3).
+    if (step == Scan::Filtered) {
       sources_.add(caches_.has_l0() ? FetchSource::L0 : FetchSource::L1);
       cltq_.mark_prefetched(i);
       continue;
     }
     if (issued_transfer) return;  // one new transfer per cycle
+    // A busy port retries next cycle; pinned entries wait for fetch to
+    // consume one.
+    if (step == Scan::Full) pb_occupancy_stalls.add();
+    if (step == Scan::PortBusy || step == Scan::Full) return;
 
-    // CLGP performs no filtering, but the transfer source depends on
-    // where the line currently lives: L1-resident lines are read from
-    // the L1 (multi-cycle) into the one-cycle buffer; everything else
-    // comes from L2/memory through the arbitrated bus.
-    const bool from_l1 = caches_.probe_l1(v.line);
-    if (from_l1 && !caches_.prefetch_port().can_accept(now)) {
-      return;  // transfer engine busy this cycle; retry
-    }
-    PrestageBuffer::Entry* e = buffer_.allocate(v.line);
-    if (e == nullptr) {
-      pb_occupancy_stalls.add();
-      return;  // every entry pinned: wait for fetch to consume
-    }
-    if (from_l1) {
+    const PrestageBuffer::Entry* e = buffer_.allocate(line);
+    PRESTAGE_ASSERT(e != nullptr, "classify() found a free entry");
+    if (step == Scan::FromL1) {
       buffer_.set_ready(*e, caches_.prefetch_port().issue(now));
       sources_.add(FetchSource::L1);
     } else {
       const std::uint64_t gen = e->gen;
-      const Addr line = v.line;
-      PrestageBuffer::Entry* slot = e;
       mem_.submit(mem::ReqType::IPrefetch, line, now,
-                  [this, slot, line, gen](FetchSource src, Cycle ready) {
-                    if (!slot->allocated || slot->gen != gen ||
-                        slot->line != line) {
-                      return;  // entry reallocated meanwhile
-                    }
-                    slot->ready = ready;
-                    slot->valid = true;
-                    sources_.add(src);
+                  [this, e, gen](FetchSource src, Cycle ready) {
+                    // A reallocated entry drops the stale fill.
+                    if (buffer_.fill(*e, gen, ready)) sources_.add(src);
                   });
     }
     prefetches_issued.add();
@@ -107,46 +112,19 @@ void ClgpPrestager::tick(Cycle now) {
 }
 
 IdlePlan ClgpPrestager::idle_plan(Cycle now) {
-  IdlePlan plan;
-  const auto consider = [&plan, now](Cycle at) {
-    const Cycle c = now > at ? now : at;
-    if (c < plan.next_event) plan.next_event = c;
-  };
   // Settle: known-time L1->PB transfers become visible at `ready`.
-  consider(buffer_.next_settle_cycle());
-  if (plan.next_event <= now) return plan;  // a settle fires this cycle
-
-  // Classify the scan by its first unprefetched CLTQ line, mirroring
-  // tick(): staged / filtered lines mark the entry (work), a busy L1
-  // port or a fully pinned buffer freezes the scan, a feasible
-  // allocation issues a transfer (work).
-  for (std::size_t i = cltq_.first_unprefetched(); i < cltq_.lines_held();
-       ++i) {
-    if (cltq_.is_prefetched(i)) continue;
-    const frontend::LineView& v = cltq_.line_at(i);
-    if (buffer_.find(v.line) != nullptr) {
-      plan.next_event = now;
-      return plan;
-    }
-    if (config_.filter_resident &&
-        (caches_.probe_l0(v.line) ||
-         (!caches_.has_l0() && caches_.probe_l1(v.line)))) {
-      plan.next_event = now;
-      return plan;
-    }
-    if (caches_.probe_l1(v.line) &&
-        !caches_.prefetch_port().can_accept(now)) {
-      consider(caches_.prefetch_port().next_free());
-      return plan;  // port drains on its own; tick counts nothing here
-    }
-    if (!buffer_.can_allocate()) {
-      plan.per_cycle = &pb_occupancy_stalls;
-      return plan;  // a fetch consume or recovery unpins an entry
-    }
-    plan.next_event = now;  // would issue a transfer
-    return plan;
-  }
-  return plan;  // nothing to scan; only a settle (if any) is due
+  const Cycle settle = buffer_.next_settle_cycle();
+  if (settle <= now) return {now, nullptr};
+  // The scan is frozen only when its first unprefetched line stalls it:
+  // a busy port drains on its own; with every entry pinned it counts
+  // one stall per cycle until a fetch consume or a recovery unpins one.
+  const std::size_t i = cltq_.first_unprefetched();
+  if (i >= cltq_.lines_held()) return {settle, nullptr};
+  const Scan step = classify(cltq_.line_at(i).line, now);
+  if (step == Scan::Full) return {settle, &pb_occupancy_stalls};
+  if (step != Scan::PortBusy) return {now, nullptr};
+  const Cycle drained = std::max(now, caches_.prefetch_port().next_free());
+  return {std::min(settle, drained), nullptr};
 }
 
 void ClgpPrestager::on_recovery(Cycle now) {
@@ -169,7 +147,7 @@ void register_clgp_prestager(prefetch::PrefetcherRegistry& r) {
                         "paper's contribution, §3.2)",
          .build = [](const prefetch::BuildInputs& in) {
            auto cltq = std::make_unique<frontend::CacheLineTargetQueue>(
-               in.config.queue_blocks, in.config.line_bytes);
+               prefetch::kQueueBlocks, in.config.line_bytes);
            ClgpConfig cfg;
            cfg.entries = in.config.prebuffer_entries;
            cfg.pb_latency = in.timings.prebuffer_latency;

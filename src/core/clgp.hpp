@@ -74,6 +74,17 @@ class ClgpPrestager final : public prefetch::IPrefetcher {
   Counter consumers_resets;        ///< recoveries processed
 
  private:
+  /// What the scan does with a not-yet-prefetched CLTQ line at `now`.
+  enum class Scan : std::uint8_t {
+    Staged,     ///< staged or in flight: one more consumer, pass on
+    Filtered,   ///< resident in L0/L1 under filter_resident: pass on
+    PortBusy,   ///< L1-resident, the L1 prefetch port is taken: stalls
+    Full,       ///< every entry pinned: the scan stalls (counted)
+    FromL1,     ///< allocate and copy from the L1
+    FromBelow,  ///< allocate and fetch from L2/memory
+  };
+  [[nodiscard]] Scan classify(Addr line, Cycle now) const;
+
   ClgpConfig config_;
   frontend::CacheLineTargetQueue& cltq_;
   mem::IFetchCaches& caches_;

@@ -8,7 +8,7 @@ PrestageBuffer::PrestageBuffer(std::uint32_t entries) : entries_(entries) {
   PRESTAGE_ASSERT(entries >= 1, "prestage buffer needs at least one entry");
 }
 
-PrestageBuffer::Entry* PrestageBuffer::find(Addr line) {
+PrestageBuffer::Entry* PrestageBuffer::lookup(Addr line) {
   for (Entry& e : entries_) {
     if (e.allocated && e.line == line) return &e;
   }
@@ -16,10 +16,10 @@ PrestageBuffer::Entry* PrestageBuffer::find(Addr line) {
 }
 
 const PrestageBuffer::Entry* PrestageBuffer::find(Addr line) const {
-  return const_cast<PrestageBuffer*>(this)->find(line);
+  return const_cast<PrestageBuffer*>(this)->lookup(line);
 }
 
-PrestageBuffer::Entry* PrestageBuffer::allocate(Addr line) {
+const PrestageBuffer::Entry* PrestageBuffer::allocate(Addr line) {
   PRESTAGE_ASSERT(find(line) == nullptr, "allocate of resident line");
   Entry* victim = nullptr;
   for (Entry& e : entries_) {
@@ -37,16 +37,30 @@ PrestageBuffer::Entry* PrestageBuffer::allocate(Addr line) {
 }
 
 void PrestageBuffer::on_fetch(Addr line) {
-  Entry* e = find(line);
+  Entry* e = lookup(line);
   PRESTAGE_ASSERT(e != nullptr, "prestage consume of absent line");
   if (e->consumers > 0) --e->consumers;
   e->lru = ++lru_clock_;
 }
 
 void PrestageBuffer::add_consumer(Addr line) {
-  Entry* e = find(line);
+  Entry* e = lookup(line);
   PRESTAGE_ASSERT(e != nullptr, "add_consumer on absent line");
   if (e->consumers < 0xFFFFFFFFu) ++e->consumers;
+}
+
+void PrestageBuffer::release(Addr line) {
+  Entry* e = lookup(line);
+  PRESTAGE_ASSERT(e != nullptr, "release of absent line");
+  e->consumers = 0;
+}
+
+bool PrestageBuffer::fill(const Entry& e, std::uint64_t gen, Cycle ready) {
+  if (!e.allocated || e.gen != gen) return false;
+  Entry& w = writable(e);
+  w.ready = ready;
+  w.valid = true;
+  return true;
 }
 
 void PrestageBuffer::reset_consumers() {

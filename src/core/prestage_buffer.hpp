@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/prestage_assert.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -35,14 +36,15 @@ class PrestageBuffer {
 
   explicit PrestageBuffer(std::uint32_t entries);
 
-  /// Entry holding @p line, or nullptr.
-  [[nodiscard]] Entry* find(Addr line);
+  /// Entry holding @p line, or nullptr. Entries are read-only outside
+  /// the buffer: every write goes through a method below, which is what
+  /// keeps settle()'s floor from running late.
   [[nodiscard]] const Entry* find(Addr line) const;
 
   /// Allocates the LRU replaceable entry (consumers == 0) for @p line
   /// with consumers = 1 and valid unset (paper §3.2.3). Returns nullptr
   /// when every entry is pinned by waiting consumers.
-  [[nodiscard]] Entry* allocate(Addr line);
+  [[nodiscard]] const Entry* allocate(Addr line);
 
   /// Fetch consumed @p line: decrement its consumers counter (saturating
   /// at zero — counters may have been reset by a misprediction) and touch
@@ -52,19 +54,28 @@ class PrestageBuffer {
   /// A CLTQ entry references an already-staged line: extend its lifetime.
   void add_consumer(Addr line);
 
+  /// Drops every waiting consumer of @p line, so it is replaceable at
+  /// once (the free-on-first-use ablation).
+  void release(Addr line);
+
   /// Branch misprediction recovery: every consumers counter is reset, so
   /// all entries become available for prefetches along the correct path,
   /// while valid lines remain opportunistically fetchable (paper §3.2.3).
   void reset_consumers();
 
   /// An L1->buffer transfer into @p e completes at @p ready. The only
-  /// way a transfer time reaches an entry that is not yet valid (a fill
-  /// callback sets `ready` and `valid` together), so settle() can skip
-  /// every cycle before the earliest one.
-  void set_ready(Entry& e, Cycle ready) {
-    e.ready = ready;
+  /// way a transfer time reaches an entry that is not yet valid (fill()
+  /// sets `ready` and `valid` together), so settle() can skip every
+  /// cycle before the earliest one.
+  void set_ready(const Entry& e, Cycle ready) {
+    writable(e).ready = ready;
     if (ready < settle_floor_) settle_floor_ = ready;
   }
+
+  /// An L2/memory fill of the allocation (@p e, @p gen) arrived at
+  /// @p ready: the line is valid from then. Returns false, changing
+  /// nothing, when the entry has been reallocated meanwhile.
+  bool fill(const Entry& e, std::uint64_t gen, Cycle ready);
 
   /// Sets the valid bit on entries whose known transfer time has passed
   /// (L1->buffer transfers; L2/memory fills flip valid via callback).
@@ -78,8 +89,8 @@ class PrestageBuffer {
   }
   [[nodiscard]] std::uint32_t pinned_entries() const;  ///< consumers > 0
 
-  /// Would allocate() succeed right now? Mirrors its victim search
-  /// without mutating LRU state (event-horizon planning).
+  /// Would allocate() succeed right now? The predicate of its victim
+  /// search, without mutating LRU state.
   [[nodiscard]] bool can_allocate() const {
     for (const Entry& e : entries_) {
       if (!e.allocated || e.consumers == 0) return true;
@@ -107,6 +118,12 @@ class PrestageBuffer {
   }
 
  private:
+  [[nodiscard]] Entry* lookup(Addr line);
+  [[nodiscard]] Entry& writable(const Entry& e) {
+    const auto i = static_cast<std::size_t>(&e - entries_.data());
+    PRESTAGE_ASSERT(i < entries_.size(), "entry of another buffer");
+    return entries_[i];
+  }
   void settle_due(Cycle now);
 
   std::vector<Entry> entries_;

@@ -13,10 +13,10 @@ Backend::Backend(const MachineConfig& cfg, Oracle& oracle,
       oracle_(oracle),
       prog_(program),
       mem_(mem),
-      l1d_(cfg.l1d_size, cfg.line_bytes, cfg.l1d_assoc),
-      decode_(static_cast<std::size_t>(cfg.decode_stages) * cfg.width),
-      ruu_(cfg.ruu_size) {
-  unissued_.reserve(cfg.ruu_size);
+      l1d_(kL1dSize, cfg.line_bytes, kL1dAssoc),
+      decode_(static_cast<std::size_t>(kDecodeStages) * cfg.width),
+      ruu_(kRuuSize) {
+  unissued_.reserve(kRuuSize);
 }
 
 void Backend::accept(const frontend::FetchedInst& inst) {
@@ -24,7 +24,7 @@ void Backend::accept(const frontend::FetchedInst& inst) {
   Staged& st = decode_.emplace_back();
   st.f = inst;
   st.order = next_order_++;
-  st.ready_at = now_ + static_cast<Cycle>(cfg_.decode_stages);
+  st.ready_at = now_ + static_cast<Cycle>(kDecodeStages);
 }
 
 bool Backend::recovery_due(Cycle now) const {
@@ -108,7 +108,7 @@ void Backend::tick_issue(Cycle now) {
   for (; i < unissued_.size() && issued < cfg_.width; ++i) {
     Slot& s = *unissued_[i];
     if (!reg_ready(s.src1, now) || !reg_ready(s.src2, now) ||
-        (s.op == OpClass::Load && loads >= cfg_.l1d_ports)) {
+        (s.op == OpClass::Load && loads >= kL1dPorts)) {
       unissued_[keep++] = unissued_[i];
       continue;
     }
@@ -187,7 +187,7 @@ Cycle Backend::next_event_cycle(Cycle now) const {
   }
   // Dispatch: the decode front matures at its decode-latency age. With
   // a full RUU dispatch is frozen until commit retires (covered above).
-  if (!decode_.empty() && ruu_.size() < cfg_.ruu_size) {
+  if (!decode_.empty() && ruu_.size() < kRuuSize) {
     if (decode_.front().ready_at <= now) return now;
     consider(decode_.front().ready_at);
   }
@@ -196,7 +196,7 @@ Cycle Backend::next_event_cycle(Cycle now) const {
 
 void Backend::fold_idle(std::uint64_t n) {
   ruu_occupancy.sample_n(static_cast<double>(ruu_.size()), n);
-  if (!decode_.empty() && ruu_.size() >= cfg_.ruu_size) {
+  if (!decode_.empty() && ruu_.size() >= kRuuSize) {
     ruu_full_stalls.add(n);
   }
 }
@@ -205,7 +205,7 @@ void Backend::tick_dispatch(Cycle now) {
   ruu_occupancy.sample(static_cast<double>(ruu_.size()));
   std::uint32_t dispatched = 0;
   while (!decode_.empty() && dispatched < cfg_.width) {
-    if (ruu_.size() >= cfg_.ruu_size) {
+    if (ruu_.size() >= kRuuSize) {
       ruu_full_stalls.add();
       return;
     }

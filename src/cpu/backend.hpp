@@ -3,7 +3,7 @@
 //
 // Trace-driven timing model of the paper's Table 2 core: 4-wide
 // fetch/issue/commit, 64-entry RUU, 15-stage pipeline (fetch +
-// decode_stages to dispatch + execute/commit), 2-ported 1-cycle 32 KB
+// kDecodeStages to dispatch + execute/commit), 2-ported 1-cycle 32 KB
 // D-cache with L2 behind the arbitrated bus (highest priority class).
 // Wrong-path instructions occupy pipe and RUU slots and pollute D-cache
 // LRU but never touch the scoreboard or commit counts; the culprit
@@ -82,6 +82,13 @@ class Backend final : public frontend::IFetchSink {
   Distribution ruu_occupancy;
 
  private:
+  // The Table 2 core, held fixed across the study.
+  static constexpr std::uint32_t kRuuSize = 64;
+  static constexpr std::uint32_t kDecodeStages = 8;  ///< fetch->dispatch
+  static constexpr std::uint64_t kL1dSize = 32768;
+  static constexpr std::uint32_t kL1dAssoc = 2;
+  static constexpr std::uint32_t kL1dPorts = 2;
+
   struct Staged {
     frontend::FetchedInst f;
     std::uint64_t order = 0;

@@ -45,7 +45,6 @@ struct MachineConfig {
   std::string prefetcher = kNoPrefetcher;
   std::uint32_t prebuffer_entries = 4;
   bool prebuffer_pipelined = false;  ///< required for 16-entry buffers (§5)
-  std::uint32_t queue_blocks = 8;    ///< FTQ/CLTQ capacity (Table 2)
 
   // CLGP ablation knobs (all false == the paper's CLGP):
   bool clgp_disable_consumers = false;
@@ -54,8 +53,6 @@ struct MachineConfig {
 
   // --- core (Table 2) -----------------------------------------------------
   std::uint32_t width = 4;
-  std::uint32_t ruu_size = 64;
-  std::uint32_t decode_stages = 8;  ///< fetch->dispatch depth (15 total)
   std::uint32_t line_bytes = 64;
 
   // --- host-performance knobs (timing-neutral) ----------------------------
@@ -74,10 +71,7 @@ struct MachineConfig {
   /// of hanging a worker on it. 0 disables the check.
   double max_host_seconds = 0.0;
 
-  // --- data side (Table 2, held fixed across the study) -------------------
-  std::uint64_t l1d_size = 32768;
-  std::uint32_t l1d_assoc = 2;
-  std::uint32_t l1d_ports = 2;
+  // --- memory (Table 2, held fixed across the study) ----------------------
   int mem_latency = 200;
 };
 

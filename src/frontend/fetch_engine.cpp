@@ -53,16 +53,12 @@ void FetchEngine::deliver(Cycle now, IFetchSink& sink) {
   if (line_buffer_.delivered >= v.count) line_buffer_.active = false;
 }
 
-void FetchEngine::initiate(Cycle now) {
-  if (pending_.full()) {
-    stall_cycles_structural.add();
-    return;
-  }
+template <class On>
+auto FetchEngine::next_step(Cycle now, On&& on) {
+  Counter& structural = stall_cycles_structural;
+  if (pending_.full()) return on.stall(structural, kNoCycle);
   const auto view = queue_.peek_line();
-  if (!view.has_value()) {
-    stall_cycles_no_request.add();
-    return;
-  }
+  if (!view.has_value()) return on.stall(stall_cycles_no_request, kNoCycle);
   const Addr line = view->line;
 
   // Overlap discipline (the paper's central cost model): only "streaming"
@@ -75,78 +71,67 @@ void FetchEngine::initiate(Cycle now) {
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     pending_all_streaming = pending_all_streaming && pending_.at(i).streaming;
   }
+  const bool engine_idle = pending_.empty() && !line_buffer_.active;
+  const auto can_start = [&](bool streaming) {
+    return pending_all_streaming && (streaming || engine_idle);
+  };
 
   // All one-cycle-reachable structures are probed in parallel; the demand
   // takes the earliest available source (ties prefer the pre-buffer, then
-  // L0 — the paper's fetch priority).
-  Pending p;
-  p.view = *view;
-  p.id = next_id_++;
-
+  // L0 — the paper's fetch priority). A busy port stalls the fetch rather
+  // than escalating it to the next level.
   const prefetch::PreBufferProbe pb = prefetcher_.probe(line);
-  bool issued = false;
   if (pb.present) {
-    if (pb.data_ready == kNoCycle) {
-      // The line's prefetch is in flight below L1 and its arrival time is
-      // not yet known: the fetch waits at the head for the fill — the
-      // prefetch still covers the latency accrued so far.
-      stall_cycles_structural.add();
-      return;
-    }
-    mem::LatencyPort* port = prefetcher_.pb_port();
+    // A prefetch in flight below L1 with no known arrival: the fetch
+    // waits at the head for the fill, which still covers the latency
+    // accrued so far.
+    if (pb.data_ready == kNoCycle) return on.stall(structural, kNoCycle);
+    const mem::LatencyPort* port = prefetcher_.pb_port();
     PRESTAGE_ASSERT(port != nullptr, "pre-buffer probe without a port");
     const bool streaming = port->pipelined() || port->latency() == 1;
-    if (!pending_all_streaming ||
-        (!streaming && (!pending_.empty() || line_buffer_.active))) {
-      stall_cycles_structural.add();
-      return;  // blocking accesses require an otherwise idle engine
-    }
+    if (!can_start(streaming)) return on.stall(structural, kNoCycle);
     if (!port->can_accept(now)) {
-      stall_cycles_structural.add();
-      return;  // retry next cycle
+      return on.stall(structural, port->next_free());
     }
-    const Cycle port_done = port->issue(now);
-    const Cycle data_done =
-        pb.data_ready + static_cast<Cycle>(port->latency());
-    p.ready = std::max(port_done, data_done);
-    p.source = FetchSource::PreBuffer;
-    p.streaming = streaming;
+    return on.issue(*view, FetchSource::PreBuffer, streaming, pb.data_ready);
+  }
+  if (caches_.probe_l0(line)) {
+    if (!can_start(true)) return on.stall(structural, kNoCycle);
+    return on.issue(*view, FetchSource::L0, true, 0);
+  }
+  if (caches_.probe_l1(line)) {
+    const mem::LatencyPort& port = caches_.l1_port();
+    if (!can_start(port.pipelined())) return on.stall(structural, kNoCycle);
+    if (!port.can_accept(now)) return on.stall(structural, port.next_free());
+    return on.issue(*view, FetchSource::L1, port.pipelined(), 0);
+  }
+  if (!can_start(false)) return on.stall(structural, kNoCycle);
+  return on.issue(*view, FetchSource::L2, false, 0);
+}
+
+void FetchEngine::start_fetch(Cycle now, const LineView& view,
+                              FetchSource source, bool streaming,
+                              Cycle data_ready) {
+  Pending p;
+  p.view = view;
+  p.id = next_id_++;
+  p.source = source;
+  p.streaming = streaming;
+  const Addr line = view.line;
+  if (source == FetchSource::PreBuffer) {
+    mem::LatencyPort& port = *prefetcher_.pb_port();
+    p.ready = std::max(port.issue(now),
+                       data_ready + static_cast<Cycle>(port.latency()));
     prefetcher_.on_fetch_from_pb(line, now);
-    issued = true;
-  } else if (caches_.probe_l0(line)) {
-    if (!pending_all_streaming) {
-      stall_cycles_structural.add();
-      return;  // a blocking access is draining; nothing overlaps it
-    }
+  } else if (source == FetchSource::L0) {
     (void)caches_.access_l0(line);
     p.ready = now + static_cast<Cycle>(caches_.l0_latency());
-    p.source = FetchSource::L0;
-    p.streaming = true;
-    issued = true;
-  } else if (caches_.probe_l1(line)) {
-    const bool streaming = caches_.l1_port().pipelined();
-    if (!pending_all_streaming ||
-        (!streaming && (!pending_.empty() || line_buffer_.active))) {
-      stall_cycles_structural.add();
-      return;  // serialise around the blocking L1 access
-    }
-    if (!caches_.l1_port().can_accept(now)) {
-      stall_cycles_structural.add();
-      return;  // L1 port busy: wait, do not escalate to L2
-    }
+  } else if (source == FetchSource::L1) {
     (void)caches_.access_l1(line);
     p.ready = caches_.l1_port().issue(now);
-    p.source = FetchSource::L1;
-    p.streaming = streaming;
     // A filter-cache L0 learns every line the fetch stage touches.
     caches_.fill_l0_only(line);
-    issued = true;
   } else {
-    if (!pending_all_streaming || !pending_.empty() ||
-        line_buffer_.active) {
-      stall_cycles_structural.add();
-      return;  // a demand miss serialises like any blocking access
-    }
     // Demand miss: request from L2/memory. The fill installs into the
     // emergency path (L1 + L0) regardless of later squashes — the SRAM
     // write happens either way — but only wakes this fetch if it is
@@ -167,116 +152,52 @@ void FetchEngine::initiate(Cycle now) {
                   }
                 });
     p.ready = kNoCycle;  // set by the callback
-    issued = true;
   }
-
-  if (issued) {
-    queue_.consume_line();
-    pending_.push(p);
-    prefetcher_.on_line_request(line, now);
-  }
+  queue_.consume_line();
+  pending_.push(p);
+  prefetcher_.on_line_request(line, now);
 }
 
 void FetchEngine::tick(Cycle now, IFetchSink& sink) {
   deliver(now, sink);
-  initiate(now);
+  struct Act {
+    FetchEngine& engine;
+    Cycle now;
+    void stall(Counter& counter, Cycle /*wake*/) { counter.add(); }
+    void issue(const LineView& view, FetchSource source, bool streaming,
+               Cycle data_ready) {
+      engine.start_fetch(now, view, source, streaming, data_ready);
+    }
+  };
+  next_step(now, Act{*this, now});
 }
 
 IdlePlan FetchEngine::idle_plan(Cycle now, const IFetchSink& sink) {
-  IdlePlan plan;
-  const auto consider = [&plan, now](Cycle at) {
-    const Cycle c = std::max(now, at);
-    if (c < plan.next_event) plan.next_event = c;
-  };
-
   // deliver(): an active line buffer with an accepting sink delivers
   // instructions this cycle; a full sink freezes delivery (the back-end
   // horizon owns the unblock). An inactive buffer promotes the pending
   // head when its data arrives — a self-timed event when the arrival
   // time is known (demand fills ride the MemSystem horizon instead).
+  Cycle arrival = kNoCycle;
   if (line_buffer_.active) {
-    if (sink.can_accept()) {
-      plan.next_event = now;
-      return plan;
-    }
+    if (sink.can_accept()) return {now, nullptr};
   } else if (!pending_.empty()) {
-    const Pending& head = pending_.front();
-    if (head.ready != kNoCycle) {
-      consider(head.ready);
-      if (plan.next_event <= now) return plan;
+    arrival = pending_.front().ready;
+    if (arrival <= now) return {now, nullptr};
+  }
+  // The next step: an issue is work this cycle; a stall adds one count
+  // per cycle until its wakeup (or another unit's event).
+  struct Report {
+    Cycle now;
+    Cycle arrival;
+    IdlePlan stall(Counter& counter, Cycle wake) const {
+      return {std::min(arrival, std::max(now, wake)), &counter};
     }
-  }
-
-  // initiate(): replays the tick's classification on frozen state. Each
-  // early-out below is a state that adds exactly one stall count per
-  // cycle; the issuing branches mean work this cycle.
-  if (pending_.full()) {
-    plan.per_cycle = &stall_cycles_structural;
-    return plan;
-  }
-  const auto view = queue_.peek_line();
-  if (!view.has_value()) {
-    plan.per_cycle = &stall_cycles_no_request;
-    return plan;
-  }
-  const Addr line = view->line;
-
-  bool pending_all_streaming = true;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    pending_all_streaming = pending_all_streaming && pending_.at(i).streaming;
-  }
-
-  const prefetch::PreBufferProbe pb = prefetcher_.probe(line);
-  if (pb.present) {
-    if (pb.data_ready == kNoCycle) {
-      plan.per_cycle = &stall_cycles_structural;  // fill callback wakes
-      return plan;
+    IdlePlan issue(const LineView&, FetchSource, bool, Cycle) const {
+      return {now, nullptr};
     }
-    mem::LatencyPort* port = prefetcher_.pb_port();
-    PRESTAGE_ASSERT(port != nullptr, "pre-buffer probe without a port");
-    const bool streaming = port->pipelined() || port->latency() == 1;
-    if (!pending_all_streaming ||
-        (!streaming && (!pending_.empty() || line_buffer_.active))) {
-      plan.per_cycle = &stall_cycles_structural;  // engine drain unblocks
-      return plan;
-    }
-    if (!port->can_accept(now)) {
-      plan.per_cycle = &stall_cycles_structural;
-      consider(port->next_free());
-      return plan;
-    }
-    plan.next_event = now;  // would issue from the pre-buffer
-    return plan;
-  }
-  if (caches_.probe_l0(line)) {
-    if (!pending_all_streaming) {
-      plan.per_cycle = &stall_cycles_structural;
-      return plan;
-    }
-    plan.next_event = now;
-    return plan;
-  }
-  if (caches_.probe_l1(line)) {
-    const bool streaming = caches_.l1_port().pipelined();
-    if (!pending_all_streaming ||
-        (!streaming && (!pending_.empty() || line_buffer_.active))) {
-      plan.per_cycle = &stall_cycles_structural;
-      return plan;
-    }
-    if (!caches_.l1_port().can_accept(now)) {
-      plan.per_cycle = &stall_cycles_structural;
-      consider(caches_.l1_port().next_free());
-      return plan;
-    }
-    plan.next_event = now;
-    return plan;
-  }
-  if (!pending_all_streaming || !pending_.empty() || line_buffer_.active) {
-    plan.per_cycle = &stall_cycles_structural;
-    return plan;
-  }
-  plan.next_event = now;  // would submit the demand miss
-  return plan;
+  };
+  return next_step(now, Report{now, arrival});
 }
 
 void FetchEngine::flush() {

@@ -44,14 +44,13 @@ class FetchEngine {
   /// Squashes the line buffer and all in-flight line fetches (recovery).
   void flush();
 
-  /// Event-horizon forecast at cycle @p now (cpu/cpu.cpp fast-forward):
-  /// mirrors deliver()/initiate()'s classification without mutating any
-  /// state. Work this cycle (a delivery, promotion or issue) reports
-  /// next_event <= now; a frozen stall names the counter that tick()
-  /// would increment every cycle, plus the self-timed wakeup (pending
-  /// head arrival, blocking-port drain) when one exists. Wakeups owned
-  /// by other units (MemSystem fills, back-end drain) are deliberately
-  /// excluded — their horizons cover those.
+  /// Event-horizon forecast at cycle @p now (cpu/cpu.cpp fast-forward),
+  /// without mutating any state. Work this cycle (a delivery, promotion
+  /// or issue) reports next_event <= now; otherwise it reports the stall
+  /// tick() would act on: the counter it increments every cycle, and the
+  /// self-timed wakeup (pending head arrival, blocking-port drain) when
+  /// one exists. Wakeups owned by other units (MemSystem fills, back-end
+  /// drain) are deliberately excluded — their horizons cover those.
   [[nodiscard]] IdlePlan idle_plan(Cycle now, const IFetchSink& sink);
 
   [[nodiscard]] bool idle() const {
@@ -82,7 +81,19 @@ class FetchEngine {
   };
 
   void deliver(Cycle now, IFetchSink& sink);
-  void initiate(Cycle now);
+
+  /// The one decision tick() acts on and idle_plan() reports: what the
+  /// head of the queue does at `now`. Returns either
+  /// on.stall(counter, wake) — the fetch waits, bumping `counter` once
+  /// per cycle, until the self-timed `wake` (kNoCycle when another unit
+  /// ends the wait) — or on.issue(view, source, streaming, data_ready):
+  /// read the head line from `source` (L2 stands for a demand miss;
+  /// `data_ready` is a pre-buffer line's arrival).
+  template <class On>
+  auto next_step(Cycle now, On&& on);
+  /// Starts the line fetch next_step() chose.
+  void start_fetch(Cycle now, const LineView& view, FetchSource source,
+                   bool streaming, Cycle data_ready);
 
   FetchEngineConfig config_;
   IFetchQueue& queue_;

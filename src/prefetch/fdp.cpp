@@ -1,5 +1,8 @@
 #include "prefetch/fdp.hpp"
 
+#include <algorithm>
+
+#include "common/prestage_assert.hpp"
 #include "prefetch/registry.hpp"
 
 namespace prestage::prefetch {
@@ -13,31 +16,23 @@ FdpPrefetcher::FdpPrefetcher(const FdpConfig& config,
       ftq_(ftq),
       caches_(caches) {}
 
-bool FdpPrefetcher::process_line(Addr line, Cycle now,
-                                 bool& issued_transfer) {
+// Inline: tick() calls it per scanned line, idle_plan() per forecast.
+inline FdpPrefetcher::Scan FdpPrefetcher::classify(Addr line,
+                                                   Cycle now) const {
   // Enqueue Cache Probe Filtering: skip lines already one cycle away.
   const bool one_cycle_resident = caches_.has_l0()
                                       ? caches_.probe_l0(line)
                                       : caches_.probe_l1(line);
-  if (one_cycle_resident) {
-    requests_filtered.add();
-    buffer_.record_source(caches_.has_l0() ? FetchSource::L0
-                                           : FetchSource::L1);
-    return true;
-  }
-  if (buffer_.contains(line)) {
-    buffer_.record_source(FetchSource::PreBuffer);  // staged or in flight
-    return true;
-  }
-  if (issued_transfer) return false;  // one new transfer per cycle
-
+  if (one_cycle_resident) return Scan::Filtered;
+  if (buffer_.contains(line)) return Scan::Staged;
   // With an L0, prefetches are served by the (multi-cycle) L1 first
   // (§3.1.1); without one, filtering guarantees the line is not in L1.
-  // An L1 transfer becomes valid only when tick() settles it.
-  const IssueResult r = buffer_.issue(line, now);
-  if (r == IssueResult::Full) pb_occupancy_stalls.add();
-  issued_transfer = r == IssueResult::Started;
-  return issued_transfer;
+  // These are PrefetchBuffer::issue()'s two checks, in its order.
+  if (!buffer_.can_allocate()) return Scan::Full;
+  if (caches_.probe_l1(line) && !caches_.prefetch_port().can_accept(now)) {
+    return Scan::PortBusy;
+  }
+  return Scan::Issue;
 }
 
 void FdpPrefetcher::tick(Cycle now) {
@@ -52,49 +47,48 @@ void FdpPrefetcher::tick(Cycle now) {
       ++examined;
       const Addr line = frontend::line_addr_of_block(
           entry.block, ftq_.line_bytes(), entry.prefetch_line);
-      if (!process_line(line, now, issued_transfer)) return;
+      const Scan step = classify(line, now);
+      if (step == Scan::Filtered) {
+        requests_filtered.add();
+        buffer_.record_source(caches_.has_l0() ? FetchSource::L0
+                                               : FetchSource::L1);
+        continue;
+      }
+      if (step == Scan::Staged) {
+        buffer_.record_source(FetchSource::PreBuffer);
+        continue;
+      }
+      if (issued_transfer) return;  // one new transfer per cycle
+      if (step == Scan::Full) pb_occupancy_stalls.add();
+      if (step != Scan::Issue) return;
+      // An L1 transfer becomes valid only when tick() settles it.
+      const IssueResult started = buffer_.issue(line, now);
+      PRESTAGE_ASSERT(started == IssueResult::Started,
+                      "classify() and PrefetchBuffer::issue() disagree");
+      issued_transfer = true;
     }
   }
 }
 
 IdlePlan FdpPrefetcher::idle_plan(Cycle now) {
-  IdlePlan plan;
-  const auto consider = [&plan, now](Cycle at) {
-    const Cycle c = now > at ? now : at;
-    if (c < plan.next_event) plan.next_event = c;
-  };
   // Settle loop: known-time L1->PB transfers become visible at `ready`.
-  consider(buffer_.next_settle());
-  if (plan.next_event <= now) return plan;  // a settle fires this cycle
-
-  // The scan's frozen state is classified by its first unscanned line:
-  // a filtered / already-staged line advances the cursor (work), a
-  // missing buffer entry freezes the scan with one stall count per
-  // cycle, a feasible allocation issues a transfer (work).
+  const Cycle settle = buffer_.next_settle();
+  if (settle <= now) return {now, nullptr};
+  // The scan is frozen only when its first unscanned line stalls it:
+  // with no free entry it counts one stall per cycle until a settle (or
+  // a consume / fill) frees one; a busy port drains on its own.
   for (std::size_t b = 0; b < ftq_.size(); ++b) {
     const auto& entry = ftq_.entry(b);
     if (entry.prefetch_line >= entry.lines) continue;  // fully scanned
     const Addr line = frontend::line_addr_of_block(
         entry.block, ftq_.line_bytes(), entry.prefetch_line);
-    const bool one_cycle_resident = caches_.has_l0()
-                                        ? caches_.probe_l0(line)
-                                        : caches_.probe_l1(line);
-    if (one_cycle_resident || buffer_.contains(line)) {
-      plan.next_event = now;
-      return plan;
-    }
-    if (!buffer_.can_allocate()) {
-      plan.per_cycle = &pb_occupancy_stalls;
-      return plan;  // a settle (above) or a consume/fill unblocks
-    }
-    if (caches_.probe_l1(line) && !caches_.prefetch_port().can_accept(now)) {
-      consider(caches_.prefetch_port().next_free());
-      return plan;  // port drains on its own; no counter in this state
-    }
-    plan.next_event = now;  // would issue a transfer
-    return plan;
+    const Scan step = classify(line, now);
+    if (step == Scan::Full) return {settle, &pb_occupancy_stalls};
+    if (step != Scan::PortBusy) return {now, nullptr};
+    const Cycle drained = std::max(now, caches_.prefetch_port().next_free());
+    return {std::min(settle, drained), nullptr};
   }
-  return plan;  // nothing to scan; only a settle (if any) is due
+  return {settle, nullptr};  // nothing to scan; only a settle is due
 }
 
 void register_fdp_prefetcher(PrefetcherRegistry& r) {
@@ -104,7 +98,7 @@ void register_fdp_prefetcher(PrefetcherRegistry& r) {
                         "probe filtering (comparison point, §3.1)",
          .build = [](const BuildInputs& in) {
            auto ftq = std::make_unique<frontend::FetchTargetQueue>(
-               in.config.queue_blocks, in.config.line_bytes);
+               kQueueBlocks, in.config.line_bytes);
            PrefetcherBuild b;
            b.prefetcher = std::make_unique<FdpPrefetcher>(
                FdpConfig{}, prefetch_buffer_config(in), *ftq, in.caches,

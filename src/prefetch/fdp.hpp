@@ -43,9 +43,15 @@ class FdpPrefetcher final : public BufferedPrefetcher {
   Counter pb_occupancy_stalls;  ///< scan stalled: no free entry
 
  private:
-  /// Handles one candidate line; returns true if scanning may continue
-  /// this cycle (request resolved without structural stall).
-  bool process_line(Addr line, Cycle now, bool& issued_transfer);
+  /// What the scan does with a candidate line at `now`.
+  enum class Scan : std::uint8_t {
+    Filtered,  ///< one cycle away already: dropped (counted), pass on
+    Staged,    ///< in the buffer, arrived or in flight: pass on
+    Issue,     ///< start a transfer
+    Full,      ///< no entry to start it in: the scan stalls (counted)
+    PortBusy,  ///< L1-resident, the L1 prefetch port is taken: stalls
+  };
+  [[nodiscard]] Scan classify(Addr line, Cycle now) const;
 
   FdpConfig config_;
   frontend::FetchTargetQueue& ftq_;

@@ -172,7 +172,7 @@ void register_mana_prefetcher(PrefetcherRegistry& r) {
          .build = [](const BuildInputs& in) {
            PrefetcherBuild b;
            b.queue = std::make_unique<frontend::FetchTargetQueue>(
-               in.config.queue_blocks, in.config.line_bytes);
+               kQueueBlocks, in.config.line_bytes);
            b.prefetcher = std::make_unique<ManaPrefetcher>(
                ManaConfig{}, prefetch_buffer_config(in), in.caches, in.mem);
            return b;

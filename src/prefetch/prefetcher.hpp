@@ -44,17 +44,15 @@ class IPrefetcher {
   /// One cycle of prefetch work: scan the queue, issue prefetches.
   virtual void tick(Cycle now) = 0;
 
-  /// Event-horizon forecast (cpu/cpu.cpp fast-forward): mirrors what
-  /// tick(now) would do on frozen state, without doing it. The default
-  /// claims work every cycle — always correct, never skippable — so a
-  /// new scheme is conservative until it opts in. Overrides must report
+  /// Event-horizon forecast (cpu/cpu.cpp fast-forward): reports the
+  /// decision tick(now) acts on, without acting on it. A scheme computes
+  /// that decision in one private function both call. It must report
   /// next_event <= now whenever tick would mutate state, name the stall
   /// counter tick bumps once per frozen cycle, and include every
   /// self-timed wakeup (pre-buffer settle times); wakeups delivered by
-  /// MemSystem callbacks are covered by that unit's horizon.
-  [[nodiscard]] virtual IdlePlan idle_plan(Cycle now) {
-    return {now, nullptr};
-  }
+  /// MemSystem callbacks are covered by that unit's horizon. A scheme
+  /// whose tick does nothing returns {kNoCycle, nullptr}.
+  [[nodiscard]] virtual IdlePlan idle_plan(Cycle now) = 0;
 
   /// Branch misprediction recovery. CLGP resets all consumers counters
   /// (paper §3.2.3); FDP has no pre-buffer bookkeeping to undo.

@@ -103,19 +103,29 @@ void ProgramMapPrefetcher::traverse(Addr start, Cycle now) {
   }
 }
 
+std::size_t ProgramMapPrefetcher::next_unrecorded(std::size_t b) const {
+  while (b + 1 < ftq_.size() && ftq_.entry(b).prefetch_line != 0) ++b;
+  return b;
+}
+
+Addr ProgramMapPrefetcher::moved_frontier() const {
+  if (ftq_.size() == 0) return kNoAddr;
+  const Addr frontier = ftq_.entry(ftq_.size() - 1).block.start;
+  return frontier == last_frontier_ ? kNoAddr : frontier;
+}
+
 void ProgramMapPrefetcher::tick(Cycle now) {
   // Record: each queued block's successor is the next block in the
   // stream; an edge is entered once both ends are oracle-verified. The
   // per-entry prefetch_line cursor (unused by this queue's fetch side)
   // doubles as the "already recorded" marker.
   std::uint32_t recorded = 0;
-  for (std::size_t b = 0;
-       b + 1 < ftq_.size() && recorded < config_.record_per_cycle; ++b) {
-    auto& entry = ftq_.entry(b);
-    if (entry.prefetch_line != 0) continue;
-    entry.prefetch_line = 1;
+  for (std::size_t b = next_unrecorded(0);
+       b + 1 < ftq_.size() && recorded < config_.record_per_cycle;
+       b = next_unrecorded(b + 1)) {
+    ftq_.entry(b).prefetch_line = 1;
     ++recorded;
-    const frontend::FetchBlock& block = entry.block;
+    const frontend::FetchBlock& block = ftq_.entry(b).block;
     const frontend::FetchBlock& next = ftq_.entry(b + 1).block;
     const bool retired_edge = !block.fully_wrong() &&
                               block.culprit_index < 0 &&
@@ -126,26 +136,17 @@ void ProgramMapPrefetcher::tick(Cycle now) {
 
   // Traverse: walk the map ahead of the youngest block whenever the
   // frontier moves.
-  if (ftq_.size() == 0) return;
-  const Addr frontier = ftq_.entry(ftq_.size() - 1).block.start;
-  if (frontier == kNoAddr || frontier == last_frontier_) return;
+  const Addr frontier = moved_frontier();
+  if (frontier == kNoAddr) return;
   last_frontier_ = frontier;
   traverse(frontier, now);
 }
 
 IdlePlan ProgramMapPrefetcher::idle_plan(Cycle now) {
-  // tick() mutates state iff an unrecorded block pair sits in the FTQ
-  // or the frontier moved since the last traversal; otherwise it is
-  // pure (entries arrive via callbacks / fetch-side probes) and counts
-  // nothing per cycle.
-  for (std::size_t b = 0; b + 1 < ftq_.size(); ++b) {
-    if (ftq_.entry(b).prefetch_line == 0) return {now, nullptr};
-  }
-  if (ftq_.size() > 0) {
-    const Addr frontier = ftq_.entry(ftq_.size() - 1).block.start;
-    if (frontier != kNoAddr && frontier != last_frontier_) {
-      return {now, nullptr};
-    }
+  // Apart from these two, tick() is pure (entries arrive via callbacks
+  // and fetch-side probes) and counts nothing per cycle.
+  if (next_unrecorded(0) + 1 < ftq_.size() || moved_frontier() != kNoAddr) {
+    return {now, nullptr};
   }
   return {kNoCycle, nullptr};
 }
@@ -177,7 +178,7 @@ void register_program_map_prefetcher(PrefetcherRegistry& r) {
              "discontinuity targets (arXiv 2406.06738)",
          .build = [](const BuildInputs& in) {
            auto ftq = std::make_unique<frontend::FetchTargetQueue>(
-               in.config.queue_blocks, in.config.line_bytes);
+               kQueueBlocks, in.config.line_bytes);
            PrefetcherBuild b;
            b.prefetcher = std::make_unique<ProgramMapPrefetcher>(
                ProgramMapConfig{}, prefetch_buffer_config(in), *ftq,

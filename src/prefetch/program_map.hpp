@@ -92,6 +92,14 @@ class ProgramMapPrefetcher final : public BufferedPrefetcher {
   /// successor chain reaches.
   void traverse(Addr start, Cycle now);
 
+  // The two things tick() acts on, and idle_plan() reports.
+  /// First queued block at or after @p b whose edge to its successor is
+  /// still unrecorded; when there is none, an index with no successor.
+  [[nodiscard]] std::size_t next_unrecorded(std::size_t b) const;
+  /// The youngest block's start when the frontier moved since the last
+  /// traversal, else kNoAddr.
+  [[nodiscard]] Addr moved_frontier() const;
+
   ProgramMapConfig config_;
   frontend::FetchTargetQueue& ftq_;
   std::vector<Node> map_;

@@ -35,7 +35,7 @@ void register_base_prefetcher(PrefetcherRegistry& r) {
          .build = [](const BuildInputs& in) {
            PrefetcherBuild b;
            b.queue = std::make_unique<frontend::FetchTargetQueue>(
-               in.config.queue_blocks, in.config.line_bytes);
+               kQueueBlocks, in.config.line_bytes);
            b.prefetcher = std::make_unique<NonePrefetcher>();
            return b;
          }});

@@ -33,6 +33,10 @@
 
 namespace prestage::prefetch {
 
+/// Capacity of every scheme's decoupling queue (FTQ or CLTQ) in fetch
+/// blocks (Table 2).
+inline constexpr std::uint32_t kQueueBlocks = 8;
+
 /// Everything a factory may consult when assembling a prefetcher.
 struct BuildInputs {
   const cpu::MachineConfig& config;

@@ -259,12 +259,6 @@ TraceHeader stream_trace_records(
   return stream_records_impl(path, [](const TraceHeader&) {}, fn);
 }
 
-TraceHeader read_trace_header(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) file_error(path, "cannot open");
-  return parse_streamed_header(in, path).header;
-}
-
 TraceFormat detect_trace_format(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) file_error(path, "cannot open");

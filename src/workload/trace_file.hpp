@@ -69,9 +69,6 @@ void write_trace_file(const std::string& path, const TraceHeader& header,
 [[nodiscard]] TraceHeader stream_trace_records(
     const std::string& path, const std::function<void(const DynInst&)>& fn);
 
-/// Reads only the header (for `prestage trace info`).
-[[nodiscard]] TraceHeader read_trace_header(const std::string& path);
-
 /// How the bytes of a trace file should be interpreted.
 enum class TraceFormat : std::uint8_t {
   Native,    ///< this simulator's PSTR format

@@ -303,7 +303,7 @@ TEST(CliSmoke, BadInputFailsWithUsage) {
 // --- trace subcommands ------------------------------------------------------
 
 std::string fixture_path() {
-  return std::string(PRESTAGE_TEST_DATA_DIR) + "/fixture.champsim.trace";
+  return PRESTAGE_TEST_DATA_DIR "/fixture.champsim.trace";
 }
 
 TEST(CliTrace, RecordThenReplayReportsIdenticalStats) {
@@ -428,6 +428,44 @@ TEST(CliTrace, ChampSimFixtureReplaysAndDescribes) {
   EXPECT_EQ(doc.at("trace").at("format").string, "champsim");
   EXPECT_GT(doc.at("result").at("ipc").number, 0.0);
   check_breakdown(doc.at("result").at("fetch_sources"));
+}
+
+// The phase report over a trace: `sample profile` chops the replayed
+// fixture into BBV intervals that tile the budget back to back.
+TEST(CliTrace, SampleProfileReportsTheFixtureIntervals) {
+  std::string output;
+  ASSERT_EQ(run_cli("sample profile --trace " + fixture_path() +
+                        " --instrs 2000 --interval 500 --json -",
+                    &output),
+            0)
+      << output;
+  const JsonValue doc = parse_json(output);
+  EXPECT_EQ(doc.at("schema").string, "prestage-sample-profile-v1");
+  EXPECT_EQ(doc.at("workload").string, "fixture.champsim.trace");
+  EXPECT_EQ(doc.at("interval_instructions").as_u64(), 500u);
+  EXPECT_EQ(doc.at("unique_blocks").as_u64(), 4u);
+  const std::vector<JsonValue>& intervals = doc.at("intervals").array;
+  ASSERT_EQ(intervals.size(), 4u);
+  std::uint64_t next_start = 0;
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    const JsonValue& iv = intervals[i];
+    EXPECT_EQ(iv.at("start").as_u64(), next_start) << "interval " << i;
+    // An interval closes at a stream end once it holds the interval
+    // length; the last one holds what is left of the budget.
+    const std::uint64_t length = iv.at("instructions").as_u64();
+    EXPECT_GE(length, i + 1 < intervals.size() ? 500u : 1u)
+        << "interval " << i;
+    next_start += length;
+    // The fixture loops over one small program: adjacent intervals see
+    // the same blocks.
+    EXPECT_EQ(iv.has("similarity_to_prev"), i > 0) << "interval " << i;
+    if (i > 0) {
+      EXPECT_GT(iv.at("similarity_to_prev").as_number(), 0.99);
+      EXPECT_LE(iv.at("similarity_to_prev").as_number(), 1.0 + 1e-9);
+    }
+  }
+  EXPECT_EQ(next_start, doc.at("total_instructions").as_u64());
+  EXPECT_GE(next_start, 2000u);
 }
 
 TEST(CliTrace, ErrorPathsFailLoudly) {

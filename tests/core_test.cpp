@@ -44,7 +44,7 @@ TEST(PrestageBuffer, LineRemainsWhileCltqReferencesIt) {
   // there are entries of the CLTQ which reference it."
   PrestageBuffer pb(1);
   auto* a = pb.allocate(0x1000);
-  a->valid = true;
+  ASSERT_TRUE(pb.fill(*a, a->gen, 0));  // the line arrives
   pb.add_consumer(0x1000);  // a second CLTQ reference
   pb.on_fetch(0x1000);      // first fetch
   EXPECT_EQ(pb.allocate(0x3000), nullptr);  // still pinned... (1 left)
@@ -55,7 +55,7 @@ TEST(PrestageBuffer, LineRemainsWhileCltqReferencesIt) {
 TEST(PrestageBuffer, FetchAfterResetSaturatesAtZero) {
   PrestageBuffer pb(2);
   auto* a = pb.allocate(0x1000);
-  a->valid = true;
+  ASSERT_TRUE(pb.fill(*a, a->gen, 0));  // the line arrives
   pb.reset_consumers();
   pb.on_fetch(0x1000);  // consumers already 0: must not underflow
   EXPECT_EQ(pb.find(0x1000)->consumers, 0u);
@@ -66,7 +66,7 @@ TEST(PrestageBuffer, ResetMakesAllEntriesAvailableButValidLinesRemain) {
   // valid lines remain usable until reallocated.
   PrestageBuffer pb(2);
   auto* a = pb.allocate(0x1000);
-  a->valid = true;
+  ASSERT_TRUE(pb.fill(*a, a->gen, 0));  // the line arrives
   (void)pb.allocate(0x2000);
   pb.reset_consumers();
   EXPECT_EQ(pb.pinned_entries(), 0u);
@@ -80,7 +80,7 @@ TEST(PrestageBuffer, LruPicksLeastRecentlyUsedFreeEntry) {
   auto* a = pb.allocate(0x1000);
   auto* b = pb.allocate(0x2000);
   auto* c = pb.allocate(0x3000);
-  a->valid = b->valid = c->valid = true;
+  for (const auto* e : {a, b, c}) ASSERT_TRUE(pb.fill(*e, e->gen, 0));
   pb.on_fetch(0x1000);
   pb.on_fetch(0x2000);
   pb.on_fetch(0x3000);
@@ -329,7 +329,7 @@ TEST(PrestageBufferProperty, RandomOperationSequenceKeepsInvariants) {
         const Addr line = universe[rng.below(universe.size())];
         if (pb.find(line) != nullptr) break;
         const std::vector<PrestageBuffer::Entry> before = pb.entries();
-        PrestageBuffer::Entry* e = pb.allocate(line);
+        const PrestageBuffer::Entry* e = pb.allocate(line);
         if (e == nullptr) {
           // Refusal is only legal when every entry is pinned.
           for (const auto& b : before) {
@@ -439,6 +439,91 @@ TEST(Clgp, AblationDisableConsumersFreesOnUse) {
   rig.clgp.on_fetch_from_pb(0x1000, 21);
   // One use frees the entry despite the second queued reference.
   EXPECT_EQ(rig.clgp.buffer().find(0x1000)->consumers, 0u);
+}
+
+// The event-horizon skip folds every cycle idle_plan() calls idle into
+// one count of its per_cycle counter. So on such a cycle tick() must
+// change nothing else: no prefetched bit, no buffer entry, and no
+// statistic but that counter, which rises by exactly one.
+
+/// Everything a CLGP tick can change: its counters (the occupancy stall
+/// count third), its prefetch sources, each CLTQ line's prefetched bit,
+/// and every field of every buffer entry.
+std::vector<std::uint64_t> clgp_state(const ClgpRig& rig) {
+  const ClgpPrestager& c = rig.clgp;
+  std::vector<std::uint64_t> st = {
+      c.prefetches_issued.value(), c.consumer_extensions.value(),
+      c.pb_occupancy_stalls.value(), c.consumers_resets.value()};
+  for (int i = 0; i < kNumFetchSources; ++i) {
+    st.push_back(c.prefetch_sources().count(static_cast<FetchSource>(i)));
+  }
+  for (std::size_t i = 0; i < rig.cltq.lines_held(); ++i) {
+    st.push_back(rig.cltq.is_prefetched(i) ? 1U : 0U);
+  }
+  for (const PrestageBuffer::Entry& e : c.buffer().entries()) {
+    st.insert(st.end(), {e.line, e.consumers, e.ready, e.lru, e.gen,
+                         e.allocated ? 1U : 0U, e.valid ? 1U : 0U});
+  }
+  return st;
+}
+
+TEST(ClgpProperty, IdleForecastFoldsIntoOneStallCount) {
+  std::vector<Addr> universe;
+  for (Addr i = 0; i < 24; ++i) universe.push_back(0x8000 + 0x40 * i);
+  std::uint64_t idle_cycles = 0;
+  std::uint64_t stalls = 0;
+  for (int variant = 0; variant < 8; ++variant) {
+    ClgpConfig cfg;
+    cfg.entries = 2 + 2 * static_cast<std::uint32_t>(variant & 1);
+    cfg.filter_resident = (variant & 2) != 0;
+    cfg.disable_consumers = variant == 3;
+    ClgpRig rig(cfg, /*with_l0=*/(variant & 4) != 0);
+    Rng rng(3000 + static_cast<std::uint64_t>(variant));
+    for (Cycle t = 0; t < 4000; ++t) {
+      if (rig.cltq.can_accept_block() && rng.chance(0.3)) {
+        rig.push_line(universe[rng.below(universe.size())] +
+                          4 * rng.below(16),
+                      1 + static_cast<std::uint32_t>(rng.below(24)));
+      }
+      if (const auto head = rig.cltq.peek_line(); head && rng.chance(0.2)) {
+        // The fetch stage takes the head line, from the buffer if there.
+        if (rig.clgp.probe(head->line).present) {
+          rig.clgp.on_fetch_from_pb(head->line, t);
+        }
+        rig.cltq.consume_line();
+      }
+      const Addr any = universe[rng.below(universe.size())];
+      if (rng.chance(0.02)) rig.caches.fill_demand(any);
+      if (rng.chance(0.05)) rig.mem.l2().insert(any);
+      if (rng.chance(0.01)) {  // a misprediction recovery
+        rig.cltq.flush();
+        rig.clgp.on_recovery(t);
+      }
+      if (rng.chance(0.05)) {
+        (void)rig.caches.prefetch_port().issue(t);  // another user
+      }
+
+      rig.mem.tick(t);
+      const IdlePlan plan = rig.clgp.idle_plan(t);
+      const auto before = clgp_state(rig);
+      rig.clgp.tick(t);
+      if (plan.next_event > t) {
+        ++idle_cycles;
+        auto expected = before;
+        if (plan.per_cycle == &rig.clgp.pb_occupancy_stalls) {
+          ++expected[2];
+          ++stalls;
+        } else {
+          ASSERT_EQ(plan.per_cycle, nullptr);
+        }
+        ASSERT_EQ(clgp_state(rig), expected)
+            << "variant " << variant << " cycle " << t;
+      }
+    }
+  }
+  // The fold was exercised, occupancy stalls included.
+  EXPECT_GT(idle_cycles, 1000u);
+  EXPECT_GT(stalls, 1000u);
 }
 
 }  // namespace

@@ -494,7 +494,7 @@ TEST(TraceSpans, SlicedDefaultWalkKeepsTheContract) {
 
 TEST(TraceSpans, ChampSimFixtureDefaultWalkKeepsTheContract) {
   const auto spec = workload::import_champsim_trace(
-      std::string(PRESTAGE_TEST_DATA_DIR) + "/fixture.champsim.trace");
+      PRESTAGE_TEST_DATA_DIR "/fixture.champsim.trace");
   const std::uint64_t lap = spec->records().size();
   expect_span_contract([&] { return spec->make_source(0); },
                        spec->program(), lap * 5 / 2, lap + 3, "champsim");

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/clgp.hpp"
 #include "frontend/fetch_engine.hpp"
 #include "frontend/fetch_queue.hpp"
@@ -279,6 +280,109 @@ TEST(FetchEngine, WaitsOnInFlightPrestageFill) {
   // L2 fill granted ~1, ready ~11, PB read +1 => ~12.
   EXPECT_GE(rig.sink.got.front().at, 11u);
   EXPECT_LE(rig.sink.got.front().at, 14u);
+}
+
+// --- forecast/tick agreement ---------------------------------------------
+//
+// The event-horizon skip folds every cycle idle_plan() calls idle into
+// one count of its per_cycle counter. So on such a cycle tick() must
+// change nothing else: no delivery, no issue, no queue movement, and no
+// statistic but that counter, which rises by exactly one.
+
+std::vector<const Counter*> counters(const FetchEngine& e) {
+  return {&e.lines_fetched, &e.instrs_delivered, &e.stall_cycles_no_request,
+          &e.stall_cycles_structural};
+}
+
+/// Everything a fetch-engine tick can change, as seen from outside: the
+/// counters (in counters() order), the fetch sources, the deliveries,
+/// the queue head, and the prestage buffer's consumers counters.
+std::vector<std::uint64_t> fetch_state(const FetchEngine& e,
+                                       const IFetchQueue& q,
+                                       const RecordingSink& sink,
+                                       const core::ClgpPrestager* clgp) {
+  std::vector<std::uint64_t> st;
+  for (const Counter* c : counters(e)) st.push_back(c->value());
+  for (int i = 0; i < kNumFetchSources; ++i) {
+    st.push_back(e.fetch_sources.count(static_cast<FetchSource>(i)));
+  }
+  const auto head = q.peek_line();
+  st.insert(st.end(), {sink.got.size(), q.blocks_held(),
+                       head ? head->first_pc : kNoAddr,
+                       head ? head->count : 0, e.idle() ? 1U : 0U});
+  if (clgp != nullptr) {
+    for (const auto& entry : clgp->buffer().entries()) {
+      st.push_back(entry.consumers);
+    }
+  }
+  return st;
+}
+
+TEST(FetchEngineProperty, IdleForecastFoldsIntoOneStallCount) {
+  std::uint64_t structural = 0;
+  std::uint64_t no_request = 0;
+  for (int variant = 0; variant < 8; ++variant) {
+    const bool with_clgp = (variant & 1) != 0;
+    const bool pipelined = (variant & 2) != 0;
+    const bool with_l0 = (variant & 4) != 0;
+    mem::IFetchCaches caches = Rig::make_caches(4, pipelined, with_l0);
+    mem::MemSystem mem = Rig::make_mem();
+    FetchTargetQueue ftq{8, 64};
+    CacheLineTargetQueue cltq{8, 64};
+    core::ClgpConfig clgp_cfg;
+    clgp_cfg.entries = 4;
+    clgp_cfg.pb_latency = 2;
+    clgp_cfg.pb_pipelined = pipelined;
+    core::ClgpPrestager clgp(clgp_cfg, cltq, caches, mem);
+    prefetch::NonePrefetcher none;
+    IFetchQueue& queue = with_clgp ? static_cast<IFetchQueue&>(cltq) : ftq;
+    prefetch::IPrefetcher& prefetcher =
+        with_clgp ? static_cast<prefetch::IPrefetcher&>(clgp) : none;
+    FetchEngine engine(FetchEngineConfig{}, queue, caches, mem, prefetcher);
+    RecordingSink sink;
+    const core::ClgpPrestager* staged = with_clgp ? &clgp : nullptr;
+
+    Rng rng(1000 + static_cast<std::uint64_t>(variant));
+    for (Cycle t = 0; t < 4000; ++t) {
+      if (queue.can_accept_block() && rng.chance(0.3)) {
+        FetchBlock b;
+        b.start = 0x4000 + 0x40 * rng.below(24) + 4 * rng.below(16);
+        b.length = 1 + static_cast<std::uint32_t>(rng.below(24));
+        b.oracle_base_seq = t;
+        b.wrong_from = b.length;
+        queue.push_block(b);
+      }
+      if (rng.chance(0.02)) caches.fill_demand(0x4000 + 0x40 * rng.below(24));
+      if (rng.chance(0.02)) mem.l2().insert(0x4000 + 0x40 * rng.below(24));
+      if (rng.chance(0.1)) sink.open = !sink.open;
+      if (rng.chance(0.01)) {  // a misprediction recovery
+        queue.flush();
+        engine.flush();
+        prefetcher.on_recovery(t);
+      }
+
+      sink.now = t;
+      mem.tick(t);
+      const IdlePlan plan = engine.idle_plan(t, sink);
+      const auto before = fetch_state(engine, queue, sink, staged);
+      engine.tick(t, sink);
+      if (plan.next_event > t) {
+        auto expected = before;
+        const auto named = counters(engine);
+        for (std::size_t i = 0; i < named.size(); ++i) {
+          if (named[i] == plan.per_cycle) ++expected[i];
+        }
+        structural += plan.per_cycle == &engine.stall_cycles_structural;
+        no_request += plan.per_cycle == &engine.stall_cycles_no_request;
+        ASSERT_EQ(fetch_state(engine, queue, sink, staged), expected)
+            << "variant " << variant << " cycle " << t;
+      }
+      prefetcher.tick(t);
+    }
+  }
+  // Both kinds of stall were folded.
+  EXPECT_GT(structural, 1000u);
+  EXPECT_GT(no_request, 1000u);
 }
 
 }  // namespace

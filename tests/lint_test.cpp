@@ -19,7 +19,7 @@ namespace {
 using JsonValue = prestage::json::Value;
 
 std::string lint_path() { return PRESTAGE_LINT_PATH; }
-std::string data_dir() { return std::string(PRESTAGE_TEST_DATA_DIR) + "/lint"; }
+std::string data_dir() { return PRESTAGE_TEST_DATA_DIR "/lint"; }
 std::string fixture(const std::string& name) { return data_dir() + "/" + name; }
 
 std::string test_file(const std::string& name) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "cpu/cpu.hpp"
 #include "frontend/fetch_queue.hpp"
 #include "mem/ifetch_caches.hpp"
@@ -209,6 +211,88 @@ TEST(Fdp, ScanCoversMultipleBlocksInOrder) {
   EXPECT_TRUE(rig.fdp.probe(0x1000).present);
   EXPECT_TRUE(rig.fdp.probe(0x1040).present);
   EXPECT_TRUE(rig.fdp.probe(0x4000).present);
+}
+
+// The event-horizon skip folds every cycle idle_plan() calls idle into
+// one count of its per_cycle counter. So on such a cycle tick() must
+// change nothing else: no scan cursor, no buffer entry, and no
+// statistic but that counter, which rises by exactly one.
+
+/// Everything an FDP tick can change: its counters (the occupancy stall
+/// count second), its prefetch sources, each FTQ entry's scan cursor,
+/// and the buffer probe of every line in @p universe.
+std::vector<std::uint64_t> fdp_state(FdpRig& rig,
+                                     const std::vector<Addr>& universe) {
+  std::vector<std::uint64_t> st = {rig.fdp.requests_filtered.value(),
+                                   rig.fdp.pb_occupancy_stalls.value(),
+                                   rig.fdp.prefetches()};
+  for (int i = 0; i < kNumFetchSources; ++i) {
+    st.push_back(rig.fdp.prefetch_sources().count(static_cast<FetchSource>(i)));
+  }
+  for (std::size_t b = 0; b < rig.ftq.size(); ++b) {
+    st.push_back(rig.ftq.entry(b).prefetch_line);
+  }
+  for (const Addr line : universe) {
+    const PreBufferProbe p = rig.fdp.probe(line);
+    st.insert(st.end(), {p.present ? 1U : 0U, p.data_ready});
+  }
+  return st;
+}
+
+TEST(FdpProperty, IdleForecastFoldsIntoOneStallCount) {
+  std::vector<Addr> universe;
+  for (Addr i = 0; i < 24; ++i) universe.push_back(0x8000 + 0x40 * i);
+  std::uint64_t idle_cycles = 0;
+  std::uint64_t stalls = 0;
+  for (int variant = 0; variant < 8; ++variant) {
+    PrefetchBufferConfig pb;
+    pb.entries = 2 + 2 * static_cast<std::uint32_t>(variant & 1);
+    pb.latency = 1 + (variant & 2) / 2;
+    pb.pipelined = pb.latency > 1;
+    FdpRig rig(pb, /*with_l0=*/(variant & 4) != 0);
+    Rng rng(2000 + static_cast<std::uint64_t>(variant));
+    for (Cycle t = 0; t < 4000; ++t) {
+      if (rig.ftq.can_accept_block() && rng.chance(0.3)) {
+        rig.push_block(universe[rng.below(universe.size())] +
+                           4 * rng.below(16),
+                       1 + static_cast<std::uint32_t>(rng.below(24)));
+      }
+      if (const auto head = rig.ftq.peek_line(); head && rng.chance(0.2)) {
+        // The fetch stage takes the head line, from the buffer if there.
+        if (rig.fdp.probe(head->line).present) {
+          rig.fdp.on_fetch_from_pb(head->line, t);
+        }
+        rig.ftq.consume_line();
+      }
+      const Addr any = universe[rng.below(universe.size())];
+      if (rng.chance(0.02)) rig.caches.fill_demand(any);
+      if (rng.chance(0.05)) rig.mem.l2().insert(any);
+      if (rng.chance(0.01)) rig.ftq.flush();  // a misprediction recovery
+      if (rng.chance(0.05)) {
+        (void)rig.caches.prefetch_port().issue(t);  // another user
+      }
+
+      rig.mem.tick(t);
+      const IdlePlan plan = rig.fdp.idle_plan(t);
+      const auto before = fdp_state(rig, universe);
+      rig.fdp.tick(t);
+      if (plan.next_event > t) {
+        ++idle_cycles;
+        auto expected = before;
+        if (plan.per_cycle == &rig.fdp.pb_occupancy_stalls) {
+          ++expected[1];
+          ++stalls;
+        } else {
+          ASSERT_EQ(plan.per_cycle, nullptr);
+        }
+        ASSERT_EQ(fdp_state(rig, universe), expected)
+            << "variant " << variant << " cycle " << t;
+      }
+    }
+  }
+  // The fold was exercised, occupancy stalls included.
+  EXPECT_GT(idle_cycles, 1000u);
+  EXPECT_GT(stalls, 1000u);
 }
 
 TEST(NonePrefetcher, NeverPresent) {
@@ -911,7 +995,7 @@ TEST(Registry, OutOfTreeRegistrationIsOpen) {
                   .build = [](const BuildInputs& in) {
                     PrefetcherBuild b;
                     b.queue = std::make_unique<frontend::FetchTargetQueue>(
-                        in.config.queue_blocks, in.config.line_bytes);
+                        kQueueBlocks, in.config.line_bytes);
                     b.prefetcher = std::make_unique<NonePrefetcher>();
                     return b;
                   }});
@@ -938,7 +1022,7 @@ TEST(Registry, DuplicateRegistrationIsAHardError) {
     i.build = [](const BuildInputs& in) {
       PrefetcherBuild b;
       b.queue = std::make_unique<frontend::FetchTargetQueue>(
-          in.config.queue_blocks, in.config.line_bytes);
+          kQueueBlocks, in.config.line_bytes);
       b.prefetcher = std::make_unique<NonePrefetcher>();
       return b;
     };

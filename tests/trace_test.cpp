@@ -28,7 +28,7 @@ std::string test_file(const std::string& name) {
 }
 
 std::string fixture_path() {
-  return std::string(PRESTAGE_TEST_DATA_DIR) + "/fixture.champsim.trace";
+  return PRESTAGE_TEST_DATA_DIR "/fixture.champsim.trace";
 }
 
 std::vector<DynInst> sample_records() {
