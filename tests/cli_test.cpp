@@ -385,6 +385,23 @@ TEST(CliTrace, RecordedFileMatchesParentPin) {
   }
 }
 
+// `sample plan --out` writes the same PSCK bytes as the parent binary
+// that generated this pin (the plan file CI writes): slice count, file
+// size and an FNV-1a 64 digest of the file.
+TEST(CliTrace, SamplePlanFileMatchesParentPin) {
+  const std::string path = test_file("pin.psck");
+  std::string output;
+  ASSERT_EQ(run_cli("sample plan --bench eon --instrs 400000 --interval 5000 "
+                    "--max-k 4 --warmup 3 --out " +
+                        path + " --json -",
+                    &output),
+            0)
+      << output;
+  EXPECT_EQ(parse_json(output).at("slices").array.size(), 4u);
+  EXPECT_EQ(read_file(path).size(), 8467u);
+  EXPECT_EQ(file_digest(path), 0xf331443d98b18e78ULL);
+}
+
 TEST(CliTrace, InfoDescribesANativeTrace) {
   const std::string trace_file_path = test_file("info.pstr");
   std::string output;
