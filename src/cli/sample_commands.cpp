@@ -198,7 +198,7 @@ int cmd_sample_plan(const Options& opt) {
   for (const sample::Slice& s : plan.slices) sliced += s.instructions;
 
   if (!opt.out_path.empty()) {
-    sample::write_checkpoint_file(opt.out_path, {plan, {}});
+    sample::write_checkpoint_file(opt.out_path, plan);
   }
 
   if (!sink.owns_stdout()) {
@@ -300,10 +300,10 @@ int cmd_sample_run(const Options& opt) {
     // the plan, never the only way to build it. A checkpoint for the
     // wrong workload stays a usage error — silently replanning would
     // mask pointing --plan at the wrong file.
-    sample::Checkpoint ckpt;
+    sample::SamplePlan plan;
     bool have_checkpoint = true;
     try {
-      ckpt = sample::read_checkpoint_file(opt.plan_path);
+      plan = sample::read_checkpoint_file(opt.plan_path);
     } catch (const SimError& e) {
       std::cerr << "prestage: warning: checkpoint '" << opt.plan_path
                 << "' is unreadable (" << e.what()
@@ -312,22 +312,22 @@ int cmd_sample_run(const Options& opt) {
       checkpoint_fallback = true;
     }
     if (have_checkpoint) {
-      if (ckpt.plan.workload != spec->name()) {
+      if (plan.workload != spec->name()) {
         std::cerr << "prestage: checkpoint '" << opt.plan_path
-                  << "' was built for workload '" << ckpt.plan.workload
+                  << "' was built for workload '" << plan.workload
                   << "', not '" << spec->name() << "'\n";
         return 2;
       }
-      params = ckpt.plan.params;
+      params = plan.params;
       if (!sink.owns_stdout()) {
         std::printf("checkpoint  : %s (PSCK v%u, %zu slices)\n",
                     opt.plan_path.c_str(), sample::kCheckpointVersion,
-                    ckpt.plan.slices.size());
+                    plan.slices.size());
       }
       // PSCK stores no trace state: the slice snapshots come from the
       // same one walk build_plan makes.
-      sample::attach_snapshots(ckpt.plan, *spec);
-      r = sample::run_sampled_point_with_plan(cfg, spec, ckpt.plan);
+      sample::attach_snapshots(plan, *spec);
+      r = sample::run_sampled_point_with_plan(cfg, spec, plan);
     }
   }
   if (opt.plan_path.empty() || checkpoint_fallback) {

@@ -1,6 +1,7 @@
 #include "prefetch/stream.hpp"
 
 #include "cacti/storage.hpp"
+#include "common/bytes.hpp"
 #include "common/prestage_assert.hpp"
 #include "prefetch/registry.hpp"
 
@@ -97,53 +98,25 @@ std::uint64_t StreamPrefetcher::storage_bits() const {
 
 bool StreamPrefetcher::save_state(std::vector<std::uint8_t>& out) const {
   // Layout: u32 table entry count, then per entry u64 trigger + u32
-  // lines, little-endian. The count doubles as a shape check on restore.
-  const auto put_u32 = [&out](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  const auto put_u64 = [&out](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  put_u32(static_cast<std::uint32_t>(table_.size()));
+  // lines. The count doubles as a shape check on restore.
+  ByteWriter w(out);
+  w.u32(static_cast<std::uint32_t>(table_.size()));
   for (const Region& region : table_) {
-    put_u64(region.trigger);
-    put_u32(region.lines);
+    w.u64(region.trigger);
+    w.u32(region.lines);
   }
   return true;
 }
 
 bool StreamPrefetcher::restore_state(const std::uint8_t* data,
                                      std::size_t size) {
-  std::size_t pos = 0;
-  const auto get_u32 = [&]() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 4;
-    return v;
-  };
-  const auto get_u64 = [&]() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    return v;
-  };
-  if (size < 4) return false;
-  const std::uint32_t count = get_u32();
-  if (count != table_.size() ||
-      size != 4 + static_cast<std::size_t>(count) * 12) {
-    return false;  // different table shape: stay cold
-  }
+  // A different table shape stays cold.
+  if (size != 4 + table_.size() * 12) return false;
+  ByteReader r(data, size, "stream prefetcher state");
+  if (r.u32() != table_.size()) return false;
   for (Region& region : table_) {
-    region.trigger = get_u64();
-    region.lines = get_u32();
+    region.trigger = r.u64();
+    region.lines = r.u32();
   }
   return true;
 }

@@ -1,9 +1,9 @@
 #include "sample/checkpoint.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/bytes.hpp"
 #include "common/faultpoint.hpp"
 #include "common/prestage_assert.hpp"
 
@@ -14,161 +14,52 @@ namespace {
 constexpr char kMagic[4] = {'P', 'S', 'C', 'K'};
 
 /// Smallest encodings of the counted items: a slice with no warm lines,
-/// one warm line, and a state with an empty scheme name and blob.
+/// and one warm line.
 constexpr std::size_t kMinSliceBytes = 3 * 8 + 4 + 8 + 8 + 4;
 constexpr std::size_t kWarmLineBytes = 8;
-constexpr std::size_t kMinStateBytes = 4 + 4;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  // Byte loop rather than range-insert: GCC 12's -Wstringop-overflow
-  // misfires on char-iterator vector inserts.
-  for (const char c : s) out.push_back(static_cast<std::uint8_t>(c));
-}
-
-/// Bounds-checked little-endian reader over the input buffer.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  [[nodiscard]] double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-
-  [[nodiscard]] std::string str() {
-    const std::uint32_t len = u32();
-    need(len);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return s;
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t> bytes(std::size_t len) {
-    need(len);
-    std::vector<std::uint8_t> b(data_ + pos_, data_ + pos_ + len);
-    pos_ += len;
-    return b;
-  }
-
-  /// A u32 item count, refused unless @p n items of at least
-  /// @p min_bytes each fit in the bytes left: a lying count must fail
-  /// typed here, never size an allocation.
-  [[nodiscard]] std::uint32_t count(std::size_t min_bytes) {
-    const std::uint32_t n = u32();
-    if (n > (size_ - pos_) / min_bytes) {
-      throw SimError("PSCK checkpoint: count " + std::to_string(n) +
-                     " exceeds the bytes left");
-    }
-    return n;
-  }
-
-  [[nodiscard]] bool exhausted() const { return pos_ == size_; }
-
- private:
-  void need(std::size_t n) const {
-    if (size_ - pos_ < n) throw SimError("PSCK checkpoint: truncated file");
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
-std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& cp) {
-  const SamplePlan& plan = cp.plan;
+std::vector<std::uint8_t> serialize_checkpoint(const SamplePlan& plan) {
   std::vector<std::uint8_t> out;
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put_u32(out, kCheckpointVersion);
-  put_u64(out, plan.seed);
-  put_u64(out, plan.total_instructions);
-  put_u64(out, plan.params.interval_instructions);
-  put_u32(out, plan.params.dim);
-  put_u32(out, plan.params.max_clusters);
-  put_u32(out, plan.params.warm_lines);
-  put_u32(out, plan.params.warmup_intervals);
-  put_str(out, plan.workload);
-  put_u64(out, plan.intervals);
-  put_u64(out, plan.unique_blocks);
-  put_u32(out, plan.clusters);
-  put_u32(out, static_cast<std::uint32_t>(plan.slices.size()));
+  ByteWriter w(out);
+  w.chars({kMagic, 4});
+  w.u32(kCheckpointVersion);
+  w.u64(plan.seed);
+  w.u64(plan.total_instructions);
+  w.u64(plan.params.interval_instructions);
+  w.u32(plan.params.dim);
+  w.u32(plan.params.max_clusters);
+  w.u32(plan.params.warm_lines);
+  w.u32(plan.params.warmup_intervals);
+  w.str(plan.workload);
+  w.u64(plan.intervals);
+  w.u64(plan.unique_blocks);
+  w.u32(plan.clusters);
+  w.u32(static_cast<std::uint32_t>(plan.slices.size()));
   for (const Slice& s : plan.slices) {
-    put_u64(out, s.start);
-    put_u64(out, s.instructions);
-    put_u64(out, s.interval_index);
-    put_u32(out, s.cluster);
-    put_f64(out, s.weight);
-    put_u64(out, s.warm_start);
-    put_u32(out, static_cast<std::uint32_t>(s.warm_lines.size()));
-    for (const Addr line : s.warm_lines) put_u64(out, line);
+    w.u64(s.start);
+    w.u64(s.instructions);
+    w.u64(s.interval_index);
+    w.u32(s.cluster);
+    w.f64(s.weight);
+    w.u64(s.warm_start);
+    w.u32(static_cast<std::uint32_t>(s.warm_lines.size()));
+    for (const Addr line : s.warm_lines) w.u64(line);
   }
-  put_u32(out, static_cast<std::uint32_t>(cp.states.size()));
-  for (const SavedMachineState& st : cp.states) {
-    put_str(out, st.scheme);
-    put_u32(out, static_cast<std::uint32_t>(st.bytes.size()));
-    out.insert(out.end(), st.bytes.begin(), st.bytes.end());
-  }
+  w.u32(0);  // machine-state count: always 0
   return out;
 }
 
-Checkpoint deserialize_checkpoint(const std::uint8_t* data,
+SamplePlan deserialize_checkpoint(const std::uint8_t* data,
                                   std::size_t size) {
-  Reader r(data, size);
-  const std::vector<std::uint8_t> magic = r.bytes(4);
-  if (std::memcmp(magic.data(), kMagic, 4) != 0) {
-    throw SimError("PSCK checkpoint: bad magic");
-  }
+  ByteReader r(data, size, "PSCK checkpoint");
+  if (r.chars(4) != std::string_view(kMagic, 4)) r.fail("bad magic");
   const std::uint32_t version = r.u32();
   if (version != kCheckpointVersion) {
-    throw SimError("PSCK checkpoint: unsupported version " +
-                   std::to_string(version));
+    r.fail("unsupported version " + std::to_string(version));
   }
-  Checkpoint cp;
-  SamplePlan& plan = cp.plan;
+  SamplePlan plan;
   plan.params.enabled = true;
   plan.seed = r.u64();
   plan.total_instructions = r.u64();
@@ -196,24 +87,17 @@ Checkpoint deserialize_checkpoint(const std::uint8_t* data,
     for (std::uint32_t w = 0; w < warm; ++w) s.warm_lines.push_back(r.u64());
     plan.slices.push_back(std::move(s));
   }
-  const std::uint32_t state_count = r.count(kMinStateBytes);
-  cp.states.reserve(state_count);
-  for (std::uint32_t i = 0; i < state_count; ++i) {
-    SavedMachineState st;
-    st.scheme = r.str();
-    const std::uint32_t len = r.u32();
-    st.bytes = r.bytes(len);
-    cp.states.push_back(std::move(st));
+  if (const std::uint32_t states = r.u32(); states != 0) {
+    r.fail("unsupported machine-state count " + std::to_string(states) +
+           " (PSCK v1 plans carry none)");
   }
-  if (!r.exhausted()) {
-    throw SimError("PSCK checkpoint: trailing bytes");
-  }
-  return cp;
+  if (!r.exhausted()) r.fail("trailing bytes");
+  return plan;
 }
 
-void write_checkpoint_file(const std::string& path, const Checkpoint& cp) {
+void write_checkpoint_file(const std::string& path, const SamplePlan& plan) {
   faults::check(faults::Site::PsckWrite, path);
-  const std::vector<std::uint8_t> bytes = serialize_checkpoint(cp);
+  const std::vector<std::uint8_t> bytes = serialize_checkpoint(plan);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     throw SimError("cannot open checkpoint file for writing: " + path);
@@ -225,7 +109,7 @@ void write_checkpoint_file(const std::string& path, const Checkpoint& cp) {
   }
 }
 
-Checkpoint read_checkpoint_file(const std::string& path) {
+SamplePlan read_checkpoint_file(const std::string& path) {
   faults::check(faults::Site::PsckRead, path);
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {

@@ -1,14 +1,13 @@
 // PSCK v1: the versioned binary checkpoint format for sampling plans.
 //
 // A checkpoint file carries everything needed to execute a sampled run
-// without re-profiling: the resolved parameters, the slice table with
-// per-slice warm-up line streams, and optional opaque machine-state
-// blobs saved through IPrefetcher::save_state (tagged with the scheme
-// name so restore never feeds one scheme's bytes to another).
+// without re-profiling: the resolved parameters and the slice table with
+// per-slice warm-up line streams.
 //
-// Format policy: little-endian, fixed field order, version bumped on any
-// layout change; readers reject unknown magic/version and truncated
-// files with SimError rather than guessing. v1 layout:
+// Format policy: little-endian (common/bytes.hpp), fixed field order,
+// version bumped on any layout change; readers reject unknown
+// magic/version and truncated files with SimError rather than guessing.
+// v1 layout:
 //
 //   'PSCK' u32_version
 //   u64 seed, u64 total_instructions
@@ -20,7 +19,8 @@
 //     u64 start, u64 instructions, u64 interval_index,
 //     u32 cluster, f64 weight (IEEE bits), u64 warm_start,
 //     u32 warm_count, u64 x warm
-//   u32 state_count, per state: u32 scheme_len + bytes, u32 blob_len + bytes
+//   u32 state_count   always 0: no writer ever filled v1's machine-state
+//                     section, and a nonzero count is refused
 #pragma once
 
 #include <cstdint>
@@ -33,32 +33,19 @@ namespace prestage::sample {
 
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 
-/// Opaque saved machine state, tagged by the prefetcher scheme name.
-struct SavedMachineState {
-  std::string scheme;
-  std::vector<std::uint8_t> bytes;
-};
-
-/// A plan plus any saved machine state — the unit PSCK serializes.
-struct Checkpoint {
-  SamplePlan plan;
-  std::vector<SavedMachineState> states;
-};
-
 /// Serializes to the PSCK v1 byte layout (bic_by_k is diagnostics-only
 /// and not stored).
 [[nodiscard]] std::vector<std::uint8_t> serialize_checkpoint(
-    const Checkpoint& checkpoint);
+    const SamplePlan& plan);
 
 /// Parses PSCK bytes; throws SimError on bad magic, unsupported version,
-/// truncation, or a slice / warm-line / state count that cannot fit in
-/// the bytes left (checked before anything is reserved).
-[[nodiscard]] Checkpoint deserialize_checkpoint(
-    const std::uint8_t* data, std::size_t size);
+/// truncation, a slice or warm-line count that cannot fit in the bytes
+/// left (checked before anything is reserved), or a nonzero state count.
+[[nodiscard]] SamplePlan deserialize_checkpoint(const std::uint8_t* data,
+                                                std::size_t size);
 
 /// File I/O wrappers; throw SimError on any filesystem failure.
-void write_checkpoint_file(const std::string& path,
-                           const Checkpoint& checkpoint);
-[[nodiscard]] Checkpoint read_checkpoint_file(const std::string& path);
+void write_checkpoint_file(const std::string& path, const SamplePlan& plan);
+[[nodiscard]] SamplePlan read_checkpoint_file(const std::string& path);
 
 }  // namespace prestage::sample

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/prestage_assert.hpp"
 #include "common/rng.hpp"
 
@@ -31,52 +32,44 @@ struct RawRecord {
   std::uint64_t smem[kNumSrc] = {};
 };
 
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-RawRecord decode_record(const unsigned char* p) {
+RawRecord decode_record(ByteReader& in) {
   RawRecord r;
-  r.ip = get_u64(p);
-  r.is_branch = p[8] != 0;
-  r.branch_taken = p[9] != 0;
-  for (int i = 0; i < kNumDst; ++i) r.dst[i] = p[10 + i];
-  for (int i = 0; i < kNumSrc; ++i) r.src[i] = p[12 + i];
-  for (int i = 0; i < kNumDst; ++i) r.dmem[i] = get_u64(p + 16 + 8 * i);
-  for (int i = 0; i < kNumSrc; ++i) r.smem[i] = get_u64(p + 32 + 8 * i);
+  r.ip = in.u64();
+  r.is_branch = in.u8() != 0;
+  r.branch_taken = in.u8() != 0;
+  for (std::uint8_t& reg : r.dst) reg = in.u8();
+  for (std::uint8_t& reg : r.src) reg = in.u8();
+  for (std::uint64_t& addr : r.dmem) addr = in.u64();
+  for (std::uint64_t& addr : r.smem) addr = in.u64();
   return r;
 }
 
 std::vector<RawRecord> read_records(const std::string& path,
                                     std::uint64_t max_records) {
+  const std::string context = "champsim trace '" + path + "'";
   std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw SimError("champsim trace '" + path + "': cannot open");
+  if (!in) throw SimError(context + ": cannot open");
   const auto size = static_cast<std::uint64_t>(in.tellg());
   in.seekg(0);
-  if (size == 0) throw SimError("champsim trace '" + path + "': empty");
+  if (size == 0) throw SimError(context + ": empty");
   if (size % kChampSimRecordBytes != 0) {
-    throw SimError("champsim trace '" + path +
-                   "': size is not a whole number of 64-byte records "
+    throw SimError(context +
+                   ": size is not a whole number of 64-byte records "
                    "(compressed traces must be decompressed first)");
   }
   std::uint64_t count = size / kChampSimRecordBytes;
   if (max_records > 0) count = std::min(count, max_records);
   // Read only what the cap admits: a capped import of a huge server
   // trace must not buffer the whole file.
-  std::string bytes(count * kChampSimRecordBytes, '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (in.gcount() != static_cast<std::streamsize>(bytes.size())) {
-    throw SimError("champsim trace '" + path + "': read failed");
-  }
+  std::vector<std::uint8_t> bytes(count * kChampSimRecordBytes);
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  ByteReader reader(bytes.data(), static_cast<std::size_t>(in.gcount()),
+                    context);
   std::vector<RawRecord> records;
   records.reserve(count);
-  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
   for (std::uint64_t i = 0; i < count; ++i) {
-    records.push_back(decode_record(p + i * kChampSimRecordBytes));
+    records.push_back(decode_record(reader));
   }
   return records;
 }

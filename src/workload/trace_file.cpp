@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <fstream>
 
+#include "common/bytes.hpp"
 #include "common/faultpoint.hpp"
 #include "common/prestage_assert.hpp"
 #include "workload/champsim.hpp"
@@ -14,151 +15,11 @@ namespace prestage::workload {
 namespace {
 
 constexpr std::size_t kRecordBytes = 29;
+/// Magic, version, record count, two seeds, name length, name.
+constexpr std::size_t kMaxHeaderBytes = 4 + 4 + 8 + 8 + 8 + 1 + 255;
 
-[[noreturn]] void file_error(const std::string& path,
-                             const std::string& what) {
-  throw SimError("trace file '" + path + "': " + what);
-}
-
-// Little-endian field encoding, independent of host byte order.
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-class ByteCursor {
- public:
-  ByteCursor(const std::string& bytes, const std::string& path)
-      : bytes_(bytes), path_(path) {}
-
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  [[nodiscard]] std::string chars(std::size_t n) {
-    need(n);
-    std::string s = bytes_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  [[nodiscard]] std::size_t remaining() const {
-    return bytes_.size() - pos_;
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (bytes_.size() - pos_ < n) file_error(path_, "truncated");
-  }
-
-  const std::string& bytes_;
-  const std::string& path_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-void write_trace_file(const std::string& path, const TraceHeader& header,
-                      const std::vector<DynInst>& records) {
-  PRESTAGE_ASSERT(header.benchmark.size() <= 255,
-                  "trace benchmark name too long");
-  std::string bytes;
-  bytes.reserve(64 + records.size() * kRecordBytes);
-  bytes.append(kTraceMagic, 4);
-  put_u32(bytes, kTraceVersion);
-  put_u64(bytes, records.size());
-  put_u64(bytes, header.program_seed);
-  put_u64(bytes, header.trace_seed);
-  bytes.push_back(static_cast<char>(header.benchmark.size()));
-  bytes.append(header.benchmark);
-  for (const DynInst& d : records) {
-    put_u64(bytes, d.pc);
-    put_u64(bytes, d.data_addr);
-    put_u64(bytes, d.next_pc);
-    bytes.push_back(static_cast<char>(d.op));
-    bytes.push_back(static_cast<char>(d.dst));
-    bytes.push_back(static_cast<char>(d.src1));
-    bytes.push_back(static_cast<char>(d.src2));
-    const std::uint8_t flags = (d.taken ? 1U : 0U) |
-                               (d.ends_stream ? 2U : 0U);
-    bytes.push_back(static_cast<char>(flags));
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) file_error(path, "cannot open for writing");
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out.good()) file_error(path, "write failed");
-}
-
-namespace {
-
-/// Parses just the header from an open stream, reading only the header
-/// bytes (fixed prefix + name). A shorter file still yields the most
-/// specific error the bytes allow (bad magic before truncation, like
-/// the in-memory parser). Leaves the stream positioned at the first
-/// record; returns the header plus its byte size.
-struct StreamedHeader {
-  TraceHeader header;
-  std::uint64_t data_offset = 0;
-};
-
-StreamedHeader parse_streamed_header(std::ifstream& in,
-                                     const std::string& path) {
-  // Fixed-size header prefix: magic, version, record count, two seeds,
-  // name length.
-  constexpr std::size_t kFixedHeader = 4 + 4 + 8 + 8 + 8 + 1;
-  std::string prefix(kFixedHeader, '\0');
-  in.read(prefix.data(), static_cast<std::streamsize>(kFixedHeader));
-  prefix.resize(static_cast<std::size_t>(in.gcount()));
-  ByteCursor cur(prefix, path);
-  const std::string magic = cur.chars(4);
-  if (magic != std::string(kTraceMagic, 4)) file_error(path, "bad magic");
-  TraceHeader h;
-  h.version = cur.u32();
-  if (h.version != kTraceVersion) {
-    file_error(path, "unsupported trace version " +
-                         std::to_string(h.version) + " (expected " +
-                         std::to_string(kTraceVersion) + ")");
-  }
-  h.record_count = cur.u64();
-  h.program_seed = cur.u64();
-  h.trace_seed = cur.u64();
-  const std::uint8_t name_len = cur.u8();
-  std::string name(name_len, '\0');
-  in.read(name.data(), name_len);
-  if (static_cast<std::size_t>(in.gcount()) != name_len) {
-    file_error(path, "truncated");
-  }
-  h.benchmark = std::move(name);
-  return {std::move(h), kFixedHeader + name_len};
+std::string file_context(const std::string& path) {
+  return "trace file '" + path + "'";
 }
 
 /// The shared streaming decoder: buffered reads, one callback per
@@ -170,41 +31,47 @@ TraceHeader stream_records_impl(
     const std::function<void(const TraceHeader&)>& on_header,
     const std::function<void(const DynInst&)>& fn) {
   faults::check(faults::Site::TraceRead, path);
+  const std::string context = file_context(path);
   std::ifstream in(path, std::ios::binary);
-  if (!in) file_error(path, "cannot open");
-  auto [h, data_offset] = parse_streamed_header(in, path);
-  if (h.record_count == 0) file_error(path, "no records");
+  if (!in) throw SimError(context + ": cannot open");
+
+  // The header is at most kMaxHeaderBytes; a shorter file still yields
+  // the most specific error its bytes allow (bad magic before truncation).
+  std::vector<std::uint8_t> buf(kMaxHeaderBytes);
+  in.read(reinterpret_cast<char*>(buf.data()),
+          static_cast<std::streamsize>(buf.size()));
+  ByteReader head(buf.data(), static_cast<std::size_t>(in.gcount()), context);
+  if (head.chars(4) != std::string_view(kTraceMagic, 4)) {
+    head.fail("bad magic");
+  }
+  TraceHeader h;
+  h.version = head.u32();
+  if (h.version != kTraceVersion) {
+    head.fail("unsupported trace version " + std::to_string(h.version) +
+              " (expected " + std::to_string(kTraceVersion) + ")");
+  }
+  h.record_count = head.u64();
+  h.program_seed = head.u64();
+  h.trace_seed = head.u64();
+  h.benchmark = std::string(head.chars(head.u8()));
+  const std::uint64_t data_offset = head.position();
+  if (h.record_count == 0) head.fail("no records");
 
   // Division (not multiplication) so a crafted record_count cannot wrap
   // the check via u64 overflow.
+  in.clear();
   in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  const std::uint64_t data_bytes = file_size - data_offset;
+  const std::uint64_t data_bytes =
+      static_cast<std::uint64_t>(in.tellg()) - data_offset;
   if (data_bytes % kRecordBytes != 0 ||
       h.record_count != data_bytes / kRecordBytes) {
-    file_error(path, "truncated");
+    head.fail("truncated");
   }
   in.seekg(static_cast<std::streamoff>(data_offset));
   on_header(h);
 
-  // Register ids index fixed-size scoreboard arrays in the backend and
-  // op bytes select switch arms, so both must be validated here: a
-  // corrupt byte has to fail like every other malformed-trace case, not
-  // write out of bounds downstream.
-  const auto checked_reg = [&](std::uint8_t r) {
-    if (r >= kNumRegs && r != kNoReg) file_error(path, "bad register id");
-    return r;
-  };
-  const auto get_u64 = [](const std::uint8_t* b) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    }
-    return v;
-  };
-
   constexpr std::size_t kBufferRecords = 4096;
-  std::vector<std::uint8_t> buf(kBufferRecords * kRecordBytes);
+  buf.resize(kBufferRecords * kRecordBytes);
   std::uint64_t index = 0;
   bool last_ends_stream = false;
   while (index < h.record_count) {
@@ -212,24 +79,30 @@ TraceHeader stream_records_impl(
         std::min<std::uint64_t>(kBufferRecords, h.record_count - index);
     in.read(reinterpret_cast<char*>(buf.data()),
             static_cast<std::streamsize>(want * kRecordBytes));
-    if (static_cast<std::uint64_t>(in.gcount()) != want * kRecordBytes) {
-      file_error(path, "read failed");
-    }
-    for (std::uint64_t r = 0; r < want; ++r, ++index) {
-      const std::uint8_t* b = buf.data() + r * kRecordBytes;
+    ByteReader r(buf.data(), static_cast<std::size_t>(in.gcount()), context);
+    // Register ids index fixed-size scoreboard arrays in the backend and
+    // op bytes select switch arms, so both must be validated here: a
+    // corrupt byte has to fail like every other malformed-trace case, not
+    // write out of bounds downstream.
+    const auto reg = [&r]() {
+      const std::uint8_t id = r.u8();
+      if (id >= kNumRegs && id != kNoReg) r.fail("bad register id");
+      return id;
+    };
+    for (std::uint64_t end = index + want; index < end; ++index) {
       DynInst d;
-      d.pc = get_u64(b);
-      d.data_addr = get_u64(b + 8);
-      d.next_pc = get_u64(b + 16);
-      const std::uint8_t op = b[24];
+      d.pc = r.u64();
+      d.data_addr = r.u64();
+      d.next_pc = r.u64();
+      const std::uint8_t op = r.u8();
       if (op > static_cast<std::uint8_t>(OpClass::Return)) {
-        file_error(path, "bad op class");
+        r.fail("bad op class");
       }
       d.op = static_cast<OpClass>(op);
-      d.dst = checked_reg(b[25]);
-      d.src1 = checked_reg(b[26]);
-      d.src2 = checked_reg(b[27]);
-      const std::uint8_t flags = b[28];
+      d.dst = reg();
+      d.src1 = reg();
+      d.src2 = reg();
+      const std::uint8_t flags = r.u8();
       d.taken = (flags & 1U) != 0;
       d.ends_stream = (flags & 2U) != 0;
       d.seq = index;
@@ -237,13 +110,44 @@ TraceHeader stream_records_impl(
       fn(d);
     }
   }
-  if (!last_ends_stream) {
-    file_error(path, "last record does not end a stream");
-  }
+  if (!last_ends_stream) head.fail("last record does not end a stream");
   return h;
 }
 
 }  // namespace
+
+void write_trace_file(const std::string& path, const TraceHeader& header,
+                      const std::vector<DynInst>& records) {
+  PRESTAGE_ASSERT(header.benchmark.size() <= 255,
+                  "trace benchmark name too long");
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(kMaxHeaderBytes + records.size() * kRecordBytes);
+  ByteWriter w(bytes);
+  w.chars({kTraceMagic, 4});
+  w.u32(kTraceVersion);
+  w.u64(records.size());
+  w.u64(header.program_seed);
+  w.u64(header.trace_seed);
+  w.u8(static_cast<std::uint8_t>(header.benchmark.size()));
+  w.chars(header.benchmark);
+  for (const DynInst& d : records) {
+    w.u64(d.pc);
+    w.u64(d.data_addr);
+    w.u64(d.next_pc);
+    w.u8(static_cast<std::uint8_t>(d.op));
+    w.u8(d.dst);
+    w.u8(d.src1);
+    w.u8(d.src2);
+    w.u8(static_cast<std::uint8_t>((d.taken ? 1U : 0U) |
+                                   (d.ends_stream ? 2U : 0U)));
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw SimError(file_context(path) + ": cannot open for writing");
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  out.flush();
+  if (!out.good()) throw SimError(file_context(path) + ": write failed");
+}
 
 TraceFile read_trace_file(const std::string& path) {
   TraceFile file;
@@ -261,7 +165,7 @@ TraceHeader stream_trace_records(
 
 TraceFormat detect_trace_format(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) file_error(path, "cannot open");
+  if (!in) throw SimError(file_context(path) + ": cannot open");
   const auto size = static_cast<std::uint64_t>(in.tellg());
   in.seekg(0);
   char magic[4] = {};
@@ -272,7 +176,8 @@ TraceFormat detect_trace_format(const std::string& path) {
   if (size > 0 && size % kChampSimRecordBytes == 0) {
     return TraceFormat::ChampSim;
   }
-  file_error(path, "unrecognized format (neither PSTR nor raw ChampSim)");
+  throw SimError(file_context(path) +
+                 ": unrecognized format (neither PSTR nor raw ChampSim)");
 }
 
 // --- ReplayTraceSource ------------------------------------------------------

@@ -429,51 +429,47 @@ TEST(PlanCache, FailedBuildIsNotCached) {
 }
 
 TEST(SampleCheckpoint, RoundTripsEveryFieldAndFileBytes) {
-  sample::Checkpoint cp;
-  cp.plan = eon_plan();
-  cp.states.push_back({"stream", {0x01, 0x02, 0xff, 0x00, 0x7f}});
-  cp.states.push_back({"none", {}});
+  const sample::SamplePlan plan = eon_plan();
 
-  const std::vector<std::uint8_t> bytes = sample::serialize_checkpoint(cp);
-  const sample::Checkpoint back =
+  const std::vector<std::uint8_t> bytes = sample::serialize_checkpoint(plan);
+  const sample::SamplePlan back =
       sample::deserialize_checkpoint(bytes.data(), bytes.size());
 
-  EXPECT_TRUE(back.plan.params.enabled);
-  EXPECT_EQ(back.plan.params.interval_instructions,
-            cp.plan.params.interval_instructions);
-  EXPECT_EQ(back.plan.params.dim, cp.plan.params.dim);
-  EXPECT_EQ(back.plan.params.max_clusters, cp.plan.params.max_clusters);
-  EXPECT_EQ(back.plan.params.warm_lines, cp.plan.params.warm_lines);
-  EXPECT_EQ(back.plan.params.warmup_intervals,
-            cp.plan.params.warmup_intervals);
-  EXPECT_EQ(back.plan.workload, cp.plan.workload);
-  EXPECT_EQ(back.plan.seed, cp.plan.seed);
-  EXPECT_EQ(back.plan.total_instructions, cp.plan.total_instructions);
-  EXPECT_EQ(back.plan.intervals, cp.plan.intervals);
-  EXPECT_EQ(back.plan.unique_blocks, cp.plan.unique_blocks);
-  EXPECT_EQ(back.plan.clusters, cp.plan.clusters);
-  ASSERT_EQ(back.plan.slices.size(), cp.plan.slices.size());
-  for (std::size_t i = 0; i < cp.plan.slices.size(); ++i) {
-    EXPECT_EQ(back.plan.slices[i].start, cp.plan.slices[i].start);
-    EXPECT_EQ(back.plan.slices[i].instructions,
-              cp.plan.slices[i].instructions);
-    EXPECT_EQ(back.plan.slices[i].interval_index,
-              cp.plan.slices[i].interval_index);
-    EXPECT_EQ(back.plan.slices[i].cluster, cp.plan.slices[i].cluster);
-    EXPECT_EQ(back.plan.slices[i].weight, cp.plan.slices[i].weight);
-    EXPECT_EQ(back.plan.slices[i].warm_start, cp.plan.slices[i].warm_start);
-    EXPECT_EQ(back.plan.slices[i].warm_lines, cp.plan.slices[i].warm_lines);
+  EXPECT_TRUE(back.params.enabled);
+  EXPECT_EQ(back.params.interval_instructions,
+            plan.params.interval_instructions);
+  EXPECT_EQ(back.params.dim, plan.params.dim);
+  EXPECT_EQ(back.params.max_clusters, plan.params.max_clusters);
+  EXPECT_EQ(back.params.warm_lines, plan.params.warm_lines);
+  EXPECT_EQ(back.params.warmup_intervals,
+            plan.params.warmup_intervals);
+  EXPECT_EQ(back.workload, plan.workload);
+  EXPECT_EQ(back.seed, plan.seed);
+  EXPECT_EQ(back.total_instructions, plan.total_instructions);
+  EXPECT_EQ(back.intervals, plan.intervals);
+  EXPECT_EQ(back.unique_blocks, plan.unique_blocks);
+  EXPECT_EQ(back.clusters, plan.clusters);
+  ASSERT_EQ(back.slices.size(), plan.slices.size());
+  for (std::size_t i = 0; i < plan.slices.size(); ++i) {
+    EXPECT_EQ(back.slices[i].start, plan.slices[i].start);
+    EXPECT_EQ(back.slices[i].instructions,
+              plan.slices[i].instructions);
+    EXPECT_EQ(back.slices[i].interval_index,
+              plan.slices[i].interval_index);
+    EXPECT_EQ(back.slices[i].cluster, plan.slices[i].cluster);
+    EXPECT_EQ(back.slices[i].weight, plan.slices[i].weight);
+    EXPECT_EQ(back.slices[i].warm_start, plan.slices[i].warm_start);
+    EXPECT_EQ(back.slices[i].warm_lines, plan.slices[i].warm_lines);
   }
-  ASSERT_EQ(back.states.size(), 2u);
-  EXPECT_EQ(back.states[0].scheme, "stream");
-  EXPECT_EQ(back.states[0].bytes, cp.states[0].bytes);
-  EXPECT_EQ(back.states[1].scheme, "none");
-  EXPECT_TRUE(back.states[1].bytes.empty());
+  // v1's trailing machine-state count is always 0.
+  ASSERT_GE(bytes.size(), 4u);
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.end() - 4, bytes.end()),
+            std::vector<std::uint8_t>(4, 0));
 
   // File round-trip: write, read, re-serialize to identical bytes.
   const std::string path = fresh_file("plan.psck");
-  sample::write_checkpoint_file(path, cp);
-  const sample::Checkpoint from_file = sample::read_checkpoint_file(path);
+  sample::write_checkpoint_file(path, plan);
+  const sample::SamplePlan from_file = sample::read_checkpoint_file(path);
   EXPECT_EQ(sample::serialize_checkpoint(from_file), bytes);
 }
 
@@ -483,25 +479,24 @@ TEST(SampleCheckpoint, RoundTrippedPlanRunsByteIdentically) {
   const auto base = sample::base_workload(cfg);
   const sample::SamplePlan fresh = eon_plan();
   const std::vector<std::uint8_t> bytes =
-      sample::serialize_checkpoint({fresh, {}});
-  sample::Checkpoint back =
+      sample::serialize_checkpoint(fresh);
+  sample::SamplePlan back =
       sample::deserialize_checkpoint(bytes.data(), bytes.size());
 
   // PSCK carries no trace state: a read-back plan cannot run until its
   // snapshots are attached, and then it runs exactly like the fresh one.
   EXPECT_THROW(
-      (void)sample::run_sampled_point_with_plan(cfg, base, back.plan),
+      (void)sample::run_sampled_point_with_plan(cfg, base, back),
       SimError);
-  sample::attach_snapshots(back.plan, *base);
+  sample::attach_snapshots(back, *base);
   EXPECT_EQ(
-      line_of(point, sample::run_sampled_point_with_plan(cfg, base, back.plan)),
+      line_of(point, sample::run_sampled_point_with_plan(cfg, base, back)),
       line_of(point, sample::run_sampled_point_with_plan(cfg, base, fresh)));
 }
 
 TEST(SampleCheckpoint, RejectsCorruptBytes) {
-  sample::Checkpoint cp;
-  cp.plan = eon_plan();
-  std::vector<std::uint8_t> bytes = sample::serialize_checkpoint(cp);
+  const sample::SamplePlan plan = eon_plan();
+  std::vector<std::uint8_t> bytes = sample::serialize_checkpoint(plan);
 
   // Bad magic.
   {
@@ -530,7 +525,8 @@ TEST(SampleCheckpoint, RejectsCorruptBytes) {
   }
   // Lying counts fail typed before anything is reserved for them. A
   // count is refused once its items, each at their smallest encoding
-  // (slice 48 bytes, warm line 8, state 8), overrun the bytes left.
+  // (slice 48 bytes, warm line 8), overrun the bytes left; the state
+  // count is refused whenever it is not 0.
   const auto u32_at = [](const std::vector<std::uint8_t>& b, std::size_t at) {
     std::uint32_t v = 0;
     for (int i = 0; i < 4; ++i) {
@@ -543,12 +539,12 @@ TEST(SampleCheckpoint, RejectsCorruptBytes) {
     for (int i = 0; i < 4; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
     return b;
   };
-  const std::size_t slice_count_at = 72 + cp.plan.workload.size();
+  const std::size_t slice_count_at = 72 + plan.workload.size();
   const std::size_t warm_count_at = slice_count_at + 4 + 44;
   const std::size_t state_count_at = bytes.size() - 4;
-  ASSERT_EQ(u32_at(bytes, slice_count_at), cp.plan.slices.size());
+  ASSERT_EQ(u32_at(bytes, slice_count_at), plan.slices.size());
   ASSERT_EQ(u32_at(bytes, warm_count_at),
-            cp.plan.slices.front().warm_lines.size());
+            plan.slices.front().warm_lines.size());
   ASSERT_EQ(u32_at(bytes, state_count_at), 0u);
   const std::pair<std::size_t, std::size_t> counts[] = {
       {slice_count_at, 48}, {warm_count_at, 8}, {state_count_at, 8}};
