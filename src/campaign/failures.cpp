@@ -1,6 +1,5 @@
 #include "campaign/failures.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/json.hpp"
@@ -37,22 +36,6 @@ FailureRecord decode_failure_line(std::string_view line) {
   r.message = doc.at("message").as_string();
   r.attempts = doc.at("attempts").as_u64();
   return r;
-}
-
-FailureLog FailureLog::load(const std::string& path) {
-  FailureLog log;
-  std::ifstream in(path);
-  if (!in) return log;  // no quarantine history: nothing failed yet
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      log.add(decode_failure_line(line));
-    } catch (const json::JsonError&) {
-      ++log.dropped_;  // torn tail from a killed run: skip, count
-    }
-  }
-  return log;
 }
 
 }  // namespace prestage::campaign

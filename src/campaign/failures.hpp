@@ -16,7 +16,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "campaign/store.hpp"
 
 namespace prestage::campaign {
 
@@ -40,25 +41,8 @@ struct FailureRecord {
 /// Parses one sidecar line; throws json::JsonError when malformed.
 [[nodiscard]] FailureRecord decode_failure_line(std::string_view line);
 
-/// Loaded quarantine sidecar. Corrupt lines are counted and dropped,
-/// never fatal — same contract as the store and perf loaders.
-class FailureLog {
- public:
-  [[nodiscard]] static FailureLog load(const std::string& path);
-
-  void add(FailureRecord r) { records_.push_back(std::move(r)); }
-
-  [[nodiscard]] const std::vector<FailureRecord>& records() const {
-    return records_;
-  }
-  [[nodiscard]] bool empty() const { return records_.empty(); }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-  /// Corrupt/torn JSONL lines skipped while loading.
-  [[nodiscard]] std::size_t dropped() const { return dropped_; }
-
- private:
-  std::vector<FailureRecord> records_;
-  std::size_t dropped_ = 0;
-};
+/// The loaded quarantine sidecar (RecordLog: corrupt lines counted,
+/// never fatal).
+using FailureLog = RecordLog<FailureRecord, decode_failure_line>;
 
 }  // namespace prestage::campaign

@@ -1,6 +1,5 @@
 #include "campaign/perf.hpp"
 
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -54,25 +53,6 @@ PerfRecord perf_record_of(const PointResult& r) {
   p.host_seconds = r.result.host_seconds;
   p.minstr_per_sec = r.result.minstr_per_sec;
   return p;
-}
-
-PerfLog PerfLog::load(const std::string& path) {
-  PerfLog log;
-  std::ifstream in(path);
-  if (!in) return log;  // no sidecar: nothing recorded on this host
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      log.add(decode_perf_line(line));
-    } catch (const json::JsonError&) {
-      // Torn tail or corrupt line: telemetry is best-effort and must
-      // never be fatal, but the loss is counted so truncation shows up
-      // as `dropped_lines` instead of quietly shrinking `points`.
-      log.note_dropped();
-    }
-  }
-  return log;
 }
 
 namespace {

@@ -47,30 +47,8 @@ struct PerfRecord {
 /// Extracts the sidecar record of one stored result.
 [[nodiscard]] PerfRecord perf_record_of(const PointResult& r);
 
-/// Loaded sidecar. Like ResultStore::load, corrupt lines are dropped,
-/// never fatal — the telemetry is record-only and must not block a
-/// campaign flow. Dropped lines are *counted*, though: a torn tail from
-/// a killed run silently under-reports `points` otherwise, and the
-/// summary surfaces the count as `dropped_lines`.
-class PerfLog {
- public:
-  [[nodiscard]] static PerfLog load(const std::string& path);
-
-  void add(PerfRecord r) { records_.push_back(std::move(r)); }
-  void note_dropped(std::size_t n = 1) { dropped_ += n; }
-
-  [[nodiscard]] const std::vector<PerfRecord>& records() const {
-    return records_;
-  }
-  [[nodiscard]] bool empty() const { return records_.empty(); }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-  /// Corrupt/torn JSONL lines skipped while loading.
-  [[nodiscard]] std::size_t dropped() const { return dropped_; }
-
- private:
-  std::vector<PerfRecord> records_;
-  std::size_t dropped_ = 0;
-};
+/// The loaded sidecar (RecordLog: corrupt lines counted, never fatal).
+using PerfLog = RecordLog<PerfRecord, decode_perf_line>;
 
 /// Aggregate over a set of records: total worker-seconds and the
 /// seconds-weighted Minstr/s (total simulated instructions over total

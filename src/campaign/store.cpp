@@ -63,21 +63,28 @@ PointResult decode_line(std::string_view line) {
   return r;
 }
 
-ResultStore ResultStore::load(const std::string& path) {
-  ResultStore store;
+std::size_t load_jsonl(const std::string& path,
+                       const std::function<void(std::string)>& add) {
   std::ifstream in(path);
-  if (!in) return store;  // no store yet: nothing recorded
-  std::string line;
-  while (std::getline(in, line)) {
+  std::size_t dropped = 0;
+  for (std::string line; std::getline(in, line);) {
     if (line.empty()) continue;
     try {
-      PointResult r = decode_line(line);
-      store.insert_raw(std::move(r), line);
-      ++store.stats_.loaded;
+      add(std::move(line));
     } catch (const json::JsonError&) {
-      ++store.stats_.skipped;  // truncated tail or corrupt line: recompute
+      ++dropped;
     }
   }
+  return dropped;
+}
+
+ResultStore ResultStore::load(const std::string& path) {
+  ResultStore store;
+  store.stats_.skipped = load_jsonl(path, [&store](std::string line) {
+    PointResult r = decode_line(line);
+    store.insert_raw(std::move(r), std::move(line));
+    ++store.stats_.loaded;
+  });
   return store;
 }
 

@@ -12,10 +12,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/faultpoint.hpp"
@@ -49,6 +51,44 @@ struct PointResult {
 /// Parses one store line; throws json::JsonError on any malformed or
 /// incomplete record.
 [[nodiscard]] PointResult decode_line(std::string_view line);
+
+/// The one JSONL loader behind the store and its sidecars: hands each
+/// non-blank line of @p path to @p add, which decodes and keeps it, and
+/// returns how many lines it threw json::JsonError on. Those lines (a
+/// torn tail from a killed run, a corrupt middle) are skipped, never
+/// fatal. A missing file reads as empty.
+[[nodiscard]] std::size_t load_jsonl(
+    const std::string& path, const std::function<void(std::string)>& add);
+
+/// A JSONL sidecar of @p Record lines parsed by @p Decode, loaded in file
+/// order. Sidecar telemetry must never block a campaign flow, so corrupt
+/// lines are dropped, but they are *counted*: a torn tail from a killed
+/// run would otherwise silently shrink the totals.
+template <typename Record, Record (*Decode)(std::string_view)>
+class RecordLog {
+ public:
+  [[nodiscard]] static RecordLog load(const std::string& path) {
+    RecordLog log;
+    log.dropped_ = load_jsonl(
+        path, [&log](const std::string& line) { log.add(Decode(line)); });
+    return log;
+  }
+
+  void add(Record r) { records_.push_back(std::move(r)); }
+  void note_dropped(std::size_t n = 1) { dropped_ += n; }
+
+  [[nodiscard]] const std::vector<Record>& records() const {
+    return records_;
+  }
+  [[nodiscard]] bool empty() const { return records_.empty(); }
+  [[nodiscard]] std::size_t size() const { return records_.size(); }
+  /// Corrupt/torn JSONL lines skipped while loading.
+  [[nodiscard]] std::size_t dropped() const { return dropped_; }
+
+ private:
+  std::vector<Record> records_;
+  std::size_t dropped_ = 0;
+};
 
 class ResultStore {
  public:
