@@ -151,7 +151,7 @@ void register_clgp_prestager(prefetch::PrefetcherRegistry& r) {
            ClgpConfig cfg;
            cfg.entries = in.config.prebuffer_entries;
            cfg.pb_latency = in.timings.prebuffer_latency;
-           cfg.pb_pipelined = in.config.prebuffer_pipelined;
+           cfg.pb_pipelined = in.timings.prebuffer_pipelined;
            cfg.disable_consumers = in.config.clgp_disable_consumers;
            cfg.filter_resident = in.config.clgp_filter_resident;
            cfg.transfer_on_use = in.config.clgp_transfer_on_use;

@@ -1,6 +1,6 @@
 // Machine configuration: the paper's Table 2 baseline plus the knobs the
 // evaluation sweeps (L1 I-cache size/pipelining, L0 presence, prefetcher
-// kind, pre-buffer size/pipelining, technology node).
+// kind, pre-buffer size, technology node).
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,6 @@ struct MachineConfig {
   /// Cpu constructor builds the scheme + queue pair by registry lookup.
   std::string prefetcher = kNoPrefetcher;
   std::uint32_t prebuffer_entries = 4;
-  bool prebuffer_pipelined = false;  ///< required for 16-entry buffers (§5)
 
   // CLGP ablation knobs (all false == the paper's CLGP):
   bool clgp_disable_consumers = false;
@@ -81,6 +80,9 @@ struct DerivedTimings {
   int l2_latency = 17;
   int prebuffer_latency = 1;
   std::uint64_t l0_size = 256;
+  /// Larger-than-one-cycle pre-buffers must be pipelined to stream (§5):
+  /// more 64-byte entries than the node's one-cycle reach.
+  bool prebuffer_pipelined = false;
 
   [[nodiscard]] static DerivedTimings from(const MachineConfig& cfg) {
     const cacti::AccessTimeModel model;
@@ -93,6 +95,7 @@ struct DerivedTimings {
         model.access_cycles({.size_bytes = 1ULL << 20U, .line_bytes = 128},
                             cfg.node);
     t.l0_size = model.max_one_cycle_size(cfg.node);
+    t.prebuffer_pipelined = cfg.prebuffer_entries > t.l0_size / 64;
     const std::uint64_t pb_bytes =
         static_cast<std::uint64_t>(cfg.prebuffer_entries) * cfg.line_bytes;
     t.prebuffer_latency =

@@ -46,7 +46,7 @@ void register_base_prefetcher(PrefetcherRegistry& r) {
 PrefetchBufferConfig prefetch_buffer_config(const BuildInputs& in) {
   return {.entries = in.config.prebuffer_entries,
           .latency = in.timings.prebuffer_latency,
-          .pipelined = in.config.prebuffer_pipelined,
+          .pipelined = in.timings.prebuffer_pipelined,
           .line_bytes = in.config.line_bytes};
 }
 

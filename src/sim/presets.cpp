@@ -215,11 +215,8 @@ cpu::MachineConfig make_config(const Composition& c, cacti::TechNode node,
   cfg.ideal_l1 = c.ideal_l1;
   cfg.l1i_pipelined = c.l1i_pipelined;
   cfg.has_l0 = c.has_l0;
-  const std::uint32_t one_cycle = one_cycle_prebuffer_entries(cfg.node);
-  cfg.prebuffer_entries = c.prebuffer_entries.value_or(one_cycle);
-  // Larger-than-one-cycle buffers must be pipelined to stream (§5); the
-  // threshold comes from the CACTI model, not a hardcoded size.
-  cfg.prebuffer_pipelined = cfg.prebuffer_entries > one_cycle;
+  cfg.prebuffer_entries =
+      c.prebuffer_entries.value_or(one_cycle_prebuffer_entries(cfg.node));
   return cfg;
 }
 

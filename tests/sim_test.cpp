@@ -23,7 +23,7 @@ TEST(Presets, NamesAndShapes) {
   EXPECT_EQ(cfg.prefetcher, "clgp");
   EXPECT_TRUE(cfg.has_l0);
   EXPECT_EQ(cfg.prebuffer_entries, 16u);
-  EXPECT_TRUE(cfg.prebuffer_pipelined);
+  EXPECT_TRUE(cpu::DerivedTimings::from(cfg).prebuffer_pipelined);
   EXPECT_EQ(cfg.l1i_size, 8192u);
 }
 
@@ -74,13 +74,16 @@ TEST(Presets, CompositionsBuildTheRightMachine) {
   EXPECT_TRUE(cfg.has_l0);
   EXPECT_EQ(cfg.prebuffer_entries,
             one_cycle_prebuffer_entries(cacti::TechNode::um090));
-  EXPECT_FALSE(cfg.prebuffer_pipelined);
+  EXPECT_FALSE(cpu::DerivedTimings::from(cfg).prebuffer_pipelined);
 
   // pb4 fits the 0.045um one-cycle reach; pb16 does not and pipelines.
-  EXPECT_FALSE(make_config("clgp-pb4", cacti::TechNode::um045, 4096)
-                   .prebuffer_pipelined);
-  EXPECT_TRUE(make_config("clgp-pb16", cacti::TechNode::um045, 4096)
-                  .prebuffer_pipelined);
+  const auto pipelined = [](const char* spec) {
+    return cpu::DerivedTimings::from(
+               make_config(spec, cacti::TechNode::um045, 4096))
+        .prebuffer_pipelined;
+  };
+  EXPECT_FALSE(pipelined("clgp-pb4"));
+  EXPECT_TRUE(pipelined("clgp-pb16"));
 }
 
 TEST(Presets, MalformedSpecsAreRejected) {
