@@ -69,7 +69,10 @@ auto FetchEngine::next_step(Cycle now, On&& on) {
   // why fetching from one-cycle pre-buffers wins (paper §1, Figure 1).
   bool pending_all_streaming = true;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
-    pending_all_streaming = pending_all_streaming && pending_.at(i).streaming;
+    if (!pending_.at(i).streaming) {
+      pending_all_streaming = false;
+      break;
+    }
   }
   const bool engine_idle = pending_.empty() && !line_buffer_.active;
   const auto can_start = [&](bool streaming) {
