@@ -49,16 +49,36 @@ void BM_PrestageBufferAllocateChurn(benchmark::State& state) {
 BENCHMARK(BM_PrestageBufferAllocateChurn);
 
 /// The per-cycle settle sweep that flips L1-transfer entries valid.
+/// Sixteen transfers stay in flight, one due per cycle: each iteration
+/// settles the one due now and re-arms its entry with a transfer due 16
+/// cycles later, so every iteration's floor is due and settle() sweeps.
+/// The re-arm (release, allocate, set_ready) is timed too. `due_frac`
+/// counts the iterations that flipped an entry valid (1 when every
+/// floor was due).
 void BM_PrestageBufferSettle(benchmark::State& state) {
-  core::PrestageBuffer pb(16);
-  for (std::uint32_t i = 0; i < pb.size(); ++i) {
-    const auto* e = pb.allocate(static_cast<Addr>(i) * 64);
-    pb.set_ready(*e, static_cast<Cycle>(i));
+  constexpr std::uint32_t kInFlight = 16;
+  core::PrestageBuffer pb(kInFlight);
+  Addr lines[kInFlight];  // lines[c % kInFlight] is due at cycle c
+  Addr next_line = 0;
+  for (std::uint32_t i = 0; i < kInFlight; ++i) {
+    lines[i] = next_line;
+    next_line += 64;
+    pb.set_ready(*pb.allocate(lines[i]), static_cast<Cycle>(i));
   }
   Cycle now = 0;
+  std::uint64_t due = 0;
   for (auto _ : state) {
-    pb.settle(now++);
+    pb.settle(now);
+    Addr& line = lines[now % kInFlight];
+    due += pb.find(line)->valid;
+    pb.release(line);
+    line = next_line;
+    next_line += 64;
+    pb.set_ready(*pb.allocate(line), now + kInFlight);
+    ++now;
   }
+  state.counters["due_frac"] =
+      static_cast<double>(due) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_PrestageBufferSettle);
 
