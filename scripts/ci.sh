@@ -327,7 +327,8 @@ grep -q "^shadow_check: 144/144 points match" build-perfbench/shadow_check.txt
 # (with an L0, matching the family grid) — the preset list is derived
 # from `prestage list`, so a newly registered scheme is exercised under
 # sanitizers automatically — a trace record and its replay, two sampled
-# runs, and a store with an out-of-range count.
+# runs, hostile copies of the binary inputs, and a store with an
+# out-of-range count.
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target prestage_cli
 PREFETCHERS=$(./build-asan/src/cli/prestage list |
@@ -356,6 +357,80 @@ echo "sanitizer   : prestage sample run (fresh plan, then --plan)"
 ./build-asan/src/cli/prestage sample run --preset clgp-l0 --bench eon \
   --instrs $SAMPLE_INSTRS --plan build/ci-plan.psck > /dev/null
 echo "sanitizer: fresh and checkpointed sampled runs ran clean"
+# Hostile bytes: truncated and byte-flipped copies of the eon recording,
+# the PSCK plan and the ChampSim fixture. `trace info` must refuse each
+# recording or trace with a typed error from its reader, `sample run
+# --plan` must take the fresh-plan fallback for each plan, and no run
+# may print a sanitizer report.
+echo "sanitizer   : trace info and sample run --plan on hostile bytes"
+HOSTILE=build-asan/hostile
+rm -rf "$HOSTILE" && mkdir -p "$HOSTILE"
+cut_copies() {  # SRC NAME BYTES...: one copy cut to each length
+  local src=$1 name=$2
+  shift 2
+  for n in "$@"; do head -c "$n" "$src" > "$HOSTILE/$name.cut$n"; done
+}
+flip_copy() {  # SRC NAME OFFSET TEXT: one copy with TEXT written at OFFSET
+  cp "$1" "$HOSTILE/$2.flip$3"
+  printf '%b' "$4" |
+    dd of="$HOSTILE/$2.flip$3" bs=1 seek="$3" conv=notrunc status=none
+}
+last_byte() { echo $(($(wc -c < "$1") - 1)); }
+PSTR=build/ci-eon.pstr
+PSCK=build/ci-plan.psck
+CHAMPSIM=tests/data/fixture.champsim.trace
+# PSTR: magic, version, record-count top byte, name length, first op,
+# last flags (the final record no longer ends a stream).
+cut_copies "$PSTR" pstr 3 20 36 200 "$(last_byte "$PSTR")"
+flip_copy "$PSTR" pstr 0 'X'
+flip_copy "$PSTR" pstr 4 '\x63'
+flip_copy "$PSTR" pstr 15 '\xff'
+flip_copy "$PSTR" pstr 32 '\xff'
+flip_copy "$PSTR" pstr 60 '\xff'
+flip_copy "$PSTR" pstr "$(last_byte "$PSTR")" '\x00'
+# ChampSim: cut mid-record; a PSTR magic over the first record.
+cut_copies "$CHAMPSIM" champsim 13 5792 "$(last_byte "$CHAMPSIM")"
+flip_copy "$CHAMPSIM" champsim 0 'PSTR'
+# PSCK: magic, version, slice-count top byte, a nonzero state count.
+cut_copies "$PSCK" psck 2 40 79 "$(last_byte "$PSCK")"
+flip_copy "$PSCK" psck 0 'X'
+flip_copy "$PSCK" psck 4 '\x63'
+flip_copy "$PSCK" psck 78 '\xff'
+flip_copy "$PSCK" psck "$(last_byte "$PSCK")" '\x01'
+hostile_fail() {
+  echo "sanitizer: $1" >&2
+  cat "$2" >&2
+  exit 1
+}
+refuse_info() {  # FILE [ARGS...]: `trace info` must fail typed, cleanly
+  local f=$1
+  shift
+  if ./build-asan/src/cli/prestage trace info --trace "$f" "$@" \
+      > /dev/null 2> "$f.err"; then
+    hostile_fail "trace info accepted $f" "$f.err"
+  fi
+  if grep -qE "Sanitizer|runtime error" "$f.err"; then
+    hostile_fail "sanitizer report on $f" "$f.err"
+  fi
+  grep -qE "^prestage: (trace file|champsim trace) '" "$f.err" ||
+    hostile_fail "no typed reader error for $f" "$f.err"
+}
+for f in "$HOSTILE"/pstr.* "$HOSTILE"/champsim.flip*; do refuse_info "$f"; done
+# Cut ChampSim copies go to the ChampSim reader itself, not the sniffer.
+for f in "$HOSTILE"/champsim.cut*; do
+  refuse_info "$f" --format champsim
+done
+for f in "$HOSTILE"/psck.*; do
+  ./build-asan/src/cli/prestage sample run --preset clgp-l0 --bench eon \
+    --instrs 20000 --plan "$f" > /dev/null 2> "$f.err" ||
+    hostile_fail "sample run --plan failed on $f" "$f.err"
+  if grep -qE "Sanitizer|runtime error" "$f.err"; then
+    hostile_fail "sanitizer report on $f" "$f.err"
+  fi
+  grep -q "(PSCK checkpoint: .*); falling back to a fresh plan" "$f.err" ||
+    hostile_fail "no fresh-plan fallback for $f" "$f.err"
+done
+echo "sanitizer: every hostile recording, trace and plan was refused typed"
 # A hostile store: 1e300 has no uint64 value, so casting it would trip
 # float-cast-overflow (which GCC's -fsanitize=undefined leaves out, hence
 # its own entry in the preset). The loader must drop the line instead.
