@@ -61,11 +61,12 @@ class ByteWriter {
 class ByteReader {
  public:
   ByteReader(const std::uint8_t* data, std::size_t size, std::string context)
-      : data_(data), size_(size), context_(std::move(context)) {}
+      : begin_(data), cur_(data), end_(data + size),
+        context_(std::move(context)) {}
 
   [[nodiscard]] std::uint8_t u8() {
     need(1);
-    return data_[pos_++];
+    return *cur_++;
   }
   [[nodiscard]] std::uint32_t u32() {
     return static_cast<std::uint32_t>(get(4));
@@ -80,8 +81,8 @@ class ByteReader {
   /// The next @p n raw bytes, as a view into the input.
   [[nodiscard]] std::string_view chars(std::size_t n) {
     need(n);
-    const std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
+    const std::string_view s(reinterpret_cast<const char*>(cur_), n);
+    cur_ += n;
     return s;
   }
   /// A u32 length, then that many bytes.
@@ -98,33 +99,38 @@ class ByteReader {
     return n;
   }
 
-  [[nodiscard]] std::size_t position() const { return pos_; }
-  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
-  [[nodiscard]] bool exhausted() const { return pos_ == size_; }
+  [[nodiscard]] std::size_t position() const {
+    return static_cast<std::size_t>(cur_ - begin_);
+  }
+  [[nodiscard]] std::size_t remaining() const {
+    return static_cast<std::size_t>(end_ - cur_);
+  }
+  [[nodiscard]] bool exhausted() const { return cur_ == end_; }
 
   /// Throws SimError("<context>: <what>").
-  [[noreturn]] void fail(const std::string& what) const {
-    throw SimError(context_ + ": " + what);
+  [[noreturn, gnu::cold, gnu::noinline]] void fail(
+      std::string_view what) const {
+    throw SimError(context_ + ": " + std::string(what));
   }
 
  private:
   void need(std::size_t n) const {
-    if (remaining() < n) fail("truncated");
+    if (remaining() < n) [[unlikely]] fail("truncated");
   }
   std::uint64_t get(int bytes) {
     need(static_cast<std::size_t>(bytes));
     std::uint64_t v = 0;
     for (int i = 0; i < bytes; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+      v |= static_cast<std::uint64_t>(cur_[i]) << (8 * i);
     }
-    pos_ += static_cast<std::size_t>(bytes);
+    cur_ += bytes;
     return v;
   }
 
-  const std::uint8_t* data_;
-  std::size_t size_;
+  const std::uint8_t* begin_;
+  const std::uint8_t* cur_;
+  const std::uint8_t* end_;
   std::string context_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace prestage

@@ -19,6 +19,7 @@
 #include <iterator>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -224,7 +225,8 @@ TEST(HostileInput, TruncationsAndLyingCountsThrowTypedWithoutLargeAllocations) {
   const auto lies = [&cases](Format f, const std::string& name,
                              const Bytes& bytes, std::size_t at, int width,
                              std::uint64_t max, std::size_t item_bytes) {
-    const std::size_t left = bytes.size() - at - static_cast<std::size_t>(width);
+    const std::size_t left =
+        bytes.size() - at - static_cast<std::size_t>(width);
     for (const std::uint64_t lie : {max, left / item_bytes + 1}) {
       cases.push_back({f, name + " = " + std::to_string(lie),
                        with_le(bytes, at, lie, width)});

@@ -441,8 +441,7 @@ TEST(SampleCheckpoint, RoundTripsEveryFieldAndFileBytes) {
   EXPECT_EQ(back.params.dim, plan.params.dim);
   EXPECT_EQ(back.params.max_clusters, plan.params.max_clusters);
   EXPECT_EQ(back.params.warm_lines, plan.params.warm_lines);
-  EXPECT_EQ(back.params.warmup_intervals,
-            plan.params.warmup_intervals);
+  EXPECT_EQ(back.params.warmup_intervals, plan.params.warmup_intervals);
   EXPECT_EQ(back.workload, plan.workload);
   EXPECT_EQ(back.seed, plan.seed);
   EXPECT_EQ(back.total_instructions, plan.total_instructions);
@@ -452,10 +451,8 @@ TEST(SampleCheckpoint, RoundTripsEveryFieldAndFileBytes) {
   ASSERT_EQ(back.slices.size(), plan.slices.size());
   for (std::size_t i = 0; i < plan.slices.size(); ++i) {
     EXPECT_EQ(back.slices[i].start, plan.slices[i].start);
-    EXPECT_EQ(back.slices[i].instructions,
-              plan.slices[i].instructions);
-    EXPECT_EQ(back.slices[i].interval_index,
-              plan.slices[i].interval_index);
+    EXPECT_EQ(back.slices[i].instructions, plan.slices[i].instructions);
+    EXPECT_EQ(back.slices[i].interval_index, plan.slices[i].interval_index);
     EXPECT_EQ(back.slices[i].cluster, plan.slices[i].cluster);
     EXPECT_EQ(back.slices[i].weight, plan.slices[i].weight);
     EXPECT_EQ(back.slices[i].warm_start, plan.slices[i].warm_start);
@@ -478,16 +475,14 @@ TEST(SampleCheckpoint, RoundTrippedPlanRunsByteIdentically) {
   const cpu::MachineConfig cfg = point.machine_config();
   const auto base = sample::base_workload(cfg);
   const sample::SamplePlan fresh = eon_plan();
-  const std::vector<std::uint8_t> bytes =
-      sample::serialize_checkpoint(fresh);
+  const std::vector<std::uint8_t> bytes = sample::serialize_checkpoint(fresh);
   sample::SamplePlan back =
       sample::deserialize_checkpoint(bytes.data(), bytes.size());
 
   // PSCK carries no trace state: a read-back plan cannot run until its
   // snapshots are attached, and then it runs exactly like the fresh one.
-  EXPECT_THROW(
-      (void)sample::run_sampled_point_with_plan(cfg, base, back),
-      SimError);
+  EXPECT_THROW((void)sample::run_sampled_point_with_plan(cfg, base, back),
+               SimError);
   sample::attach_snapshots(back, *base);
   EXPECT_EQ(
       line_of(point, sample::run_sampled_point_with_plan(cfg, base, back)),
