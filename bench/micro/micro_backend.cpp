@@ -38,7 +38,7 @@ void run_backend(benchmark::State& state, const std::string& bench) {
   mem_cfg.l1_line_bytes = cfg.line_bytes;
 
   for (auto _ : state) {
-    cpu::Oracle oracle(program, cfg.seed + 17);
+    cpu::Oracle oracle(program, cpu::oracle_trace_seed(cfg.seed));
     mem::MemSystem mem(mem_cfg);
     cpu::Backend backend(cfg, oracle, program, mem);
     Cycle now = 0;

@@ -327,8 +327,8 @@ grep -q "^shadow_check: 144/144 points match" build-perfbench/shadow_check.txt
 # (with an L0, matching the family grid) — the preset list is derived
 # from `prestage list`, so a newly registered scheme is exercised under
 # sanitizers automatically — a trace record and its replay, two sampled
-# runs, hostile copies of the binary inputs, and a store with an
-# out-of-range count.
+# runs, hostile copies of the binary inputs, hostile values for every
+# flag, and a store with an out-of-range count.
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target prestage_cli
 PREFETCHERS=$(./build-asan/src/cli/prestage list |
@@ -431,6 +431,42 @@ for f in "$HOSTILE"/psck.*; do
     hostile_fail "no fresh-plan fallback for $f" "$f.err"
 done
 echo "sanitizer: every hostile recording, trace and plan was refused typed"
+# Hostile flag values: every --flag the usage text names, with no value
+# and with values that are empty, not a number, negative, out of range,
+# hexadecimal or too long for any integer. `list` ignores its flags, so
+# nothing is written; each run must end in 0 or in a `prestage:` usage
+# error (exit 2), with no sanitizer report.
+echo "sanitizer   : prestage list with hostile values for every flag"
+FLAG_ERR=build-asan/ci-flag.err
+hostile_flag() {  # ARGS...: `prestage list ARGS` must parse or refuse, cleanly
+  local rc=0
+  ./build-asan/src/cli/prestage list "$@" > /dev/null 2> "$FLAG_ERR" ||
+    rc=$?
+  if [ "$rc" -ne 0 ] && [ "$rc" -ne 2 ]; then
+    hostile_fail "list ${1:-''} exited $rc" "$FLAG_ERR"
+  fi
+  if [ "$rc" -eq 2 ] && ! grep -q "^prestage: " "$FLAG_ERR"; then
+    hostile_fail "list ${1:-''} exited 2 with no message" "$FLAG_ERR"
+  fi
+  # UBSan reports "runtime error:"; the usage text's exit-code line says
+  # "runtime error," and is not one.
+  if grep -qE "Sanitizer|runtime error:" "$FLAG_ERR"; then
+    hostile_fail "sanitizer report on list ${1:-''}" "$FLAG_ERR"
+  fi
+}
+FLAGS=$(./build-asan/src/cli/prestage --help | grep -oE -- '--[a-z0-9-]+' |
+  sort -u)
+test -n "$FLAGS"
+LONG_NUMBER=$(printf '7%.0s' $(seq 4096))
+for flag in $FLAGS; do
+  hostile_flag "$flag"
+  for value in '' x -1 1e999 0x10 123456789012345678901234567890 \
+      "$LONG_NUMBER"; do
+    hostile_flag "$flag" "$value"
+  done
+done
+for arg in -j -jx -j99999999999999999999; do hostile_flag "$arg"; done
+echo "sanitizer: every flag parsed or refused each hostile value typed"
 # A hostile store: 1e300 has no uint64 value, so casting it would trip
 # float-cast-overflow (which GCC's -fsanitize=undefined leaves out, hence
 # its own entry in the preset). The loader must drop the line instead.

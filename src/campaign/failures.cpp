@@ -11,9 +11,7 @@ std::string failures_log_path(const std::string& store_path) {
   return store_path + ".failures";
 }
 
-std::string encode_failure_line(const FailureRecord& r) {
-  std::ostringstream out;
-  JsonWriter json(out, JsonWriter::Style::Compact);
+void write_failure(JsonWriter& json, const FailureRecord& r) {
   json.begin_object();
   json.field("key", r.key);
   json.field("config", r.config);
@@ -22,6 +20,12 @@ std::string encode_failure_line(const FailureRecord& r) {
   json.field("message", r.message);
   json.field("attempts", r.attempts);
   json.end_object();
+}
+
+std::string encode_failure_line(const FailureRecord& r) {
+  std::ostringstream out;
+  JsonWriter json(out, JsonWriter::Style::Compact);
+  write_failure(json, r);
   return out.str();
 }
 

@@ -19,6 +19,10 @@
 
 #include "campaign/store.hpp"
 
+namespace prestage {
+class JsonWriter;
+}
+
 namespace prestage::campaign {
 
 /// One quarantined run point.
@@ -34,6 +38,10 @@ struct FailureRecord {
 
 /// The quarantine sidecar path for a result store.
 [[nodiscard]] std::string failures_log_path(const std::string& store_path);
+
+/// Writes @p r as one JSON object. The sidecar line and the `failures`
+/// array of `campaign run --json` both come from here.
+void write_failure(JsonWriter& json, const FailureRecord& r);
 
 /// Serializes to one compact JSON line (no trailing newline).
 [[nodiscard]] std::string encode_failure_line(const FailureRecord& r);

@@ -59,10 +59,6 @@ campaign::CampaignSpec apply_overrides(const campaign::CampaignSpec& spec,
   return adjusted;
 }
 
-void write_store_field(JsonWriter& json, const std::string& store_path) {
-  json.field("store", store_path);
-}
-
 }  // namespace
 
 int cmd_campaign_run(const Options& opt, bool resume) {
@@ -153,7 +149,7 @@ int cmd_campaign_run(const Options& opt, bool resume) {
     json.begin_object();
     json.field("schema", "prestage-campaign-run-v1");
     json.field("campaign", spec.name);
-    write_store_field(json, store_path);
+    json.field("store", store_path);
     json.field("resumed", resume);
     json.field("workers", workers);
     json.field("total", static_cast<std::uint64_t>(outcome.total));
@@ -168,14 +164,7 @@ int cmd_campaign_run(const Options& opt, bool resume) {
     json.key("failures");
     json.begin_array();
     for (const campaign::FailureRecord& f : outcome.failures) {
-      json.begin_object();
-      json.field("key", f.key);
-      json.field("config", f.config);
-      json.field("benchmark", f.benchmark);
-      json.field("error_class", f.error_class);
-      json.field("message", f.message);
-      json.field("attempts", f.attempts);
-      json.end_object();
+      campaign::write_failure(json, f);
     }
     json.end_array();
     json.key("host");
@@ -261,7 +250,7 @@ int cmd_campaign_status(const Options& opt) {
     json.begin_object();
     json.field("schema", "prestage-campaign-status-v1");
     json.field("campaign", spec.name);
-    write_store_field(json, store_path);
+    json.field("store", store_path);
     json.field("total", static_cast<std::uint64_t>(total));
     json.field("done", static_cast<std::uint64_t>(done));
     json.field("missing", static_cast<std::uint64_t>(missing));

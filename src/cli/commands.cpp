@@ -1,5 +1,6 @@
 #include "cli/commands.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -26,14 +27,7 @@ namespace {
 bool validate_benchmarks(const std::vector<std::string>& requested) {
   const auto& known = workload::benchmark_names();
   for (const auto& name : requested) {
-    bool found = false;
-    for (const auto known_name : known) {
-      if (known_name == name) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
       std::cerr << "prestage: unknown benchmark '" << name
                 << "' (see `prestage list`)\n";
       return false;
@@ -52,9 +46,12 @@ void write_run_result(JsonWriter& json, const cpu::RunResult& r) {
   json.end_object();
 }
 
-/// Shared document preamble: configuration echoed back for provenance.
-void write_config_fields(JsonWriter& json, const Options& opt,
-                         std::uint64_t instructions) {
+/// Shared document preamble: the schema, then the configuration echoed
+/// back for provenance.
+void begin_document(JsonWriter& json, const char* schema,
+                    const Options& opt, std::uint64_t instructions) {
+  json.begin_object();
+  json.field("schema", schema);
   json.field("preset", opt.preset);
   json.field("node", cacti::to_string(opt.node));
   json.field("l1i_size", opt.l1i_size);
@@ -129,22 +126,41 @@ void print_machine_banner(const cpu::MachineConfig& cfg,
 
 }  // namespace
 
-int cmd_run(const Options& opt) {
+std::string single_benchmark(const Options& opt, std::string_view command) {
   if (opt.benchmarks.size() > 1) {
-    std::cerr << "prestage: `run` takes a single --bench; use `suite` for "
-                 "several\n";
-    return 2;
+    std::cerr << "prestage: `" << command << "` takes a single --bench\n";
+    return {};
   }
   const std::string benchmark =
       opt.benchmarks.empty() ? "eon" : opt.benchmarks.front();
-  if (!validate_benchmarks({benchmark})) return 2;
+  return validate_benchmarks({benchmark}) ? benchmark : std::string();
+}
 
-  const std::uint64_t instrs =
-      opt.instructions > 0 ? opt.instructions : sim::default_instructions();
+TraceWorkload trace_workload(const Options& opt) {
+  const workload::TraceFormat format = resolve_trace_format(opt);
+  if (format == workload::TraceFormat::Native) {
+    return {format, workload::load_replay_spec(opt.trace_path)};
+  }
+  return {format,
+          workload::import_champsim_trace(opt.trace_path, opt.max_records)};
+}
+
+cpu::MachineConfig machine_config(
+    const Options& opt, const std::string& benchmark,
+    std::shared_ptr<const workload::WorkloadSpec> workload) {
   cpu::MachineConfig cfg =
       sim::make_config(opt.preset, opt.node, opt.l1i_size);
   cfg.benchmark = benchmark;
-  cfg.max_instructions = instrs;
+  cfg.max_instructions =
+      opt.instructions > 0 ? opt.instructions : sim::default_instructions();
+  cfg.workload = std::move(workload);
+  return cfg;
+}
+
+int cmd_run(const Options& opt) {
+  const std::string benchmark = single_benchmark(opt, "run");
+  if (benchmark.empty()) return 2;
+  const cpu::MachineConfig cfg = machine_config(opt, benchmark);
 
   // Open the sink up front: an unwritable path must fail before the
   // simulation burns its budget, not after.
@@ -174,9 +190,7 @@ int cmd_run(const Options& opt) {
 
   if (sink.wanted()) {
     JsonWriter json(sink.stream());
-    json.begin_object();
-    json.field("schema", "prestage-run-v1");
-    write_config_fields(json, opt, instrs);
+    begin_document(json, "prestage-run-v1", opt, cfg.max_instructions);
     json.field("storage_bits", machine.prefetcher().storage_bits());
     json.key("result");
     write_run_result(json, r);
@@ -229,9 +243,7 @@ int cmd_suite(const Options& opt) {
 
   if (sink.wanted()) {
     JsonWriter json(sink.stream());
-    json.begin_object();
-    json.field("schema", "prestage-suite-v1");
-    write_config_fields(json, opt, instrs);
+    begin_document(json, "prestage-suite-v1", opt, instrs);
     json.key("benchmarks");
     json.begin_array();
     for (const std::string& bench : grid.benchmarks()) {
@@ -303,31 +315,20 @@ int cmd_sweep(const Options& opt) {
 }
 
 int cmd_trace_record(const Options& opt) {
-  if (opt.benchmarks.size() > 1) {
-    std::cerr << "prestage: `trace record` takes a single --bench\n";
-    return 2;
-  }
-  const std::string benchmark =
-      opt.benchmarks.empty() ? "eon" : opt.benchmarks.front();
-  if (!validate_benchmarks({benchmark})) return 2;
+  const std::string benchmark = single_benchmark(opt, "trace record");
+  if (benchmark.empty()) return 2;
   if (opt.out_path.empty()) {
     std::cerr << "prestage: `trace record` needs --out FILE\n";
     return 2;
   }
-
-  const std::uint64_t instrs =
-      opt.instructions > 0 ? opt.instructions : sim::default_instructions();
-  cpu::MachineConfig cfg =
-      sim::make_config(opt.preset, opt.node, opt.l1i_size);
-  cfg.benchmark = benchmark;
-  cfg.max_instructions = instrs;
+  const cpu::MachineConfig cfg = machine_config(opt, benchmark);
 
   JsonSink sink(opt.json_path);
   if (sink.failed()) return 1;
   if (!sink.owns_stdout()) {
     std::printf("recording   : %s, %llu instructions -> %s\n",
                 benchmark.c_str(),
-                static_cast<unsigned long long>(instrs),
+                static_cast<unsigned long long>(cfg.max_instructions),
                 opt.out_path.c_str());
     print_machine_banner(cfg, opt);
   }
@@ -339,7 +340,7 @@ int cmd_trace_record(const Options& opt) {
   workload::TraceHeader header;
   header.benchmark = benchmark;
   header.program_seed = cfg.seed;
-  header.trace_seed = cfg.seed + 17;  // the Cpu's oracle trace seed
+  header.trace_seed = cpu::oracle_trace_seed(cfg.seed);
   workload::TraceGenerator walk(machine.program(), header.trace_seed);
   const std::vector<workload::DynInst> records =
       workload::read_streams(walk, machine.trace_records_read());
@@ -355,9 +356,8 @@ int cmd_trace_record(const Options& opt) {
 
   if (sink.wanted()) {
     JsonWriter json(sink.stream());
-    json.begin_object();
-    json.field("schema", "prestage-trace-record-v1");
-    write_config_fields(json, opt, instrs);
+    begin_document(json, "prestage-trace-record-v1", opt,
+                   cfg.max_instructions);
     json.key("trace");
     json.begin_object();
     json.field("path", opt.out_path);
@@ -381,22 +381,8 @@ int cmd_trace_replay(const Options& opt) {
     std::cerr << "prestage: `trace replay` needs --trace FILE\n";
     return 2;
   }
-  const workload::TraceFormat format = resolve_trace_format(opt);
-
-  std::shared_ptr<const workload::ReplayWorkloadSpec> spec;
-  if (format == workload::TraceFormat::Native) {
-    spec = workload::load_replay_spec(opt.trace_path);
-  } else {
-    spec = workload::import_champsim_trace(opt.trace_path, opt.max_records);
-  }
-
-  const std::uint64_t instrs =
-      opt.instructions > 0 ? opt.instructions : sim::default_instructions();
-  cpu::MachineConfig cfg =
-      sim::make_config(opt.preset, opt.node, opt.l1i_size);
-  cfg.benchmark = spec->name();
-  cfg.max_instructions = instrs;
-  cfg.workload = spec;
+  const auto [format, spec] = trace_workload(opt);
+  const cpu::MachineConfig cfg = machine_config(opt, spec->name(), spec);
 
   JsonSink sink(opt.json_path);
   if (sink.failed()) return 1;
@@ -414,9 +400,8 @@ int cmd_trace_replay(const Options& opt) {
 
   if (sink.wanted()) {
     JsonWriter json(sink.stream());
-    json.begin_object();
-    json.field("schema", "prestage-trace-replay-v1");
-    write_config_fields(json, opt, instrs);
+    begin_document(json, "prestage-trace-replay-v1", opt,
+                   cfg.max_instructions);
     json.key("trace");
     json.begin_object();
     json.field("path", opt.trace_path);
@@ -520,8 +505,7 @@ int cmd_trace_info(const Options& opt) {
   return 0;
 }
 
-int cmd_list(const Options& opt) {
-  (void)opt;
+int cmd_list(const Options&) {
   std::cout << "prefetchers (composable: <prefetcher>[+l0][+ideal]"
                "[+pipelined][+pb<N>][@node]; storage at the default "
                "composition):\n";
@@ -535,7 +519,7 @@ int cmd_list(const Options& opt) {
                 info.description.c_str());
   }
   std::cout << "presets:\n";
-  for (const std::string& name : all_presets()) {
+  for (const std::string& name : sim::all_presets()) {
     std::printf("  %-16s %s\n", name.c_str(),
                 sim::preset_label(name).c_str());
   }

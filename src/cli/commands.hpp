@@ -1,9 +1,43 @@
 // The `prestage` subcommands. Each returns a process exit code.
 #pragma once
 
+#include <memory>
+#include <string>
+#include <string_view>
+
 #include "cli/options.hpp"
+#include "cpu/config.hpp"
+#include "workload/trace_file.hpp"
 
 namespace prestage::cli {
+
+// --- set-up shared by the single-point commands ----------------------------
+
+/// The one benchmark @p command simulates: --bench, default eon. Empty,
+/// after a usage error on stderr, when --bench names several or one the
+/// catalogue lacks.
+[[nodiscard]] std::string single_benchmark(const Options& opt,
+                                           std::string_view command);
+
+/// A --trace file as a workload, and the format it was read in.
+struct TraceWorkload {
+  workload::TraceFormat format;
+  std::shared_ptr<const workload::ReplayWorkloadSpec> spec;
+};
+
+/// Reads the --trace file in the --format given, else in the sniffed
+/// one (ChampSim imports honour --max-records). Throws SimError when
+/// the file is missing or unreadable.
+[[nodiscard]] TraceWorkload trace_workload(const Options& opt);
+
+/// The machine --preset, --node and --l1 name, running @p benchmark
+/// (only a label when @p workload is set) for --instrs instructions, or
+/// sim::default_instructions().
+[[nodiscard]] cpu::MachineConfig machine_config(
+    const Options& opt, const std::string& benchmark,
+    std::shared_ptr<const workload::WorkloadSpec> workload = nullptr);
+
+// --- commands ----------------------------------------------------------------
 
 /// Simulates one benchmark on one configuration and prints the headline
 /// statistics (the quickstart flow, parameterised).

@@ -30,107 +30,6 @@ namespace {
 
 using namespace prestage::cli;
 
-void print_usage(std::ostream& out) {
-  out << "usage: prestage <command> [flags]\n"
-         "\n"
-         "commands:\n"
-         "  run    simulate one benchmark and print headline statistics\n"
-         "  suite  run the benchmark suite; report per-benchmark IPC + "
-         "HMEAN\n"
-         "  sweep  sweep L1 I-cache sizes; report HMEAN IPC per size\n"
-         "  list   list presets, tech nodes and benchmarks\n"
-         "  trace  record | replay | info — capture a run to a trace "
-         "file,\n"
-         "         replay a trace (native or raw ChampSim) through any\n"
-         "         preset, or inspect a trace file\n"
-         "  sample  profile | plan | run — phase-profile a workload into\n"
-         "         interval BBVs, cluster them into a sampling plan\n"
-         "         (optionally saved as a PSCK checkpoint with --out), or\n"
-         "         run one sampled point and reconstruct whole-run\n"
-         "         statistics with an error bar\n"
-         "  campaign  run | resume | status | compare | report — execute a\n"
-         "         declarative figure grid against a resumable JSONL store\n"
-         "         (`prestage list` names the campaigns), check its coverage,\n"
-         "         diff two stores for IPC regressions, or emit the\n"
-         "         BENCH_<name>.json figure report (with the host telemetry\n"
-         "         of the store's .perf sidecar) and print its chart\n"
-         "  faults  list — enumerate the fault-injection sites compiled\n"
-         "         into the I/O and execution paths, and what\n"
-         "         PRESTAGE_FAULTS currently arms (spec grammar:\n"
-         "         site:action[@trigger],... — see the README)\n"
-         "\n"
-         "flags:\n"
-         "  --preset SPEC   machine composition: a named preset\n"
-         "                  (clgp-l0-pb16) or <prefetcher>[+l0][+ideal]\n"
-         "                  [+pipelined][+pb<N>][@node] over the registered\n"
-         "                  prefetchers — `prestage list` names both\n"
-         "                  (default clgp-l0-pb16)\n"
-         "  --node NODE     tech node: 180|130|090|065|045 (default 045)\n"
-         "  --l1 BYTES      L1 I-cache size, power of two, K/M suffixes ok "
-         "(default 4096)\n"
-         "  --bench LIST    benchmark name(s), comma separated\n"
-         "  --sizes LIST    sweep sizes, comma separated (default paper "
-         "axis)\n"
-         "  --instrs N      instructions per run (default "
-         "$PRESTAGE_INSTRS or 120000)\n"
-         "  --json PATH     write a JSON report to PATH (`-` = stdout)\n"
-         "  --jobs N, -j N, -jN\n"
-         "                  worker threads (0 = all cores; default 0)\n"
-         "\n"
-         "trace flags:\n"
-         "  --out PATH      trace record: output trace file\n"
-         "  --trace PATH    trace replay/info: input trace file\n"
-         "  --format F      auto|native|champsim (default: sniff the "
-         "file)\n"
-         "  --max-records N cap on imported ChampSim records (default "
-         "all)\n"
-         "\n"
-         "sample flags:\n"
-         "  --interval N    BBV interval length in instructions (default\n"
-         "                  budget/40, clamped)\n"
-         "  --dim N         projected BBV dimension (default 16)\n"
-         "  --max-k N       k-means cluster cap (default 6)\n"
-         "  --warm-lines N  checkpoint warm-up window in cache lines "
-         "(default 256)\n"
-         "  --warmup N      detailed warm-up depth in intervals (default "
-         "1)\n"
-         "  --out FILE      sample plan: write a PSCK checkpoint\n"
-         "  --plan FILE     sample run: execute a saved PSCK checkpoint\n"
-         "\n"
-         "campaign flags:\n"
-         "  --name NAME     campaign from the registry (see `prestage "
-         "list`)\n"
-         "  --store PATH    result store (default campaigns/<name>.jsonl;"
-         "\n"
-         "                  compare: the candidate store)\n"
-         "  --baseline PATH compare: the reference store\n"
-         "  --threshold PCT compare: regression bound in percent "
-         "(default 2)\n"
-         "  --out PATH      report: output file (default "
-         "BENCH_<name>.json)\n"
-         "\n"
-         "fault-tolerance flags (campaign run/resume):\n"
-         "  --retries N     extra attempts per failing point before it "
-         "is\n"
-         "                  quarantined to <store>.failures (default 1)\n"
-         "  --strict        fail fast on the first point error (no "
-         "retry,\n"
-         "                  no quarantine; restores pre-quarantine "
-         "behaviour)\n"
-         "  --durable       fsync the store and its sidecars after "
-         "every\n"
-         "                  appended line (crash-safe, slower)\n"
-         "  --point-budget S\n"
-         "                  per-point host-seconds watchdog budget; a "
-         "point\n"
-         "                  exceeding it is cancelled and quarantined\n"
-         "  --help          this message\n"
-         "\n"
-         "exit codes: 0 ok, 1 runtime error, 2 usage, 3 regression "
-         "found,\n"
-         "            4 campaign completed with quarantined points\n";
-}
-
 using Handler = int (*)(const Options&);
 
 /// One command: a top-level word (empty group) or a group's subcommand.

@@ -1,21 +1,22 @@
 // Command-line parsing for the `prestage` CLI.
 //
-// --preset accepts any machine-composition spec the grammar parses — a
-// named preset ("clgp-l0-pb16") or an ad-hoc composition over the
-// prefetcher registry ("fdp+l0+pb16", "stream+l0@090") — and stores the
-// canonical spelling. Technology nodes are addressed by their feature
-// size ("090", "045", or the full "0.09um" form). Parsing never throws:
-// errors are reported as a std::string message so main() can print
-// usage alongside.
+// Every flag is one row of the table in options.cpp, next to its line
+// in the usage text. --preset accepts any machine-composition spec the
+// grammar parses — a named preset ("clgp-l0-pb16") or an ad-hoc
+// composition over the prefetcher registry ("fdp+l0+pb16",
+// "stream+l0@090") — and stores the canonical spelling. Technology
+// nodes are addressed by their feature size ("090", "045", or the full
+// "0.09um" form). Parsing never throws: errors are reported as a
+// std::string message so main() can print usage alongside.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "cacti/tech.hpp"
-#include "sim/presets.hpp"
 
 namespace prestage::cli {
 
@@ -70,13 +71,8 @@ struct ParseResult {
 /// Parses the flags following the subcommand word.
 [[nodiscard]] ParseResult parse_options(int argc, char** argv, int first);
 
-// Preset/node naming lives with the composition grammar and tech
-// definitions (the campaign layer keys run points with the same names);
-// re-exported here for the CLI's existing call sites.
-using cacti::parse_node;
-using sim::all_presets;
-using sim::parse_spec;
-using sim::parse_u64;
+/// The usage text: every command and every flag.
+void print_usage(std::ostream& out);
 
 /// Splits "a,b,c" into trimmed non-empty tokens.
 [[nodiscard]] std::vector<std::string> split_csv(std::string_view text);

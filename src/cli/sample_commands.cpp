@@ -12,7 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <memory>
+#include <optional>
 
 #include "cli/commands.hpp"
 #include "cli/json_sink.hpp"
@@ -24,54 +24,21 @@
 #include "sample/runner.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
-#include "workload/champsim.hpp"
-#include "workload/profiles.hpp"
-#include "workload/synthetic_spec.hpp"
-#include "workload/trace_file.hpp"
 
 namespace prestage::cli {
 namespace {
 
-/// The workload a sample subcommand operates on: --trace (native or
-/// ChampSim, sniffed like `trace replay`) or a single --bench synthetic
-/// benchmark. Null with a message on stderr when the request is invalid.
-std::shared_ptr<const workload::WorkloadSpec> resolve_sample_workload(
-    const Options& opt) {
+/// The machine a sample subcommand works on: over the --trace file when
+/// one is given, else over the single --bench. Empty after a usage
+/// error.
+std::optional<cpu::MachineConfig> sample_machine(const Options& opt) {
   if (!opt.trace_path.empty()) {
-    workload::TraceFormat format;
-    if (opt.trace_format == "native") {
-      format = workload::TraceFormat::Native;
-    } else if (opt.trace_format == "champsim") {
-      format = workload::TraceFormat::ChampSim;
-    } else {
-      format = workload::detect_trace_format(opt.trace_path);
-    }
-    if (format == workload::TraceFormat::Native) {
-      return workload::load_replay_spec(opt.trace_path);
-    }
-    return workload::import_champsim_trace(opt.trace_path, opt.max_records);
+    const auto trace = trace_workload(opt).spec;
+    return machine_config(opt, trace->name(), trace);
   }
-  if (opt.benchmarks.size() > 1) {
-    std::cerr << "prestage: `sample` takes a single --bench\n";
-    return nullptr;
-  }
-  const std::string benchmark =
-      opt.benchmarks.empty() ? "eon" : opt.benchmarks.front();
-  bool known = false;
-  for (const auto name : workload::benchmark_names()) {
-    if (name == benchmark) {
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
-    std::cerr << "prestage: unknown benchmark '" << benchmark
-              << "' (see `prestage list`)\n";
-    return nullptr;
-  }
-  // The shared spec the sampled runner and the Cpu use too, so `sample
-  // run` and campaign sampling see identical workloads.
-  return workload::synthetic_workload(benchmark, cpu::MachineConfig{}.seed);
+  const std::string benchmark = single_benchmark(opt, "sample");
+  if (benchmark.empty()) return std::nullopt;
+  return machine_config(opt, benchmark);
 }
 
 /// CLI sampling knobs as the user-facing params block (zeros = default).
@@ -108,11 +75,10 @@ void print_params(const sample::ResolvedSamplingParams& p,
 }  // namespace
 
 int cmd_sample_profile(const Options& opt) {
-  const auto spec = resolve_sample_workload(opt);
-  if (!spec) return 2;
-  const std::uint64_t budget =
-      opt.instructions > 0 ? opt.instructions : sim::default_instructions();
-  const std::uint64_t seed = cpu::MachineConfig{}.seed;
+  const auto cfg = sample_machine(opt);
+  if (!cfg) return 2;
+  const auto spec = sample::base_workload(*cfg);
+  const std::uint64_t budget = cfg->max_instructions;
   const sample::ResolvedSamplingParams params =
       sampling_params(opt).resolve(budget);
 
@@ -120,9 +86,9 @@ int cmd_sample_profile(const Options& opt) {
   if (sink.failed()) return 1;
   if (!sink.owns_stdout()) print_params(params, spec->name(), budget);
 
-  // Trace seed `seed + 17` matches both build_plan and the Cpu's oracle,
-  // so the intervals printed here are exactly the ones a plan would use.
-  const auto source = spec->make_source(seed + 17);
+  // The Cpu's and build_plan's trace seed, so the intervals printed here
+  // are exactly the ones a plan would use.
+  const auto source = spec->make_source(cpu::oracle_trace_seed(cfg->seed));
   const sample::TraceProfile profile = sample::profile_source(
       *source, budget, params.interval_instructions, params.dim,
       params.warm_lines);
@@ -151,7 +117,7 @@ int cmd_sample_profile(const Options& opt) {
     json.begin_object();
     json.field("schema", "prestage-sample-profile-v1");
     json.field("workload", spec->name());
-    json.field("seed", seed);
+    json.field("seed", cfg->seed);
     json.field("budget", budget);
     write_params_fields(json, params);
     json.field("total_instructions", profile.total_instructions);
@@ -180,11 +146,10 @@ int cmd_sample_profile(const Options& opt) {
 }
 
 int cmd_sample_plan(const Options& opt) {
-  const auto spec = resolve_sample_workload(opt);
-  if (!spec) return 2;
-  const std::uint64_t budget =
-      opt.instructions > 0 ? opt.instructions : sim::default_instructions();
-  const std::uint64_t seed = cpu::MachineConfig{}.seed;
+  const auto cfg = sample_machine(opt);
+  if (!cfg) return 2;
+  const auto spec = sample::base_workload(*cfg);
+  const std::uint64_t budget = cfg->max_instructions;
   const sample::ResolvedSamplingParams params =
       sampling_params(opt).resolve(budget);
 
@@ -193,7 +158,7 @@ int cmd_sample_plan(const Options& opt) {
   if (!sink.owns_stdout()) print_params(params, spec->name(), budget);
 
   const sample::SamplePlan plan =
-      sample::build_plan(*spec, seed, budget, params);
+      sample::build_plan(*spec, cfg->seed, budget, params);
   std::uint64_t sliced = 0;
   for (const sample::Slice& s : plan.slices) sliced += s.instructions;
 
@@ -270,16 +235,10 @@ int cmd_sample_plan(const Options& opt) {
 }
 
 int cmd_sample_run(const Options& opt) {
-  const auto spec = resolve_sample_workload(opt);
-  if (!spec) return 2;
-  const std::uint64_t budget =
-      opt.instructions > 0 ? opt.instructions : sim::default_instructions();
-
-  cpu::MachineConfig cfg =
-      sim::make_config(opt.preset, opt.node, opt.l1i_size);
-  cfg.benchmark = spec->name();
-  cfg.max_instructions = budget;
-  if (!opt.trace_path.empty()) cfg.workload = spec;
+  const auto cfg = sample_machine(opt);
+  if (!cfg) return 2;
+  const auto spec = sample::base_workload(*cfg);
+  const std::uint64_t budget = cfg->max_instructions;
 
   JsonSink sink(opt.json_path);
   if (sink.failed()) return 1;
@@ -327,13 +286,13 @@ int cmd_sample_run(const Options& opt) {
       // PSCK stores no trace state: the slice snapshots come from the
       // same one walk build_plan makes.
       sample::attach_snapshots(plan, *spec);
-      r = sample::run_sampled_point_with_plan(cfg, spec, plan);
+      r = sample::run_sampled_point_with_plan(*cfg, spec, plan);
     }
   }
   if (opt.plan_path.empty() || checkpoint_fallback) {
     params = sampling_params(opt).resolve(budget);
     if (!sink.owns_stdout()) print_params(params, spec->name(), budget);
-    r = sample::run_sampled_point(cfg, params);
+    r = sample::run_sampled_point(*cfg, params);
     if (checkpoint_fallback) r.sample_cold_starts += 1;
   }
 

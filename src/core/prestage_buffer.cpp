@@ -20,16 +20,20 @@ const PrestageBuffer::Entry* PrestageBuffer::find(Addr line) const {
 }
 
 const PrestageBuffer::Entry* PrestageBuffer::allocate(Addr line) {
-  PRESTAGE_ASSERT(find(line) == nullptr, "allocate of resident line");
-  Entry* victim = nullptr;
+  // One pass checks that no entry holds the line yet and finds the
+  // victim: the first empty slot, else the LRU unpinned entry.
+  Entry* empty = nullptr;
+  Entry* lru = nullptr;
   for (Entry& e : entries_) {
-    if (e.allocated && e.consumers > 0) continue;  // pinned by consumers
     if (!e.allocated) {
-      victim = &e;  // an empty slot always wins
-      break;
+      if (empty == nullptr) empty = &e;
+      continue;
     }
-    if (victim == nullptr || e.lru < victim->lru) victim = &e;
+    PRESTAGE_ASSERT(e.line != line, "allocate of resident line");
+    if (e.consumers > 0) continue;  // pinned by consumers
+    if (lru == nullptr || e.lru < lru->lru) lru = &e;
   }
+  Entry* victim = empty != nullptr ? empty : lru;
   if (victim == nullptr) return nullptr;
   const std::uint64_t gen = victim->gen + 1;
   *victim = Entry{line, 1, kNoCycle, ++lru_clock_, gen, true, false};

@@ -43,7 +43,8 @@ class PrestageBuffer {
 
   /// Allocates the LRU replaceable entry (consumers == 0) for @p line
   /// with consumers = 1 and valid unset (paper §3.2.3). Returns nullptr
-  /// when every entry is pinned by waiting consumers.
+  /// when every entry is pinned by waiting consumers; throws SimError
+  /// when an entry already holds @p line.
   [[nodiscard]] const Entry* allocate(Addr line);
 
   /// Fetch consumed @p line: decrement its consumers counter (saturating

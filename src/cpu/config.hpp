@@ -74,6 +74,13 @@ struct MachineConfig {
   int mem_latency = 200;
 };
 
+/// The seed of the trace walk a Cpu's oracle reads for a machine of
+/// @p seed. A pass that must see exactly those records (a recording, a
+/// sampling profile, a plan's snapshot walk) walks from the same seed.
+[[nodiscard]] constexpr std::uint64_t oracle_trace_seed(std::uint64_t seed) {
+  return seed + 17;
+}
+
 /// Latencies and sizes derived from the CACTI model for a configuration.
 struct DerivedTimings {
   int l1i_latency = 1;

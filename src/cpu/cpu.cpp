@@ -82,7 +82,8 @@ Cpu::Cpu(const MachineConfig& config)
                                       config.benchmark, config.seed)),
       program_(workload_->program()),
       predictor_({.l1_entries = 1024, .l2_entries = 6144, .l2_assoc = 4}) {
-  oracle_ = std::make_unique<Oracle>(workload_->make_source(cfg_.seed + 17));
+  oracle_ = std::make_unique<Oracle>(
+      workload_->make_source(oracle_trace_seed(cfg_.seed)));
 
   mem::MemSystemConfig mem_cfg;
   mem_cfg.l2_latency = timings_.l2_latency;

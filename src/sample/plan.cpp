@@ -6,6 +6,7 @@
 
 #include "common/prestage_assert.hpp"
 #include "common/single_flight.hpp"
+#include "cpu/config.hpp"
 #include "sample/kmeans.hpp"
 
 namespace prestage::sample {
@@ -15,7 +16,7 @@ SamplePlan build_plan(const workload::WorkloadSpec& base, std::uint64_t seed,
                       const ResolvedSamplingParams& params) {
   PRESTAGE_ASSERT(params.enabled, "build_plan: sampling not enabled");
   const std::unique_ptr<workload::TraceSource> source =
-      base.make_source(seed + 17);  // the Cpu's oracle trace seed
+      base.make_source(cpu::oracle_trace_seed(seed));
   TraceProfile profile =
       profile_source(*source, budget, params.interval_instructions,
                      params.dim, params.warm_lines);
@@ -98,7 +99,7 @@ std::uint64_t attach_snapshots(
     SamplePlan& plan, const workload::WorkloadSpec& base,
     std::vector<std::unique_ptr<workload::TraceSource>> waypoints) {
   std::unique_ptr<workload::TraceSource> source =
-      base.make_source(plan.seed + 17);  // the Cpu's oracle trace seed
+      base.make_source(cpu::oracle_trace_seed(plan.seed));
   std::vector<workload::TraceSpan> spans(512);
   bool at_stream_start = true;  // instruction 0 opens a stream
   std::uint64_t walked = 0;

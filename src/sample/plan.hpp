@@ -60,28 +60,29 @@ struct SamplePlan {
   std::vector<Slice> slices;        ///< ascending start order
 };
 
-/// Profiles @p base once (trace seed `seed + 17`, matching the Cpu's
-/// oracle), clusters the intervals and attaches the slice snapshots
-/// from the profile's waypoints, which it drops before returning.
-/// @p budget is the full-run instruction target the plan reconstructs.
-/// A synthetic workload's snapshots borrow @p base's program, so @p base
-/// must outlive the plan (synthetic_workload specs live for the process).
+/// Profiles @p base once (at cpu::oracle_trace_seed(seed), the walk the
+/// Cpu's oracle reads), clusters the intervals and attaches the slice
+/// snapshots from the profile's waypoints, which it drops before
+/// returning. @p budget is the full-run instruction target the plan
+/// reconstructs. A synthetic workload's snapshots borrow @p base's
+/// program, so @p base must outlive the plan (synthetic_workload specs
+/// live for the process).
 [[nodiscard]] SamplePlan build_plan(const workload::WorkloadSpec& base,
                                     std::uint64_t seed, std::uint64_t budget,
                                     const ResolvedSamplingParams& params);
 
-/// Walks @p base's trace (seed `plan.seed + 17`) forward once, as a
-/// span walk (TraceSource::fill_spans: no DynInst is built) that stops
-/// exactly at each slice's warm_start, and snapshots it there. Before
-/// each slice the walk jumps to the latest of @p waypoints at or before
-/// that warm_start when it lies ahead; without waypoints it walks from
-/// instruction 0. Waypoints must be clones of this trace at stream
-/// boundaries in ascending order (TraceProfile::waypoints); they are
-/// consumed. Returns the instructions walked. build_plan ends with this;
-/// a plan read back from a checkpoint, which has no waypoints, needs it
-/// before it can run. Throws SimError when a warm_start is not a stream
-/// boundary of this trace (a checkpoint of another workload) or falls
-/// before the previous slice's.
+/// Walks @p base's trace (cpu::oracle_trace_seed(plan.seed)) forward
+/// once, as a span walk (TraceSource::fill_spans: no DynInst is built)
+/// that stops exactly at each slice's warm_start, and snapshots it
+/// there. Before each slice the walk jumps to the latest of @p waypoints
+/// at or before that warm_start when it lies ahead; without waypoints it
+/// walks from instruction 0. Waypoints must be clones of this trace at
+/// stream boundaries in ascending order (TraceProfile::waypoints); they
+/// are consumed. Returns the instructions walked. build_plan ends with
+/// this; a plan read back from a checkpoint, which has no waypoints,
+/// needs it before it can run. Throws SimError when a warm_start is not
+/// a stream boundary of this trace (a checkpoint of another workload) or
+/// falls before the previous slice's.
 std::uint64_t attach_snapshots(
     SamplePlan& plan, const workload::WorkloadSpec& base,
     std::vector<std::unique_ptr<workload::TraceSource>> waypoints = {});

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -298,6 +300,43 @@ TEST(CliSmoke, BadInputFailsWithUsage) {
   EXPECT_EQ(run_cli("suite --instrs 1000 -j", &output), 2);
   EXPECT_NE(output.find("missing value for -j"), std::string::npos)
       << output;
+}
+
+TEST(CliSmoke, EveryDocumentedFlagParses) {
+  // `list` ignores its flags, so each --flag the usage text names must
+  // parse there: as a switch (or --help), or by asking for its value. A
+  // usage line for a flag the parser does not accept fails here.
+  std::string usage;
+  ASSERT_EQ(run_cli("--help", &usage), 0) << usage;
+  const std::regex token("--[a-z0-9-]+");
+  std::set<std::string> flags;
+  for (auto it = std::sregex_iterator(usage.begin(), usage.end(), token);
+       it != std::sregex_iterator(); ++it) {
+    flags.insert(it->str());
+  }
+  EXPECT_EQ(flags.size(), 27u) << "26 flags plus --help";
+  for (const std::string& flag : flags) {
+    std::string output;
+    const int rc = run_cli("list " + flag, &output);
+    EXPECT_EQ(output.find("unknown flag"), std::string::npos) << output;
+    if (rc == 0) continue;
+    EXPECT_EQ(rc, 2) << flag << ": " << output;
+    EXPECT_NE(output.find("missing value for " + flag + "\n"),
+              std::string::npos)
+        << output;
+  }
+  // A number that does not parse is refused by the flag's name.
+  for (const char* flag :
+       {"--l1", "--sizes", "--instrs", "--jobs", "--threshold", "--retries",
+        "--point-budget", "--interval", "--dim", "--max-k", "--warm-lines",
+        "--warmup", "--max-records"}) {
+    std::string output;
+    EXPECT_EQ(run_cli(std::string("list ") + flag + " x", &output), 2)
+        << flag;
+    EXPECT_NE(output.find(std::string("prestage: ") + flag + " "),
+              std::string::npos)
+        << output;
+  }
 }
 
 // --- trace subcommands ------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/prestage_assert.hpp"
 #include "common/rng.hpp"
 #include "core/clgp.hpp"
 #include "core/prestage_buffer.hpp"
@@ -100,6 +101,23 @@ TEST(PrestageBuffer, GenerationGuardsDistinguishReallocations) {
   auto* b = pb.allocate(0x2000);  // same slot, new generation
   EXPECT_EQ(a, b);
   EXPECT_NE(b->gen, gen1);
+}
+
+TEST(PrestageBuffer, AllocateOfResidentLineThrows) {
+  // A line is staged at most once, whether its entry is pinned by a
+  // waiting consumer or not.
+  PrestageBuffer pb(4);
+  (void)pb.allocate(0x1000);
+  (void)pb.allocate(0x2000);
+  EXPECT_THROW((void)pb.allocate(0x2000), SimError);  // pinned
+  pb.reset_consumers();
+  EXPECT_THROW((void)pb.allocate(0x2000), SimError);  // unpinned
+  EXPECT_EQ(pb.find(0x2000)->consumers, 0u) << "a refused allocate "
+                                               "changes nothing";
+  // Also when no entry is replaceable, which would otherwise return null.
+  PrestageBuffer full(1);
+  (void)full.allocate(0x1000);
+  EXPECT_THROW((void)full.allocate(0x1000), SimError);
 }
 
 TEST(PrestageBuffer, SettleFlipsValidOnlyAfterReadyTime) {
