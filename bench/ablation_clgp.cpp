@@ -10,96 +10,67 @@
 //   * CLTQ granularity   -> FDP (FTQ blocks) as the whole-design swap;
 //   * next-2-line        -> sequential prefetching baseline (§2.1).
 //
-// The variants set MachineConfig fields the composition grammar cannot
-// express, so they are not campaign run points: every (variant,
-// benchmark) machine is built directly and the whole batch runs in
-// parallel.
+// Each CLGP variant is a scheme registered in this process only, built by
+// core::build_clgp with its knobs set, so the eight rows are one campaign
+// grid run through the engine in memory.
 #include <cstdio>
+#include <utility>
 
-#include "common/parallel.hpp"
-#include "cpu/cpu.hpp"
-#include "sim/presets.hpp"
+#include "campaign/engine.hpp"
+#include "campaign/report.hpp"
+#include "core/clgp.hpp"
 #include "sim/report.hpp"
 
 int main() {
   using namespace prestage;
-  using namespace prestage::sim;
-  using cpu::MachineConfig;
-  const auto suite = full_suite();
-  const std::uint64_t instructions = default_instructions();
-  constexpr std::uint64_t kL1 = 4096;
   const auto node = cacti::TechNode::um045;
+  constexpr std::uint64_t kL1 = 4096;
 
-  struct Variant {
-    const char* name;
-    MachineConfig cfg;
+  const auto add_clgp = [](const char* name, core::ClgpConfig knobs) {
+    prefetch::PrefetcherRegistry::instance().add(
+        {.name = name,
+         .label = name,
+         .description = "CLGP ablation variant",
+         .build = [knobs](const prefetch::BuildInputs& in) {
+           return core::build_clgp(in, knobs);
+         }});
   };
-  std::vector<Variant> variants;
+  add_clgp("clgp-no-consumers", {.disable_consumers = true});
+  add_clgp("clgp-filtered", {.filter_resident = true});
+  add_clgp("clgp-transfer", {.transfer_on_use = true});
+  add_clgp("clgp-reversed", {.disable_consumers = true,
+                             .filter_resident = true,
+                             .transfer_on_use = true});
 
-  variants.push_back({"CLGP+L0 (paper)", make_config("clgp-l0", node, kL1)});
-
-  MachineConfig no_counter = make_config("clgp-l0", node, kL1);
-  no_counter.clgp_disable_consumers = true;
-  variants.push_back({"  - consumers counter", no_counter});
-
-  MachineConfig filtered = make_config("clgp-l0", node, kL1);
-  filtered.clgp_filter_resident = true;
-  variants.push_back({"  + cache-probe filtering", filtered});
-
-  MachineConfig replicate = make_config("clgp-l0", node, kL1);
-  replicate.clgp_transfer_on_use = true;
-  variants.push_back({"  + transfer-on-use", replicate});
-
-  MachineConfig all_off = make_config("clgp-l0", node, kL1);
-  all_off.clgp_disable_consumers = true;
-  all_off.clgp_filter_resident = true;
-  all_off.clgp_transfer_on_use = true;
-  variants.push_back({"  all three reversed", all_off});
-
-  variants.push_back({"FDP+L0 (FTQ granularity)",
-                      make_config("fdp-l0", node, kL1)});
-
-  variants.push_back({"next-2-line + L0",
-                      make_config("next-line-l0", node, kL1)});
-
-  variants.push_back({"base+L0 (no prefetch)",
-                      make_config("base-l0", node, kL1)});
-
-  std::vector<MachineConfig> configs;
-  for (const Variant& v : variants) {
-    for (const std::string& bench : suite) {
-      MachineConfig cfg = v.cfg;
-      cfg.benchmark = bench;
-      cfg.max_instructions = instructions;
-      configs.push_back(std::move(cfg));
-    }
-  }
-  std::vector<cpu::RunResult> results(configs.size());
-  parallel_for_indexed(configs.size(), 0, [&](std::size_t i) {
-    cpu::Cpu machine(configs[i]);
-    results[i] = machine.run();
-  });
+  const std::pair<const char*, const char*> variants[] = {
+      {"CLGP+L0 (paper)", "clgp-l0"},
+      {"  - consumers counter", "clgp-no-consumers-l0"},
+      {"  + cache-probe filtering", "clgp-filtered-l0"},
+      {"  + transfer-on-use", "clgp-transfer-l0"},
+      {"  all three reversed", "clgp-reversed-l0"},
+      {"FDP+L0 (FTQ granularity)", "fdp-l0"},
+      {"next-2-line + L0", "next-line-l0"},
+      {"base+L0 (no prefetch)", "base-l0"},
+  };
+  campaign::CampaignSpec spec;
+  spec.name = "ablation";
+  spec.title = "CLGP ablations (4KB L1, 0.045um)";
+  for (const auto& [label, preset] : variants) spec.presets.push_back(preset);
+  spec.nodes = {node};
+  spec.l1_sizes = {kL1};
+  const campaign::ResultStore store = campaign::run_in_memory(spec);
+  const campaign::ResultGrid grid(spec, store);
 
   Table t({"variant", "HMEAN IPC", "vs CLGP+L0", "PB fetch share"});
-  double clgp_ipc = 0.0;
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    std::vector<double> ipcs;
-    SourceBreakdown sources;
-    for (std::size_t b = 0; b < suite.size(); ++b) {
-      const cpu::RunResult& r = results[v * suite.size() + b];
-      ipcs.push_back(r.ipc);
-      for (int i = 0; i < kNumFetchSources; ++i) {
-        const auto s = static_cast<FetchSource>(i);
-        sources.add(s, r.fetch_sources.count(s));
-      }
-    }
-    const double hmean = harmonic_mean(ipcs);
-    if (v == 0) clgp_ipc = hmean;
-    t.add_row({variants[v].name, fmt(hmean, 3),
-               fmt(speedup_pct(hmean, clgp_ipc), 1) + "%",
+  const double clgp_ipc = grid.hmean_ipc("clgp-l0", node, kL1);
+  for (const auto& [label, preset] : variants) {
+    const double hmean = grid.hmean_ipc(preset, node, kL1);
+    const SourceBreakdown sources =
+        grid.sources(&cpu::RunResult::fetch_sources, preset, node, kL1);
+    t.add_row({label, fmt(hmean, 3),
+               fmt(sim::speedup_pct(hmean, clgp_ipc), 1) + "%",
                fmt_pct(sources.fraction(FetchSource::PreBuffer))});
   }
-  std::printf("== CLGP ablations (4KB L1, 0.045um) ==\n%s\n",
-              t.to_text().c_str());
+  std::printf("== %s ==\n%s\n", spec.title.c_str(), t.to_text().c_str());
   return 0;
 }

@@ -1,8 +1,8 @@
 #include "bench/figures.hpp"
 
-#include <algorithm>
-#include <ostream>
+#include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "common/table.hpp"
 #include "sim/report.hpp"
@@ -10,6 +10,8 @@
 namespace prestage::figures {
 
 using campaign::CampaignSpec;
+using campaign::Claim;
+using campaign::GridCell;
 using campaign::ReportKind;
 using campaign::ResultGrid;
 
@@ -48,9 +50,40 @@ const std::vector<CampaignSpec>& all_campaigns() {
          {"clgp-l0-pb16", "clgp-l0", "fdp-l0-pb16", "fdp-l0",
           "base-pipelined", "base-l0"},
          {cacti::TechNode::um090, cacti::TechNode::um045}, sizes);
+    // §5.1's speedups at a 4 KB L1 (the paper gives the first two at
+    // each node), and its budget example at 0.09 um: CLGP+L0+PB:16 with
+    // a 1 KB L1 (about 2.5 KB in all) at least as fast as a pipelined
+    // 16 KB L1 without prefetching (6.4x the budget).
+    for (const auto& [node, vs_fdp, vs_pipelined] :
+         {std::tuple{cacti::TechNode::um090, 3.5, 39.0},
+          std::tuple{cacti::TechNode::um045, 12.5, 48.0}}) {
+      const auto at_4k = [n = node](const char* first, const char* second,
+                                    std::optional<double> paper) {
+        return Claim{.first = {first, n, 4096},
+                     .second = {second, n, 4096},
+                     .paper = paper};
+      };
+      std::vector<Claim>& claims = c.back().claims;
+      claims.insert(claims.end(),
+                    {at_4k("clgp-l0-pb16", "fdp-l0-pb16", vs_fdp),
+                     at_4k("clgp-l0-pb16", "base-pipelined", vs_pipelined),
+                     at_4k("clgp-l0", "fdp-l0", {}),
+                     at_4k("clgp-l0", "base-l0", {})});
+      if (node == cacti::TechNode::um090) {
+        claims.push_back({.first = {"clgp-l0-pb16", node, 1024},
+                          .second = {"base-pipelined", node, 16384},
+                          .judged = true});
+      }
+    }
     make("fig6", "Figure 6: per-benchmark IPC (8KB L1, 0.045um)",
          ReportKind::PerBenchmark,
          {"base-pipelined", "fdp-l0-pb16", "clgp-l0-pb16"}, far, {8192});
+    // CLGP is best or equal to FDP on every benchmark but gzip.
+    c.back().claims.push_back(
+        {.first = {"clgp-l0-pb16", cacti::TechNode::um045, 8192},
+         .second = {"fdp-l0-pb16", cacti::TechNode::um045, 8192},
+         .per_benchmark = true,
+         .paper = 11.0});
     make("fig7", "Figure 7: fetch sources (0.045um)",
          ReportKind::FetchSources, {"fdp", "clgp", "fdp-l0", "clgp-l0"},
          far, sizes);
@@ -96,18 +129,6 @@ const CampaignSpec* find(std::string_view name) {
     if (spec.name == name) return &spec;
   }
   return nullptr;
-}
-
-campaign::Progress stream_progress(const CampaignSpec& spec,
-                                   std::ostream& err) {
-  const std::size_t step =
-      std::max<std::size_t>(1, campaign::expand(spec).size() / 8);
-  const std::string name = spec.name;
-  return [&err, step, name](std::size_t done, std::size_t total) {
-    if (done % step == 0 || done == total) {
-      err << name << ": " << done << '/' << total << " points\n";
-    }
-  };
 }
 
 namespace {
@@ -190,9 +211,35 @@ std::string render_sources(const ResultGrid& grid, bool prefetch) {
   return out.str();
 }
 
-}  // namespace
+/// One row per claim: both cells, their HMEAN IPCs, the measured value
+/// and the paper's.
+std::string render_claims(const ResultGrid& grid) {
+  const auto cell = [](const GridCell& c) {
+    return sim::preset_label(c.preset) + " (" + fmt_bytes(c.l1i_size) +
+           ", " + std::string(cacti::to_string(c.node)) + ")";
+  };
+  const auto pct = [](double x) {
+    return std::string(x >= 0.0 ? "+" : "") + fmt(x, 1) + "%";
+  };
+  Table t({"claim", "HMEAN IPC", "vs", "measured", "paper"});
+  for (const Claim& claim : grid.spec().claims) {
+    const campaign::ClaimValue v = campaign::evaluate(grid, claim);
+    const bool count = claim.per_benchmark;
+    std::string measured = count ? fmt(v.measured, 0) + " of " +
+                                       std::to_string(grid.benchmarks().size())
+                                 : pct(v.measured);
+    if (claim.judged) measured += v.holds() ? " (holds)" : " (does not hold)";
+    const std::string paper = !claim.paper ? "-"
+                              : count      ? fmt(*claim.paper, 0)
+                                           : pct(*claim.paper);
+    t.add_row({cell(claim.first) + (count ? " >= " : " over ") +
+                   cell(claim.second),
+               fmt(v.first_ipc, 3), fmt(v.second_ipc, 3), measured, paper});
+  }
+  return "== Claims: " + grid.spec().title + " ==\n" + t.to_text() + '\n';
+}
 
-std::string render_text(const ResultGrid& grid) {
+std::string render_chart(const ResultGrid& grid) {
   switch (grid.spec().kind) {
     case ReportKind::IpcVsSize: return render_ipc_vs_size(grid);
     case ReportKind::PerBenchmark: return render_per_benchmark(grid);
@@ -200,6 +247,13 @@ std::string render_text(const ResultGrid& grid) {
     case ReportKind::PrefetchSources: return render_sources(grid, true);
   }
   return "";
+}
+
+}  // namespace
+
+std::string render_text(const ResultGrid& grid) {
+  if (grid.spec().claims.empty()) return render_chart(grid);
+  return render_chart(grid) + render_claims(grid);
 }
 
 }  // namespace prestage::figures

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 50000;
 
   // A fetch-bound subset keeps the tool responsive; the full-suite sweep
-  // lives in bench/fig5_ipc_sweep.
+  // is the fig5 campaign (`prestage campaign run --name fig5`).
   const std::vector<std::string> suite = {"eon", "vortex", "crafty", "gcc"};
 
   // Reference: ideal 1-cycle 64KB I-cache.

@@ -151,6 +151,64 @@ for name in ("BENCH_smoke.json", "BENCH_fig5.json"):
 print("campaign: BENCH_smoke.json and BENCH_fig5.json parse and are sane")
 EOF
 fi
+# fig5's claims are report data: four speedups per node plus the budget
+# claim, each recomputed here from the same document's series.
+if command -v python3 > /dev/null; then
+  python3 - <<'EOF'
+import json
+doc = json.load(open("BENCH_fig5.json"))
+claims = doc["claims"]
+assert len(claims) == 9, len(claims)
+
+def hmean(cell):
+    series = next(s for s in doc["series"]
+                  if s["preset"] == cell["preset"] and s["node"] == cell["node"])
+    return series["hmean_ipc"][doc["l1_sizes"].index(cell["l1i_size"])]
+
+for c in claims:
+    assert c["measure"] == "hmean_speedup_pct", c
+    want = (hmean(c["first"]) / hmean(c["second"]) - 1.0) * 100.0
+    assert abs(c["measured"] - want) <= 1e-6, (c, want)
+judged = [c for c in claims if "holds" in c]
+assert len(judged) == 1, judged
+assert judged[0]["holds"] == (judged[0]["measured"] >= 0), judged
+print("claims: fig5's 9 claims match the speedups of their series cells")
+EOF
+fi
+# fig6's claim counts the benchmarks on which CLGP+L0+PB:16 is at least
+# FDP+L0+PB:16; recount it from the document's per-benchmark groups.
+rm -f build/ci-fig6.jsonl build/ci-fig6.jsonl.perf
+./build/src/cli/prestage campaign run --name fig6 --instrs 1000 \
+  --store build/ci-fig6.jsonl -j 0 > /dev/null
+./build/src/cli/prestage campaign report --name fig6 --instrs 1000 \
+  --store build/ci-fig6.jsonl --out BENCH_fig6.json
+if command -v python3 > /dev/null; then
+  python3 - <<'EOF'
+import json
+doc = json.load(open("BENCH_fig6.json"))
+assert len(doc["claims"]) == 1, doc["claims"]
+claim = doc["claims"][0]
+assert claim["measure"] == "benchmarks_at_least", claim
+
+def ipc(cell):
+    group = next(g for g in doc["groups"]
+                 if (g["preset"], g["node"], g["l1i_size"]) ==
+                 (cell["preset"], cell["node"], cell["l1i_size"]))
+    return group["ipc"]
+
+first, second = ipc(claim["first"]), ipc(claim["second"])
+wins = sum(first[b] >= second[b] for b in doc["benchmarks"])
+assert claim["measured"] == wins, (claim, wins)
+assert len(doc["benchmarks"]) == 12, doc["benchmarks"]
+print(f"claims: fig6's win count {wins} of 12 matches its groups")
+EOF
+fi
+# The CLGP ablation: four variants registered in its own process, eight
+# rows from one in-memory campaign grid.
+PRESTAGE_INSTRS=2000 ./build/bench/ablation_clgp > build/ci-ablation.txt
+cat build/ci-ablation.txt
+test "$(sed -n '/^---/,$p' build/ci-ablation.txt | grep -c '%')" -eq 8
+echo "ablation: eight variant rows"
 
 # --- chaos: fault injection + crash consistency ------------------------------
 # Every compiled-in fault site gets a crash drill (kill at the site →
@@ -488,7 +546,7 @@ echo "sanitizer: the out-of-range count was dropped as corrupt"
 # ThreadSanitizer build of the multi-worker surfaces: the campaign
 # engine's run/resume at -j 8 (ordered store flush + perf-sidecar
 # appends under contention), the run_points suite path, the
-# work-stealing scheduler's own regression tests, the process-wide
+# in-order scheduler's own tests, the process-wide
 # single-flight caches (synthetic workloads, sampling plans) that every
 # worker touches from Cpu::Cpu, and a 4-worker sampled campaign (the
 # plan-first phase, then every worker cloning shared trace snapshots).

@@ -111,38 +111,6 @@ void build_plans_first(const std::vector<const RunPoint*>& points,
   });
 }
 
-/// Runs @p points across the pool via @p execute, after their plans
-/// (build_plans_first), handing each outcome to @p sink in strict index
-/// order (under one lock, so sinks need no locking of their own).
-void run_ordered(
-    const std::vector<const RunPoint*>& points, unsigned jobs,
-    const std::function<PointOutcome(const RunPoint&)>& execute,
-    const std::function<void(PointOutcome)>& sink,
-    const Progress& progress) {
-  build_plans_first(points, jobs);
-  std::vector<std::optional<PointOutcome>> slots(points.size());
-  std::mutex mutex;
-  std::size_t next_flush = 0;
-  std::size_t completed = 0;
-  parallel_for_indexed(points.size(), jobs, [&](std::size_t i) {
-    PointOutcome r = execute(*points[i]);
-    const std::lock_guard<std::mutex> lock(mutex);
-    slots[i] = std::move(r);
-    ++completed;
-    while (next_flush < slots.size() && slots[next_flush]) {
-      // Detach the record and advance before calling the sink: if it
-      // throws (full disk), another worker re-entering this loop must
-      // see consistent state, not a still-engaged moved-from slot it
-      // would flush again.
-      PointOutcome out = std::move(*slots[next_flush]);
-      slots[next_flush].reset();
-      ++next_flush;
-      sink(std::move(out));
-    }
-    if (progress) progress(completed, slots.size());
-  });
-}
-
 /// The retry/quarantine executor. Retries are immediate (attempt-count
 /// bounded, no sleeps); strict mode rethrows the first error annotated
 /// with the point's identity instead.
@@ -168,6 +136,37 @@ PointOutcome execute_with_policy(const RunPoint& point,
       }
     }
   }
+}
+
+/// Runs @p points across the pool under @p policy, after their plans
+/// (build_plans_first), handing each outcome to @p sink in strict index
+/// order (under one lock, so sinks need no locking of their own).
+void run_ordered(const std::vector<const RunPoint*>& points, unsigned jobs,
+                 const FaultPolicy& policy,
+                 const std::function<void(PointOutcome)>& sink,
+                 const Progress& progress) {
+  build_plans_first(points, jobs);
+  std::vector<std::optional<PointOutcome>> slots(points.size());
+  std::mutex mutex;
+  std::size_t next_flush = 0;
+  std::size_t completed = 0;
+  parallel_for_indexed(points.size(), jobs, [&](std::size_t i) {
+    PointOutcome r = execute_with_policy(*points[i], policy);
+    const std::lock_guard<std::mutex> lock(mutex);
+    slots[i] = std::move(r);
+    ++completed;
+    while (next_flush < slots.size() && slots[next_flush]) {
+      // Detach the record and advance before calling the sink: if it
+      // throws (full disk), another worker re-entering this loop must
+      // see consistent state, not a still-engaged moved-from slot it
+      // would flush again.
+      PointOutcome out = std::move(*slots[next_flush]);
+      slots[next_flush].reset();
+      ++next_flush;
+      sink(std::move(out));
+    }
+    if (progress) progress(completed, slots.size());
+  });
 }
 
 }  // namespace
@@ -263,10 +262,7 @@ RunOutcome run_campaign(const CampaignSpec& spec,
   std::unique_ptr<LineAppender> failure_appender;
   sim::HostPerfAccumulator host;
   run_ordered(
-      todo, jobs,
-      [&](const RunPoint& p) {
-        return execute_with_policy(p, policy);
-      },
+      todo, jobs, policy,
       [&](PointOutcome o) {
         if (o.attempts > 1 && o.result) ++outcome.retried;
         if (!o.result) {
@@ -305,35 +301,22 @@ RunOutcome run_campaign(const CampaignSpec& spec,
 }
 
 std::vector<PointResult> run_points(const std::vector<RunPoint>& points,
-                                    unsigned jobs,
-                                    const Progress& progress) {
+                                    unsigned jobs) {
   std::vector<const RunPoint*> refs;
-  refs.reserve(points.size());
   for (const RunPoint& p : points) refs.push_back(&p);
   std::vector<PointResult> results;
-  results.reserve(points.size());
+  // In-memory grids stay fail-fast, but never lose which point threw:
+  // strict mode rethrows the first error annotated with its identity.
   run_ordered(
-      refs, jobs,
-      [](const RunPoint& p) {
-        // In-memory harnesses stay fail-fast, but never lose which
-        // point threw (the annotation satellite of the fault layer).
-        PointOutcome out;
-        try {
-          out.result = simulate(p);
-        } catch (const std::exception& e) {
-          throw SimError(annotate(p, e.what()));
-        }
-        return out;
-      },
+      refs, jobs, FaultPolicy{.strict = true},
       [&results](PointOutcome o) { results.push_back(std::move(*o.result)); },
-      progress);
+      {});
   return results;
 }
 
-ResultStore run_in_memory(const CampaignSpec& spec, unsigned jobs,
-                          const Progress& progress) {
+ResultStore run_in_memory(const CampaignSpec& spec, unsigned jobs) {
   ResultStore store;
-  for (PointResult& r : run_points(expand(spec), jobs, progress)) {
+  for (PointResult& r : run_points(expand(spec), jobs)) {
     store.insert(std::move(r));
   }
   return store;

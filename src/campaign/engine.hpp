@@ -1,16 +1,19 @@
 // Campaign execution: expands a spec, drops every point whose key is
-// already in the store, and simulates the rest across a work-stealing
-// worker pool (common/parallel.hpp — jobs of 0 means one worker per
-// hardware thread). Sampled points run plan-first: every distinct
-// sampling plan they need is built once, spread across the pool, before
-// any point starts.
+// already in the store, and simulates the rest across a worker pool that
+// takes points in grid order from one shared cursor (common/parallel.hpp
+// — jobs of 0 means one worker per hardware thread). Sampled points run
+// plan-first: every distinct sampling plan they need is built once,
+// spread across the pool, before any point starts. Every grid takes this
+// path: stores through run_campaign, and the CLI's suite/sweep, the
+// examples and the CLGP ablation through run_in_memory.
 //
 // Results are appended to the store strictly in grid-expansion order —
 // a completed point is held until every earlier point has been written —
 // so the store file is byte-identical for any worker count, and a fresh
 // run and a kill-then-resume of the same grid produce the same bytes.
-// Because lines are flushed as the ordered prefix completes, a killed
-// run still persists everything that finished before the gap.
+// Because points start in index order, a completed point waits only on
+// lower points still in flight, so a killed run loses those in-flight
+// points and whatever finished above the lowest of them.
 #pragma once
 
 #include <cstddef>
@@ -103,13 +106,11 @@ bool compact_store(const std::string& store_path,
 /// simulates the whole grid (no store involved) and returns results in
 /// expansion order.
 [[nodiscard]] std::vector<PointResult> run_points(
-    const std::vector<RunPoint>& points, unsigned jobs,
-    const Progress& progress = {});
+    const std::vector<RunPoint>& points, unsigned jobs);
 
 /// run_points over expand(@p spec), collected into an in-memory store
 /// that a ResultGrid can read (jobs 0 = auto).
 [[nodiscard]] ResultStore run_in_memory(const CampaignSpec& spec,
-                                        unsigned jobs = 0,
-                                        const Progress& progress = {});
+                                        unsigned jobs = 0);
 
 }  // namespace prestage::campaign

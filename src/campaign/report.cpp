@@ -6,6 +6,7 @@
 #include "common/prestage_assert.hpp"
 #include "common/stats.hpp"
 #include "prefetch/registry.hpp"
+#include "sim/report.hpp"
 
 namespace prestage::campaign {
 
@@ -76,7 +77,50 @@ SourceBreakdown ResultGrid::sources(SourceBreakdown cpu::RunResult::*which,
   return total;
 }
 
+ClaimValue evaluate(const ResultGrid& grid, const Claim& claim) {
+  const GridCell& a = claim.first;
+  const GridCell& b = claim.second;
+  ClaimValue v{.first_ipc = grid.hmean_ipc(a.preset, a.node, a.l1i_size),
+               .second_ipc = grid.hmean_ipc(b.preset, b.node, b.l1i_size)};
+  if (!claim.per_benchmark) {
+    v.measured = sim::speedup_pct(v.first_ipc, v.second_ipc);
+    return v;
+  }
+  for (const std::string& bench : grid.benchmarks()) {
+    v.measured += grid.at(a.preset, a.node, a.l1i_size, bench)->result.ipc >=
+                  grid.at(b.preset, b.node, b.l1i_size, bench)->result.ipc;
+  }
+  return v;
+}
+
 namespace {
+
+void write_claims(JsonWriter& json, const ResultGrid& grid) {
+  const auto cell = [&json](const char* key, const GridCell& c, double ipc) {
+    json.key(key);
+    json.begin_object();
+    json.field("preset", canonical(c.preset));
+    json.field("node", cacti::to_string(c.node));
+    json.field("l1i_size", c.l1i_size);
+    json.field("hmean_ipc", ipc);
+    json.end_object();
+  };
+  json.key("claims");
+  json.begin_array();
+  for (const Claim& claim : grid.spec().claims) {
+    const ClaimValue v = evaluate(grid, claim);
+    json.begin_object();
+    json.field("measure", claim.per_benchmark ? "benchmarks_at_least"
+                                              : "hmean_speedup_pct");
+    cell("first", claim.first, v.first_ipc);
+    cell("second", claim.second, v.second_ipc);
+    json.field("measured", v.measured);
+    if (claim.paper) json.field("paper", *claim.paper);
+    if (claim.judged) json.field("holds", v.holds());
+    json.end_object();
+  }
+  json.end_array();
+}
 
 void write_ipc_vs_size(JsonWriter& json, const ResultGrid& grid) {
   const CampaignSpec& spec = grid.spec();
@@ -195,6 +239,7 @@ void write_report(JsonWriter& json, const ResultGrid& grid,
     case ReportKind::FetchSources: write_sources(json, grid, false); break;
     case ReportKind::PrefetchSources: write_sources(json, grid, true); break;
   }
+  if (!spec.claims.empty()) write_claims(json, grid);
 
   // Additive sampling summary: present only when the grid was sampled,
   // so full-run report documents are byte-identical to the pre-sampling

@@ -1,10 +1,11 @@
 // Figure reports over a campaign store: ResultGrid gives shaped access
 // to a store through the axes of a spec (lookups by preset/node/size/
 // benchmark, harmonic-mean IPC and source aggregation per grid cell),
-// and write_report() emits the versioned BENCH_*.json document for the
-// campaign's ReportKind. Reports are pure functions of (spec, store) —
-// no timestamps, no environment — so an identical store always yields a
-// byte-identical report.
+// evaluate() measures the spec's claims on it, and write_report() emits
+// the versioned BENCH_*.json document for the campaign's ReportKind.
+// Reports are pure functions of (spec, store) — no timestamps, no
+// environment — so an identical store always yields a byte-identical
+// report.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +70,22 @@ class ResultGrid {
   std::size_t total_ = 0;
 };
 
+/// A claim measured on a complete grid.
+struct ClaimValue {
+  double first_ipc = 0.0;   ///< HMEAN IPC of the first cell
+  double second_ipc = 0.0;  ///< HMEAN IPC of the second cell
+  /// The HMEAN speedup in %, or the benchmark count (per_benchmark).
+  double measured = 0.0;
+  /// For a judged claim: the speedup is >= 0.
+  [[nodiscard]] bool holds() const { return measured >= 0.0; }
+};
+
+/// Measures @p claim on @p grid (asserts both cells are complete).
+[[nodiscard]] ClaimValue evaluate(const ResultGrid& grid, const Claim& claim);
+
 /// Writes the `prestage-campaign-report-v1` document for the campaign's
 /// ReportKind. The grid must be complete (callers gate on missing()).
+/// A spec with claims gets a "claims" block after the figure data.
 /// When @p perf has records (loaded from the store's `.perf` sidecar), a
 /// trailing "host" section reports total host seconds and Minstr/s plus
 /// per-config aggregates — the one place campaign host telemetry is

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +38,29 @@ enum class ReportKind : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(ReportKind k);
+
+/// One cell of a grid: a preset at a node and an L1 size, over the
+/// benchmark axis.
+struct GridCell {
+  std::string preset;
+  cacti::TechNode node = cacti::TechNode::um045;
+  std::uint64_t l1i_size = 4096;
+};
+
+/// A claim of the paper read off a finished grid: the first cell against
+/// the second. Report data only: it enters no run-point key, descriptor
+/// or store line.
+struct Claim {
+  GridCell first;
+  GridCell second;
+  /// Measure the number of benchmarks whose first-cell IPC is at least
+  /// the second's, not the HMEAN speedup in % (sim::speedup_pct).
+  bool per_benchmark = false;
+  std::optional<double> paper{};  ///< the paper's value, where it gives one
+  /// The paper states only that the first cell is at least as fast:
+  /// the report judges it (holds when the speedup is >= 0).
+  bool judged = false;
+};
 
 /// A declarative experiment grid. Expansion order (and therefore store
 /// and report order) is preset-major: preset, then node, then L1 size,
@@ -64,6 +88,9 @@ struct CampaignSpec {
   /// estimates each point from phase-clustered representative slices
   /// (src/sample/) and records error bars alongside the estimates.
   sample::SamplingParams sampling;
+
+  /// What `campaign report` evaluates after the figure data.
+  std::vector<Claim> claims;
 
   /// The benchmark axis with the empty-list default resolved to the full
   /// suite. Run-point keys embed the resolved values, so every consumer

@@ -79,12 +79,13 @@ std::string on(const Flag&, std::string_view, Options& opt) {
   return {};
 }
 
-/// A comma list of names, appended.
+/// A comma list of names, appended; an empty list is malformed (it
+/// would read as "flag not given").
 template <auto Member>
-std::string names(const Flag&, std::string_view value, Options& opt) {
-  for (std::string& name : split_csv(value)) {
-    (opt.*Member).push_back(std::move(name));
-  }
+std::string names(const Flag& f, std::string_view value, Options& opt) {
+  std::vector<std::string> list = split_csv(value);
+  if (list.empty()) return malformed(f, value);
+  for (std::string& name : list) (opt.*Member).push_back(std::move(name));
   return {};
 }
 
@@ -112,10 +113,12 @@ std::string bytes(const Flag& f, std::string_view value, Options& opt) {
 }
 
 /// A comma list of power-of-two byte counts, appended; an error names
-/// the first bad one.
+/// the first bad one, or the whole value when the list is empty.
 template <auto Member>
 std::string byte_list(const Flag& f, std::string_view value, Options& opt) {
-  for (const std::string& token : split_csv(value)) {
+  const std::vector<std::string> list = split_csv(value);
+  if (list.empty()) return malformed(f, value);
+  for (const std::string& token : list) {
     const auto size = sim::parse_u64(token);
     if (!size || !is_pow2(*size)) return malformed(f, token);
     (opt.*Member).push_back(*size);
@@ -189,7 +192,8 @@ constexpr Flag kFlags[] = {
     {"--preset", preset},
     {"--node", node},
     {"--l1", bytes<&Options::l1i_size>, "needs a power-of-two byte count"},
-    {"--bench", names<&Options::benchmarks>},
+    {"--bench", names<&Options::benchmarks>,
+     "needs a comma list of benchmark names"},
     {"--sizes", byte_list<&Options::sizes>, "needs power-of-two byte counts"},
     {"--instrs", count<&Options::instructions>, "needs a positive count"},
     {"--json", text<&Options::json_path>},

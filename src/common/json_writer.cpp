@@ -143,12 +143,6 @@ void JsonWriter::value(bool v) {
   after_value();
 }
 
-void JsonWriter::null_value() {
-  before_value();
-  out_ << "null";
-  after_value();
-}
-
 bool JsonWriter::done() const { return root_done_; }
 
 }  // namespace prestage

@@ -44,7 +44,6 @@ class JsonWriter {
   void value(int v) { value(static_cast<std::int64_t>(v)); }
   void value(unsigned v) { value(static_cast<std::uint64_t>(v)); }
   void value(bool v);
-  void null_value();
 
   /// key() + value() in one call.
   template <typename T>

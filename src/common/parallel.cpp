@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -16,65 +14,25 @@ unsigned resolve_jobs(unsigned jobs) {
   return std::max(1U, std::thread::hardware_concurrency());
 }
 
-namespace {
-
-/// One worker's task queue. A plain mutex-guarded deque: simulations are
-/// milliseconds-long, so queue overhead is noise and simplicity wins over
-/// a lock-free Chase-Lev deque.
-struct WorkerQueue {
-  std::mutex mutex;
-  std::deque<std::size_t> tasks;
-
-  std::optional<std::size_t> pop_front() {
-    const std::lock_guard<std::mutex> lock(mutex);
-    if (tasks.empty()) return std::nullopt;
-    const std::size_t i = tasks.front();
-    tasks.pop_front();
-    return i;
-  }
-
-  std::optional<std::size_t> steal_back() {
-    const std::lock_guard<std::mutex> lock(mutex);
-    if (tasks.empty()) return std::nullopt;
-    const std::size_t i = tasks.back();
-    tasks.pop_back();
-    return i;
-  }
-};
-
-}  // namespace
-
 void parallel_for_indexed(std::size_t count, unsigned jobs,
                           const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
   const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
       resolve_jobs(jobs), count));
 
-  std::vector<WorkerQueue> queues(workers);
-  // Contiguous block distribution: worker w owns indices
-  // [w*count/workers, (w+1)*count/workers).
-  for (unsigned w = 0; w < workers; ++w) {
-    const std::size_t lo = count * w / workers;
-    const std::size_t hi = count * (w + 1) / workers;
-    for (std::size_t i = lo; i < hi; ++i) queues[w].tasks.push_back(i);
-  }
-
+  // Simulations are milliseconds long, so one contended counter costs
+  // nothing measurable.
+  std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
 
-  auto work = [&](unsigned self) {
+  auto work = [&] {
     while (!failed.load(std::memory_order_acquire)) {
-      std::optional<std::size_t> task = queues[self].pop_front();
-      for (unsigned v = 1; !task && v < workers; ++v) {
-        task = queues[(self + v) % workers].steal_back();
-      }
-      // Tasks are only ever consumed, never re-enqueued: an empty sweep
-      // means the remaining in-flight work belongs to other workers, so
-      // this one is done (no spinning at the tail of the range).
-      if (!task) return;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
       try {
-        body(*task);
+        body(i);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -85,7 +43,7 @@ void parallel_for_indexed(std::size_t count, unsigned jobs,
 
   std::vector<std::thread> pool;
   pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(work, w);
+  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(work);
   for (auto& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }

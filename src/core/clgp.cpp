@@ -140,27 +140,28 @@ std::uint64_t ClgpPrestager::storage_bits() const {
                                  2 + 4);
 }
 
+prefetch::PrefetcherBuild build_clgp(const prefetch::BuildInputs& in,
+                                     ClgpConfig cfg) {
+  auto cltq = std::make_unique<frontend::CacheLineTargetQueue>(
+      prefetch::kQueueBlocks, in.config.line_bytes);
+  cfg.entries = in.config.prebuffer_entries;
+  cfg.pb_latency = in.timings.prebuffer_latency;
+  cfg.pb_pipelined = in.timings.prebuffer_pipelined;
+  cfg.line_bytes = in.config.line_bytes;
+  prefetch::PrefetcherBuild b;
+  b.prefetcher =
+      std::make_unique<ClgpPrestager>(cfg, *cltq, in.caches, in.mem);
+  b.queue = std::move(cltq);
+  return b;
+}
+
 void register_clgp_prestager(prefetch::PrefetcherRegistry& r) {
   r.add({.name = "clgp",
          .label = "CLGP",
          .description = "cache-line guided prestaging over a CLTQ (the "
                         "paper's contribution, §3.2)",
          .build = [](const prefetch::BuildInputs& in) {
-           auto cltq = std::make_unique<frontend::CacheLineTargetQueue>(
-               prefetch::kQueueBlocks, in.config.line_bytes);
-           ClgpConfig cfg;
-           cfg.entries = in.config.prebuffer_entries;
-           cfg.pb_latency = in.timings.prebuffer_latency;
-           cfg.pb_pipelined = in.timings.prebuffer_pipelined;
-           cfg.disable_consumers = in.config.clgp_disable_consumers;
-           cfg.filter_resident = in.config.clgp_filter_resident;
-           cfg.transfer_on_use = in.config.clgp_transfer_on_use;
-           cfg.line_bytes = in.config.line_bytes;
-           prefetch::PrefetcherBuild b;
-           b.prefetcher = std::make_unique<ClgpPrestager>(
-               cfg, *cltq, in.caches, in.mem);
-           b.queue = std::move(cltq);
-           return b;
+           return build_clgp(in, {});
          }});
 }
 

@@ -28,6 +28,7 @@
 #include "mem/ifetch_caches.hpp"
 #include "mem/memsys.hpp"
 #include "prefetch/prefetcher.hpp"
+#include "prefetch/registry.hpp"
 
 namespace prestage::core {
 
@@ -38,7 +39,8 @@ struct ClgpConfig {
   std::uint32_t scan_per_cycle = 2;  ///< CLTQ entries examined per cycle
   std::uint32_t line_bytes = 64;     ///< for storage accounting
 
-  // --- ablation knobs (paper behaviour when all false) ------------------
+  // --- ablation knobs (paper behaviour when all false; the CLGP ablation
+  // bench registers a scheme per variant through build_clgp) -----------
   bool disable_consumers = false;  ///< free entries on first use (FDP-style)
   bool filter_resident = false;    ///< skip lines already in L0/L1
   bool transfer_on_use = false;    ///< promote used lines to L0/L1
@@ -93,5 +95,11 @@ class ClgpPrestager final : public prefetch::IPrefetcher {
   PrestageBuffer buffer_;
   SourceBreakdown sources_;
 };
+
+/// CLGP's CLTQ + prestager pair for the machine @p in describes. The
+/// buffer geometry comes from @p in, the ablation knobs from @p cfg; the
+/// registered `clgp` scheme is build_clgp(in, {}).
+[[nodiscard]] prefetch::PrefetcherBuild build_clgp(
+    const prefetch::BuildInputs& in, ClgpConfig cfg);
 
 }  // namespace prestage::core

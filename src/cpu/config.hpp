@@ -45,11 +45,6 @@ struct MachineConfig {
   std::string prefetcher = kNoPrefetcher;
   std::uint32_t prebuffer_entries = 4;
 
-  // CLGP ablation knobs (all false == the paper's CLGP):
-  bool clgp_disable_consumers = false;
-  bool clgp_filter_resident = false;
-  bool clgp_transfer_on_use = false;
-
   // --- core (Table 2) -----------------------------------------------------
   std::uint32_t width = 4;
   std::uint32_t line_bytes = 64;

@@ -29,8 +29,8 @@
 
 namespace prestage::sample {
 
-/// Streaming accumulator for one interval's projected BBV. Reused by the
-/// profiler and by `prestage trace info --intervals`.
+/// Streaming accumulator for one interval's projected BBV. Used by the
+/// profiler and by bench/micro/micro_bbv.cpp.
 class SignatureAccumulator {
  public:
   explicit SignatureAccumulator(std::uint32_t dim) : acc_(dim, 0.0) {}

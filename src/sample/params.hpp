@@ -42,7 +42,7 @@ struct ResolvedSamplingParams {
   std::uint32_t warmup_intervals = 0;
 
   /// Descriptor fragment appended to RunPoint::descriptor() when enabled,
-  /// e.g. "|sample=iv5000,dim16,k4,warm256". Empty when disabled, so
+  /// e.g. "|sample=iv5000,dim16,k4,warm256,wu1". Empty when disabled, so
   /// full-run keys are byte-identical to historical ones.
   [[nodiscard]] std::string descriptor_suffix() const;
 

@@ -1,10 +1,12 @@
 // Campaign-layer coverage: grid expansion and content-hash keys, the
-// work-stealing scheduler's determinism across worker counts,
+// in-order scheduler's determinism across worker counts,
 // resume-equals-fresh-run store identity, corrupt/truncated store
 // recovery, baseline comparison, and report determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -23,6 +25,8 @@
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "expect_same_stats.hpp"
+#include "sim/presets.hpp"
+#include "sim/report.hpp"
 
 namespace {
 
@@ -610,6 +614,68 @@ TEST(CampaignReport, GridAggregatesAndReportAreDeterministic) {
   EXPECT_NE(report.find("prestage-campaign-report-v1"), std::string::npos);
 }
 
+TEST(CampaignReport, ClaimsMeasureTheirCells) {
+  CampaignSpec spec = tiny_spec();
+  ResultStore store;
+  for (const auto& r : campaign::run_points(campaign::expand(spec), 2)) {
+    store.insert(r);
+  }
+  const auto render = [&store](const CampaignSpec& s) {
+    const campaign::ResultGrid grid(s, store);
+    std::ostringstream out;
+    JsonWriter json(out, JsonWriter::Style::Compact);
+    campaign::write_report(json, grid);
+    return json::parse(out.str());
+  };
+  EXPECT_FALSE(render(spec).has("claims"))
+      << "a spec without claims writes no claims key";
+
+  const auto node = cacti::TechNode::um045;
+  spec.claims.push_back({.first = {"clgp-l0", node, 1024},
+                         .second = {"base", node, 4096},
+                         .paper = 3.5});
+  spec.claims.push_back({.first = {"clgp+l0", node, 4096},
+                         .second = {"base", node, 4096},
+                         .per_benchmark = true});
+  const campaign::ResultGrid grid(spec, store);
+  const double first = grid.hmean_ipc("clgp-l0", node, 1024);
+  const double second = grid.hmean_ipc("base", node, 4096);
+  std::uint64_t at_least = 0;
+  for (const std::string& bench : grid.benchmarks()) {
+    at_least += grid.at("clgp-l0", node, 4096, bench)->result.ipc >=
+                grid.at("base", node, 4096, bench)->result.ipc;
+  }
+
+  const json::Value doc = render(spec);
+  ASSERT_TRUE(doc.has("claims"));
+  const std::vector<json::Value>& claims = doc.at("claims").array;
+  ASSERT_EQ(claims.size(), 2u);
+  const json::Value& speedup = claims[0];
+  EXPECT_EQ(speedup.at("measure").as_string(), "hmean_speedup_pct");
+  EXPECT_EQ(speedup.at("first").at("preset").as_string(), "clgp-l0");
+  EXPECT_EQ(speedup.at("first").at("l1i_size").as_number(), 1024.0);
+  EXPECT_EQ(speedup.at("second").at("l1i_size").as_number(), 4096.0);
+  // The document prints 10 significant digits; evaluate() is exact.
+  EXPECT_DOUBLE_EQ(campaign::evaluate(grid, spec.claims[0]).measured,
+                   sim::speedup_pct(first, second));
+  EXPECT_NEAR(speedup.at("first").at("hmean_ipc").as_number(), first, 1e-9);
+  EXPECT_NEAR(speedup.at("second").at("hmean_ipc").as_number(), second,
+              1e-9);
+  EXPECT_NEAR(speedup.at("measured").as_number(),
+              sim::speedup_pct(first, second), 1e-7);
+  EXPECT_DOUBLE_EQ(speedup.at("paper").as_number(), 3.5);
+  EXPECT_FALSE(speedup.has("holds")) << "not a judged claim";
+
+  const json::Value& count = claims[1];
+  EXPECT_EQ(count.at("measure").as_string(), "benchmarks_at_least");
+  EXPECT_EQ(count.at("first").at("preset").as_string(), "clgp-l0")
+      << "cells name the canonical spelling";
+  EXPECT_EQ(campaign::evaluate(grid, spec.claims[1]).measured,
+            static_cast<double>(at_least));
+  EXPECT_EQ(count.at("measured").as_u64(), at_least);
+  EXPECT_FALSE(count.has("paper"));
+}
+
 TEST(CampaignPerf, RecordRoundTripsAndAggregates) {
   campaign::PerfRecord r;
   r.key = "abc123";
@@ -849,9 +915,9 @@ TEST(ParallelFor, PropagatesTheFirstBodyException) {
 }
 
 TEST(ParallelFor, StealingUnderUnevenLoadIsExactlyOnce) {
-  // Uneven per-task cost empties some worker deques early and forces
-  // the idle workers onto the stealing path; every index must still run
-  // exactly once (regression guard for the deque/steal locking).
+  // Uneven per-task cost puts the workers out of step, so they race for
+  // the shared cursor at varying moments; every index must still run
+  // exactly once (regression guard for the cursor hand-out).
   std::vector<std::atomic<int>> hits(512);
   std::atomic<long> checksum{0};
   prestage::parallel_for_indexed(hits.size(), 8, [&](std::size_t i) {
@@ -864,6 +930,32 @@ TEST(ParallelFor, StealingUnderUnevenLoadIsExactlyOnce) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
   EXPECT_EQ(checksum.load(), 512L * 511L / 2);
+}
+
+TEST(ParallelFor, HandsOutIndicesInAscendingOrder) {
+  // Indices leave one shared cursor in order and a worker holds at most
+  // one it has claimed but not started, so when body(i) starts, at most
+  // workers - 1 lower indices are still unstarted: at least
+  // i + 2 - workers bodies (this one included) have started. A scheduler
+  // that preloads each worker with a chunk starts index count/workers
+  // among the first few bodies.
+  constexpr unsigned kWorkers = 4;
+  constexpr std::size_t kTasks = 256;
+  std::atomic<long> started{0};
+  std::atomic<int> early{0};  // bodies that started ahead of that bound
+  prestage::parallel_for_indexed(kTasks, kWorkers, [&](std::size_t i) {
+    if (started.fetch_add(1) + 1 < static_cast<long>(i) + 2 - kWorkers) {
+      early.fetch_add(1);
+    }
+    // Busy for 0.1-1 ms so the workers overlap.
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(100 + 100 * (i * 7 % 10));
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  });
+  EXPECT_EQ(started.load(), static_cast<long>(kTasks));
+  EXPECT_EQ(early.load(), 0)
+      << "bodies started ahead of lower indices still queued";
 }
 
 TEST(ParallelFor, ConcurrentThrowsDrainCleanlyToOneException) {
@@ -893,6 +985,37 @@ TEST(FigureRegistry, CampaignsResolveByUniqueName) {
     EXPECT_NE(figures::find(name), nullptr) << name;
   }
   EXPECT_EQ(figures::find("fig3"), nullptr);
+}
+
+TEST(FigureRegistry, ClaimsNameGridCells) {
+  // A claim's cells must lie on its campaign's axes; a stray cell would
+  // otherwise assert only when the report is written.
+  std::size_t claims = 0;
+  for (const CampaignSpec& spec : figures::all_campaigns()) {
+    std::set<std::string> presets;
+    for (const std::string& p : spec.presets) {
+      presets.insert(sim::canonical_name(*sim::parse_spec(p)));
+    }
+    const auto on_axes = [&](const campaign::GridCell& cell) {
+      const auto c = sim::parse_spec(cell.preset);
+      return c.has_value() && presets.count(sim::canonical_name(*c)) > 0 &&
+             std::count(spec.nodes.begin(), spec.nodes.end(), cell.node) >
+                 0 &&
+             std::count(spec.l1_sizes.begin(), spec.l1_sizes.end(),
+                        cell.l1i_size) > 0;
+    };
+    for (const campaign::Claim& claim : spec.claims) {
+      ++claims;
+      EXPECT_TRUE(on_axes(claim.first))
+          << spec.name << ": " << claim.first.preset;
+      EXPECT_TRUE(on_axes(claim.second))
+          << spec.name << ": " << claim.second.preset;
+    }
+  }
+  EXPECT_EQ(figures::find("fig5")->claims.size(), 9u)
+      << "four per node plus the budget claim";
+  EXPECT_EQ(figures::find("fig6")->claims.size(), 1u);
+  EXPECT_EQ(claims, 10u) << "only fig5 and fig6 carry claims";
 }
 
 TEST(CampaignStore, RowsCarryTheCanonicalConfigString) {

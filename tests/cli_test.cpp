@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -300,6 +301,21 @@ TEST(CliSmoke, BadInputFailsWithUsage) {
   EXPECT_EQ(run_cli("suite --instrs 1000 -j", &output), 2);
   EXPECT_NE(output.find("missing value for -j"), std::string::npos)
       << output;
+}
+
+TEST(CliSmoke, EmptyListIsAMalformedValue) {
+  // An empty or all-comma list is refused, not read as "flag not given"
+  // (which ran the whole suite, eon, or the paper's nine sizes).
+  for (const auto& [args, flag] :
+       {std::pair{"suite --bench , --instrs 1000", "--bench"},
+        std::pair{"run --bench '' --instrs 1000", "--bench"},
+        std::pair{"sweep --sizes '' --instrs 1000", "--sizes"}}) {
+    std::string output;
+    EXPECT_EQ(run_cli(args, &output), 2) << args << ": " << output;
+    EXPECT_NE(output.find(std::string("prestage: ") + flag + " needs "),
+              std::string::npos)
+        << args << ": " << output;
+  }
 }
 
 TEST(CliSmoke, EveryDocumentedFlagParses) {
