@@ -2,7 +2,9 @@
 // walks every dynamic instruction of a workload once (as spans, building
 // no records), so accumulator add/finish throughput and the
 // whole-profile pass bound how cheap a sampling plan is relative to the
-// detailed simulation it replaces. The slice-start benchmarks price what
+// detailed simulation it replaces. The accumulator's add() is one
+// flat-map update per stream; the random projection runs in finish(),
+// once per distinct block of the interval. The slice-start benchmarks price what
 // a plan's trace snapshots save (every slice of every run point copies
 // one instead of walking the trace) and what the plan's own snapshot
 // walk costs as a span walk against a fill() walk. BM_BuildPlan times
@@ -24,7 +26,9 @@ namespace {
 
 using namespace prestage;
 
-/// Projected-BBV accumulation over a synthetic block working set.
+/// One stream's add(): a flat-map update of its block's integer weight
+/// (256 distinct blocks); the argument is the signature dimension, which
+/// add() no longer touches.
 void BM_SignatureAdd(benchmark::State& state) {
   sample::SignatureAccumulator acc(
       static_cast<std::uint32_t>(state.range(0)));
@@ -41,7 +45,9 @@ void BM_SignatureAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_SignatureAdd)->Arg(16)->Arg(64)->Arg(256);
 
-/// Interval close: L2 normalization + reset.
+/// Interval close for 64 streams over up to 64 distinct blocks: the
+/// projection of each block into 16 dimensions, the L2 normalization
+/// and the reset.
 void BM_SignatureFinish(benchmark::State& state) {
   sample::SignatureAccumulator acc(16);
   Rng rng(2);

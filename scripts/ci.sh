@@ -367,6 +367,17 @@ done
 cmp build/ci-eon.pstr build-debug/ci-eon.pstr
 echo "debug: smoke, family, fig5 and smoke-sampled stores and the eon" \
   "recording match Release"
+# Plan identity at perfbench's interval length: a BBV signature sums
+# integer weights per block and projects them once per interval, exact
+# in any order, so the -O0 and -O3 + LTO CLIs must save the same plan.
+for bench in gcc twolf; do
+  for tree in build build-debug; do
+    "./$tree/src/cli/prestage" sample plan --bench "$bench" --instrs 4000000 \
+      --interval 50000 --max-k 2 --out "$tree/ci-plan-$bench.psck" > /dev/null
+  done
+  cmp "build/ci-plan-$bench.psck" "build-debug/ci-plan-$bench.psck"
+done
+echo "debug: gcc and twolf plans at 4M instructions match Release"
 
 # --- perfbench builds against the tree ---------------------------------------
 # perfbench/ times the kernel with a shadow machine that calls the units'

@@ -8,6 +8,13 @@
 
 namespace prestage::core {
 
+namespace {
+
+/// CLTQ entries the scan examines per cycle.
+constexpr std::uint32_t kScanPerCycle = 2;
+
+}  // namespace
+
 ClgpPrestager::ClgpPrestager(const ClgpConfig& config,
                              frontend::CacheLineTargetQueue& cltq,
                              mem::IFetchCaches& caches, mem::MemSystem& mem)
@@ -66,7 +73,7 @@ void ClgpPrestager::tick(Cycle now) {
   bool issued_transfer = false;
   for (std::size_t i = cltq_.first_unprefetched(); i < cltq_.lines_held();
        ++i) {
-    if (examined >= config_.scan_per_cycle) return;
+    if (examined >= kScanPerCycle) return;
     if (cltq_.is_prefetched(i)) continue;
     const Addr line = cltq_.line_at(i).line;
     ++examined;

@@ -36,8 +36,7 @@ struct ClgpConfig {
   std::uint32_t entries = 8;      ///< prestage buffer entries (lines)
   int pb_latency = 1;             ///< buffer access latency
   bool pb_pipelined = false;      ///< 16-entry buffers are pipelined (§5)
-  std::uint32_t scan_per_cycle = 2;  ///< CLTQ entries examined per cycle
-  std::uint32_t line_bytes = 64;     ///< for storage accounting
+  std::uint32_t line_bytes = 64;  ///< for storage accounting
 
   // --- ablation knobs (paper behaviour when all false; the CLGP ablation
   // bench registers a scheme per variant through build_clgp) -----------

@@ -42,8 +42,6 @@ class FrontendDriver {
   /// repair the speculative RAS from the oracle's call-stack snapshot.
   void on_recovery();
 
-  [[nodiscard]] bool on_wrong_path() const noexcept { return wrong_path_; }
-
   /// Would tick() change state this cycle? True while a redirect bubble
   /// is draining (the counter decrements every tick) or the queue has
   /// room for a prediction. False only when the queue is full — the

@@ -7,12 +7,17 @@
 
 namespace prestage::prefetch {
 
-FdpPrefetcher::FdpPrefetcher(const FdpConfig& config,
-                             const PrefetchBufferConfig& buffer,
+namespace {
+
+/// FTQ lines the scan examines per cycle.
+constexpr std::uint32_t kScanPerCycle = 2;
+
+}  // namespace
+
+FdpPrefetcher::FdpPrefetcher(const PrefetchBufferConfig& buffer,
                              frontend::FetchTargetQueue& ftq,
                              mem::IFetchCaches& caches, mem::MemSystem& mem)
     : BufferedPrefetcher(buffer, Arrival::Tracked, caches, mem),
-      config_(config),
       ftq_(ftq),
       caches_(caches) {}
 
@@ -43,7 +48,7 @@ void FdpPrefetcher::tick(Cycle now) {
   for (std::size_t b = 0; b < ftq_.size(); ++b) {
     auto& entry = ftq_.entry(b);
     for (; entry.prefetch_line < entry.lines; ++entry.prefetch_line) {
-      if (examined >= config_.scan_per_cycle) return;
+      if (examined >= kScanPerCycle) return;
       ++examined;
       const Addr line = frontend::line_addr_of_block(
           entry.block, ftq_.line_bytes(), entry.prefetch_line);
@@ -101,8 +106,7 @@ void register_fdp_prefetcher(PrefetcherRegistry& r) {
                kQueueBlocks, in.config.line_bytes);
            PrefetcherBuild b;
            b.prefetcher = std::make_unique<FdpPrefetcher>(
-               FdpConfig{}, prefetch_buffer_config(in), *ftq, in.caches,
-               in.mem);
+               prefetch_buffer_config(in), *ftq, in.caches, in.mem);
            b.queue = std::move(ftq);
            return b;
          }});

@@ -25,13 +25,9 @@
 
 namespace prestage::prefetch {
 
-struct FdpConfig {
-  std::uint32_t scan_per_cycle = 2;  ///< FTQ lines examined per cycle
-};
-
 class FdpPrefetcher final : public BufferedPrefetcher {
  public:
-  FdpPrefetcher(const FdpConfig& config, const PrefetchBufferConfig& buffer,
+  FdpPrefetcher(const PrefetchBufferConfig& buffer,
                 frontend::FetchTargetQueue& ftq, mem::IFetchCaches& caches,
                 mem::MemSystem& mem);
 
@@ -53,7 +49,6 @@ class FdpPrefetcher final : public BufferedPrefetcher {
   };
   [[nodiscard]] Scan classify(Addr line, Cycle now) const;
 
-  FdpConfig config_;
   frontend::FetchTargetQueue& ftq_;
   mem::IFetchCaches& caches_;
 };

@@ -33,28 +33,49 @@ constexpr std::uint64_t kWaypointSlots = 16;
 }  // namespace
 
 void SignatureAccumulator::add(Addr block_pc, std::uint64_t weight) {
-  const auto w = static_cast<double>(weight);
-  std::uint64_t signs = 0;
-  for (std::uint32_t d = 0; d < acc_.size(); ++d) {
-    if (d % 64U == 0) signs = projection_word(block_pc, d / 64U);
-    // Accumulation order is block-arrival order, identical for identical
-    // traces, so the sums are bit-reproducible.
-    acc_[d] += ((signs >> (d % 64U)) & 1U) != 0 ? w : -w;
+  const auto next = static_cast<std::uint32_t>(blocks_.size());
+  const std::uint32_t slot = *slot_.find_or_insert(block_pc, next);
+  if (slot == next) {
+    blocks_.push_back(block_pc);
+    weights_.push_back(weight);
+  } else {
+    weights_[slot] += weight;
   }
 }
 
 std::vector<double> SignatureAccumulator::finish() {
+  // Integer sums: exact, so the block order cannot change a bit.
+  std::fill(acc_.begin(), acc_.end(), 0);
+  const std::size_t dim = acc_.size();
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    const auto w = static_cast<std::int64_t>(weights_[b]);
+    for (std::size_t g = 0; g * 64 < dim; ++g) {
+      const std::uint64_t signs =
+          projection_word(blocks_[b], static_cast<std::uint32_t>(g));
+      const std::size_t n = std::min<std::size_t>(64, dim - g * 64);
+      std::int64_t* acc = acc_.data() + g * 64;
+      for (std::size_t d = 0; d < n; ++d) {
+        acc[d] += ((signs >> d) & 1U) != 0 ? w : -w;
+      }
+    }
+  }
+  slot_.clear();
+  blocks_.clear();
+  weights_.clear();
+
   double sq = 0.0;
-  for (const double v : acc_) {
+  for (const std::int64_t v : acc_) {
     // Fixed dimension order: deterministic sum.
-    sq += v * v;
+    const auto x = static_cast<double>(v);
+    sq += x * x;
   }
   const double norm = std::sqrt(sq);
-  std::vector<double> out(acc_.size(), 0.0);
+  std::vector<double> out(dim, 0.0);
   if (norm > 0.0) {
-    for (std::size_t d = 0; d < acc_.size(); ++d) out[d] = acc_[d] / norm;
+    for (std::size_t d = 0; d < dim; ++d) {
+      out[d] = static_cast<double>(acc_[d]) / norm;
+    }
   }
-  std::fill(acc_.begin(), acc_.end(), 0.0);
   return out;
 }
 
@@ -86,6 +107,14 @@ TraceProfile profile_source(workload::TraceSource& source,
 
   SignatureAccumulator acc(dim);
   AddrMap seen_blocks;  // membership + count only, never iterated
+  // Closes the open interval: its distinct blocks join seen_blocks, and
+  // its signature is projected.
+  const auto close_interval = [&] {
+    for (const Addr pc : acc.blocks()) {
+      if (!seen_blocks.contains(pc)) seen_blocks.insert(pc, 0);
+    }
+    return acc.finish();
+  };
 
   // Ring of the most recent instruction lines (consecutive duplicates
   // collapsed) — snapshot at each interval open becomes that interval's
@@ -143,13 +172,12 @@ TraceProfile profile_source(workload::TraceSource& source,
            line <= last; line += kWarmLineBytes) {
         if (line == last_line) continue;
         ring[head] = line;
-        head = (head + 1) % warm_lines;
+        if (++head == warm_lines) head = 0;
         filled = std::min<std::size_t>(filled + 1, warm_lines);
         last_line = line;
       }
       if (!span.ends_stream) continue;
       acc.add(block_pc, block_len);
-      if (!seen_blocks.contains(block_pc)) seen_blocks.insert(block_pc, 0);
       consumed += block_len;
       block_len = 0;
       // Intervals close at the first stream boundary at or past the
@@ -158,7 +186,7 @@ TraceProfile profile_source(workload::TraceSource& source,
         IntervalProfile iv;
         iv.start = interval_start;
         iv.instructions = consumed - interval_start;
-        iv.signature = acc.finish();
+        iv.signature = close_interval();
         iv.warm_lines = std::move(pending_warm);
         profile.intervals.push_back(std::move(iv));
         interval_start = consumed;
@@ -176,7 +204,7 @@ TraceProfile profile_source(workload::TraceSource& source,
     IntervalProfile iv;
     iv.start = interval_start;
     iv.instructions = consumed - interval_start;
-    iv.signature = acc.finish();
+    iv.signature = close_interval();
     iv.warm_lines = std::move(pending_warm);
     profile.intervals.push_back(std::move(iv));
   }

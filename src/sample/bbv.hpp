@@ -9,7 +9,11 @@
 // faithful to SimPoint's BBV while matching this simulator's stream
 // decomposition. Projection signs come from a stateless hash of the
 // block address, so two profiles of the same trace are bit-identical
-// with no RNG and no iteration-order sensitivity.
+// with no RNG and no iteration-order sensitivity. Per stream, the pass
+// only adds the stream's length to its block's integer weight; each
+// distinct block is projected once, when its interval closes
+// (SignatureAccumulator), so a profile costs about what its span walk
+// costs.
 //
 // The same pass captures, at every interval boundary, the trailing
 // window of instruction-line addresses — the functional-warming
@@ -24,6 +28,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/addr_map.hpp"
 #include "common/types.hpp"
 #include "workload/trace.hpp"
 
@@ -31,20 +36,38 @@ namespace prestage::sample {
 
 /// Streaming accumulator for one interval's projected BBV. Used by the
 /// profiler and by bench/micro/micro_bbv.cpp.
+///
+/// add() only sums an integer weight per distinct block of the open
+/// interval (one flat-map update per stream); finish() projects each
+/// block once. A block's projection is ±weight in every dimension, so
+/// every addend is an integer, and every partial sum is bounded by the
+/// interval's instruction count, far below 2^53: the sums are exact in
+/// any order, and the signature is bit-identical to adding each
+/// stream's ±weight to every dimension as it arrives (a zero sum is
+/// +0.0 both ways).
 class SignatureAccumulator {
  public:
-  explicit SignatureAccumulator(std::uint32_t dim) : acc_(dim, 0.0) {}
+  explicit SignatureAccumulator(std::uint32_t dim) : acc_(dim, 0) {}
 
   /// Adds @p weight dynamic instructions executed by the block whose
-  /// stream starts at @p block_pc.
+  /// stream starts at @p block_pc (!= kNoAddr).
   void add(Addr block_pc, std::uint64_t weight);
+
+  /// The distinct blocks added since the last finish(), in first-add
+  /// order.
+  [[nodiscard]] const std::vector<Addr>& blocks() const noexcept {
+    return blocks_;
+  }
 
   /// L2-normalized signature; the accumulator resets for the next
   /// interval. An empty interval yields the zero vector.
   [[nodiscard]] std::vector<double> finish();
 
  private:
-  std::vector<double> acc_;
+  AddrMap slot_;  ///< block pc -> its index in blocks_ and weights_
+  std::vector<Addr> blocks_;
+  std::vector<std::uint64_t> weights_;
+  std::vector<std::int64_t> acc_;  ///< finish()'s per-dimension sums
 };
 
 /// Cosine similarity of two equal-dim signatures (1.0 = same phase).
@@ -84,8 +107,9 @@ struct TraceProfile {
 /// (TraceSource::fill_spans) and stops exactly at the end of the last
 /// interval, so @p source is left at the profile's total_instructions.
 /// Each stream counts for its start PC and length; the warm-line ring
-/// sees every line a span covers. Keeps a waypoint at every k-th
-/// interval start, k = ceil(ceil(total / interval) / 16), so at most 15:
+/// sees every line a span covers; unique_blocks grows from each closed
+/// interval's distinct blocks. Keeps a waypoint at every k-th interval
+/// start, k = ceil(ceil(total / interval) / 16), so at most 15:
 /// a span batch never reads past the earliest position the next
 /// waypoint's interval can open at, and the stream that reaches it is
 /// read one span at a time, so each clone is taken exactly at its

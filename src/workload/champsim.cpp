@@ -349,6 +349,7 @@ std::shared_ptr<const ReplayWorkloadSpec> import_champsim_trace(
             : block_id_of(target);
   }
   prog.region_roots = {0};
+  prog.derive_mem_masks();
   prog.validate();
 
   if (stats != nullptr) {

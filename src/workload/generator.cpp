@@ -28,6 +28,7 @@ class Builder {
     build_dispatcher();
     build_regions();
     layout();
+    prog_.derive_mem_masks();
     prog_.validate();
     return std::move(prog_);
   }
@@ -115,10 +116,13 @@ class Builder {
   }
 
   std::uint32_t draw_block_len() {
-    // Mean p_.avg_block_instrs with a floor of 2 and a geometric tail.
+    // Mean p_.avg_block_instrs with a floor of 2 and a geometric tail,
+    // capped so that every block fits its memory mask.
+    constexpr std::uint64_t kMaxTail = 24;
+    static_assert(2 + kMaxTail <= kMemMaskBits);
     const double extra_mean = std::max(0.5, p_.avg_block_instrs - 2.0);
     const double cont = extra_mean / (extra_mean + 1.0);
-    return 2 + static_cast<std::uint32_t>(rng_.geometric(cont, 24));
+    return 2 + static_cast<std::uint32_t>(rng_.geometric(cont, kMaxTail));
   }
 
   void set_terminator(BlockId id, TermKind kind, OpClass op) {

@@ -1,6 +1,28 @@
 #include "workload/program.hpp"
 
+#include <algorithm>
+
 namespace prestage::workload {
+
+namespace {
+
+/// Load/store positions among the first kMemMaskBits of @p instrs.
+[[nodiscard]] std::uint32_t mem_mask_of(std::span<const StaticInst> instrs) {
+  std::uint32_t mask = 0;
+  const std::size_t n = std::min<std::size_t>(instrs.size(), kMemMaskBits);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (instrs[i].op == OpClass::Load || instrs[i].op == OpClass::Store) {
+      mask |= 1U << i;
+    }
+  }
+  return mask;
+}
+
+}  // namespace
+
+void Program::derive_mem_masks() {
+  for (BasicBlock& b : blocks) b.mem_mask = mem_mask_of(instrs(b));
+}
 
 void Program::validate() const {
   PRESTAGE_ASSERT(!blocks.empty(), "program has no blocks");
@@ -72,6 +94,8 @@ void Program::validate() const {
                         "memory instruction without a data site");
       }
     }
+    PRESTAGE_ASSERT(b.mem_mask == mem_mask_of(instrs(b)),
+                    "block's memory mask disagrees with its instructions");
   }
   PRESTAGE_ASSERT(next_inst == insts.size(),
                   "instructions outside every block");

@@ -11,6 +11,13 @@
 // instructions form one address-ordered array: the instruction at `pc`
 // is `insts[(pc - base) / kInstrBytes]`, and a block is the run of
 // `count` entries from `first`. Each instruction is stored exactly once.
+//
+// Each block also carries a bit mask of where its loads and stores sit
+// (BasicBlock::mem_mask), derived from `insts` once the builder is done
+// (Program::derive_mem_masks) and checked by validate(). The trace walker
+// draws data addresses at the mask's set bits only, instead of testing
+// every instruction's class. The mask sits in the padding after
+// `behavior`, so a block stays 48 bytes.
 #pragma once
 
 #include <cstdint>
@@ -64,11 +71,20 @@ struct StaticInst {
   std::uint32_t site = kNoSite;  ///< data-site id for loads/stores
 };
 
+/// Positions a BasicBlock::mem_mask can describe. Synthetic blocks are
+/// at most 26 instructions long (generator.cpp); the trace walker refuses
+/// a longer block (an imported ChampSim image may have one, but it is
+/// replayed, never walked).
+inline constexpr std::uint32_t kMemMaskBits = 32;
+
 struct BasicBlock {
   Addr start = 0;
   TermKind term = TermKind::FallThrough;
   BlockId taken_target = kNoBlock;  ///< branch/jump/call destination
   BranchBehavior behavior = BranchBehavior::Biased;
+  /// Bit i set iff instruction i of the block (i < kMemMaskBits) is a
+  /// load or a store. Set by Program::derive_mem_masks().
+  std::uint32_t mem_mask = 0;
   double bias = 0.5;           ///< P(taken) for Biased conditionals
   std::uint32_t period = 0;    ///< trip count for Periodic latches
   std::uint32_t router_mid = 0;  ///< Router: taken iff region >= router_mid
@@ -81,6 +97,7 @@ struct BasicBlock {
   }
   [[nodiscard]] Addr last_pc() const noexcept { return end() - kInstrBytes; }
 };
+static_assert(sizeof(BasicBlock) == 48, "mem_mask must stay in padding");
 
 class Program {
  public:
@@ -141,7 +158,12 @@ class Program {
     return {insts.data() + b.first, b.count};
   }
 
-  /// Validates structural invariants; throws SimError on violation.
+  /// Sets every block's mem_mask from its instructions. Builders call it
+  /// once the instructions are final, before validate().
+  void derive_mem_masks();
+
+  /// Validates structural invariants, each block's mem_mask among them;
+  /// throws SimError on violation.
   void validate() const;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "common/prestage_assert.hpp"
@@ -158,6 +159,8 @@ TraceGenerator::Chunk TraceGenerator::advance(std::uint64_t limit,
   const BlockId here = cur_block_;
   const BasicBlock& b = prog_.blocks[here];
   PRESTAGE_ASSERT(cur_idx_ < b.num_instrs() && limit > 0);
+  PRESTAGE_ASSERT(b.num_instrs() <= kMemMaskBits,
+                  "block longer than its memory mask");
   Chunk c;
   c.start = b.start + static_cast<Addr>(cur_idx_) * kInstrBytes;
   c.length = static_cast<std::uint32_t>(std::min<std::uint64_t>(
@@ -165,25 +168,32 @@ TraceGenerator::Chunk TraceGenerator::advance(std::uint64_t limit,
        limit}));
   c.next_pc = c.start + static_cast<Addr>(c.length) * kInstrBytes;
 
-  // Data addresses in program order, then the branch outcome: the RNG
-  // draws of an instruction-at-a-time walk, in the same order.
   const StaticInst* si = prog_.insts.data() + b.first + cur_idx_;
-  for (std::uint32_t i = 0; i < c.length; ++i) {
-    const bool mem = si[i].op == OpClass::Load || si[i].op == OpClass::Store;
-    const Addr data = mem ? data_address(si[i].site) : kNoAddr;
-    if constexpr (kRecords) {
+  if constexpr (kRecords) {
+    for (std::uint32_t i = 0; i < c.length; ++i) {
       DynInst& d = out[i];
       d.pc = c.start + static_cast<Addr>(i) * kInstrBytes;
       d.op = si[i].op;
       d.dst = si[i].dst;
       d.src1 = si[i].src1;
       d.src2 = si[i].src2;
-      d.data_addr = data;
+      d.data_addr = kNoAddr;
       d.next_pc = d.pc + kInstrBytes;
       d.taken = false;
       d.ends_stream = false;
       d.seq = seq_ + i;
     }
+  }
+  // Data addresses in program order, then the branch outcome: the RNG
+  // draws of an instruction-at-a-time walk, in the same order. Only the
+  // chunk's loads and stores draw, found from the block's mask.
+  const auto chunk_bits =
+      static_cast<std::uint32_t>((std::uint64_t{1} << c.length) - 1);
+  for (std::uint32_t m = (b.mem_mask >> cur_idx_) & chunk_bits; m != 0;
+       m &= m - 1) {
+    const auto i = static_cast<std::uint32_t>(std::countr_zero(m));
+    const Addr data = data_address(si[i].site);
+    if constexpr (kRecords) out[i].data_addr = data;
   }
   seq_ += c.length;
   stream_len_ += c.length;

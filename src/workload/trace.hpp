@@ -106,9 +106,14 @@ class TraceSource {
 /// drives both read paths: each step covers a whole chunk of the
 /// current basic block, bounded by the block end, the kMaxStreamInstrs
 /// split and the caller's limit, and draws that chunk's data addresses
-/// and its branch outcome in program order. The read paths differ only
-/// in what they write per chunk: records (fill) or one span extension
-/// (fill_spans).
+/// and its branch outcome in program order. Data addresses are drawn
+/// only at the chunk's loads and stores, visited through the block's
+/// mem_mask, so a walk costs per block chunk and per memory access, not
+/// per instruction; both read paths make the same draws in the same
+/// order, so a span walk leaves the RNG where a record walk would. The
+/// read paths differ only in what they write per chunk: records (fill,
+/// data_addr filled in at the same mask bits) or one span extension
+/// (fill_spans). A block longer than kMemMaskBits is refused (SimError).
 class TraceGenerator final : public TraceSource {
  public:
   TraceGenerator(const Program& program, std::uint64_t seed);

@@ -34,7 +34,7 @@ struct FdpRig {
   explicit FdpRig(const PrefetchBufferConfig& pb = {}, bool with_l0 = false)
       : caches(make_caches(with_l0)),
         mem(make_mem()),
-        fdp({}, pb, ftq, caches, mem) {}
+        fdp(pb, ftq, caches, mem) {}
 
   static mem::IFetchCaches make_caches(bool l0) {
     mem::IFetchCachesConfig c;

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -30,8 +32,10 @@
 #include "common/json.hpp"
 #include "common/json_writer.hpp"
 #include "common/prestage_assert.hpp"
+#include "common/rng.hpp"
 #include "cpu/cpu.hpp"
 #include "expect_same_records.hpp"
+#include "sample/bbv.hpp"
 #include "sample/checkpoint.hpp"
 #include "sample/plan.hpp"
 #include "sample/runner.hpp"
@@ -116,6 +120,82 @@ std::string line_of(const RunPoint& point, const cpu::RunResult& result) {
   r.seed = point.seed;
   r.result = result;
   return campaign::encode_line(r);
+}
+
+/// Reference signature: each stream adds its signed weight to every
+/// dimension as it arrives, in double precision, then the L2 norm in
+/// dimension order. Signs are bit d % 64 of the block's projection word
+/// for group d / 64.
+std::vector<double> per_stream_signature(
+    const std::vector<std::pair<Addr, std::uint64_t>>& streams,
+    std::uint32_t dim) {
+  std::vector<double> acc(dim, 0.0);
+  for (const auto& [pc, weight] : streams) {
+    const auto w = static_cast<double>(weight);
+    std::uint64_t signs = 0;
+    for (std::uint32_t d = 0; d < dim; ++d) {
+      if (d % 64U == 0) {
+        signs = hash_mix(pc ^ (0x9e3779b97f4a7c15ULL * (d / 64U + 1U)));
+      }
+      acc[d] += ((signs >> (d % 64U)) & 1U) != 0 ? w : -w;
+    }
+  }
+  double sq = 0.0;
+  for (const double v : acc) sq += v * v;
+  const double norm = std::sqrt(sq);
+  std::vector<double> out(dim, 0.0);
+  if (norm > 0.0) {
+    for (std::uint32_t d = 0; d < dim; ++d) out[d] = acc[d] / norm;
+  }
+  return out;
+}
+
+TEST(Bbv, AccumulatorMatchesPerStreamProjection) {
+  Rng rng(27);
+  for (const std::uint32_t dim : {1U, 16U, 64U, 65U, 130U}) {
+    for (const std::uint64_t max_weight : {64ULL, 50000ULL}) {
+      SCOPED_TRACE("dim " + std::to_string(dim) + ", weights 1-" +
+                   std::to_string(max_weight));
+      sample::SignatureAccumulator acc(dim);
+      // Several intervals through one accumulator, the first of them
+      // empty: finish() must leave nothing behind.
+      for (int interval = 0; interval < 5; ++interval) {
+        std::vector<Addr> pool;  // few blocks, so streams repeat them
+        const std::uint64_t blocks = 1 + rng.below(40);
+        for (std::uint64_t i = 0; i < blocks; ++i) {
+          pool.push_back(0x10000 + rng.below(1U << 20U) * kInstrBytes);
+        }
+        std::vector<std::pair<Addr, std::uint64_t>> streams;
+        const std::uint64_t n = interval == 0 ? 0 : 1 + rng.below(3000);
+        std::vector<Addr> first_seen;
+        for (std::uint64_t i = 0; i < n; ++i) {
+          const Addr pc = pool[rng.below(pool.size())];
+          streams.emplace_back(pc, 1 + rng.below(max_weight));
+          acc.add(pc, streams.back().second);
+          if (std::find(first_seen.begin(), first_seen.end(), pc) ==
+              first_seen.end()) {
+            first_seen.push_back(pc);
+          }
+        }
+        EXPECT_EQ(acc.blocks(), first_seen) << "interval " << interval;
+        const std::vector<double> got = acc.finish();
+        const std::vector<double> want = per_stream_signature(streams, dim);
+        ASSERT_EQ(got.size(), dim);
+        for (std::uint32_t d = 0; d < dim; ++d) {
+          // Bit patterns: a -0.0 for +0.0 fails too.
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[d]),
+                    std::bit_cast<std::uint64_t>(want[d]))
+              << "interval " << interval << ", dimension " << d << ": "
+              << got[d] << " vs " << want[d];
+        }
+        if (n == 0) {
+          for (const double v : got) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(v), 0U);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SampleParams, ResolveFillsDefaultsAndZerosOnlyPinKnobs) {

@@ -1,6 +1,7 @@
 // Calibration and invariant tests for the synthetic workload substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <thread>
@@ -82,6 +83,42 @@ TEST(Program, BlockAtFindsEveryPc) {
   }
   EXPECT_THROW((void)prog.block_at(prog.code_end()), SimError);
   EXPECT_THROW((void)prog.block_at(0), SimError);
+}
+
+TEST(Program, ValidateRejectsALyingMemoryMask) {
+  Program prog = generate_program(profile_for("gcc"));
+  ASSERT_NO_THROW(prog.validate());
+  // Every bit of a few blocks, flipped one at a time: hiding a load or
+  // store, inventing one, or setting a bit past the block's end.
+  const std::size_t step = std::max<std::size_t>(1, prog.blocks.size() / 5);
+  for (BlockId id = 0; id < prog.blocks.size(); id += step) {
+    for (std::uint32_t bit = 0; bit < kMemMaskBits; ++bit) {
+      prog.blocks[id].mem_mask ^= 1U << bit;
+      EXPECT_THROW(prog.validate(), SimError) << "block " << id << " bit "
+                                              << bit;
+      prog.blocks[id].mem_mask ^= 1U << bit;
+    }
+  }
+  EXPECT_NO_THROW(prog.validate());
+}
+
+TEST(Program, WalkerRefusesABlockLongerThanItsMemoryMask) {
+  // One block that jumps to itself, one instruction too long for a mask.
+  Program prog;
+  prog.insts.resize(kMemMaskBits + 1);
+  prog.insts.back().op = OpClass::Jump;
+  BasicBlock b;
+  b.start = prog.base;
+  b.term = TermKind::Jump;
+  b.taken_target = 0;
+  b.count = kMemMaskBits + 1;
+  prog.blocks.push_back(b);
+  prog.region_roots = {0};
+  prog.derive_mem_masks();
+  ASSERT_NO_THROW(prog.validate());
+  TraceGenerator walker(prog, 1);
+  DynInst d;
+  EXPECT_THROW((void)walker.fill(&d, 1), SimError);
 }
 
 TEST(Program, StaticInstLookupMatchesBlockContents) {
