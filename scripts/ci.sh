@@ -502,9 +502,10 @@ done
 echo "sanitizer: every hostile recording, trace and plan was refused typed"
 # Hostile flag values: every --flag the usage text names, with no value
 # and with values that are empty, not a number, negative, out of range,
-# hexadecimal or too long for any integer. `list` ignores its flags, so
-# nothing is written; each run must end in 0 or in a `prestage:` usage
-# error (exit 2), with no sanitizer report.
+# hexadecimal or too long for any integer. Every value is parsed before
+# a command refuses the flags it does not read, and `list` reads none,
+# so nothing is written; each run must end in 0 (--help) or in a
+# `prestage:` usage error (exit 2), with no sanitizer report.
 echo "sanitizer   : prestage list with hostile values for every flag"
 FLAG_ERR=build-asan/ci-flag.err
 hostile_flag() {  # ARGS...: `prestage list ARGS` must parse or refuse, cleanly
@@ -559,9 +560,13 @@ echo "sanitizer: the out-of-range count was dropped as corrupt"
 # appends under contention), the run_points suite path, the
 # in-order scheduler's own tests, the process-wide
 # single-flight caches (synthetic workloads, sampling plans) that every
-# worker touches from Cpu::Cpu, and a 4-worker sampled campaign (the
-# plan-first phase, then every worker cloning shared trace snapshots).
-# TSan exits non-zero on any report, so `set -e` is the gate.
+# worker touches from Cpu::Cpu, and sampled campaigns (points waiting on
+# a plan another worker is building, then every worker cloning shared
+# trace snapshots): the sampled-campaign tests, and a cold-cache
+# smoke-sampled run at -j 8, 8 workers on 2 plans in a fresh process, so
+# six points wait on a build in flight; its store must match the Release
+# stage's bytes. TSan exits non-zero on any report, so `set -e` is the
+# gate.
 cmake --preset tsan > /dev/null
 cmake --build --preset tsan -j \
   --target prestage_cli campaign_test fault_test memsys_stress_test \
@@ -576,6 +581,10 @@ head -n 4 build-tsan/ci-smoke-full.jsonl > build-tsan/ci-smoke.jsonl
 cmp build-tsan/ci-smoke.jsonl build-tsan/ci-smoke-full.jsonl
 ./build-tsan/src/cli/prestage suite --preset clgp-l0-pb16 --instrs 2000 \
   -j 8 > /dev/null
+rm -f build-tsan/ci-sampled.jsonl build-tsan/ci-sampled.jsonl.perf
+./build-tsan/src/cli/prestage campaign run --name smoke-sampled \
+  --instrs $SAMPLE_INSTRS --store build-tsan/ci-sampled.jsonl -j 8 > /dev/null
+cmp build/ci-sampled.jsonl build-tsan/ci-sampled.jsonl
 ./build-tsan/tests/campaign_test \
   --gtest_filter='ParallelFor.*:CampaignEngine.*' > /dev/null
 ./build-tsan/tests/fault_test > /dev/null
@@ -586,7 +595,7 @@ cmp build-tsan/ci-smoke.jsonl build-tsan/ci-smoke-full.jsonl
   --gtest_filter='SyntheticWorkload.*' > /dev/null
 ./build-tsan/tests/sample_test \
   --gtest_filter='PlanCache.*:SampledCampaign.*' > /dev/null
-echo "tsan: -j 8 run/resume, suite, scheduler, fault-layer, cache and" \
-  "sampled-campaign tests ran race-free"
+echo "tsan: -j 8 run/resume, suite, cold-cache sampled run, scheduler," \
+  "fault-layer, cache and sampled-campaign tests ran race-free"
 
 echo "ci: OK"

@@ -1,11 +1,12 @@
 // Campaign execution: expands a spec, drops every point whose key is
 // already in the store, and simulates the rest across a worker pool that
 // takes points in grid order from one shared cursor (common/parallel.hpp
-// — jobs of 0 means one worker per hardware thread). Sampled points run
-// plan-first: every distinct sampling plan they need is built once,
-// spread across the pool, before any point starts. Every grid takes this
-// path: stores through run_campaign, and the CLI's suite/sweep, the
-// examples and the CLGP ablation through run_in_memory.
+// — jobs of 0 means one worker per hardware thread). A sampled point
+// takes its plan from the process-wide cache (sample::get_or_build_plan):
+// the cache builds each plan once, and other workers that need it wait
+// for that build. Every grid takes this path: stores through
+// run_campaign, and the CLI's suite/sweep, the examples and the CLGP
+// ablation through run_in_memory.
 //
 // Results are appended to the store strictly in grid-expansion order —
 // a completed point is held until every earlier point has been written —

@@ -13,7 +13,8 @@
 //
 // All subcommands honour PRESTAGE_INSTRS when --instrs is absent, like
 // the bench harnesses, and emit machine-readable JSON via --json (a file
-// path, or `-` for stdout).
+// path, or `-` for stdout). Each command names the flags it reads; any
+// other flag is a usage error, never silently dropped.
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
@@ -37,28 +38,51 @@ struct Command {
   std::string_view group;
   std::string_view name;
   Handler run;
+  /// The flags the handler and the helpers it calls read, space
+  /// separated. Any other flag is refused as a usage error.
+  std::string_view reads;
 };
 
 int campaign_run(const Options& opt) { return cmd_campaign_run(opt, false); }
 int campaign_resume(const Options& opt) { return cmd_campaign_run(opt, true); }
 
+constexpr std::string_view kCampaignRunFlags =
+    "--name --instrs --store --json --jobs --retries --strict --durable "
+    "--point-budget";
+
+// A profile and a plan are functions of the workload, seed, budget and
+// sampling knobs: the machine flags (--preset, --node, --l1) would change
+// nothing, so those two commands refuse them.
 constexpr Command kCommands[] = {
-    {"", "run", cmd_run},
-    {"", "suite", cmd_suite},
-    {"", "sweep", cmd_sweep},
-    {"", "list", cmd_list},
-    {"trace", "record", cmd_trace_record},
-    {"trace", "replay", cmd_trace_replay},
-    {"trace", "info", cmd_trace_info},
-    {"sample", "profile", cmd_sample_profile},
-    {"sample", "plan", cmd_sample_plan},
-    {"sample", "run", cmd_sample_run},
-    {"campaign", "run", campaign_run},
-    {"campaign", "resume", campaign_resume},
-    {"campaign", "status", cmd_campaign_status},
-    {"campaign", "compare", cmd_campaign_compare},
-    {"campaign", "report", cmd_campaign_report},
-    {"faults", "list", cmd_faults_list},
+    {"", "run", cmd_run, "--preset --node --l1 --bench --instrs --json"},
+    {"", "suite", cmd_suite,
+     "--preset --node --l1 --bench --instrs --json --jobs"},
+    {"", "sweep", cmd_sweep,
+     "--preset --node --bench --sizes --instrs --json --jobs"},
+    {"", "list", cmd_list, ""},
+    {"trace", "record", cmd_trace_record,
+     "--preset --node --l1 --bench --instrs --json --out"},
+    {"trace", "replay", cmd_trace_replay,
+     "--preset --node --l1 --instrs --json --trace --format --max-records"},
+    {"trace", "info", cmd_trace_info, "--trace --format --max-records --json"},
+    {"sample", "profile", cmd_sample_profile,
+     "--bench --instrs --json --trace --format --max-records --interval "
+     "--dim --max-k --warm-lines --warmup"},
+    {"sample", "plan", cmd_sample_plan,
+     "--bench --instrs --json --trace --format --max-records --interval "
+     "--dim --max-k --warm-lines --warmup --out"},
+    {"sample", "run", cmd_sample_run,
+     "--preset --node --l1 --bench --instrs --json --trace --format "
+     "--max-records --interval --dim --max-k --warm-lines --warmup --plan"},
+    {"campaign", "run", campaign_run, kCampaignRunFlags},
+    {"campaign", "resume", campaign_resume, kCampaignRunFlags},
+    {"campaign", "status", cmd_campaign_status,
+     "--name --instrs --store --json"},
+    {"campaign", "compare", cmd_campaign_compare,
+     "--baseline --store --threshold --json"},
+    {"campaign", "report", cmd_campaign_report,
+     "--name --instrs --store --out"},
+    {"faults", "list", cmd_faults_list, "--json"},
 };
 
 bool is_help(std::string_view word) {
@@ -133,10 +157,20 @@ int main(int argc, char** argv) {
     print_usage(std::cerr);
     return 2;
   }
-  const ParseResult parsed = parse_options(argc, argv, first);
+  ParseResult parsed = parse_options(argc, argv, first);
   if (parsed.help) {
     print_usage(std::cout);
     return 0;
+  }
+  // Once every value has parsed, a flag the command would drop is refused.
+  const std::string reads = " " + std::string(command->reads) + " ";
+  for (const std::string_view flag : parsed.given) {
+    if (parsed.error.empty() &&
+        reads.find(" " + std::string(flag) + " ") == std::string::npos) {
+      parsed.error = "'" + std::string(group) + (group.empty() ? "" : " ") +
+                     std::string(name) + "' does not read " +
+                     std::string(flag);
+    }
   }
   if (!parsed.error.empty()) {
     std::cerr << "prestage: " << parsed.error << "\n\n";

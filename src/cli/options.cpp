@@ -13,7 +13,9 @@
 #include "sim/presets.hpp"
 
 namespace prestage::cli {
+namespace {
 
+/// Splits "a,b,c" into trimmed non-empty tokens.
 std::vector<std::string> split_csv(std::string_view text) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -34,8 +36,6 @@ std::vector<std::string> split_csv(std::string_view text) {
   }
   return out;
 }
-
-namespace {
 
 struct Flag;
 
@@ -267,6 +267,7 @@ ParseResult parse_options(int argc, char** argv, int first) {
     }
     result.error = flag->set(*flag, value, result.options);
     if (!result.error.empty()) return result;
+    result.given.push_back(flag->name);
   }
   return result;
 }

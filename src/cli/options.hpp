@@ -66,15 +66,16 @@ struct ParseResult {
   Options options;
   std::string error;  ///< empty on success
   bool help = false;  ///< --help / -h was given
+  /// The long name of each flag row given, in argv order ("-j4" is
+  /// "--jobs"), so the command can refuse the flags it does not read.
+  std::vector<std::string_view> given;
 };
 
-/// Parses the flags following the subcommand word.
+/// Parses the flags following the subcommand word. Every value is
+/// parsed, whichever command the flags go to.
 [[nodiscard]] ParseResult parse_options(int argc, char** argv, int first);
 
 /// The usage text: every command and every flag.
 void print_usage(std::ostream& out);
-
-/// Splits "a,b,c" into trimmed non-empty tokens.
-[[nodiscard]] std::vector<std::string> split_csv(std::string_view text);
 
 }  // namespace prestage::cli

@@ -9,7 +9,6 @@
 //                     checkpoint) and reconstruct whole-run statistics
 //                     with a confidence half-width
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <optional>
@@ -30,9 +29,13 @@ namespace {
 
 /// The machine a sample subcommand works on: over the --trace file when
 /// one is given, else over the single --bench. Empty after a usage
-/// error.
+/// error, which giving both is: the trace would drop --bench.
 std::optional<cpu::MachineConfig> sample_machine(const Options& opt) {
   if (!opt.trace_path.empty()) {
+    if (!opt.benchmarks.empty()) {
+      std::cerr << "prestage: `sample` takes --trace or --bench, not both\n";
+      return std::nullopt;
+    }
     const auto trace = trace_workload(opt).spec;
     return machine_config(opt, trace->name(), trace);
   }
@@ -260,17 +263,15 @@ int cmd_sample_run(const Options& opt) {
     // wrong workload stays a usage error — silently replanning would
     // mask pointing --plan at the wrong file.
     sample::SamplePlan plan;
-    bool have_checkpoint = true;
     try {
       plan = sample::read_checkpoint_file(opt.plan_path);
     } catch (const SimError& e) {
       std::cerr << "prestage: warning: checkpoint '" << opt.plan_path
                 << "' is unreadable (" << e.what()
                 << "); falling back to a fresh plan\n";
-      have_checkpoint = false;
       checkpoint_fallback = true;
     }
-    if (have_checkpoint) {
+    if (!checkpoint_fallback) {
       if (plan.workload != spec->name()) {
         std::cerr << "prestage: checkpoint '" << opt.plan_path
                   << "' was built for workload '" << plan.workload

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/prestage_assert.hpp"
-#include "common/stats.hpp"
 #include "sample/sliced_source.hpp"
 #include "workload/synthetic_spec.hpp"
 
@@ -18,16 +17,19 @@ std::shared_ptr<const workload::WorkloadSpec> base_workload(
   return workload::synthetic_workload(cfg.benchmark, cfg.seed);
 }
 
-cpu::RunResult run_sampled_point_with_plan(
+namespace {
+
+/// run_sampled_point_with_plan, charging the point the host time since
+/// @p host_start.
+cpu::RunResult run_slices(
     const cpu::MachineConfig& cfg,
     const std::shared_ptr<const workload::WorkloadSpec>& base,
-    const SamplePlan& plan) {
+    const SamplePlan& plan, std::chrono::steady_clock::time_point host_start) {
   PRESTAGE_ASSERT(!plan.slices.empty(), "sampling plan with no slices");
   PRESTAGE_ASSERT(plan.seed == cfg.seed,
                   "sampling plan was built for seed " +
                       std::to_string(plan.seed) + ", not " +
                       std::to_string(cfg.seed));
-  const auto host_start = std::chrono::steady_clock::now();
   const std::uint64_t budget = cfg.max_instructions;
 
   std::vector<cpu::RunResult> slices;
@@ -153,31 +155,28 @@ cpu::RunResult run_sampled_point_with_plan(
   return out;
 }
 
-std::shared_ptr<const SamplePlan> plan_for(
-    const cpu::MachineConfig& cfg, const ResolvedSamplingParams& params) {
-  return get_or_build_plan(*base_workload(cfg), cfg.seed,
-                           cfg.max_instructions, params);
+}  // namespace
+
+cpu::RunResult run_sampled_point_with_plan(
+    const cpu::MachineConfig& cfg,
+    const std::shared_ptr<const workload::WorkloadSpec>& base,
+    const SamplePlan& plan) {
+  return run_slices(cfg, base, plan, std::chrono::steady_clock::now());
 }
 
 cpu::RunResult run_sampled_point(const cpu::MachineConfig& cfg,
                                  const ResolvedSamplingParams& params) {
   PRESTAGE_ASSERT(params.enabled, "run_sampled_point: sampling disabled");
+  // The point is charged its plan lookup too: its own build, or its wait
+  // on another worker's build of the same plan (a cached plan costs ~0).
+  // Host time lives only in the .perf sidecar and the report's host
+  // section, never in a store line.
   const auto host_start = std::chrono::steady_clock::now();
-  const std::shared_ptr<const SamplePlan> plan = plan_for(cfg, params);
-  cpu::RunResult out =
-      run_sampled_point_with_plan(cfg, base_workload(cfg), *plan);
-  // Charge this point for its plan build too, when it had to build it
-  // (a cache hit costs ~0; campaign points find their plans built by
-  // the engine's plan-first phase).
-  const std::chrono::duration<double> host_elapsed =
-      std::chrono::steady_clock::now() - host_start;
-  out.host_seconds = host_elapsed.count();
-  out.minstr_per_sec =
-      out.host_seconds > 0.0
-          ? static_cast<double>(out.sample_simulated_instructions) / 1e6 /
-                out.host_seconds
-          : 0.0;
-  return out;
+  const std::shared_ptr<const workload::WorkloadSpec> base =
+      base_workload(cfg);
+  const std::shared_ptr<const SamplePlan> plan =
+      get_or_build_plan(*base, cfg.seed, cfg.max_instructions, params);
+  return run_slices(cfg, base, *plan, host_start);
 }
 
 }  // namespace prestage::sample

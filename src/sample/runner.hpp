@@ -30,9 +30,11 @@ namespace prestage::sample {
 inline constexpr double kMinRelativeIpcErrorPct = 5.0;
 
 /// Runs @p cfg sampled under @p params. cfg.max_instructions is the
-/// full-run budget being estimated. Uses the process-wide plan cache, so
-/// grid neighbors (other presets/L1 sizes/nodes of the same workload)
-/// profile only once.
+/// full-run budget being estimated. Takes its plan from the process-wide
+/// cache (get_or_build_plan over base_workload(cfg) at cfg's seed and
+/// budget), so grid neighbors (other presets/L1 sizes/nodes of the same
+/// workload) profile only once, and a point whose plan another worker
+/// is building waits for that build.
 [[nodiscard]] cpu::RunResult run_sampled_point(
     const cpu::MachineConfig& cfg, const ResolvedSamplingParams& params);
 
@@ -45,13 +47,6 @@ inline constexpr double kMinRelativeIpcErrorPct = 5.0;
     const cpu::MachineConfig& cfg,
     const std::shared_ptr<const workload::WorkloadSpec>& base,
     const SamplePlan& plan);
-
-/// The process-wide cached plan run_sampled_point uses for @p cfg
-/// (base_workload(cfg) at cfg's seed and budget), built on first use.
-/// The campaign engine calls it for every distinct plan before any
-/// point runs.
-[[nodiscard]] std::shared_ptr<const SamplePlan> plan_for(
-    const cpu::MachineConfig& cfg, const ResolvedSamplingParams& params);
 
 /// The workload a config samples over, and the one its Cpu runs:
 /// cfg.workload when set, else the process-wide synthetic spec for

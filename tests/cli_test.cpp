@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -66,6 +67,23 @@ std::string read_file(const std::string& path) {
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+std::string fixture_path() {
+  return PRESTAGE_TEST_DATA_DIR "/fixture.champsim.trace";
+}
+
+/// Every --flag the usage text names, --help included.
+std::set<std::string> documented_flags() {
+  std::string usage;
+  EXPECT_EQ(run_cli("--help", &usage), 0) << usage;
+  const std::regex token("--[a-z0-9-]+");
+  std::set<std::string> flags;
+  for (auto it = std::sregex_iterator(usage.begin(), usage.end(), token);
+       it != std::sregex_iterator(); ++it) {
+    flags.insert(it->str());
+  }
+  return flags;
 }
 
 void check_breakdown(const JsonValue& sb) {
@@ -319,28 +337,33 @@ TEST(CliSmoke, EmptyListIsAMalformedValue) {
 }
 
 TEST(CliSmoke, EveryDocumentedFlagParses) {
-  // `list` ignores its flags, so each --flag the usage text names must
-  // parse there: as a switch (or --help), or by asking for its value. A
-  // usage line for a flag the parser does not accept fails here.
-  std::string usage;
-  ASSERT_EQ(run_cli("--help", &usage), 0) << usage;
-  const std::regex token("--[a-z0-9-]+");
-  std::set<std::string> flags;
-  for (auto it = std::sregex_iterator(usage.begin(), usage.end(), token);
-       it != std::sregex_iterator(); ++it) {
-    flags.insert(it->str());
-  }
+  // `list` reads no flag, but a command refuses its flags only after
+  // every value has parsed, so each --flag the usage text names must
+  // parse there: --help prints the usage, a value flag asks for its
+  // value, and a switch parses and is then refused. A usage line for a
+  // flag the parser does not accept fails here.
+  const std::set<std::string> flags = documented_flags();
   EXPECT_EQ(flags.size(), 27u) << "26 flags plus --help";
+  std::size_t switches = 0;
   for (const std::string& flag : flags) {
     std::string output;
     const int rc = run_cli("list " + flag, &output);
     EXPECT_EQ(output.find("unknown flag"), std::string::npos) << output;
-    if (rc == 0) continue;
+    if (flag == "--help") {
+      EXPECT_EQ(rc, 0) << output;
+      continue;
+    }
     EXPECT_EQ(rc, 2) << flag << ": " << output;
+    if (output.find("prestage: 'list' does not read " + flag + "\n") !=
+        std::string::npos) {
+      ++switches;
+      continue;
+    }
     EXPECT_NE(output.find("missing value for " + flag + "\n"),
               std::string::npos)
         << output;
   }
+  EXPECT_EQ(switches, 2u) << "--strict and --durable";
   // A number that does not parse is refused by the flag's name.
   for (const char* flag :
        {"--l1", "--sizes", "--instrs", "--jobs", "--threshold", "--retries",
@@ -355,11 +378,133 @@ TEST(CliSmoke, EveryDocumentedFlagParses) {
   }
 }
 
-// --- trace subcommands ------------------------------------------------------
-
-std::string fixture_path() {
-  return PRESTAGE_TEST_DATA_DIR "/fixture.champsim.trace";
+TEST(CliSmoke, CommandsRefuseFlagsTheyDoNotRead) {
+  // Each command here is given a flag it would drop: `run` replays no
+  // trace, `campaign status` picks no benchmark, and `trace info`
+  // simulates no machine.
+  for (const auto& [args, refusal] :
+       {std::pair{std::string("run --trace /nonexistent.pstr --instrs 2000"),
+                  "'run' does not read --trace"},
+        std::pair{std::string("campaign status --name smoke --bench gcc"),
+                  "'campaign status' does not read --bench"},
+        std::pair{"trace info --preset clgp --trace " + fixture_path(),
+                  "'trace info' does not read --preset"}}) {
+    std::string output;
+    EXPECT_EQ(run_cli(args, &output), 2) << args << ": " << output;
+    EXPECT_NE(output.find(std::string("prestage: ") + refusal + "\n"),
+              std::string::npos)
+        << args << ": " << output;
+    EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+  }
+  // Values parse first: a malformed one keeps its own message.
+  std::string output;
+  EXPECT_EQ(run_cli("run --trace x --instrs 0", &output), 2);
+  EXPECT_NE(output.find("prestage: --instrs needs a positive count"),
+            std::string::npos)
+      << output;
+  // The sample commands read --bench only without --trace.
+  EXPECT_EQ(run_cli("sample plan --bench eon,gzip --trace " + fixture_path(),
+                    &output),
+            2);
+  EXPECT_NE(output.find("prestage: `sample` takes --trace or --bench, not "
+                        "both"),
+            std::string::npos)
+      << output;
 }
+
+TEST(CliSmoke, EachCommandReadsExactlyItsFlags) {
+  // Every flag a command reads, given together, must reach the check
+  // that stops the command before it simulates (an unknown benchmark or
+  // campaign, a missing file, or --trace with --bench); every other
+  // documented flag must be refused by name.
+  const std::string gone = test_file("gone");
+  const std::map<std::string, std::string> value = {
+      {"--preset", "base"},   {"--node", "045"},
+      {"--l1", "4K"},         {"--bench", "nope"},
+      {"--sizes", "1K"},      {"--instrs", "1000"},
+      {"--json", "-"},        {"--jobs", "1"},
+      {"--out", gone},        {"--trace", gone},
+      {"--format", "native"}, {"--max-records", "10"},
+      {"--interval", "500"},  {"--dim", "16"},
+      {"--max-k", "2"},       {"--warm-lines", "16"},
+      {"--warmup", "1"},      {"--plan", gone},
+      {"--name", "nope"},     {"--store", gone},
+      {"--baseline", gone},   {"--threshold", "1"},
+      {"--retries", "1"},     {"--strict", ""},
+      {"--durable", ""},      {"--point-budget", "10"}};
+  struct Row {
+    const char* command;
+    std::string reads;
+    int rc;
+    const char* stop;  ///< the check that stops the run with every flag
+  };
+  const std::string sampling =
+      "--bench --instrs --json --trace --format --max-records --interval "
+      "--dim --max-k --warm-lines --warmup";
+  const std::string campaign_run =
+      "--name --instrs --store --json --jobs --retries --strict --durable "
+      "--point-budget";
+  const char* not_both = "takes --trace or --bench, not both";
+  const Row rows[] = {
+      {"run", "--preset --node --l1 --bench --instrs --json", 2,
+       "unknown benchmark"},
+      {"suite", "--preset --node --l1 --bench --instrs --json --jobs", 2,
+       "unknown benchmark"},
+      {"sweep", "--preset --node --bench --sizes --instrs --json --jobs", 2,
+       "unknown benchmark"},
+      {"list", "", 0, "presets:"},
+      {"trace record", "--preset --node --l1 --bench --instrs --json --out",
+       2, "unknown benchmark"},
+      {"trace replay",
+       "--preset --node --l1 --instrs --json --trace --format --max-records",
+       1, "cannot open"},
+      {"trace info", "--trace --format --max-records --json", 1,
+       "cannot open"},
+      {"sample profile", sampling, 2, not_both},
+      {"sample plan", sampling + " --out", 2, not_both},
+      {"sample run", "--preset --node --l1 " + sampling + " --plan", 2,
+       not_both},
+      {"campaign run", campaign_run, 2, "unknown campaign"},
+      {"campaign resume", campaign_run, 2, "unknown campaign"},
+      {"campaign status", "--name --instrs --store --json", 2,
+       "unknown campaign"},
+      {"campaign compare", "--baseline --store --threshold --json", 2,
+       "does not exist"},
+      {"campaign report", "--name --instrs --store --out", 2,
+       "unknown campaign"},
+      {"faults list", "--json", 0, "prestage-faults-v1"},
+  };
+  std::set<std::string> documented = documented_flags();
+  documented.erase("--help");
+  for (const std::string& flag : documented) {
+    ASSERT_EQ(value.count(flag), 1u) << "no test value for " << flag;
+  }
+  for (const Row& row : rows) {
+    std::set<std::string> reads;
+    std::string args = row.command;
+    std::istringstream words(row.reads);
+    for (std::string flag; words >> flag;) {
+      reads.insert(flag);
+      args += " " + flag + " " + value.at(flag);
+    }
+    std::string output;
+    EXPECT_EQ(run_cli(args, &output), row.rc) << args << ": " << output;
+    EXPECT_NE(output.find(row.stop), std::string::npos)
+        << args << ": " << output;
+    for (const std::string& flag : documented) {
+      if (reads.count(flag) > 0) continue;
+      const std::string refused =
+          std::string(row.command) + " " + flag + " " + value.at(flag);
+      EXPECT_EQ(run_cli(refused, &output), 2) << refused << ": " << output;
+      EXPECT_NE(output.find(std::string("prestage: '") + row.command +
+                            "' does not read " + flag + "\n"),
+                std::string::npos)
+          << refused << ": " << output;
+    }
+  }
+}
+
+// --- trace subcommands ------------------------------------------------------
 
 TEST(CliTrace, RecordThenReplayReportsIdenticalStats) {
   const std::string trace_file_path = test_file("roundtrip.pstr");

@@ -3,7 +3,9 @@
 // and raw ChampSim records. Every truncation and every lying count or
 // length must fail with a typed SimError, and no allocation may be sized
 // from a lie: this binary replaces global operator new to record the
-// largest single request, and each case bounds it.
+// largest single request, and each case bounds it. The text readers get
+// the same treatment: store, `.perf` and `.failures` lines, composition
+// specs and fault specs must parse or end in their own typed refusal.
 //
 // The replacement operators are malloc/free-backed; GCC's
 // -Wmismatched-new-delete pairs an inlined `new T` with the free()
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -22,8 +25,15 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/failures.hpp"
+#include "campaign/perf.hpp"
+#include "campaign/store.hpp"
 #include "common/bytes.hpp"
+#include "common/faultpoint.hpp"
+#include "common/json.hpp"
+#include "common/rng.hpp"
 #include "sample/checkpoint.hpp"
+#include "sim/presets.hpp"
 #include "workload/champsim.hpp"
 #include "workload/trace_file.hpp"
 
@@ -296,6 +306,132 @@ TEST(HostileInput, TruncationsAndLyingCountsThrowTypedWithoutLargeAllocations) {
               kAllocationBound)
         << c.what;
   }
+}
+
+enum class Text { Store, Perf, Failures, Composition, FaultSpec };
+
+/// Reads @p text through @p format's public reader: true when it parsed,
+/// false on the reader's typed refusal (json::JsonError from the JSONL
+/// decoders, no composition from sim::parse_spec, a message from
+/// faults::arm). Any other exception escapes.
+bool read_text(Text format, const std::string& text) {
+  try {
+    switch (format) {
+      case Text::Store:
+        (void)campaign::decode_line(text);
+        return true;
+      case Text::Perf:
+        (void)campaign::decode_perf_line(text);
+        return true;
+      case Text::Failures:
+        (void)campaign::decode_failure_line(text);
+        return true;
+      case Text::Composition:
+        return sim::parse_spec(text).has_value();
+      case Text::FaultSpec: {
+        const bool armed = faults::arm(text).empty();
+        faults::disarm();
+        return armed;
+      }
+    }
+  } catch (const json::JsonError&) {
+    return false;
+  }
+  return false;
+}
+
+/// A sampled store line with every field set.
+std::string store_line() {
+  campaign::PointResult r;
+  r.key = "6c832fa5b7c5a6d0";
+  r.preset = r.config = "clgp-l0";
+  r.node = "0.045um";
+  r.benchmark = "eon";
+  r.l1i_size = 4096;
+  r.instructions = r.result.instructions = 120000;
+  r.result.cycles = 122948;
+  r.result.ipc = 0.9760195825;
+  r.result.mispredicts_per_kilo_instr = 6.391666667;
+  r.result.recoveries = 767;
+  r.result.l2_misses = 430;
+  r.result.fetch_sources.add(FetchSource::PreBuffer, 13933);
+  r.result.prefetch_sources.add(FetchSource::L1, 3339);
+  r.result.sampled = true;
+  r.result.ipc_error = 0.07447571861;
+  r.result.sample_intervals = 24;
+  r.result.sample_slices = 4;
+  r.result.sample_simulated_instructions = 65345;
+  return campaign::encode_line(r);
+}
+
+// Every input below must parse or end in its reader's typed refusal,
+// without an allocation above kAllocationBound: each prefix of five
+// valid inputs, seeded single-byte flips of each, and each run of digits
+// in each replaced by a lying number.
+TEST(HostileInput, TextReadersParseOrRefuseTyped) {
+  const std::pair<Text, std::string> valid[] = {
+      {Text::Store, store_line()},
+      {Text::Perf,
+       campaign::encode_perf_line(
+           {"6c832fa5b7c5a6d0", "clgp-l0", "eon", 0.0421, 1552.2})},
+      {Text::Failures,
+       campaign::encode_failure_line(
+           {"6c832fa5b7c5a6d0", "clgp-l0", "nope", "SimError",
+            "unknown benchmark \"nope\"\n\tat load", 2})},
+      {Text::Composition, "clgp-l0-pb16@090"},
+      {Text::FaultSpec,
+       "store.append:fail@every=3,point.execute:throw@key=ab"},
+  };
+  struct Case {
+    Text format;
+    std::string what;
+    std::string text;
+  };
+  std::vector<Case> cases;
+  Rng rng(28);
+  for (const auto& [format, text] : valid) {
+    ASSERT_TRUE(read_text(format, text)) << text;
+    for (std::size_t n = 0; n < text.size(); ++n) {
+      cases.push_back({format, text + " cut at byte " + std::to_string(n),
+                       text.substr(0, n)});
+    }
+    for (int flip = 0; flip < 256; ++flip) {
+      std::string flipped = text;
+      const std::size_t at = rng.below(text.size());
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 + rng.below(255)));
+      cases.push_back({format, text + " flipped at byte " + std::to_string(at),
+                       flipped});
+    }
+    for (std::size_t at = 0; at < text.size(); ++at) {
+      if (!std::isdigit(static_cast<unsigned char>(text[at]))) continue;
+      std::size_t end = at;
+      while (end < text.size() &&
+             std::isdigit(static_cast<unsigned char>(text[end]))) {
+        ++end;
+      }
+      for (const char* lie :
+           {"1e300", "-1", "99999999999999999999", "99999"}) {
+        cases.push_back({format, text + " with " + lie + " at byte " +
+                                     std::to_string(at),
+                         text.substr(0, at) + lie + text.substr(end)});
+      }
+      at = end;
+    }
+  }
+  ASSERT_GT(cases.size(), 2000u);
+  std::size_t refused = 0;
+  for (const Case& c : cases) {
+    g_largest_allocation.store(0, std::memory_order_relaxed);
+    bool parsed = true;
+    EXPECT_NO_THROW(parsed = read_text(c.format, c.text)) << c.what;
+    if (!parsed) ++refused;
+    EXPECT_LE(g_largest_allocation.load(std::memory_order_relaxed),
+              kAllocationBound)
+        << c.what;
+  }
+  // Most cuts and lies break the input; a flip inside a string, or a lie
+  // a double can hold, may still parse.
+  EXPECT_GT(refused, cases.size() / 2);
 }
 
 }  // namespace

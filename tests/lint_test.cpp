@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -284,6 +285,33 @@ TEST(LintConfig, MalformedConfigIsRejected) {
                               fixture("good_clean.cpp"),
                           &output);
   EXPECT_EQ(rc, 2);
+}
+
+TEST(LintConfig, MistypedEntryIsRejected) {
+  // Valid JSON with a value of the wrong type: a usage error (exit 2)
+  // that names the entry, never an uncaught exception.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"schema": 5})", "'schema'"},
+      {R"({"roots": [1]})", "'roots'"},
+      {R"({"extensions": [".cpp", true]})", "'extensions'"},
+      {R"({"rules": {"prestage-wallclock": {"severity": 3}}})",
+       "'rules.prestage-wallclock.severity'"},
+      {R"({"rules": {"prestage-wallclock": {"paths": [null]}}})",
+       "'rules.prestage-wallclock.paths'"},
+  };
+  const std::string bad_config = test_file("mistyped.json");
+  for (const auto& [config, entry] : cases) {
+    { std::ofstream(bad_config, std::ios::trunc) << config; }
+    std::string output;
+    const int rc = run_lint("--config " + bad_config + " " +
+                                fixture("good_clean.cpp"),
+                            &output);
+    EXPECT_EQ(rc, 2) << config << ": " << output;
+    EXPECT_NE(output.find(std::string("prestage-lint: config entry ") +
+                          entry + " has the wrong type"),
+              std::string::npos)
+        << config << ": " << output;
+  }
 }
 
 }  // namespace

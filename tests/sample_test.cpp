@@ -4,8 +4,9 @@
 // from (generator and replayed traces), the single-flight plan cache, PSCK
 // checkpoint round-trips (a round-tripped plan runs byte-identically)
 // and corruption rejection, prefetcher save/restore semantics,
-// reconstruction fidelity against the full run, the plan-first campaign
-// phase's error path, the report's store-derived effective speedup,
+// reconstruction fidelity against the full run, sampled campaigns
+// (points that share a plan wait for one build, and a plan build error
+// quarantines its point), the report's store-derived effective speedup,
 // error-bar-aware compare gating, and two golden
 // store lines: a full run (the sampling block is strictly additive) and
 // a sampled run (slice starts and reconstruction are byte-stable).
@@ -738,6 +739,41 @@ TEST(SampledCampaign, StoreBytesIdenticalForAnyWorkerCount) {
   }
 }
 
+TEST(SampledCampaign, PointsSharingAPlanWaitForOneBuild) {
+  // Four points of one plan, at a budget no other test plans at: the
+  // 4-worker run goes first, with a cold cache, so three points wait on
+  // the first point's build; the 1-worker run then finds the plan
+  // cached. Both must write the same bytes.
+  CampaignSpec spec;
+  spec.name = "sampled-shared-plan";
+  spec.presets = {"base", "base-pipelined", "fdp-l0", "clgp-l0"};
+  spec.nodes = {cacti::TechNode::um045};
+  spec.l1_sizes = {4096};
+  spec.benchmarks = {"gzip"};
+  spec.instructions = 70000;
+  spec.sampling.enabled = true;
+  spec.sampling.interval_instructions = 5000;
+  spec.sampling.max_clusters = 4;
+  spec.sampling.warmup_intervals = 3;
+  std::string reference;
+  for (const unsigned jobs : {4u, 1u}) {
+    std::string store_name = "shared-w";  // (steps: GCC 12 -Wrestrict FP)
+    store_name += std::to_string(jobs);
+    store_name += ".jsonl";
+    const std::string path = fresh_file(store_name);
+    const auto outcome = campaign::run_campaign(spec, path, jobs);
+    EXPECT_EQ(outcome.executed, 4u);
+    EXPECT_EQ(outcome.quarantined, 0u);
+    const std::string bytes = read_file(path);
+    EXPECT_NE(bytes.find("\"sampling\":{"), std::string::npos);
+    if (reference.empty()) {
+      reference = bytes;
+    } else {
+      EXPECT_EQ(bytes, reference) << jobs << " workers diverged";
+    }
+  }
+}
+
 TEST(SampledCampaign, ReportSpeedupComesFromTheStore) {
   const CampaignSpec spec = sampled_tiny_spec();
   const std::string path = fresh_file("speedup.jsonl");
@@ -809,9 +845,9 @@ TEST(SampledCampaign, ReportSamplingSumsOnlyItsOwnGrid) {
 }
 
 TEST(SampledCampaign, PlanBuildErrorQuarantinesItsPoint) {
-  // "nope" is no benchmark: the plan-first phase cannot build its plan,
-  // drops the error, and the point reports it through retry/quarantine
-  // while the rest of the grid completes.
+  // "nope" is no benchmark: the point cannot build its plan, the cache
+  // keeps no failed build, so each attempt retries it, and the point is
+  // quarantined while the rest of the grid completes.
   CampaignSpec spec;
   spec.name = "sampled-broken";
   spec.presets = {"base"};

@@ -50,20 +50,32 @@ std::vector<std::string> parse_string_array(const json::Value& v,
   return out;
 }
 
+/// A value of the wrong JSON type inside an entry: the json::Value
+/// accessors throw JsonError, which leaves the parser as the ConfigError
+/// that names the entry.
+ConfigError mistyped(const std::string& entry, const json::JsonError& e) {
+  return ConfigError("config entry '" + entry + "' has the wrong type: " +
+                     e.what());
+}
+
 RuleConfig parse_rule(const std::string& id, const json::Value& v) {
   if (v.kind != json::Value::Kind::Object) {
     throw ConfigError("rule '" + id + "' must be an object");
   }
   RuleConfig rc;
   for (const auto& [key, value] : v.object) {
-    if (key == "severity") {
-      rc.severity = parse_severity(value.as_string());
-    } else if (key == "paths") {
-      rc.paths = parse_string_array(value, "rule '" + id + "' paths");
-    } else if (key == "allow") {
-      rc.allow = parse_string_array(value, "rule '" + id + "' allow");
-    } else {
-      throw ConfigError("unknown key '" + key + "' in rule '" + id + "'");
+    try {
+      if (key == "severity") {
+        rc.severity = parse_severity(value.as_string());
+      } else if (key == "paths") {
+        rc.paths = parse_string_array(value, "rule '" + id + "' paths");
+      } else if (key == "allow") {
+        rc.allow = parse_string_array(value, "rule '" + id + "' allow");
+      } else {
+        throw ConfigError("unknown key '" + key + "' in rule '" + id + "'");
+      }
+    } catch (const json::JsonError& e) {
+      throw mistyped("rules." + id + "." + key, e);
     }
   }
   return rc;
@@ -107,28 +119,32 @@ Config parse_config(const std::string& text) {
   }
   Config cfg;
   for (const auto& [key, value] : doc.object) {
-    if (key == "schema") {
-      if (value.as_string() != "prestage-lint-config-v1") {
-        throw ConfigError("unsupported config schema '" + value.as_string() +
-                          "'");
-      }
-    } else if (key == "roots") {
-      cfg.roots = parse_string_array(value, "roots");
-    } else if (key == "extensions") {
-      cfg.extensions = parse_string_array(value, "extensions");
-    } else if (key == "rules") {
-      if (value.kind != json::Value::Kind::Object) {
-        throw ConfigError("rules must be an object");
-      }
-      const auto& ids = all_rule_ids();
-      for (const auto& [rule_id, rule_value] : value.object) {
-        if (std::find(ids.begin(), ids.end(), rule_id) == ids.end()) {
-          throw ConfigError("unknown rule '" + rule_id + "'");
+    try {
+      if (key == "schema") {
+        if (value.as_string() != "prestage-lint-config-v1") {
+          throw ConfigError("unsupported config schema '" +
+                            value.as_string() + "'");
         }
-        cfg.rules.emplace(rule_id, parse_rule(rule_id, rule_value));
+      } else if (key == "roots") {
+        cfg.roots = parse_string_array(value, "roots");
+      } else if (key == "extensions") {
+        cfg.extensions = parse_string_array(value, "extensions");
+      } else if (key == "rules") {
+        if (value.kind != json::Value::Kind::Object) {
+          throw ConfigError("rules must be an object");
+        }
+        const auto& ids = all_rule_ids();
+        for (const auto& [rule_id, rule_value] : value.object) {
+          if (std::find(ids.begin(), ids.end(), rule_id) == ids.end()) {
+            throw ConfigError("unknown rule '" + rule_id + "'");
+          }
+          cfg.rules.emplace(rule_id, parse_rule(rule_id, rule_value));
+        }
+      } else {
+        throw ConfigError("unknown config key '" + key + "'");
       }
-    } else {
-      throw ConfigError("unknown config key '" + key + "'");
+    } catch (const json::JsonError& e) {
+      throw mistyped(key, e);
     }
   }
   return cfg;
