@@ -268,9 +268,25 @@ SAMPLE_INSTRS=400000
 ./build/src/cli/prestage sample run --preset clgp-l0 --bench eon \
   --instrs $SAMPLE_INSTRS --plan build/ci-plan.psck \
   --json build/ci-sample-run.json
-# The same run from a fresh plan with the checkpoint's knobs: its slice
-# snapshots come from the profile's waypoints, the checkpoint's from a
-# walk from instruction 0, and the results must not tell them apart.
+# The checkpoint stands only for the plan it holds: a sampling knob or a
+# budget it was not built with is a usage error (exit 2) that names the
+# flag, not a run of the checkpoint's plan under the command's labels.
+for refused in "--instrs $SAMPLE_INSTRS --interval 999" "--instrs 200000"; do
+  rc=0
+  ./build/src/cli/prestage sample run --preset clgp-l0 --bench eon \
+    $refused --plan build/ci-plan.psck > /dev/null \
+    2> build/ci-plan-refused.err || rc=$?
+  if [ "$rc" -ne 2 ] ||
+      ! grep -q "does not match checkpoint" build/ci-plan-refused.err; then
+    echo "sampled: sample run --plan with $refused exited $rc, not 2" >&2
+    cat build/ci-plan-refused.err >&2
+    exit 1
+  fi
+done
+echo "sampled: the checkpoint refuses a knob and a budget it was not built with"
+# The checkpointed run from a fresh plan with the checkpoint's knobs: its
+# slice snapshots come from the profile's waypoints, the checkpoint's from
+# a walk from instruction 0, and the results must not tell them apart.
 ./build/src/cli/prestage sample run --preset clgp-l0 --bench eon \
   --instrs $SAMPLE_INSTRS --interval 5000 --max-k 4 --warmup 3 \
   --json build/ci-sample-run-fresh.json
@@ -336,12 +352,14 @@ EOF
 fi
 
 # --- Debug: the cycle-skip contract with asserts live ------------------------
-# Every other stage builds with NDEBUG, so the asserts in Cpu::try_skip
-# (each unit's idle_plan agrees with what its tick would do over the
-# skipped span) run only here: the cycle-skip equivalence grid over
-# every preset (with its exact skipped-cycle pins), the buffered-scheme
-# pin and the prefetcher unit tests, in a Debug build of just those two
-# test binaries and the CLI.
+# Every other stage builds with NDEBUG, so the contract in Cpu::try_skip
+# runs only here: one check, over the same visit of all five units'
+# idle_plan (back-end, driver, fetch engine, memory system and
+# prefetcher), that none reports work inside a skipped span. It runs
+# under the cycle-skip equivalence grid over every preset (with its
+# exact skipped-cycle pins), the buffered-scheme pin and the prefetcher
+# unit tests, in a Debug build of just those two test binaries and the
+# CLI.
 cmake --preset debug > /dev/null
 cmake --build --preset debug -j \
   --target equivalence_test prefetch_test prestage_cli

@@ -12,7 +12,10 @@
 #include <cstdio>
 #include <iostream>
 #include <optional>
+#include <string>
+#include <tuple>
 
+#include "bpred/stream.hpp"
 #include "cli/commands.hpp"
 #include "cli/json_sink.hpp"
 #include "common/json_writer.hpp"
@@ -54,6 +57,45 @@ sample::SamplingParams sampling_params(const Options& opt) {
   p.warm_lines = opt.warm_lines;
   p.warmup_intervals = opt.warmup_intervals;
   return p;
+}
+
+/// Why checkpoint @p plan cannot stand for a run of @p opt over @p
+/// budget instructions of @p workload, naming what differs; empty when
+/// it can. It must be the workload's, a knob given on the command line
+/// must be the checkpoint's, and the budget one it was profiled for: a
+/// profile of B instructions ends at the first stream boundary at or
+/// past B, so it holds B to B + kMaxStreamInstrs - 1 instructions.
+std::string checkpoint_mismatch(const Options& opt,
+                                const sample::SamplePlan& plan,
+                                const std::string& workload,
+                                std::uint64_t budget) {
+  if (plan.workload != workload) {
+    return "checkpoint '" + opt.plan_path + "' was built for workload '" +
+           plan.workload + "', not '" + workload + "'";
+  }
+  const auto differs = [&opt](const char* flag, std::uint64_t given,
+                              const std::string& planned) {
+    return std::string(flag) + " " + std::to_string(given) +
+           " does not match checkpoint '" + opt.plan_path + "' (" + planned +
+           ")";
+  };
+  const std::tuple<const char*, std::uint64_t, std::uint64_t> knobs[] = {
+      {"--interval", opt.sample_interval, plan.params.interval_instructions},
+      {"--dim", opt.bbv_dim, plan.params.dim},
+      {"--max-k", opt.max_clusters, plan.params.max_clusters},
+      {"--warm-lines", opt.warm_lines, plan.params.warm_lines},
+      {"--warmup", opt.warmup_intervals, plan.params.warmup_intervals}};
+  for (const auto& [flag, given, planned] : knobs) {
+    if (given != 0 && given != planned) {  // 0: the flag was not given
+      return differs(flag, given, "built with " + std::to_string(planned));
+    }
+  }
+  const std::uint64_t total = plan.total_instructions;
+  if (total < budget || total - budget >= bpred::kMaxStreamInstrs) {
+    return differs("--instrs", budget,
+                   "profiled " + std::to_string(total) + " instructions");
+  }
+  return {};
 }
 
 void write_params_fields(JsonWriter& json,
@@ -259,9 +301,10 @@ int cmd_sample_run(const Options& opt) {
     // A corrupt, truncated or missing checkpoint degrades to a fresh
     // plan (counted as one cold start, like a slice whose saved state
     // was declined) instead of aborting: the checkpoint is a cache of
-    // the plan, never the only way to build it. A checkpoint for the
-    // wrong workload stays a usage error — silently replanning would
-    // mask pointing --plan at the wrong file.
+    // the plan, never the only way to build it. A readable checkpoint
+    // for another workload, knobs or budget stays a usage error —
+    // silently replanning would mask pointing --plan at the wrong file,
+    // and running it would report its plan under the command's labels.
     sample::SamplePlan plan;
     try {
       plan = sample::read_checkpoint_file(opt.plan_path);
@@ -272,10 +315,10 @@ int cmd_sample_run(const Options& opt) {
       checkpoint_fallback = true;
     }
     if (!checkpoint_fallback) {
-      if (plan.workload != spec->name()) {
-        std::cerr << "prestage: checkpoint '" << opt.plan_path
-                  << "' was built for workload '" << plan.workload
-                  << "', not '" << spec->name() << "'\n";
+      const std::string why =
+          checkpoint_mismatch(opt, plan, spec->name(), budget);
+      if (!why.empty()) {
+        std::cerr << "prestage: " << why << "\n";
         return 2;
       }
       params = plan.params;

@@ -50,20 +50,6 @@ class Distribution {
     if (v < min_ || count_ == 1) min_ = v;
     if (v > max_ || count_ == 1) max_ = v;
   }
-  /// Folds @p n repeats of the same sample in one step. Bit-identical to
-  /// calling sample(v) n times *only* when v and the running sum stay
-  /// exactly representable (integer-valued samples below 2^53, as with
-  /// occupancy counts) — the cycle-skip fast-forward relies on that, so
-  /// callers must not fold fractional samples.
-  void sample_n(double v, std::uint64_t n) noexcept {
-    if (n == 0) return;
-    // FP-deterministic: samples arrive in simulation order, and the
-    // exact-representability contract above makes the fold order-free.
-    sum_ += v * static_cast<double>(n);
-    if (v < min_ || count_ == 0) min_ = v;
-    if (v > max_ || count_ == 0) max_ = v;
-    count_ += n;
-  }
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] double mean() const noexcept {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
@@ -79,13 +65,15 @@ class Distribution {
   std::uint64_t count_ = 0;
 };
 
-/// One unit's forecast for the event-horizon fast-forward (cpu/cpu.cpp).
+/// One unit's forecast for the event-horizon fast-forward (cpu/cpu.cpp),
+/// read from the same predicates the unit's tick decides through.
 /// `next_event` is the earliest cycle at which the unit's tick would
 /// change state on its own: <= the queried cycle means "busy this
 /// cycle" (no skip), kNoCycle means only an external event can wake it.
-/// `per_cycle` names the stall counter the unit's tick increments once
-/// per cycle while it stays frozen (nullptr when none does) — the skip
-/// folds it by the span length so counters stay byte-identical.
+/// `per_cycle` names the one stall counter the unit's tick increments
+/// once per cycle while it stays frozen (nullptr when none does) — the
+/// skip folds it by the span length so counters stay byte-identical.
+/// A frozen tick changes nothing else.
 struct IdlePlan {
   Cycle next_event = kNoCycle;
   Counter* per_cycle = nullptr;

@@ -27,10 +27,7 @@ void Backend::accept(const frontend::FetchedInst& inst) {
   st.ready_at = now_ + static_cast<Cycle>(kDecodeStages);
 }
 
-bool Backend::recovery_due(Cycle now) const {
-  return culprit_ != nullptr && culprit_->done != kNoCycle &&
-         culprit_->done <= now;
-}
+bool Backend::recovery_due(Cycle now) const { return recovery_at() <= now; }
 
 void Backend::squash_younger_than_culprit() {
   PRESTAGE_ASSERT(culprit_ != nullptr, "squash without a resolved culprit");
@@ -107,8 +104,7 @@ void Backend::tick_issue(Cycle now) {
   std::size_t i = 0;
   for (; i < unissued_.size() && issued < cfg_.width; ++i) {
     Slot& s = *unissued_[i];
-    if (!reg_ready(s.src1, now) || !reg_ready(s.src2, now) ||
-        (s.op == OpClass::Load && loads >= kL1dPorts)) {
+    if (issue_at(s) > now || (s.op == OpClass::Load && loads >= kL1dPorts)) {
       unissued_[keep++] = unissued_[i];
       continue;
     }
@@ -126,9 +122,8 @@ void Backend::tick_issue(Cycle now) {
 
 void Backend::tick_commit(Cycle now) {
   std::uint32_t retired = 0;
-  while (!ruu_.empty() && retired < cfg_.width) {
-    Slot& head = ruu_.front();
-    if (!head.issued || head.done == kNoCycle || head.done > now) break;
+  while (retired < cfg_.width && commit_at() <= now) {
+    const Slot& head = ruu_.front();
     PRESTAGE_ASSERT(!head.f.wrong_path,
                     "wrong-path instruction reached commit");
     if (head.op == OpClass::Store) {
@@ -146,66 +141,27 @@ void Backend::tick_commit(Cycle now) {
   }
 }
 
-Cycle Backend::next_event_cycle(Cycle now) const {
-  // `now` is the floor every candidate clamps to, so the first candidate
-  // that lands on it ends the search — on the busy path (the cycle
-  // skip's most common probe outcome) this returns after one or two
-  // comparisons instead of scanning the RUU.
-  Cycle next = kNoCycle;
-  const auto consider = [&next, now](Cycle at) {
-    const Cycle c = std::max(now, at);
-    if (c < next) next = c;
-  };
-  // Commit: the head retires when its completion time arrives. An
-  // outstanding load head (done == kNoCycle) is woken by a MemSystem
-  // completion, which that unit's horizon covers.
-  if (!ruu_.empty()) {
-    const Slot& head = ruu_.front();
-    if (head.issued && head.done != kNoCycle) {
-      if (head.done <= now) return now;
-      consider(head.done);
-    }
+IdlePlan Backend::idle_plan(Cycle now) {
+  // `now` ends the search at the first stage due this cycle, so on the
+  // busy path (the skip's most common probe outcome) this returns after
+  // a compare or two instead of scanning the RUU.
+  Cycle next = std::min(commit_at(), recovery_at());
+  if (next <= now) return {now, nullptr};
+  for (const Slot* s : unissued_) {
+    next = std::min(next, issue_at(*s));
+    if (next <= now) return {now, nullptr};
   }
-  // Recovery: the unresolved culprit triggers it when it completes.
-  if (culprit_ != nullptr && culprit_->done != kNoCycle) {
-    if (culprit_->done <= now) return now;
-    consider(culprit_->done);
-  }
-  // Issue: the first cycle any unissued slot has both sources ready
-  // (same scoreboard read tick_issue performs).
-  for (const Slot* sp : unissued_) {
-    const Slot& s = *sp;
-    Cycle ready = 0;
-    if (s.src1 != kNoReg && reg_ready_[s.src1] > ready) {
-      ready = reg_ready_[s.src1];
-    }
-    if (s.src2 != kNoReg && reg_ready_[s.src2] > ready) {
-      ready = reg_ready_[s.src2];
-    }
-    if (ready <= now) return now;
-    consider(ready);
-  }
-  // Dispatch: the decode front matures at its decode-latency age. With
-  // a full RUU dispatch is frozen until commit retires (covered above).
-  if (!decode_.empty() && ruu_.size() < kRuuSize) {
-    if (decode_.front().ready_at <= now) return now;
-    consider(decode_.front().ready_at);
-  }
-  return next;
-}
-
-void Backend::fold_idle(std::uint64_t n) {
-  ruu_occupancy.sample_n(static_cast<double>(ruu_.size()), n);
-  if (!decode_.empty() && ruu_.size() >= kRuuSize) {
-    ruu_full_stalls.add(n);
-  }
+  // Dispatch waits for the decode front's age, or for commit (above)
+  // to free a slot in a full RUU.
+  if (dispatch_blocked()) return {next, &ruu_full_stalls};
+  if (!decode_.empty()) next = std::min(next, decode_.front().ready_at);
+  return {next, nullptr};
 }
 
 void Backend::tick_dispatch(Cycle now) {
-  ruu_occupancy.sample(static_cast<double>(ruu_.size()));
   std::uint32_t dispatched = 0;
   while (!decode_.empty() && dispatched < cfg_.width) {
-    if (ruu_.size() >= kRuuSize) {
+    if (dispatch_blocked()) {
       ruu_full_stalls.add();
       return;
     }

@@ -10,6 +10,7 @@
 // instruction's completion raises the recovery event.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -49,28 +50,18 @@ class Backend final : public frontend::IFetchSink {
   void tick_issue(Cycle now);
   void tick_dispatch(Cycle now);
 
-  // --- event-horizon planning (cpu/cpu.cpp fast-forward) ----------------
-
-  /// Earliest cycle >= @p now at which any back-end stage would change
-  /// state: a commit/recovery completion maturing, an unissued slot's
-  /// sources becoming ready, or the decode front reaching dispatch age.
-  /// Excludes outstanding-load wakeups (those ride the MemSystem
-  /// horizon). <= @p now means the back-end has work this cycle;
-  /// kNoCycle means only an external event can wake it.
-  [[nodiscard]] Cycle next_event_cycle(Cycle now) const;
-
-  /// Applies the per-cycle bookkeeping of @p n skipped idle cycles:
-  /// the RUU occupancy sample every tick_dispatch takes, and the
-  /// RUU-full stall count when the decode pipe is blocked on a full
-  /// RUU. Must mirror tick_dispatch's frozen-state behavior exactly —
-  /// golden pins byte-compare these counters.
-  void fold_idle(std::uint64_t n);
+  /// Event-horizon forecast (cpu/cpu.cpp fast-forward): the earliest
+  /// cycle any stage acts, read from the same predicates the stages
+  /// decide through — the head's commit, the culprit's recovery, an
+  /// unissued slot's sources, the decode front's dispatch age. <= @p now
+  /// means work this cycle; kNoCycle means only an external event can
+  /// wake the back-end (outstanding-load fills ride the MemSystem
+  /// horizon). While a full RUU blocks the decode pipe, names
+  /// ruu_full_stalls, which tick_dispatch bumps once per frozen cycle.
+  [[nodiscard]] IdlePlan idle_plan(Cycle now);
 
   [[nodiscard]] std::uint64_t committed() const noexcept {
     return committed_;
-  }
-  [[nodiscard]] bool drained() const {
-    return decode_.empty() && ruu_.empty();
   }
 
   // --- statistics -------------------------------------------------------
@@ -79,7 +70,6 @@ class Backend final : public frontend::IFetchSink {
   Counter dcache_misses;
   Counter store_commits;
   Counter ruu_full_stalls;
-  Distribution ruu_occupancy;
 
  private:
   // The Table 2 core, held fixed across the study.
@@ -107,8 +97,28 @@ class Backend final : public frontend::IFetchSink {
     bool issued = false;
   };
 
-  [[nodiscard]] bool reg_ready(RegId r, Cycle now) const {
-    return r == kNoReg || reg_ready_[r] <= now;
+  // The predicates the stages decide through and idle_plan() reads.
+  /// The cycle the head retires: its completion, once it has issued
+  /// (kNoCycle while a load's fill is outstanding).
+  [[nodiscard]] Cycle commit_at() const {
+    if (ruu_.empty() || !ruu_.front().issued) return kNoCycle;
+    return ruu_.front().done;
+  }
+  /// The cycle the unresolved culprit completes and recovery fires.
+  [[nodiscard]] Cycle recovery_at() const {
+    return culprit_ == nullptr ? kNoCycle : culprit_->done;
+  }
+  /// The cycle both of @p s's sources are ready.
+  [[nodiscard]] Cycle issue_at(const Slot& s) const {
+    const auto ready = [this](RegId r) {
+      return r == kNoReg ? Cycle{0} : reg_ready_[r];
+    };
+    return std::max(ready(s.src1), ready(s.src2));
+  }
+  /// A decode entry waits behind a full RUU: dispatch stalls until
+  /// commit frees a slot.
+  [[nodiscard]] bool dispatch_blocked() const {
+    return !decode_.empty() && ruu_.size() >= kRuuSize;
   }
   [[nodiscard]] static int exec_latency(OpClass op);
   void issue_one(Slot& s, Cycle now, std::uint32_t& loads_this_cycle);

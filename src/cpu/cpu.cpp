@@ -1,6 +1,7 @@
 #include "cpu/cpu.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "common/cancel.hpp"
@@ -174,52 +175,51 @@ void Cpu::tick() {
 
 bool Cpu::try_skip(Cycle cycle_cap) {
   const Cycle now = cycle_;
+  // Every unit's forecast at `at`, in one fixed order until `visit`
+  // returns false. The order is by measured busy frequency (the
+  // back-end rejects ~70% of busy-cycle probes), so a busy cycle
+  // usually costs one forecast.
+  const auto visit_plans = [this](Cycle at, auto&& visit) {
+    return visit("backend", backend_->idle_plan(at)) &&
+           visit("driver", driver_->idle_plan(at)) &&
+           visit("fetch", fetch_engine_->idle_plan(at, *backend_)) &&
+           visit("memsys", mem_->idle_plan(at)) &&
+           visit("prefetcher", prefetcher_->idle_plan(at));
+  };
   // A unit reporting next_event <= now does work this cycle: no skip.
-  // Checks are ordered by measured failure frequency (the back-end
-  // rejects ~70% of busy-cycle probes) so the common case is cheap.
-  // The driver's work predicate is cycle-independent (a redirect bubble
-  // draining, or queue room for a prediction).
-  const Cycle backend_next = backend_->next_event_cycle(now);
-  if (backend_next <= now) return false;
-  if (driver_->has_work()) return false;
-  const IdlePlan fetch_plan = fetch_engine_->idle_plan(now, *backend_);
-  if (fetch_plan.next_event <= now) return false;
-  const Cycle mem_next = mem_->next_event_cycle(now);
-  if (mem_next <= now) return false;
-  const IdlePlan pf_plan = prefetcher_->idle_plan(now);
-  if (pf_plan.next_event <= now) return false;
-
-  Cycle horizon =
-      std::min(std::min(backend_next, mem_next),
-               std::min(fetch_plan.next_event, pf_plan.next_event));
+  Cycle horizon = kNoCycle;
+  std::array<Counter*, 5> per_cycle{};  // one per unit visit_plans names
+  std::size_t unit = 0;
+  const bool idle = visit_plans(now, [&](const char*, const IdlePlan& plan) {
+    horizon = std::min(horizon, plan.next_event);
+    per_cycle[unit++] = plan.per_cycle;
+    return plan.next_event > now;
+  });
   // All units event-free forever means the machine is wedged; tick on so
   // the cycle-cap assert fires exactly where a cycle-by-cycle run would.
-  if (horizon == kNoCycle) return false;
-  if (horizon > cycle_cap) horizon = cycle_cap;
-  if (horizon <= now) return false;
+  // run() asserts now < cycle_cap, so the capped span is never empty.
+  if (!idle || horizon == kNoCycle) return false;
+  horizon = std::min(horizon, cycle_cap);
   const std::uint64_t span = horizon - now;
 
 #ifndef NDEBUG
   // Contract check: no unit may report work strictly inside the span —
   // a conservative-early horizon is wasted speed, a late one is a bug.
   if (const Cycle mid = horizon - 1; mid > now) {
-    PRESTAGE_ASSERT(backend_->next_event_cycle(mid) >= horizon,
-                    "backend reported work inside a skipped span");
-    PRESTAGE_ASSERT(mem_->next_event_cycle(mid) >= horizon,
-                    "memsys reported work inside a skipped span");
-    PRESTAGE_ASSERT(
-        fetch_engine_->idle_plan(mid, *backend_).next_event >= horizon,
-        "fetch reported work inside a skipped span");
-    PRESTAGE_ASSERT(prefetcher_->idle_plan(mid).next_event >= horizon,
-                    "prefetcher reported work inside a skipped span");
+    visit_plans(mid, [horizon](const char* name, const IdlePlan& plan) {
+      PRESTAGE_ASSERT(plan.next_event >= horizon,
+                      std::string(name) +
+                          " reported work inside a skipped span");
+      return true;
+    });
   }
 #endif
 
   // Fold the span's per-cycle effects: identical, by construction, to
   // ticking each skipped cycle against frozen state.
-  backend_->fold_idle(span);
-  if (fetch_plan.per_cycle != nullptr) fetch_plan.per_cycle->add(span);
-  if (pf_plan.per_cycle != nullptr) pf_plan.per_cycle->add(span);
+  for (Counter* counter : per_cycle) {
+    if (counter != nullptr) counter->add(span);
+  }
   cycle_ = horizon;
   cycles_skipped_ += span;
   return true;

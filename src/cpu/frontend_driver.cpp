@@ -149,11 +149,11 @@ void FrontendDriver::predict_wrong_path(Cycle now) {
 }
 
 void FrontendDriver::tick(Cycle now) {
+  if (idle_plan(now).next_event > now) return;
   if (redirect_stall_ > 0) {
     --redirect_stall_;
     return;
   }
-  if (!queue_.can_accept_block()) return;
   if (wrong_path_) {
     predict_wrong_path(now);
   } else {

@@ -42,13 +42,15 @@ class FrontendDriver {
   /// repair the speculative RAS from the oracle's call-stack snapshot.
   void on_recovery();
 
-  /// Would tick() change state this cycle? True while a redirect bubble
-  /// is draining (the counter decrements every tick) or the queue has
-  /// room for a prediction. False only when the queue is full — the
-  /// fetch engine consuming a line is what unblocks the driver, and the
-  /// fetch horizon covers that (cpu/cpu.cpp event-horizon skip).
-  [[nodiscard]] bool has_work() const {
-    return redirect_stall_ > 0 || queue_.can_accept_block();
+  /// Event-horizon forecast (cpu/cpu.cpp fast-forward), and the test
+  /// tick() acts on: work at @p now while a redirect bubble is draining
+  /// (it counts down every tick) or the queue has room for a
+  /// prediction, else kNoCycle — the fetch engine consuming a line is
+  /// what unblocks a full queue, and the fetch horizon covers that.
+  /// Names no per-cycle counter: an idle tick changes nothing.
+  [[nodiscard]] IdlePlan idle_plan(Cycle now) const {
+    const bool acts = redirect_stall_ > 0 || queue_.can_accept_block();
+    return {acts ? now : kNoCycle, nullptr};
   }
 
   // --- statistics -------------------------------------------------------

@@ -113,7 +113,7 @@ bool MemSystem::in_flight(Addr addr) const {
 }
 
 void MemSystem::grant_one(Cycle now) {
-  if (now < bus_free_at_ || pending_count_ == 0) return;
+  if (grant_at() > now) return;
 
   // Highest priority class first; oldest submission within a class.
   // Stale entries (upgraded or already-granted transactions) are
@@ -172,7 +172,7 @@ void MemSystem::deliver_completions(Cycle now) {
   // slots_/cb_nodes_ is held across an invocation. Re-entrant submissions
   // only create *pending* transactions, so the completion set cannot grow
   // mid-drain.
-  while (!ready_heap_.empty() && ready_heap_.front().ready <= now) {
+  while (completion_at() <= now) {
     const ReadyKey top = ready_heap_.front();
     std::pop_heap(ready_heap_.begin(), ready_heap_.end(),
                   ReadyKey::pops_later);
@@ -194,24 +194,13 @@ void MemSystem::deliver_completions(Cycle now) {
   }
 }
 
-Cycle MemSystem::next_event_cycle(Cycle now) const noexcept {
-  Cycle next = kNoCycle;
-  if (!ready_heap_.empty()) next = ready_heap_.front().ready;
-  if (pending_count_ > 0) {
-    // A queued request is granted the first cycle the bus is free.
-    next = std::min(next, std::max(now, bus_free_at_));
-  }
-  return next;
-}
-
 void MemSystem::tick(Cycle now) {
-  // Idle early-out: nothing pending, nothing in service (the ready
-  // heap holds exactly one entry per in-service transaction) — the
+  // Idle early-out: no completion and no grant due this cycle — the
   // common case for memory-quiet stretches of the simulation.
   // Deliberately placed before the monotonicity assert (idle cycles
   // skip it, so last_tick_ tracks the last *active* cycle; a backwards
-  // tick is still caught as soon as traffic resumes).
-  if (pending_count_ == 0 && ready_heap_.empty()) return;
+  // tick is still caught as soon as one acts).
+  if (idle_plan(now).next_event > now) return;
   PRESTAGE_ASSERT(now >= last_tick_, "tick must not go backwards");
   last_tick_ = now;
   deliver_completions(now);

@@ -24,6 +24,7 @@
 // (tests/memsys_stress_test.cpp counts allocations to prove it).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -76,21 +77,22 @@ class MemSystem {
 
   /// Advances arbitration and delivers completions for cycle @p now.
   /// Must be called once per cycle with non-decreasing @p now. Returns
-  /// immediately when nothing is pending or in service (the common idle
-  /// cycle).
+  /// immediately when idle_plan(now) reports nothing due (the common
+  /// idle cycle).
   void tick(Cycle now);
 
   /// True if a fill for @p addr's line is pending or in flight.
   [[nodiscard]] bool in_flight(Addr addr) const;
 
-  /// Earliest cycle >= @p now at which tick() would change any state:
-  /// the front of the completion heap (min over in-service fills) or
-  /// the next bus grant (as soon as the bus frees with a request still
-  /// queued). kNoCycle when nothing is pending or in service — only a
-  /// new submit() can wake the subsystem. A result <= @p now means
-  /// "work this cycle"; the event-horizon skip in Cpu::run must not
-  /// fast-forward past the returned cycle.
-  [[nodiscard]] Cycle next_event_cycle(Cycle now) const noexcept;
+  /// Event-horizon forecast (cpu/cpu.cpp fast-forward): the earlier of
+  /// the two due times tick() decides through — the front of the
+  /// completion heap, and the next bus grant while a request is queued.
+  /// At or before the queried cycle means tick() acts then; kNoCycle
+  /// means only a new submit() can wake the subsystem. Names no
+  /// per-cycle counter: an idle tick changes nothing.
+  [[nodiscard]] IdlePlan idle_plan(Cycle /*now*/) const noexcept {
+    return {std::min(completion_at(), grant_at()), nullptr};
+  }
 
   /// Direct access to the L2 tag array (tests, warm-up).
   [[nodiscard]] SetAssocCache& l2() noexcept { return l2_; }
@@ -161,6 +163,15 @@ class MemSystem {
 
   [[nodiscard]] Addr l1_line(Addr addr) const noexcept {
     return line_align(addr, config_.l1_line_bytes);
+  }
+
+  /// The cycle the earliest in-service fill completes.
+  [[nodiscard]] Cycle completion_at() const noexcept {
+    return ready_heap_.empty() ? kNoCycle : ready_heap_.front().ready;
+  }
+  /// The cycle the bus grants a queued request: the first it is free.
+  [[nodiscard]] Cycle grant_at() const noexcept {
+    return pending_count_ == 0 ? kNoCycle : bus_free_at_;
   }
 
   [[nodiscard]] std::uint32_t alloc_slot();

@@ -1115,6 +1115,34 @@ TEST(CliFaults, SampleRunFallsBackOnCorruptCheckpoint) {
             2);
   EXPECT_NE(output.find("was built for workload"), std::string::npos)
       << output;
+
+  // So are knobs and a budget the checkpoint was not built with: the run
+  // would report the checkpoint's plan under the command's labels. The
+  // message names the flag, the value given and the checkpoint's.
+  const std::string planned = test_file("k.psck");
+  ASSERT_EQ(run_cli("sample plan --bench eon --instrs 20000 --interval 5000 "
+                    "--out " + planned,
+                    &output),
+            0)
+      << output;
+  const std::string run = "sample run --bench eon --plan " + planned;
+  const std::pair<const char*, const char*> refused[] = {
+      {" --instrs 20000 --interval 999 --max-k 1",
+       "--interval 999 does not match checkpoint"},
+      {" --instrs 8000", "--instrs 8000 does not match checkpoint"},
+      {" --instrs 20000 --dim 8", "--dim 8 does not match checkpoint"},
+  };
+  for (const auto& [args, message] : refused) {
+    EXPECT_EQ(run_cli(run + args, &output), 2) << args << ": " << output;
+    EXPECT_NE(output.find(message), std::string::npos) << output;
+  }
+  EXPECT_NE(output.find("(built with 16)"), std::string::npos) << output;
+  // The checkpoint's own knobs and budget are accepted.
+  EXPECT_EQ(run_cli(run + " --instrs 20000 --interval 5000 --dim 16 "
+                          "--max-k 6 --warm-lines 256 --warmup 1",
+                    &output),
+            0)
+      << output;
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/cancel.hpp"
+#include "common/rng.hpp"
+#include "cpu/backend.hpp"
 #include "cpu/cpu.hpp"
+#include "mem/memsys.hpp"
 #include "sim/presets.hpp"
 #include "workload/synthetic_spec.hpp"
 
@@ -201,6 +205,108 @@ TEST(SharedWorkload, CpuRunsTheConfiguredSpecsProgram) {
   // Same (benchmark, seed) through the shared cache: same timing.
   EXPECT_EQ(from_spec.run().cycles,
             Cpu(tiny("gcc", "clgp", 3000)).run().cycles);
+}
+
+// --- back-end forecast/stage agreement -------------------------------------
+//
+// The event-horizon skip folds every cycle the back-end's idle_plan()
+// calls idle into one count of its per_cycle counter. So on such a
+// cycle the stages must change nothing else: no commit, issue or
+// dispatch, and no statistic but that counter, which rises by one.
+
+/// Everything a back-end cycle can change, as seen from outside: its
+/// counters (ruu_full_stalls last), commits and decode-pipe room.
+std::vector<std::uint64_t> backend_state(const Backend& b) {
+  return {b.wrong_path_dispatched.value(),
+          b.dcache_hits.value(),
+          b.dcache_misses.value(),
+          b.store_commits.value(),
+          b.committed(),
+          b.can_accept() ? 1U : 0U,
+          b.ruu_full_stalls.value()};
+}
+
+TEST(BackendProperty, IdleForecastFoldsIntoOneStallCount) {
+  std::uint64_t folded = 0;
+  std::uint64_t stalls = 0;
+  std::uint64_t seed = 3000;
+  for (const char* bench : {"eon", "gcc", "mcf"}) {
+    // A back-end with its memory system, as bench/micro/micro_backend.cpp
+    // builds it, fed from the oracle by a rig that stands in for fetch.
+    MachineConfig cfg =
+        sim::make_config("base-pipelined", cacti::TechNode::um045, 4096);
+    cfg.benchmark = bench;
+    const auto spec = workload::synthetic_workload(bench, cfg.seed);
+    const workload::Program& program = spec->program();
+    Oracle oracle(program, oracle_trace_seed(cfg.seed));
+    mem::MemSystemConfig mem_cfg;
+    mem_cfg.l2_latency = DerivedTimings::from(cfg).l2_latency;
+    mem_cfg.mem_latency = cfg.mem_latency;
+    mem_cfg.l1_line_bytes = cfg.line_bytes;
+    mem::MemSystem mem(mem_cfg);
+    Backend backend(cfg, oracle, program, mem);
+
+    Rng rng(seed++);
+    Addr wrong_pc = kNoAddr;  // set while a culprit is unresolved
+    for (Cycle t = 0; t < 20000; ++t) {
+      const IdlePlan plan = backend.idle_plan(t);
+      const bool idle =
+          plan.next_event > t && mem.idle_plan(t).next_event > t;
+      // Random accept pressure: bursts of up to a fetch width.
+      const std::uint64_t accepts =
+          rng.chance(0.4) ? 1 + rng.below(cfg.width) : 0;
+      const auto before = backend_state(backend);
+
+      backend.begin_cycle(t);
+      mem.tick(t);
+      if (backend.recovery_due(t)) {
+        ASSERT_FALSE(idle) << bench << " cycle " << t;
+        backend.squash_younger_than_culprit();
+        wrong_pc = kNoAddr;
+      }
+      backend.tick_commit(t);
+      backend.tick_issue(t);
+      backend.tick_dispatch(t);
+
+      if (idle && accepts == 0) {
+        ++folded;
+        auto expected = before;
+        if (plan.per_cycle == &backend.ruu_full_stalls) {
+          ++expected.back();
+          ++stalls;
+        } else {
+          ASSERT_EQ(plan.per_cycle, nullptr);
+        }
+        ASSERT_EQ(backend_state(backend), expected)
+            << bench << " cycle " << t;
+        const IdlePlan after = backend.idle_plan(t);
+        ASSERT_EQ(after.next_event, plan.next_event)
+            << bench << " cycle " << t;
+        ASSERT_EQ(after.per_cycle, plan.per_cycle);
+      }
+
+      for (std::uint64_t i = 0; i < accepts && backend.can_accept(); ++i) {
+        frontend::FetchedInst f;
+        if (wrong_pc != kNoAddr) {
+          // Down the wrong path until the culprit resolves.
+          f.pc = program.contains_pc(wrong_pc) ? wrong_pc
+                                               : program.code_begin();
+          f.wrong_path = true;
+          wrong_pc = f.pc + kInstrBytes;
+        } else {
+          f.pc = oracle.remainder().start;
+          f.oracle_seq = oracle.seq_at_cursor();
+          f.culprit = rng.chance(0.01);
+          if (f.culprit) wrong_pc = f.pc + kInstrBytes;
+          oracle.consume(1);
+        }
+        backend.accept(f);
+      }
+    }
+  }
+  // The fold was exercised, RUU-full stalls included.
+  EXPECT_GT(folded, 1000u);
+  EXPECT_GT(stalls, 1000u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -211,6 +212,41 @@ TEST(LintIndex, HeaderDeclarationIsSeenAcrossFiles) {
   const JsonValue alone = lint_fixtures({"unordered_iter.cpp"}, &rc);
   EXPECT_EQ(rc, 0);
   EXPECT_TRUE(alone.at("findings").array.empty());
+}
+
+TEST(LintIndex, AllowedFileDoesNotLeakNames) {
+  // A name declared in a file the rule does not apply to must not make a
+  // same-named variable elsewhere an unordered container: b/y.cpp walks
+  // a vector called `seen`, and only the allow-listed a/x.cpp declares
+  // an unordered `seen`. Run from the tree's root, so the config's
+  // relative allow entry names a/.
+  const std::string root = test_file("tree");
+  std::filesystem::create_directories(root + "/a");
+  std::filesystem::create_directories(root + "/b");
+  std::ofstream(root + "/a/x.cpp")
+      << "#include <unordered_set>\n"
+         "std::unordered_set<int> seen;\n";
+  std::ofstream(root + "/b/y.cpp")
+      << "#include <vector>\n"
+         "int sum(const std::vector<int>& seen) {\n"
+         "  int total = 0;\n"
+         "  for (int v : seen) total += v;\n"
+         "  return total;\n"
+         "}\n";
+  std::ofstream(root + "/config.json")
+      << R"({"schema": "prestage-lint-config-v1", "rules": {)"
+      << R"("prestage-unordered-iteration": {"severity": "error", )"
+      << R"("allow": ["a/"]}}})";
+  const std::string command = "cd " + root + " && " + lint_path() +
+                              " --config config.json --json lint.json "
+                              "a/x.cpp b/y.cpp > out.txt 2>&1";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << read_file(root + "/out.txt");
+  const JsonValue doc = prestage::json::parse(read_file(root + "/lint.json"));
+  EXPECT_EQ(doc.at("files_scanned").as_number(), 2.0);
+  EXPECT_TRUE(doc.at("findings").array.empty())
+      << read_file(root + "/out.txt");
 }
 
 TEST(LintConfig, WarnSeverityReportsWithoutFailing) {

@@ -308,7 +308,7 @@ TEST(MemSystemStress, MatchesNaiveReferenceModel) {
 
 TEST(MemSystemStress, HorizonQueriesAreInertAndNeverLate) {
   // Same randomized schedule as the reference-model test, but with
-  // next_event_cycle() interleaved before every tick. Two contracts:
+  // idle_plan() interleaved before every tick. Two contracts:
   // the query is const (the completion stream still matches the
   // query-free reference exactly), and it is never late — whenever it
   // reports the next event strictly past `now`, ticking `now` must
@@ -338,7 +338,7 @@ TEST(MemSystemStress, HorizonQueriesAreInertAndNeverLate) {
           ref.submit_writeback(addr, now);
         },
         [&](Cycle now) {
-          const Cycle horizon = opt.next_event_cycle(now);
+          const Cycle horizon = opt.idle_plan(now).next_event;
           const std::size_t events_before = opt_events.size();
           std::uint64_t grants_before = 0;
           for (const auto& g : opt.grants) grants_before += g.value();

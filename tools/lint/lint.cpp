@@ -99,9 +99,12 @@ LintResult run_lint(const Config& config,
   std::vector<FileScan> scans;
   scans.reserve(paths.size());
   GlobalIndex index;
+  const std::string indexed_rule(kUnorderedIteration);
   for (const std::string& path : paths) {
     scans.push_back(lex(path, read_file(path)));
-    index_file(scans.back(), index);
+    if (config.severity_for(indexed_rule, path) != Severity::Off) {
+      index_file(scans.back(), index);
+    }
   }
   finalize_index(index);
 

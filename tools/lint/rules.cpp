@@ -10,8 +10,6 @@ namespace prestage::lint {
 
 namespace {
 
-constexpr std::string_view kUnorderedIteration =
-    "prestage-unordered-iteration";
 constexpr std::string_view kWallclock = "prestage-wallclock";
 constexpr std::string_view kPointerOrder = "prestage-pointer-order";
 constexpr std::string_view kFloatAccumulation =

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lint/lexer.hpp"
@@ -44,8 +45,14 @@ struct Finding {
   std::string message;
 };
 
-/// Names declared across the whole scanned tree that rules need to see
+/// The rule the cross-file index serves.
+inline constexpr std::string_view kUnorderedIteration =
+    "prestage-unordered-iteration";
+
+/// Names declared across the scanned tree that rules need to see
 /// cross-file (a container declared in a header, iterated in a .cpp).
+/// The driver indexes only the files kUnorderedIteration applies to, so
+/// a name declared in an allow-listed file flags nothing elsewhere.
 struct GlobalIndex {
   std::vector<std::string> unordered_names;  // sorted, unique
 
